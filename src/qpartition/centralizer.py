@@ -18,6 +18,19 @@ equation on the candidate basis and feed back any violated equation.
 The final basis therefore satisfies all equations exactly; no identity
 from the module theory enters anywhere.
 
+Many pairs repeat one solve.  Each component is relabelled in
+breadth-first order from its smallest basis index, taking the
+generators in their given order, and its table records, for every local
+vertex and generator, the case of the T_i action and the local label of
+the target.  The pair solver reads nothing but the two tables, so pairs
+with equal tables (compared exactly, as tuples) have the same solution
+up to relabelling: each such class is solved once per q value and its
+basis is carried to the other pairs through their relabellings.  The
+module theory predicts which orbits are isomorphic (hook compositions,
+one per number of blocks) but is not consulted: classes come from the
+matrices alone, and two isomorphic orbits whose tables differ are
+simply solved twice.
+
 Default arithmetic specializes q at several generic rational points and
 cross-checks the dimensions; a fully symbolic mode over the rational
 function field Q(q) is available for small sizes.
@@ -42,6 +55,7 @@ from .tensoract import MultiIndex, all_indices, first_occurrence, _swap_letters
 
 __all__ = [
     'DimensionLimitExceeded',
+    'SolverInvariantError',
     'RationalFunction',
     'CommutantReport',
     'commutant_basis',
@@ -58,6 +72,20 @@ DEFAULT_Q_VALUES = (Fraction(2), Fraction(3), Fraction(7, 5))
 
 class DimensionLimitExceeded(ValueError):
     """Raised when n^r exceeds the configured size guard."""
+
+
+class SolverInvariantError(RuntimeError):
+    """An internal invariant of the commutant solver failed.
+
+    pair is the ordered component pair (C[0], C'[0]), named by the
+    smallest basis index of each component; event is the equation or
+    entry involved, if there is one.
+    """
+
+    def __init__(self, message: str, pair: tuple[int, int], event=None):
+        self.pair, self.event = pair, event
+        where = f'pair {pair}' if event is None else f'pair {pair}, event {event}'
+        super().__init__(f'{message} ({where})')
 
 
 # ---------------------------------------------------------------------------
@@ -280,91 +308,111 @@ def _classify(idx: MultiIndex, i: int) -> tuple[int, MultiIndex]:
     return (2 if fi < fi1 else 3), _swap_letters(idx, i)
 
 
+def _table(C: list[int], idxs: list[MultiIndex], gid_map: dict[MultiIndex, int],
+           gens: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Generator table of component C in the labelling given by its order.
+
+    Entry [v][k] is (case, target) of the k-th generator on C[v], with the
+    target as a position in C; case 1 targets v itself.
+    """
+    pos = {g: t for t, g in enumerate(C)}
+    return tuple(
+        tuple((case, pos[gid_map[swapped]])
+              for case, swapped in (_classify(idxs[g], i) for i in gens))
+        for g in C)
+
+
+def _bfs(table) -> tuple[list[int], dict[int, tuple[int, int, int]]]:
+    """Breadth-first order of a table from vertex 0, generators in order,
+    and its spanning tree: child -> (parent, generator position, case)."""
+    order = [0]
+    par: dict[int, tuple[int, int, int]] = {}
+    for v in order:
+        for k, (case, t) in enumerate(table[v]):
+            if t and t not in par:
+                par[t] = (v, k, case)
+                order.append(t)
+    return order, par
+
+
+def _component_classes(comps: list[list[int]], idxs: list[MultiIndex],
+                       gid_map: dict[MultiIndex, int], gens: Sequence[int]
+                       ) -> dict[tuple, list[list[int]]]:
+    """Group the components by their table in breadth-first labelling.
+
+    Each component is relabelled in breadth-first order from its first
+    (smallest) index; the keys are the tables in that labelling, compared
+    exactly, and the values list the relabelled components.
+    """
+    classes: dict[tuple, list[list[int]]] = {}
+    for C in comps:
+        order, _ = _bfs(_table(C, idxs, gid_map, gens))
+        if len(order) == len(C):  # else keep C's order: the pair solver reports it
+            C = [C[t] for t in order]
+        classes.setdefault(_table(C, idxs, gid_map, gens), []).append(C)
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # the cyclic block solver
 
 class _PairSolver:
-    """Solve X A_i = A_i X restricted to one ordered component pair."""
+    """Solve X A_i = A_i X restricted to one ordered component pair.
 
-    def __init__(self, C: list[int], Cp: list[int], idxs: list[MultiIndex],
-                 gid_map: dict[MultiIndex, int], gens: Sequence[int],
-                 qf, one, rng: random.Random):
-        self.C, self.Cp, self.idxs, self.gens = C, Cp, idxs, gens
-        self._gid_map = gid_map
+    The input is the tables of the column component C and of the row
+    component C' (see _table), and nothing else; every index is local, and
+    the root column is vertex 0 of C.  Basis blocks come back as
+    {(position in C', position in C): value}.  pair names the pair in
+    errors.
+    """
+
+    def __init__(self, table, table_p, qf, one, rng: random.Random,
+                 pair: tuple[int, int]):
+        self.table, self.pair = table, pair
         self.qf, self.one, self.zero = qf, one, one - one
         self.rng = rng
-        self.m = len(Cp)
-        self.posP = {g: t for t, g in enumerate(Cp)}
-        # rows/cols of A_i restricted to Cp, local indices
-        self.ap_rows: dict[int, list[list[tuple[int, object]]]] = {}
-        self.ap_cols: dict[int, list[list[tuple[int, object]]]] = {}
-        for i in gens:
-            rows = [[] for _ in range(self.m)]
-            cols = [[] for _ in range(self.m)]
-            for cl, g in enumerate(Cp):
-                case, swapped = _classify(idxs[g], i)
+        self.m = len(table_p)
+        # rows/cols of A_i restricted to C', per generator position
+        self.ap_rows = [[[] for _ in range(self.m)] for _ in table_p[0]]
+        self.ap_cols = [[[] for _ in range(self.m)] for _ in table_p[0]]
+        for cl, entries in enumerate(table_p):
+            for k, (case, rl) in enumerate(entries):
+                rows, cols = self.ap_rows[k], self.ap_cols[k]
                 if case == 1:
                     cols[cl].append((cl, qf))
                     rows[cl].append((cl, qf))
                 elif case == 2:
-                    rl = self.posP[self._gid(swapped)]
                     cols[cl].append((rl, one))
                     rows[rl].append((cl, one))
                 else:
-                    rl = self.posP[self._gid(swapped)]
                     cols[cl].append((rl, qf))
                     rows[rl].append((cl, qf))
                     cols[cl].append((cl, qf - one))
                     rows[cl].append((cl, qf - one))
-            self.ap_rows[i], self.ap_cols[i] = rows, cols
         self._build_tree()
         self._collect_events()
 
-    def _gid(self, idx: MultiIndex) -> int:
-        return self._gid_map[idx]
-
     def _build_tree(self):
-        self.root = self.C[0]
-        self.par: dict[int, tuple[int, int, int]] = {}  # child -> (parent, i, case at parent)
-        self.order = [self.root]
-        seen = {self.root}
-        frontier = [self.root]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for i in self.gens:
-                    case, swapped = _classify(self.idxs[c], i)
-                    if case == 1:
-                        continue
-                    c2 = self._gid(swapped)
-                    if c2 not in seen:
-                        seen.add(c2)
-                        self.par[c2] = (c, i, case)
-                        self.order.append(c2)
-                        nxt.append(c2)
-            frontier = nxt
-        assert len(self.order) == len(self.C), 'component not connected by its own edges'
+        self.order, self.par = _bfs(self.table)
+        if len(self.order) != len(self.table):
+            raise SolverInvariantError('component not connected by its own edges', self.pair)
 
     def _collect_events(self):
-        tree_children = {(i, p): c for c, (p, i, _) in self.par.items()}
+        tree_children = {(k, p): c for c, (p, k, _) in self.par.items()}
         self.events = []
-        for c in self.C:
-            for i in self.gens:
-                case, swapped = _classify(self.idxs[c], i)
+        for c, entries in enumerate(self.table):
+            for k, (case, c2) in enumerate(entries):
                 if case == 1:
-                    self.events.append(('loop', i, c))
-                    continue
-                c2 = self._gid(swapped)
-                if tree_children.get((i, c)) == c2:
-                    continue  # holds by construction
-                self.events.append(('edge', i, c, c2, case))
+                    self.events.append(('loop', k, c))
+                elif tree_children.get((k, c)) != c2:  # tree edges hold by construction
+                    self.events.append(('edge', k, c, c2, case))
         self.ev_pos = {ev: pos for pos, ev in enumerate(self.events)}
 
     # -- functional pullback along the tree ---------------------------------
 
     def _pull(self, f: dict[int, object], c: int) -> dict[int, object]:
         qf, one, zero = self.qf, self.one, self.zero
-        while c != self.root:
+        while c:  # up to the root, vertex 0
             p, i, case = self.par[c]
             rows = self.ap_rows[i]
             g: dict[int, object] = {}
@@ -443,7 +491,7 @@ class _PairSolver:
 
     def _propagate(self, y: list) -> dict[int, list]:
         qf, one = self.qf, self.one
-        cols = {self.root: y}
+        cols = {0: y}
         for c in self.order[1:]:
             p, i, case = self.par[c]
             v = self._apply_ap(i, cols[p])
@@ -488,7 +536,7 @@ class _PairSolver:
                 ech.add(row)
 
         for pos, ev in enumerate(self.events):
-            if ev[0] == 'loop' and ev[2] == self.root:
+            if ev[0] == 'loop' and ev[2] == 0:
                 feed(pos)
         if self.events:
             for pos in self.rng.sample(range(len(self.events)), min(3, len(self.events))):
@@ -514,13 +562,16 @@ class _PairSolver:
                     for c, vec in cols.items():
                         for rl, val in enumerate(vec):
                             if val:
-                                entries[(self.Cp[rl], c)] = val
+                                entries[(rl, c)] = val
                     basis.append(entries)
                 return len(candidates), basis
             before = ech.rank
             for pos in sorted(bad_positions):
                 feed(pos)
-            assert ech.rank > before, 'violated equation did not cut the space'
+            if ech.rank <= before:
+                raise SolverInvariantError(
+                    'violated equation did not cut the space', self.pair,
+                    tuple(self.events[pos] for pos in sorted(bad_positions)))
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +589,8 @@ class CommutantReport:
     dims: tuple[int, ...]
     agree: bool
     components: int
+    pairs: int  # ordered component pairs, components ** 2
+    pair_classes: int  # pairs with distinct tables: solves run per q value
     basis: list | None = None
 
     @property
@@ -576,16 +629,19 @@ def commutant_basis(
     gens = tuple(generators) if generators is not None else tuple(range(1, n))
     if any(not 1 <= i <= n - 1 for i in gens):
         raise ValueError(f'generators out of range for n={n}: {gens}')
+    if symbolic:
+        _check_limit(n, r, symbolic_limit)
     idxs = all_indices(n, r)
     gid_map = {j: t for t, j in enumerate(idxs)}
     comps = _components(n, r, gens)
+    classes = _component_classes(comps, idxs, gid_map, gens)
+    counts = {'components': len(comps), 'pairs': len(comps) ** 2,
+              'pair_classes': len(classes) ** 2}
 
     if symbolic:
-        _check_limit(n, r, symbolic_limit)
-        dim, mats = _total_dim(
-            comps, idxs, gid_map, gens, _RF_Q, _RF_ONE, with_basis)
+        dim, mats = _total_dim(classes, _RF_Q, _RF_ONE, with_basis)
         return CommutantReport(
-            n, r, 'symbolic', gens, (), (dim,), True, len(comps), mats)
+            n, r, 'symbolic', gens, (), (dim,), True, **counts, basis=mats)
 
     q_values = tuple(Fraction(q0) for q0 in q_values)
     if not q_values:
@@ -599,34 +655,35 @@ def commutant_basis(
         qf = _ratio(q0.numerator, q0.denominator)
         one = _ratio(1)
         want = with_basis and which == 0
-        dim, mats = _total_dim(comps, idxs, gid_map, gens, qf, one, want)
+        dim, mats = _total_dim(classes, qf, one, want)
         dims.append(dim)
         if want:
             basis = mats
     return CommutantReport(
         n, r, 'specialized', gens, q_values, tuple(dims),
-        len(set(dims)) == 1, len(comps), basis)
+        len(set(dims)) == 1, **counts, basis=basis)
 
 
-def _total_dim(comps, idxs, gid_map, gens, qf, one, materialize: bool):
+def _total_dim(classes: dict[tuple, list[list[int]]], qf, one, materialize: bool):
+    """Dimension, and the basis if materialize, summed over all component pairs.
+
+    Each pair of classes is solved once per call, that is per q value;
+    its dimension counts once per member pair, and its basis is carried
+    to every member pair through the two relabellings.
+    """
     total = 0
     basis = [] if materialize else None
-    if not gens:
-        # no generators: every matrix commutes
-        total = len(idxs) ** 2
-        if basis is not None:
-            for a in range(len(idxs)):
-                for b in range(len(idxs)):
-                    basis.append({(a, b): one})
-        return total, basis
     rng = random.Random(20259)
-    for C in comps:
-        for Cp in comps:
-            solver = _PairSolver(C, Cp, idxs, gid_map, gens, qf, one, rng)
-            dim, mats = solver.solve(with_basis=basis is not None)
-            total += dim
-            if basis is not None:
-                basis.extend(mats)
+    for table, comps in classes.items():
+        for table_p, comps_p in classes.items():
+            solver = _PairSolver(table, table_p, qf, one, rng, (comps[0][0], comps_p[0][0]))
+            dim, blocks = solver.solve(with_basis=materialize)
+            total += dim * len(comps) * len(comps_p)
+            if materialize:
+                for C in comps:
+                    for Cp in comps_p:
+                        basis.extend({(Cp[a], C[b]): v for (a, b), v in X.items()}
+                                     for X in blocks)
     return total, basis
 
 
@@ -694,7 +751,10 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
 
     def var(row_gid: int, col_gid: int) -> int:
         b = comp_of[row_gid]
-        assert comp_of[col_gid] == b
+        if comp_of[col_gid] != b:
+            raise SolverInvariantError(
+                'bicommutant entry outside the diagonal blocks',
+                (comps[b][0], comps[comp_of[col_gid]][0]), (row_gid, col_gid))
         s = len(comps[b])
         return offsets[b] + local[b][row_gid] * s + local[b][col_gid]
 

@@ -10,23 +10,23 @@ Subcommands:
     export     JSON dumps of action matrices and hom-basis matrices
 
 Exit codes are stable: 0 all checks pass, 1 a check failed, 2 a resource
-limit was exceeded, 64 usage error.
+limit was exceeded, 64 usage error (bad arguments, or an --out file that
+cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
 
 from .centralizer import (
     DEFAULT_Q_VALUES,
     DimensionLimitExceeded,
+    _check_limit,
     commutant_basis,
     half_commutant_basis,
 )
@@ -75,6 +75,16 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'invalid int value: {text!r}') from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f'must be at least 1, got {value}')
+    return value
+
+
 def _parse_q_list(text: str) -> tuple[Fraction, ...]:
     try:
         values = tuple(Fraction(part) for part in text.split(','))
@@ -110,16 +120,14 @@ def _parse_composition(text: str, what: str) -> Composition:
 
 
 def _emit(ns, text: str) -> None:
-    if ns.out:
+    if not ns.out:
+        print(text)
+        return
+    try:
         with open(ns.out, 'w') as fh:
             fh.write(text + '\n')
-    else:
-        print(text)
-
-
-def _check_size(n: int, r: int, limit: int) -> None:
-    if n ** r > limit:
-        raise DimensionLimitExceeded(f'n^r = {n ** r} exceeds limit {limit}')
+    except OSError as exc:
+        raise ValueError(f'cannot write {ns.out}: {exc.strerror}') from None
 
 
 # ---------------------------------------------------------------------------
@@ -168,23 +176,18 @@ def _associativity_samples(n: int, r: int, seed: int, count: int = 5) -> tuple[i
 
 def cmd_verify(ns) -> int:
     n, r = ns.n, ns.r
-    _check_size(n, r, ns.limit)
+    _check_limit(n, r, ns.limit)
     checks = []
 
     rel = verify_relations(n, r)
     checks.append(('hecke-relations', rel.passed, f'{rel.checks} identities', rel.failures))
 
-    # orbit side: one task per (set partition, generator), pooled
+    # orbit side: one check per (set partition, generator)
     partitions = list(set_partitions(r, min(n, r)))
-    gens = list(range(1, n))
-    tasks = [(p, i) for p in partitions for i in gens]
-    workers = min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(
-            lambda task: orbit_correspondence(n, r, task[0], generators=(task[1],)),
-            tasks))
+    results = [orbit_correspondence(n, r, p, generators=(i,))
+               for p in partitions for i in range(1, n)]
     bad = [res for res in results if not res.equivariant]
-    detail = f'{len(tasks)} orbit/generator pairs over {len(partitions)} orbits'
+    detail = f'{len(results)} orbit/generator pairs over {len(partitions)} orbits'
     checks.append((
         'orbit-module-matching', not bad, detail,
         tuple(f'{res.partition}: {f}' for res in bad for f in res.failures)))
@@ -306,6 +309,7 @@ def cmd_commutant(ns) -> int:
             'dim': rep.dim, 'dims': list(rep.dims),
             'q_values': [str(q0) for q0 in rep.q_values],
             'agree': rep.agree, 'components': rep.components,
+            'pairs': rep.pairs, 'pair_classes': rep.pair_classes,
             'formula_dim': formula, 'matches_formula': rep.dim == formula,
         }
         if rep.basis is not None:
@@ -318,6 +322,7 @@ def cmd_commutant(ns) -> int:
             f'dim={rep.dim} q={qs} agree={"yes" if rep.agree else "NO"}',
             f'formula={formula} match={"yes" if rep.dim == formula else "NO"} '
             f'components={rep.components}',
+            f'pairs={rep.pairs} pair_classes={rep.pair_classes}',
         ]
         if rep.basis is not None:
             lines.append(f'basis: {len(rep.basis)} sparse matrices (use --format json)')
@@ -385,7 +390,7 @@ def cmd_export(ns) -> int:
     if ns.what == 'action':
         if ns.n is None or ns.r is None or ns.gen is None:
             raise ValueError('export --what action needs --n, --r and --gen')
-        _check_size(ns.n, ns.r, ns.limit)
+        _check_limit(ns.n, ns.r, ns.limit)
         if not 1 <= ns.gen <= ns.n - 1:
             raise GeneratorOutOfRange(f'T_{ns.gen} does not act for n={ns.n}')
         _emit(ns, json.dumps(_action_payload(ns.n, ns.r, ns.gen), indent=2))
@@ -417,9 +422,9 @@ def cmd_export(ns) -> int:
 # parser assembly
 
 def _add_common(sub, *, need_r=True) -> None:
-    sub.add_argument('--n', type=int, required=True, help='number of letters')
+    sub.add_argument('--n', type=_positive_int, required=True, help='number of letters')
     if need_r:
-        sub.add_argument('--r', type=int, required=True, help='tensor exponent')
+        sub.add_argument('--r', type=_positive_int, required=True, help='tensor exponent')
     sub.add_argument('--out', help='write output to this file instead of stdout')
 
 
@@ -430,7 +435,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser('verify', help='run the relation and matching checks')
     _add_common(sub)
-    sub.add_argument('--limit', type=int, default=DEFAULT_LIMIT)
+    sub.add_argument('--limit', type=_positive_int, default=DEFAULT_LIMIT)
     sub.add_argument('--seed', type=int, default=0)
     sub.add_argument('--format', choices=('text', 'json'), default='text')
     sub.set_defaults(func=cmd_verify)
@@ -455,7 +460,7 @@ def build_parser() -> _Parser:
     sub.add_argument('--symbolic', action='store_true', help='work over Q(q) directly')
     sub.add_argument('--half', action='store_true')
     sub.add_argument('--with-basis', action='store_true', dest='with_basis')
-    sub.add_argument('--limit', type=int, default=DEFAULT_LIMIT)
+    sub.add_argument('--limit', type=_positive_int, default=DEFAULT_LIMIT)
     sub.add_argument('--format', choices=('text', 'json'), default='text')
     sub.set_defaults(func=cmd_commutant)
 
@@ -466,15 +471,15 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=cmd_glq_dims)
 
     sub = subs.add_parser('export', help='JSON dumps of matrices')
-    sub.add_argument('--n', type=int, help='number of letters (action export)')
-    sub.add_argument('--r', type=int, help='tensor exponent (action export)')
+    sub.add_argument('--n', type=_positive_int, help='number of letters (action export)')
+    sub.add_argument('--r', type=_positive_int, help='tensor exponent (action export)')
     sub.add_argument('--out', help='write output to this file instead of stdout')
     sub.add_argument('--what', choices=('action', 'hom'), required=True)
     sub.add_argument('--gen', type=int, help='generator for --what action')
     sub.add_argument('--mu', help='source composition for --what hom, e.g. 2,1,1')
     sub.add_argument('--lam', help='target composition for --what hom')
     sub.add_argument('--d', help='one-line double coset representative')
-    sub.add_argument('--limit', type=int, default=DEFAULT_LIMIT)
+    sub.add_argument('--limit', type=_positive_int, default=DEFAULT_LIMIT)
     sub.set_defaults(func=cmd_export)
 
     return parser

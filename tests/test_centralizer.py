@@ -6,17 +6,23 @@ two-route check of the dimension formula.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpartition import linalg
 from qpartition.centralizer import (
     DEFAULT_Q_VALUES,
     DimensionLimitExceeded,
     RationalFunction,
+    SolverInvariantError,
+    _PairSolver,
     _RF_ONE,
     _RF_Q,
+    _components,
+    _table,
     commutant_basis,
     double_centralizer_check,
     half_commutant_basis,
@@ -247,3 +253,88 @@ def test_structure_constants_closed():
         left = {k: v for k, v in left.items() if v}
         right = {k: v for k, v in right.items() if v}
         assert left == right, (a, b, c)
+
+
+# ---------------------------------------------------------------------------
+# the pair-class memo against solving every pair on its own
+
+def unmemoised(n, r, q0, gens=None, with_basis=False):
+    """Sum over every ordered component pair, each solved in sorted-index labels."""
+    gens = tuple(range(1, n)) if gens is None else tuple(gens)
+    idxs = all_indices(n, r)
+    gid_map = {j: t for t, j in enumerate(idxs)}
+    comps = _components(n, r, gens)
+    tables = [_table(C, idxs, gid_map, gens) for C in comps]
+    rng = random.Random(1)
+    total, basis = 0, []
+    for C, table in zip(comps, tables):
+        for Cp, table_p in zip(comps, tables):
+            solver = _PairSolver(table, table_p, Fraction(q0), Fraction(1), rng, (C[0], Cp[0]))
+            dim, blocks = solver.solve(with_basis)
+            total += dim
+            basis.extend({(Cp[a], C[b]): v for (a, b), v in X.items()} for X in blocks)
+    return total, basis
+
+
+SMALL_GRID = [(n, r) for n in range(1, 17) for r in range(1, 9) if n ** r <= 81]
+
+
+@pytest.mark.parametrize('n,r', SMALL_GRID)
+def test_memo_matches_unmemoised_dimension(n, r):
+    q0 = Fraction(7, 5)
+    assert commutant_basis(n, r, (q0,)).dim == unmemoised(n, r, q0)[0]
+
+
+@pytest.mark.parametrize('n,r', [(2, 4), (3, 3), (2, 5)])
+def test_memo_basis_spans_unmemoised_space(n, r):
+    q0 = DEFAULT_Q_VALUES[0]
+    N = n ** r
+    report = commutant_basis(n, r, (q0,), with_basis=True)
+    want, reference = unmemoised(n, r, q0, with_basis=True)
+    gens = [specialized_generator(n, r, i, q0) for i in range(1, n)]
+    ech = Echelon(N * N, Fraction(1))
+    for X in report.basis:
+        X = {k: Fraction(v) for k, v in X.items()}
+        assert all(commutes(A, X) for A in gens)
+        ech.add({i * N + j: v for (i, j), v in X.items()})
+    assert ech.rank == len(report.basis) == want
+    # same space, not necessarily the same basis
+    assert all(ech.add({i * N + j: v for (i, j), v in X.items()}) is None for X in reference)
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 3),
+    st.sets(st.integers(1, n - 1), min_size=1).map(sorted))))
+@settings(max_examples=40, deadline=None)
+def test_memo_matches_unmemoised_on_generator_subsets(case):
+    n, r, gens = case
+    q0 = Fraction(3)
+    report = commutant_basis(n, r, (q0,), generators=gens)
+    assert report.dim == unmemoised(n, r, q0, gens)[0]
+
+
+def test_pair_counts_reported():
+    report = commutant_basis(2, 8, (Fraction(2),))
+    assert report.components == 128
+    assert report.pairs == 128 ** 2 == 16384
+    # two kinds of orbit: one letter only, or both letters
+    assert report.pair_classes == 4
+
+
+# ---------------------------------------------------------------------------
+# solver invariants are raised errors, so they hold under python -O
+
+def test_stalled_echelon_raises_instead_of_looping(monkeypatch):
+    monkeypatch.setattr(linalg.Echelon, 'add', lambda self, row, tag=None: None)
+    with pytest.raises(SolverInvariantError) as info:
+        commutant_basis(3, 2, (Fraction(2),))
+    assert 'did not cut the space' in str(info.value)
+    assert len(info.value.pair) == 2 and info.value.event
+
+
+def test_disconnected_component_raises():
+    # two vertices, one generator acting diagonally on both: no edge joins them
+    table = (((1, 0),), ((1, 1),))
+    with pytest.raises(SolverInvariantError) as info:
+        _PairSolver(table, table, Fraction(2), Fraction(1), random.Random(0), (0, 0))
+    assert info.value.pair == (0, 0)

@@ -74,6 +74,28 @@ def test_malformed_index_is_usage_error(capsys):
     assert code == EX_USAGE
 
 
+@pytest.mark.parametrize('argv', [
+    ('dims', '--n', '-2', '--r', '2'),
+    ('dims', '--n', '2', '--r', '0'),
+    ('verify', '--n', '2', '--r', '2', '--limit', '-5'),
+    ('commutant', '--n', '2', '--r', '2', '--limit', '0'),
+    ('export', '--what', 'action', '--n', '0', '--r', '2', '--gen', '1'),
+])
+def test_nonpositive_sizes_rejected_at_parser(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == EX_USAGE
+    assert 'must be at least 1' in capsys.readouterr().err
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    target = tmp_path / 'missing' / 'table.txt'
+    code, out, err = run(capsys, 'dims', '--n', '2', '--r', '2', '--out', str(target))
+    assert code == EX_USAGE
+    assert out == ''
+    assert err.startswith('qpartition: error: cannot write') and err.count('\n') == 1
+
+
 def test_zero_q_is_usage_error(capsys):
     code, _, err = run(capsys, 'commutant', '--n', '2', '--r', '2', '--q', '0,2')
     assert code == EX_USAGE
@@ -143,7 +165,16 @@ def test_commutant_json_schema(capsys):
     assert data['agree'] is True
     assert data['q_values'] == ['2', '3', '7/5']
     assert data['matches_formula'] is True
+    assert data['components'] == 2
+    assert data['pairs'] == 4 and data['pair_classes'] == 4
     assert 'basis' not in data
+
+
+def test_commutant_reports_pair_classes(capsys):
+    code, out, _ = run(capsys, 'commutant', '--n', '2', '--r', '8', '--q', '2')
+    assert code == EX_OK
+    assert 'components=128' in out
+    assert 'pairs=16384 pair_classes=4' in out
 
 
 def test_commutant_with_basis(capsys):
