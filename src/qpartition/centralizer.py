@@ -18,6 +18,18 @@ equation on the candidate basis and feed back any violated equation.
 The final basis therefore satisfies all equations exactly; no identity
 from the module theory enters anywhere.
 
+Propagation and verification run on integers, fraction-free in the
+manner of Bareiss.  With q = a/b in lowest terms, b A_i has integer
+entries (a on the diagonal in case 1, b in case 2, a and a - b in case
+3).  Each candidate column is kept as a sparse integer vector u_c with
+an integer scale s_c, meaning x_c = u_c / s_c: the root is the
+candidate times the lcm of its denominators, and a tree edge multiplies
+the scale by b (case 2) or a (case 3).  Every raw equation then becomes
+an equality of integer vectors, cross-multiplied by the two scales, and
+fractions are formed only when a basis is materialized.  Over Q(q) the
+same code runs with a = q and b = 1.  The event rows fed to the
+echelon, and the echelon itself, stay over the field.
+
 Many pairs repeat one solve.  Each component is relabelled in
 breadth-first order from its smallest basis index, taking the
 generators in their given order, and its table records, for every local
@@ -41,12 +53,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
-
-try:
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover
-    _ratio = Fraction
 
 from .coeff import LaurentPoly, ZeroSpecialization
 from .linalg import Echelon
@@ -372,23 +380,43 @@ class _PairSolver:
         self.qf, self.one, self.zero = qf, one, one - one
         self.rng = rng
         self.m = len(table_p)
-        # rows/cols of A_i restricted to C', per generator position
+        # q = a/b in lowest terms with b > 0; over Q(q), a = q and b = 1
+        self.over_q = isinstance(qf, Fraction)
+        a, b = (qf.numerator, qf.denominator) if self.over_q else (qf, one)
+        # scale carried by the image of a column: b on case 2, else a
+        self.factor = {1: a, 2: b, 3: a}
+        # rows of A_i restricted to C' over the field, per generator position
         self.ap_rows = [[[] for _ in range(self.m)] for _ in table_p[0]]
-        self.ap_cols = [[[] for _ in range(self.m)] for _ in table_p[0]]
-        for cl, entries in enumerate(table_p):
-            for k, (case, rl) in enumerate(entries):
-                rows, cols = self.ap_rows[k], self.ap_cols[k]
+        # ring images under generator position i: b A_i on case 1 and 2
+        # edges (images[0][i]), b A_i - (a - b) on case 3 edges
+        # (images[1][i]); column cl holds coef[cl] at the swap target
+        # tgt[cl] (cl itself in case 1), plus diag[cl] at cl itself
+        self.images = [], []
+        for k in range(len(table_p[0])):
+            rows = self.ap_rows[k]
+            tgt, coef, coef3, diag, diag3 = [], [], [], {}, {}
+            for cl, entries in enumerate(table_p):
+                case, rl = entries[k]
+                tgt.append(rl)
                 if case == 1:
-                    cols[cl].append((cl, qf))
                     rows[cl].append((cl, qf))
+                    coef.append(a)
+                    coef3.append(b)
                 elif case == 2:
-                    cols[cl].append((rl, one))
                     rows[rl].append((cl, one))
+                    coef.append(b)
+                    coef3.append(b)
+                    diag3[cl] = b - a
                 else:
-                    cols[cl].append((rl, qf))
                     rows[rl].append((cl, qf))
-                    cols[cl].append((cl, qf - one))
                     rows[cl].append((cl, qf - one))
+                    coef.append(a)
+                    coef3.append(a)
+                    diag[cl] = a - b
+            if a == b:  # q = 1: the diagonal parts are zero
+                diag = diag3 = {}
+            self.images[0].append((tgt, coef, diag))
+            self.images[1].append((tgt, coef3, diag3))
         self._build_tree()
         self._collect_events()
 
@@ -478,50 +506,71 @@ class _PairSolver:
                     out.append(row)
         return out
 
-    # -- column propagation and raw verification ----------------------------
+    # -- column propagation and raw verification over the ring -------------
 
-    def _apply_ap(self, i: int, v: list) -> list:
-        out = [self.zero] * self.m
-        cols = self.ap_cols[i]
-        for cl, val in enumerate(v):
-            if val:
-                for rl, coef in cols[cl]:
-                    out[rl] = out[rl] + coef * val
+    def _clear(self, y: list) -> tuple[dict[int, object], object]:
+        """Root column y as (u, s) with y = u / s; over Q, u and s are ints."""
+        if not self.over_q:
+            return {rl: v for rl, v in enumerate(y) if v}, self.one
+        s = lcm(*(v.denominator for v in y))
+        return {rl: v.numerator * (s // v.denominator) for rl, v in enumerate(y) if v}, s
+
+    def _image(self, i: int, case: int, u: dict[int, object]) -> dict[int, object]:
+        """b A_i u, less (a - b) u when case is 3; sparse, zeros dropped."""
+        tgt, coef, diag = self.images[case == 3][i]
+        out = {tgt[cl]: coef[cl] * v for cl, v in u.items()}  # tgt is a bijection
+        for cl in diag.keys() & u.keys():
+            t = diag[cl] * u[cl]
+            if cl in out:
+                t = out[cl] + t
+                if not t:
+                    del out[cl]
+                    continue
+            out[cl] = t
         return out
 
-    def _propagate(self, y: list) -> dict[int, list]:
-        qf, one = self.qf, self.one
-        cols = {0: y}
+    def _propagate(self, y: list) -> dict[int, tuple[dict[int, object], object]]:
+        """Columns c -> (u_c, s_c) of the candidate with root y: x_c = u_c / s_c.
+
+        A tree edge maps x_p to A x_p (case 2) or (A - (q - 1)) x_p / q
+        (case 3); with q = a/b that is u_c = the ring image of u_p and
+        s_c = factor * s_p.
+        """
+        factor = self.factor
+        cols = {0: self._clear(y)}
         for c in self.order[1:]:
             p, i, case = self.par[c]
-            v = self._apply_ap(i, cols[p])
-            if case == 3:
-                lam = qf - one
-                v = [(a - lam * b) / qf for a, b in zip(v, cols[p])]
-            cols[c] = v
+            u, s = cols[p]
+            cols[c] = self._image(i, case, u), factor[case] * s
         return cols
 
-    def _violations(self, cols: dict[int, list]) -> list:
-        qf, one = self.qf, self.one
+    def _violations(self, cols: dict[int, tuple[dict[int, object], object]]) -> list:
+        """Raw equations the columns break, checked exactly over the ring.
+
+        The event of generator i at column c, of case k and with target
+        c2 (c itself for a loop), states
+        image_i,k(u_c) * s_c2 == factor_k * s_c * u_c2.
+        """
+        factor = self.factor
         bad = []
         for ev in self.events:
             if ev[0] == 'loop':
                 _, i, c = ev
-                lhs = self._apply_ap(i, cols[c])
-                if any(a != qf * b for a, b in zip(lhs, cols[c])):
-                    bad.append(ev)
+                c2, case = c, 1
             else:
                 _, i, c, c2, case = ev
-                lhs = self._apply_ap(i, cols[c])
-                if case == 2:
-                    if any(a != b for a, b in zip(lhs, cols[c2])):
-                        bad.append(ev)
-                else:
-                    lam = qf - one
-                    if any(a != qf * x2 + lam * x for a, x2, x in zip(lhs, cols[c2], cols[c])):
-                        bad.append(ev)
-            if len(bad) >= 8:
-                break
+            u, s = cols[c]
+            u2, s2 = cols[c2]
+            lhs = self._image(i, case, u)
+            if c2 == c:  # s_c cancels
+                scale = factor[case]
+            else:
+                lhs = {rl: v * s2 for rl, v in lhs.items()}
+                scale = factor[case] * s
+            if len(lhs) != len(u2) or lhs != {rl: scale * v for rl, v in u2.items()}:
+                bad.append(ev)
+                if len(bad) >= 8:
+                    break
         return bad
 
     def solve(self, with_basis: bool):
@@ -559,10 +608,9 @@ class _PairSolver:
                 basis = []
                 for cols in all_cols:
                     entries = {}
-                    for c, vec in cols.items():
-                        for rl, val in enumerate(vec):
-                            if val:
-                                entries[(rl, c)] = val
+                    for c, (u, s) in cols.items():
+                        for rl, val in u.items():
+                            entries[(rl, c)] = Fraction(val, s) if self.over_q else val / s
                     basis.append(entries)
                 return len(candidates), basis
             before = ech.rank
@@ -652,10 +700,8 @@ def commutant_basis(
     dims = []
     basis = None
     for which, q0 in enumerate(q_values):
-        qf = _ratio(q0.numerator, q0.denominator)
-        one = _ratio(1)
         want = with_basis and which == 0
-        dim, mats = _total_dim(classes, qf, one, want)
+        dim, mats = _total_dim(classes, q0, Fraction(1), want)
         dims.append(dim)
         if want:
             basis = mats
@@ -733,9 +779,7 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
     idxs = all_indices(n, r)
     gid_map = {j: t for t, j in enumerate(idxs)}
     comps = _components(n, r, tuple(range(1, n)))
-    qf = _ratio(q0.numerator, q0.denominator)
-    one = _ratio(1)
-    zero = one - one
+    qf, one, zero = q0, Fraction(1), Fraction(0)
 
     comp_of = {}
     for b, C in enumerate(comps):
@@ -858,8 +902,7 @@ def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> Stru
     q0 = Fraction(q0)
     report = commutant_basis(n, r, (q0,), with_basis=True, limit=limit)
     N = n ** r
-    one = _ratio(1)
-    zero = one - one
+    one, zero = Fraction(1), Fraction(0)
 
     ech = Echelon(N * N, one)
     for tag, X in enumerate(report.basis):

@@ -21,7 +21,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .centralizer import (
     DEFAULT_Q_VALUES,
@@ -62,6 +62,10 @@ EX_LIMIT = 2
 EX_USAGE = 64
 
 DEFAULT_LIMIT = 4096
+# work bounds of dims and glq-dims in the units of _dims_work and
+# _glq_work: about 4 s each on a 2-CPU machine with Python 3.11
+DIMS_LIMIT = 100_000
+GLQ_LIMIT = 4_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,7 +225,22 @@ def cmd_verify(ns) -> int:
 # ---------------------------------------------------------------------------
 # dims
 
+def _dims_work(n: int, r: int) -> int:
+    """Work of a dims table up to (n, r): each row n' counts the hook
+    pairs (k, l) with k, l <= m = min(n', r) at weight k * l, which
+    tracks the cost of their double coset counts.  That is
+    C(m + 1, 2)^2 per row, summed here in closed form."""
+    m = min(n, r)
+    return m * (m + 1) * (m + 2) * (3 * m * m + 6 * m + 1) // 60 + (n - m) * comb(m + 1, 2) ** 2
+
+
+def _check_work(what: str, work: int, limit: int) -> None:
+    if work > limit:
+        raise DimensionLimitExceeded(f'{what} work {work} exceeds limit {limit}')
+
+
 def cmd_dims(ns) -> int:
+    _check_work('dims', _dims_work(ns.n, ns.r), ns.limit)
     rows = []
     # the half variant restricts to S_{n-1}, so it starts at n = 2
     for n in range(2 if ns.half else 1, ns.n + 1):
@@ -333,7 +352,14 @@ def cmd_commutant(ns) -> int:
 # ---------------------------------------------------------------------------
 # glq-dims
 
+def _glq_work(n: int, r: int) -> int:
+    """Work of tq_dimension(n, r): min(n, r) hooks, each a product of up
+    to min(n, r) q-integers into a polynomial of degree up to n min(n, r)."""
+    return n ** 2 * min(n, r) ** 3
+
+
 def cmd_glq_dims(ns) -> int:
+    _check_work('glq-dims', _glq_work(ns.n, ns.r), ns.limit)
     poly = tq_dimension(ns.n, ns.r)
     at = Fraction(ns.at) if ns.at is not None else None
     if at is not None and not at:
@@ -444,6 +470,8 @@ def build_parser() -> _Parser:
     _add_common(sub)
     sub.add_argument('--half', action='store_true',
                      help='half-integer variant (restrict the last generator)')
+    sub.add_argument('--limit', type=_positive_int, default=DIMS_LIMIT,
+                     help='work bound: sum over rows of the k*l weighted hook pairs')
     sub.add_argument('--format', choices=('text', 'json', 'csv'), default='text')
     sub.set_defaults(func=cmd_dims)
 
@@ -467,6 +495,8 @@ def build_parser() -> _Parser:
     sub = subs.add_parser('glq-dims', help='Gaussian dimension polynomial')
     _add_common(sub)
     sub.add_argument('--at', help='evaluate the polynomial at this rational')
+    sub.add_argument('--limit', type=_positive_int, default=GLQ_LIMIT,
+                     help='work bound: n^2 min(n, r)^3')
     sub.add_argument('--format', choices=('text', 'json'), default='text')
     sub.set_defaults(func=cmd_glq_dims)
 

@@ -1,9 +1,9 @@
 """Exact Gaussian elimination over any field.
 
 Field elements only need +, -, *, /, == and truthiness (zero is falsy).
-That covers fractions.Fraction, gmpy2.mpq and the rational function
-field defined in centralizer.  No rounding anywhere; a row either
-reduces to zero or it does not.
+That covers fractions.Fraction and the rational function field defined
+in centralizer.  No rounding anywhere; a row either reduces to zero or
+it does not.
 
 The Echelon class keeps a reduced row echelon form incrementally, which
 is what the constraint-streaming commutant solver wants: feed rows as

@@ -225,12 +225,6 @@ class RowStandardTableau:
         """
         return Permutation(tuple(x for row in self.rows for x in row))
 
-    def row_of(self, letter: int) -> int:
-        for idx, row in enumerate(self.rows, start=1):
-            if letter in row:
-                return idx
-        raise ValueError(f'{letter} not in tableau')
-
     def __repr__(self) -> str:
         return f'RowStandardTableau({self.rows!r})'
 

@@ -111,9 +111,6 @@ class ColoredSetPartition:
     def k(self) -> int:
         return len(self.blocks)
 
-    def uncolored(self) -> tuple[tuple[int, ...], ...]:
-        return self.blocks
-
 
 def colored_partition(index: MultiIndex) -> ColoredSetPartition:
     """Group positions by letter; blocks ordered by first occurrence."""

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qpartition import linalg
 from qpartition.centralizer import (
@@ -338,3 +338,61 @@ def test_disconnected_component_raises():
     with pytest.raises(SolverInvariantError) as info:
         _PairSolver(table, table, Fraction(2), Fraction(1), random.Random(0), (0, 0))
     assert info.value.pair == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free propagation and verification
+
+HARD_Q = (Fraction(-3, 2), Fraction(101, 7), Fraction(1, 9))
+
+
+@pytest.mark.parametrize('n,r', SMALL_GRID)
+def test_integer_path_matches_formula_at_hard_q(n, r):
+    # a negative numerator gives negative scales; 101/7 and 1/9 large a, b
+    report = commutant_basis(n, r, HARD_Q)
+    assert report.dims == (qpartition_dim(n, r),) * len(HARD_Q)
+
+
+@given(st.integers(1, 50), st.integers(1, 50), st.booleans(),
+       st.sampled_from([(3, 2), (2, 3), (4, 2), (2, 4), (3, 3), (5, 2)]))
+@settings(max_examples=40, deadline=None)
+def test_integer_path_matches_formula_at_random_q(a, b, negative, cell):
+    q0 = Fraction(-a if negative else a, b)
+    assume(q0 not in (1, -1))
+    assert commutant_basis(*cell, (q0,)).dim == qpartition_dim(*cell)
+
+
+@pytest.mark.parametrize('n,r', [(3, 3), (4, 2), (2, 4)])
+def test_integer_path_basis_commutes_at_negative_q(n, r):
+    q0 = Fraction(-3, 2)
+    N = n ** r
+    report = commutant_basis(n, r, (q0,), with_basis=True)
+    gens = [specialized_generator(n, r, i, q0) for i in range(1, n)]
+    ech = Echelon(N * N, Fraction(1))
+    for X in report.basis:
+        assert all(type(v) is Fraction for v in X.values())
+        assert all(commutes(A, X) for A in gens)
+        ech.add({i * N + j: v for (i, j), v in X.items()})
+    assert ech.rank == len(report.basis) == report.dim == qpartition_dim(n, r)
+
+
+def test_verification_rejects_a_perturbed_root():
+    # (3, 2): columns on the orbit of e_11, rows on the orbit of e_12,
+    # where the solution space is a proper subspace of the root columns
+    n, r, gens = 3, 2, (1, 2)
+    idxs = all_indices(n, r)
+    gid_map = {j: t for t, j in enumerate(idxs)}
+    C, Cp = _components(n, r, gens)
+    solver = _PairSolver(_table(C, idxs, gid_map, gens), _table(Cp, idxs, gid_map, gens),
+                         Fraction(-3, 2), Fraction(1), random.Random(0), (C[0], Cp[0]))
+    ech = Echelon(solver.m, Fraction(1))
+    for ev in solver.events:
+        for row in solver._event_rows(ev):
+            ech.add(row)
+    candidates = ech.nullspace()
+    assert 0 < len(candidates) < solver.m
+    for y in candidates:
+        assert solver._violations(solver._propagate(y)) == []
+        perturbed = list(y)
+        perturbed[0] += 1
+        assert solver._violations(solver._propagate(perturbed))

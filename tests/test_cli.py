@@ -1,11 +1,14 @@
 """The command line surface: exit codes, output schemas, determinism."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from qpartition.cli import EX_FAIL, EX_LIMIT, EX_OK, EX_USAGE, main
+from qpartition.cli import EX_FAIL, EX_LIMIT, EX_OK, EX_USAGE, _dims_work, main
 from qpartition.coeff import LaurentPoly
 from qpartition.qperm import qpartition_dim
 
@@ -212,6 +215,49 @@ def test_commutant_limit(capsys):
     code, _, err = run(capsys, 'commutant', '--n', '2', '--r', '8',
                        '--limit', '100')
     assert code == EX_LIMIT
+
+
+# ---------------------------------------------------------------------------
+# work guards of dims and glq-dims
+
+@pytest.mark.parametrize('argv', [
+    ('dims', '--n', '32', '--r', '16'),
+    ('dims', '--n', '60', '--r', '30', '--half'),
+    ('dims', '--n', str(10 ** 12), '--r', str(10 ** 12)),
+    ('glq-dims', '--n', '60', '--r', '25'),
+    ('glq-dims', '--n', '400', '--r', '60'),
+])
+def test_work_guard_refuses(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EX_LIMIT and not out
+    assert err.count('\n') == 1 and 'exceeds limit' in err
+
+
+@pytest.mark.parametrize('argv', [
+    ('dims', '--n', '16', '--r', '8'),
+    ('glq-dims', '--n', '6', '--r', '6'),
+])
+def test_work_guard_admits_default_sizes_and_honours_limit(capsys, argv):
+    code, _, _ = run(capsys, *argv)
+    assert code == EX_OK
+    code, _, _ = run(capsys, *argv, '--limit', '100')
+    assert code == EX_LIMIT
+
+
+def test_work_guard_has_no_traceback():
+    proc = subprocess.run(
+        [sys.executable, '-m', 'qpartition.cli', 'glq-dims', '--n', '60', '--r', '25'],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EX_LIMIT and not proc.stdout
+    assert proc.stderr.startswith('qpartition: resource limit:')
+    assert proc.stderr.count('\n') == 1 and 'Traceback' not in proc.stderr
+
+
+def test_dims_work_closed_form():
+    for n in range(1, 25):
+        for r in range(1, 25):
+            rows = sum(comb(min(m, r) + 1, 2) ** 2 for m in range(1, n + 1))
+            assert _dims_work(n, r) == rows
 
 
 # ---------------------------------------------------------------------------
