@@ -26,9 +26,15 @@ an integer scale s_c, meaning x_c = u_c / s_c: the root is the
 candidate times the lcm of its denominators, and a tree edge multiplies
 the scale by b (case 2) or a (case 3).  Every raw equation then becomes
 an equality of integer vectors, cross-multiplied by the two scales, and
-fractions are formed only when a basis is materialized.  Over Q(q) the
-same code runs with a = q and b = 1.  The event rows fed to the
-echelon, and the echelon itself, stay over the field.
+fractions are formed only when a basis is materialized.  The event rows
+are integer too: a functional f on column c is pulled back to the root
+through the same maps acting from the right (f b A_i, less (a - b) f on
+case 3), its scale multiplied by b or a along each tree edge, and the
+two halves of an edge equation are cross-multiplied by each other's
+scale.  The echelon that collects them eliminates fraction-free (see
+linalg), so no Fraction arithmetic is left on the solver's path.  Over
+Q(q) the same code runs with a = q and b = 1, and the echelon works
+over the field with pivots one.
 
 Many pairs repeat one solve.  Each component is relabelled in
 breadth-first order from its smallest basis index, taking the
@@ -364,6 +370,23 @@ def _component_classes(comps: list[list[int]], idxs: list[MultiIndex],
 # ---------------------------------------------------------------------------
 # the cyclic block solver
 
+def _apply(op, u: dict[int, object]) -> dict[int, object]:
+    """A monomial-plus-diagonal map (to, coef, diag) applied to sparse u:
+    u[cl] goes to coef[cl] u[cl] at to[cl] (to is a bijection), plus
+    diag[cl] u[cl] at cl itself; zeros dropped."""
+    to, coef, diag = op
+    out = {to[cl]: coef[cl] * v for cl, v in u.items()}
+    for cl in diag.keys() & u.keys():
+        t = diag[cl] * u[cl]
+        if cl in out:
+            t = out[cl] + t
+            if not t:
+                del out[cl]
+                continue
+        out[cl] = t
+    return out
+
+
 class _PairSolver:
     """Solve X A_i = A_i X restricted to one ordered component pair.
 
@@ -377,46 +400,49 @@ class _PairSolver:
     def __init__(self, table, table_p, qf, one, rng: random.Random,
                  pair: tuple[int, int]):
         self.table, self.pair = table, pair
-        self.qf, self.one, self.zero = qf, one, one - one
-        self.rng = rng
+        self.field_one, self.rng = one, rng
         self.m = len(table_p)
-        # q = a/b in lowest terms with b > 0; over Q(q), a = q and b = 1
+        # q = a/b in lowest terms with b > 0; over Q(q), a = q and b = 1;
+        # one and zero are those of the ring everything is computed in
         self.over_q = isinstance(qf, Fraction)
         a, b = (qf.numerator, qf.denominator) if self.over_q else (qf, one)
+        self.a = a
+        self.one, self.zero = (1, 0) if self.over_q else (one, one - one)
         # scale carried by the image of a column: b on case 2, else a
         self.factor = {1: a, 2: b, 3: a}
-        # rows of A_i restricted to C' over the field, per generator position
-        self.ap_rows = [[[] for _ in range(self.m)] for _ in table_p[0]]
         # ring images under generator position i: b A_i on case 1 and 2
         # edges (images[0][i]), b A_i - (a - b) on case 3 edges
         # (images[1][i]); column cl holds coef[cl] at the swap target
-        # tgt[cl] (cl itself in case 1), plus diag[cl] at cl itself
+        # tgt[cl] (cl itself in case 1), plus diag[cl] at cl itself.
+        # coimages hold the same maps acting on functionals (row vectors)
+        # from the right: f -> f b A_i and f -> f (b A_i - (a - b)).
         self.images = [], []
+        self.coimages = [], []
         for k in range(len(table_p[0])):
-            rows = self.ap_rows[k]
             tgt, coef, coef3, diag, diag3 = [], [], [], {}, {}
             for cl, entries in enumerate(table_p):
                 case, rl = entries[k]
                 tgt.append(rl)
                 if case == 1:
-                    rows[cl].append((cl, qf))
                     coef.append(a)
                     coef3.append(b)
                 elif case == 2:
-                    rows[rl].append((cl, one))
                     coef.append(b)
                     coef3.append(b)
                     diag3[cl] = b - a
                 else:
-                    rows[rl].append((cl, qf))
-                    rows[cl].append((cl, qf - one))
                     coef.append(a)
                     coef3.append(a)
                     diag[cl] = a - b
             if a == b:  # q = 1: the diagonal parts are zero
                 diag = diag3 = {}
+            src = [0] * self.m  # tgt is a bijection; src is its inverse
+            for cl, rl in enumerate(tgt):
+                src[rl] = cl
             self.images[0].append((tgt, coef, diag))
             self.images[1].append((tgt, coef3, diag3))
+            self.coimages[0].append((src, [coef[cl] for cl in src], diag))
+            self.coimages[1].append((src, [coef3[cl] for cl in src], diag3))
         self._build_tree()
         self._collect_events()
 
@@ -436,72 +462,58 @@ class _PairSolver:
                     self.events.append(('edge', k, c, c2, case))
         self.ev_pos = {ev: pos for pos, ev in enumerate(self.events)}
 
-    # -- functional pullback along the tree ---------------------------------
+    # -- functional pullback along the tree, over the ring -----------------
 
-    def _pull(self, f: dict[int, object], c: int) -> dict[int, object]:
-        qf, one, zero = self.qf, self.one, self.zero
-        while c:  # up to the root, vertex 0
-            p, i, case = self.par[c]
-            rows = self.ap_rows[i]
-            g: dict[int, object] = {}
-            for rl, val in f.items():
-                for cl, v in rows[rl]:
-                    cur = g.get(cl, zero) + val * v
-                    if cur:
-                        g[cl] = cur
-                    else:
-                        g.pop(cl, None)
-            if case == 3:
-                lam = qf - one
-                for cl, val in f.items():
-                    cur = g.get(cl, zero) - lam * val
-                    if cur:
-                        g[cl] = cur
-                    else:
-                        g.pop(cl, None)
-                g = {cl: val / qf for cl, val in g.items()}
-            f = g
-            c = p
-        return f
+    def _pull(self, f: dict[int, object], c: int) -> tuple[dict[int, object], object]:
+        """Functional f on column c as (g, s) on the root: f x_c = g y / s.
+
+        A tree edge with x_c = image(x_p) / factor maps f to f's coimage and
+        multiplies s by the factor (b on case 2, a on case 3).
+        """
+        s = self.one
+        while c and f:  # up to the root, vertex 0
+            c, i, case = self.par[c]
+            f = _apply(self.coimages[case == 3][i], f)
+            s = self.factor[case] * s
+        return f, s
 
     def _event_rows(self, ev) -> list[dict[int, object]]:
-        qf, one, zero = self.qf, self.one, self.zero
+        """Rows on the root column y of one raw equation, one per row of C'.
+
+        With q = a/b the equations are taken times b: a loop at c is
+        (b A_i - a) x_c = 0; a non-tree edge c -> c2 of case k is
+        factor_k x_c2 = N x_c, with N = b A_i (case 2) or b A_i - (a - b)
+        (case 3).  An edge row pulls both halves to the root, (g2, s2) from
+        c2 and (g1, s1) from c, and combines them as factor_k s1 g2 - s2 g1.
+        """
         out = []
         if ev[0] == 'loop':
             _, i, c = ev
+            coimage, a = self.coimages[0][i], self.a
             for rl in range(self.m):
-                f = {cl: v for cl, v in self.ap_rows[i][rl]}
-                cur = f.get(rl, zero) - qf
+                f = _apply(coimage, {rl: self.one})
+                cur = f.get(rl, self.zero) - a
                 if cur:
                     f[rl] = cur
                 else:
-                    f.pop(rl, None)
-                if f:
-                    row = self._pull(f, c)
-                    if row:
-                        out.append(row)
+                    del f[rl]
+                row, _ = self._pull(f, c)
+                if row:
+                    out.append(row)
         else:
             _, i, c, c2, case = ev
+            coimage, k = self.coimages[case == 3][i], self.factor[case]
             for rl in range(self.m):
-                if case == 2:
-                    f2 = self._pull({rl: one}, c2)
-                    f1 = {cl: zero - v for cl, v in self.ap_rows[i][rl]}
-                else:
-                    f2 = self._pull({rl: qf}, c2)
-                    f1 = {cl: zero - v for cl, v in self.ap_rows[i][rl]}
-                    cur = f1.get(rl, zero) + (qf - one)
-                    if cur:
-                        f1[rl] = cur
-                    else:
-                        f1.pop(rl, None)
-                f1 = self._pull(f1, c) if f1 else {}
-                row: dict[int, object] = dict(f2)
-                for cl, v in f1.items():
-                    cur = row.get(cl, zero) + v
+                g2, s2 = self._pull({rl: self.one}, c2)
+                g1, s1 = self._pull(_apply(coimage, {rl: self.one}), c)
+                k1 = k * s1
+                row = {cl: k1 * v for cl, v in g2.items()}
+                for cl, v in g1.items():
+                    cur = row.get(cl, self.zero) - s2 * v
                     if cur:
                         row[cl] = cur
                     else:
-                        row.pop(cl, None)
+                        del row[cl]
                 if row:
                     out.append(row)
         return out
@@ -517,17 +529,7 @@ class _PairSolver:
 
     def _image(self, i: int, case: int, u: dict[int, object]) -> dict[int, object]:
         """b A_i u, less (a - b) u when case is 3; sparse, zeros dropped."""
-        tgt, coef, diag = self.images[case == 3][i]
-        out = {tgt[cl]: coef[cl] * v for cl, v in u.items()}  # tgt is a bijection
-        for cl in diag.keys() & u.keys():
-            t = diag[cl] * u[cl]
-            if cl in out:
-                t = out[cl] + t
-                if not t:
-                    del out[cl]
-                    continue
-            out[cl] = t
-        return out
+        return _apply(self.images[case == 3][i], u)
 
     def _propagate(self, y: list) -> dict[int, tuple[dict[int, object], object]]:
         """Columns c -> (u_c, s_c) of the candidate with root y: x_c = u_c / s_c.
@@ -574,7 +576,7 @@ class _PairSolver:
         return bad
 
     def solve(self, with_basis: bool):
-        ech = Echelon(self.m, self.one)
+        ech = Echelon(self.m, self.field_one)
         chosen: set[int] = set()
 
         def feed(ev_pos: int):
@@ -647,6 +649,14 @@ class CommutantReport:
 
 
 def _check_limit(n: int, r: int, limit: int) -> None:
+    """Refuse more than limit basis vectors in V tensor r, or, since each
+    has r letters, an r above limit (which only n = 1 would admit)."""
+    if r > limit:
+        raise DimensionLimitExceeded(f'r = {r} exceeds limit {limit}')
+    # n >= 2 and r past the bit length of limit mean n^r > limit; n^r is
+    # then not formed, since it may have billions of digits
+    if n >= 2 and r > limit.bit_length():
+        raise DimensionLimitExceeded(f'n^r = {n}^{r} exceeds limit {limit}')
     if n ** r > limit:
         raise DimensionLimitExceeded(f'n^r = {n ** r} exceeds limit {limit}')
 
@@ -746,6 +756,12 @@ def half_commutant_basis(n: int, r: int, q_values: Sequence[Fraction] = DEFAULT_
     return commutant_basis(n, r, q_values, generators=range(1, n - 1), **kwargs)
 
 
+def _integral(X: dict) -> tuple[dict, int]:
+    """A sparse rational matrix as (s X, s), s the lcm of its denominators."""
+    s = lcm(*(v.denominator for v in X.values()))
+    return {k: v.numerator * (s // v.denominator) for k, v in X.items()}, s
+
+
 @dataclass
 class DoubleCentralizerReport:
     n: int
@@ -770,6 +786,11 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
     particular with the orbit projections (which lie in the commutant
     since the A_i are block diagonal), so the bicommutant ansatz can be
     taken block diagonal without loss.
+
+    Both systems are homogeneous, so they are built over the integers:
+    each commutant basis element is scaled by the lcm of its
+    denominators, and each T_w by b^l(w) with q0 = a/b, which leaves
+    every kernel, span and rank unchanged.
     """
     q0 = Fraction(q0)
     if not q0:
@@ -779,12 +800,12 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
     idxs = all_indices(n, r)
     gid_map = {j: t for t, j in enumerate(idxs)}
     comps = _components(n, r, tuple(range(1, n)))
-    qf, one, zero = q0, Fraction(1), Fraction(0)
+    a, b = q0.numerator, q0.denominator
 
     comp_of = {}
-    for b, C in enumerate(comps):
+    for blk, C in enumerate(comps):
         for g in C:
-            comp_of[g] = b
+            comp_of[g] = blk
     offsets = []
     off = 0
     for C in comps:
@@ -794,17 +815,18 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
     local = [{g: t for t, g in enumerate(C)} for C in comps]
 
     def var(row_gid: int, col_gid: int) -> int:
-        b = comp_of[row_gid]
-        if comp_of[col_gid] != b:
+        blk = comp_of[row_gid]
+        if comp_of[col_gid] != blk:
             raise SolverInvariantError(
                 'bicommutant entry outside the diagonal blocks',
-                (comps[b][0], comps[comp_of[col_gid]][0]), (row_gid, col_gid))
-        s = len(comps[b])
-        return offsets[b] + local[b][row_gid] * s + local[b][col_gid]
+                (comps[blk][0], comps[comp_of[col_gid]][0]), (row_gid, col_gid))
+        s = len(comps[blk])
+        return offsets[blk] + local[blk][row_gid] * s + local[blk][col_gid]
 
     # bicommutant: Y X = X Y for every commutant basis element X
-    ech = Echelon(width, one)
+    ech = Echelon(width, Fraction(1))
     for X in report.basis:
+        X, _ = _integral(X)
         rows_of = {}
         cols_of = {}
         for (rg, cg), v in X.items():
@@ -817,11 +839,11 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
                 row: dict[int, object] = {}
                 for m, v in cols_of.get(c, ()):  # (Y X)[rho, c]
                     key = var(rho, m)
-                    cur = row.get(key, zero) + v
+                    cur = row.get(key, 0) + v
                     row[key] = cur
                 for m, v in rows_of.get(rho, ()):  # -(X Y)[rho, c]
                     key = var(m, c)
-                    cur = row.get(key, zero) - v
+                    cur = row.get(key, 0) - v
                     if cur:
                         row[key] = cur
                     else:
@@ -830,30 +852,30 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
                     ech.add(row)
     bicommutant = ech.nullspace()
 
-    # image of the algebra: span of all T_w matrices
-    img = Echelon(width, one)
+    # image of the algebra: span of all T_w matrices, here b^l(w) T_w
+    img = Echelon(width, Fraction(1))
     spec_cols = {}
     for i in range(1, n):
         cols = []
         for j in idxs:
             case, swapped = _classify(j, i)
             if case == 1:
-                cols.append(((gid_map[j], qf),))
+                cols.append(((gid_map[j], a),))
             elif case == 2:
-                cols.append(((gid_map[swapped], one),))
+                cols.append(((gid_map[swapped], b),))
             else:
-                cols.append(((gid_map[swapped], qf), (gid_map[j], qf - one)))
+                cols.append(((gid_map[swapped], a), (gid_map[j], a - b)))
         spec_cols[i] = cols
     image_vectors = []
     for w in all_permutations(n):
-        cols: dict[int, dict[int, object]] = {t: {t: one} for t in range(len(idxs))}
+        cols: dict[int, dict[int, int]] = {t: {t: 1} for t in range(len(idxs))}
         for i in reversed(w.reduced_word()):
             new_cols = {}
             for c0, col in cols.items():
                 acc: dict[int, object] = {}
                 for mid, v in col.items():
                     for rg, coef in spec_cols[i][mid]:
-                        cur = acc.get(rg, zero) + coef * v
+                        cur = acc.get(rg, 0) + coef * v
                         if cur:
                             acc[rg] = cur
                         else:
@@ -867,7 +889,7 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
         image_vectors.append(vec)
         img.add(vec)
 
-    bic_ech = Echelon(width, one)
+    bic_ech = Echelon(width, Fraction(1))
     for y in bicommutant:
         bic_ech.add({t: v for t, v in enumerate(y) if v})
     contained = all(not bic_ech.reduce(vec)[0] for vec in image_vectors)
@@ -898,18 +920,22 @@ def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> Stru
 
     Closure of the table (every product expands) confirms the computed
     space really is an algebra, not just a vector space of matrices.
+    The products are formed over the integers, from each basis element
+    X_t scaled by the lcm s_t of its denominators; a coordinate c of
+    s_a X_a s_b X_b on s_t X_t is c s_t / (s_a s_b) on X_t.
     """
     q0 = Fraction(q0)
     report = commutant_basis(n, r, (q0,), with_basis=True, limit=limit)
     N = n ** r
-    one, zero = Fraction(1), Fraction(0)
+    scaled = [_integral(X) for X in report.basis]
+    basis = [X for X, _ in scaled]
 
-    ech = Echelon(N * N, one)
-    for tag, X in enumerate(report.basis):
+    ech = Echelon(N * N, Fraction(1))
+    for tag, X in enumerate(basis):
         ech.add({rg * N + cg: v for (rg, cg), v in X.items()}, tag=tag)
 
     indexed = []
-    for X in report.basis:
+    for X in basis:
         by_col: dict[int, list[tuple[int, object]]] = {}
         for (rg, cg), v in X.items():
             by_col.setdefault(cg, []).append((rg, v))
@@ -917,14 +943,14 @@ def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> Stru
 
     table: dict[tuple[int, int], dict[int, object]] = {}
     closed = True
-    for a, A in enumerate(report.basis):
+    for a, (A, sa) in enumerate(scaled):
         a_by_col = indexed[a]
-        for b, B in enumerate(report.basis):
-            prod: dict[int, object] = {}
+        for b, (B, sb) in enumerate(scaled):
+            prod: dict[int, int] = {}
             for (mg, cg), v in B.items():
                 for rg, w in a_by_col.get(mg, ()):
                     key = rg * N + cg
-                    cur = prod.get(key, zero) + w * v
+                    cur = prod.get(key, 0) + w * v
                     if cur:
                         prod[key] = cur
                     else:
@@ -933,5 +959,5 @@ def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> Stru
             if coords is None:
                 closed = False
                 coords = {}
-            table[(a, b)] = coords
+            table[(a, b)] = {t: c * scaled[t][1] / (sa * sb) for t, c in coords.items()}
     return StructureConstants(n, r, q0, len(report.basis), table, closed)

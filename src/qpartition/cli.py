@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from math import comb, factorial
@@ -89,9 +90,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# an exponent of four or more digits, as in 1e9999: Fraction would
+# expand it into an integer with that many digits
+_HUGE_EXPONENT = re.compile(r'[eE][-+]?0*[1-9][0-9]{3}')
+
+
+def _rational(text: str) -> Fraction:
+    if _HUGE_EXPONENT.search(text):
+        raise ValueError('exponent too large')
+    return Fraction(text)
+
+
 def _parse_q_list(text: str) -> tuple[Fraction, ...]:
     try:
-        values = tuple(Fraction(part) for part in text.split(','))
+        values = tuple(_rational(part) for part in text.split(','))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f'bad q list {text!r}: {exc}') from None
     for q0 in values:
@@ -178,9 +190,23 @@ def _associativity_samples(n: int, r: int, seed: int, count: int = 5) -> tuple[i
     return count, failures
 
 
+def _young_sum_terms(n: int, cap: int) -> int:
+    """Terms of the Young sums _young_sum_checks expands: the hook of n
+    with k legs sums over S_{n-k}, so 1! + ... + n! terms.  Counting
+    stops once past cap, so a huge n costs nothing."""
+    terms = term = 1
+    for m in range(2, n + 1):
+        if terms > cap:
+            break
+        term *= m
+        terms += term
+    return terms
+
+
 def cmd_verify(ns) -> int:
     n, r = ns.n, ns.r
     _check_limit(n, r, ns.limit)
+    _check_work('verify young sums', _young_sum_terms(n, ns.limit), ns.limit)
     checks = []
 
     rel = verify_relations(n, r)
@@ -240,7 +266,8 @@ def _check_work(what: str, work: int, limit: int) -> None:
 
 
 def cmd_dims(ns) -> int:
-    _check_work('dims', _dims_work(ns.n, ns.r), ns.limit)
+    # each of the n r rows also runs up to r multiplicity transfer steps
+    _check_work('dims', _dims_work(ns.n, ns.r) + ns.n * ns.r ** 2, ns.limit)
     rows = []
     # the half variant restricts to S_{n-1}, so it starts at n = 2
     for n in range(2 if ns.half else 1, ns.n + 1):
@@ -354,14 +381,19 @@ def cmd_commutant(ns) -> int:
 
 def _glq_work(n: int, r: int) -> int:
     """Work of tq_dimension(n, r): min(n, r) hooks, each a product of up
-    to min(n, r) q-integers into a polynomial of degree up to n min(n, r)."""
-    return n ** 2 * min(n, r) ** 3
+    to min(n, r) q-integers into a polynomial of degree up to n min(n, r),
+    each weighted by a Stirling number s(r, k) of about r log k bits."""
+    m = min(n, r)
+    return n ** 2 * m ** 3 + r ** 2 * m
 
 
 def cmd_glq_dims(ns) -> int:
     _check_work('glq-dims', _glq_work(ns.n, ns.r), ns.limit)
     poly = tq_dimension(ns.n, ns.r)
-    at = Fraction(ns.at) if ns.at is not None else None
+    try:
+        at = _rational(ns.at) if ns.at is not None else None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f'bad --at value {ns.at!r}: {exc}') from None
     if at is not None and not at:
         raise ZeroSpecialization('q must specialize to a unit, got 0')
     value = poly.evaluate(at) if at is not None else None
@@ -428,6 +460,8 @@ def cmd_export(ns) -> int:
     lam = _parse_composition(ns.lam, 'lam')
     if mu.n != lam.n:
         raise ValueError(f'mu sums to {mu.n} but lam sums to {lam.n}')
+    if mu.n > ns.limit:  # permutations of n letters are built even for one coset
+        raise DimensionLimitExceeded(f'n = {mu.n} exceeds limit {ns.limit}')
     for shape in (mu, lam):
         if _coset_space_size(shape) > ns.limit:
             raise DimensionLimitExceeded(
@@ -471,7 +505,7 @@ def build_parser() -> _Parser:
     sub.add_argument('--half', action='store_true',
                      help='half-integer variant (restrict the last generator)')
     sub.add_argument('--limit', type=_positive_int, default=DIMS_LIMIT,
-                     help='work bound: sum over rows of the k*l weighted hook pairs')
+                     help='work bound: sum over rows of the k*l weighted hook pairs, plus n r^2')
     sub.add_argument('--format', choices=('text', 'json', 'csv'), default='text')
     sub.set_defaults(func=cmd_dims)
 
@@ -496,7 +530,7 @@ def build_parser() -> _Parser:
     _add_common(sub)
     sub.add_argument('--at', help='evaluate the polynomial at this rational')
     sub.add_argument('--limit', type=_positive_int, default=GLQ_LIMIT,
-                     help='work bound: n^2 min(n, r)^3')
+                     help='work bound: n^2 min(n, r)^3 + r^2 min(n, r)')
     sub.add_argument('--format', choices=('text', 'json'), default='text')
     sub.set_defaults(func=cmd_glq_dims)
 
@@ -522,6 +556,9 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except DimensionLimitExceeded as exc:
         print(f'qpartition: resource limit: {exc}', file=sys.stderr)
+        return EX_LIMIT
+    except (MemoryError, OverflowError) as exc:  # a --limit too large to protect
+        print(f'qpartition: resource limit: {type(exc).__name__}: {exc}', file=sys.stderr)
         return EX_LIMIT
     except (GeneratorOutOfRange, NotDistinguished, ZeroSpecialization, ValueError) as exc:
         print(f'qpartition: error: {exc}', file=sys.stderr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
+from math import comb, factorial
 from typing import Iterator
 
 __all__ = [
@@ -354,16 +355,17 @@ def intersect_composition(mu: Composition, d: Permutation, lam: Composition) -> 
 def stirling2(r: int, k: int) -> int:
     """Stirling numbers of the second kind: set partitions of r into k blocks.
 
-    s(r, k) = k*s(r-1, k) + s(r-1, k-1), s(0, 0) = 1.
+    s(r, k) = k*s(r-1, k) + s(r-1, k-1), s(0, 0) = 1.  That recurrence
+    is r - k deep; the closed form used here, the inclusion-exclusion
+    count of surjections divided by k!, needs k + 1 powers and no
+    recursion, so a large r is no deeper than a small one.
 
     >>> [stirling2(4, k) for k in range(5)]
     [0, 1, 7, 6, 1]
     """
-    if r == 0:
-        return 1 if k == 0 else 0
-    if k <= 0 or k > r:
+    if r < 0 or k < 0 or k > r:
         return 0
-    return k * stirling2(r - 1, k) + stirling2(r - 1, k - 1)
+    return sum((-1) ** (k - j) * comb(k, j) * j ** r for j in range(k + 1)) // factorial(k)
 
 
 def bell(m: int) -> int:

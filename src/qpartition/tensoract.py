@@ -159,23 +159,25 @@ def set_partitions(r: int, max_blocks: int) -> Iterator[tuple[tuple[int, ...], .
     blocks come out sorted by smallest element and the whole enumeration
     is deterministic.
     """
-
-    def grow(rgs: list[int], depth: int) -> Iterator[list[int]]:
-        if depth == r:
-            yield rgs
-            return
-        top = max(rgs) if rgs else -1
-        for value in range(min(top + 1, max_blocks - 1) + 1):
-            yield from grow(rgs + [value], depth + 1)
-
     if r == 0 or max_blocks <= 0:
         return
-    for rgs in grow([], 0):
-        k = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(k)]
+    rgs = [0] * r
+    tops = [0] * r  # tops[i] is the largest value in rgs[:i]
+    while True:
+        blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
         for pos, value in enumerate(rgs, start=1):
             blocks[value].append(pos)
         yield tuple(tuple(b) for b in blocks)
+        # next string: raise the last position that can grow, zero the rest
+        i = r - 1
+        while i and rgs[i] >= min(tops[i] + 1, max_blocks - 1):
+            i -= 1
+        if not i:
+            return
+        rgs[i] += 1
+        top = max(tops[i], rgs[i])
+        for j in range(i + 1, r):
+            rgs[j], tops[j] = 0, top
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,19 @@ with qpartition_dim over a grid of (n, r) is therefore a genuine
 two-route check of the dimension formula.
 """
 
+import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import qpartition
 from qpartition import linalg
 from qpartition.centralizer import (
     DEFAULT_Q_VALUES,
@@ -340,6 +346,38 @@ def test_disconnected_component_raises():
     assert info.value.pair == (0, 0)
 
 
+OPTIMISED_CHECKS = """
+import random
+from fractions import Fraction
+import qpartition
+from qpartition import linalg
+from qpartition.centralizer import SolverInvariantError, _PairSolver, commutant_basis
+if __debug__:
+    raise SystemExit('not running under python -O')
+table = (((1, 0),), ((1, 1),))
+try:
+    _PairSolver(table, table, Fraction(2), Fraction(1), random.Random(0), (0, 0))
+except SolverInvariantError:
+    print('disconnected table raised')
+linalg.Echelon.add = lambda self, row, tag=None: None
+try:
+    commutant_basis(3, 2, (Fraction(2),))
+except SolverInvariantError as exc:
+    print('stalled echelon raised:', 'did not cut the space' in str(exc))
+"""
+
+
+def test_solver_invariants_raise_under_python_O():
+    # asserts vanish under -O; the invariants must not
+    src = str(Path(qpartition.__file__).resolve().parents[1])
+    env = {**os.environ, 'PYTHONPATH': src + os.pathsep + os.environ.get('PYTHONPATH', '')}
+    proc = subprocess.run([sys.executable, '-O', '-c', OPTIMISED_CHECKS],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ['disconnected table raised',
+                                        'stalled echelon raised: True']
+
+
 # ---------------------------------------------------------------------------
 # the fraction-free propagation and verification
 
@@ -374,6 +412,22 @@ def test_integer_path_basis_commutes_at_negative_q(n, r):
         assert all(commutes(A, X) for A in gens)
         ech.add({i * N + j: v for (i, j), v in X.items()})
     assert ech.rank == len(report.basis) == report.dim == qpartition_dim(n, r)
+
+
+@functools.cache
+def symbolic_dim(n, r):
+    return commutant_basis(n, r, symbolic=True).dim
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.booleans(),
+       st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]))
+@settings(max_examples=30, deadline=None)
+def test_symbolic_matches_specialised_at_random_q(a, b, negative, cell):
+    # the integer path (q = a/b) and the Q(q) path (a = q, b = 1) share
+    # the pullback, the propagation and the verification
+    q0 = Fraction(-a if negative else a, b)
+    assume(q0 not in (1, -1))
+    assert symbolic_dim(*cell) == commutant_basis(*cell, (q0,)).dim == qpartition_dim(*cell)
 
 
 def test_verification_rejects_a_perturbed_root():

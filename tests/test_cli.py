@@ -1,5 +1,7 @@
 """The command line surface: exit codes, output schemas, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpartition.cli import EX_FAIL, EX_LIMIT, EX_OK, EX_USAGE, _dims_work, main
 from qpartition.coeff import LaurentPoly
@@ -276,6 +279,16 @@ def test_glq_dims_zero_is_usage_error(capsys):
     assert code == EX_USAGE
 
 
+@pytest.mark.parametrize('at', ['1/0', 'x', '1e99999'])
+def test_glq_dims_bad_at_is_usage_error_without_traceback(at):
+    proc = subprocess.run(
+        [sys.executable, '-m', 'qpartition.cli', 'glq-dims', '--n', '2', '--r', '2', '--at', at],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EX_USAGE and not proc.stdout
+    assert proc.stderr.startswith('qpartition: error: bad --at value')
+    assert proc.stderr.count('\n') == 1 and 'Traceback' not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # export
 
@@ -337,3 +350,65 @@ def test_export_deterministic(capsys):
     second = run_json(capsys, 'export', '--n', '3', '--r', '2', '--what', 'action',
                       '--gen', '2')
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every argv ends in a contract exit code, never in another exception
+
+JUNK = ['', ' ', '0', '-1', 'x', ',', '1,,2', '1/0', '0/0', 'nan', 'inf', '1e99999',
+        '1e-9999', '9' * 40, '-' + '9' * 5000, str(10 ** 12), '10**9', '1/2/3']
+
+
+def mostly(valid, junk=JUNK):
+    """Mostly valid values, sometimes junk or extreme ones."""
+    return st.integers(0, 9).flatmap(lambda k: st.sampled_from(junk) if k == 5 else valid)
+
+
+sizes = mostly(st.integers(1, 4).map(str))
+q_texts = st.sampled_from(['2', '7/5', '-3/2', '1', '-1', '0', '1.5', '1e3', '101/7', '2,3'])
+rationals = mostly(st.one_of(q_texts, q_texts, st.text('0123456789-/.,e', max_size=8)))
+lists = mostly(st.lists(st.integers(0, 4), min_size=1, max_size=4).map(
+    lambda v: ','.join(map(str, v))))
+# small limits keep every admitted call fast and small; the junk ones
+# exercise the parser (a huge limit would switch the guards off)
+limits = mostly(st.integers(1, 40).map(str), ['', '0', '-3', 'x', '1/0', '1e3'])
+formats = mostly(st.sampled_from(['text', 'json']))
+OPTIONS = {
+    'verify': {'--n': sizes, '--r': sizes, '--limit': limits, '--seed': sizes,
+               '--format': formats},
+    'dims': {'--n': sizes, '--r': sizes, '--limit': limits, '--format': formats,
+             '--half': None},
+    'act': {'--n': sizes, '--r': sizes, '--gen': sizes, '--index': lists, '--format': formats},
+    'commutant': {'--n': sizes, '--r': sizes, '--q': rationals, '--limit': limits,
+                  '--format': formats, '--symbolic': None, '--half': None,
+                  '--with-basis': None},
+    'glq-dims': {'--n': sizes, '--r': sizes, '--at': rationals, '--limit': limits,
+                 '--format': formats},
+    'export': {'--n': sizes, '--r': sizes, '--what': st.sampled_from(['action', 'hom', 'x']),
+               '--gen': sizes, '--mu': lists, '--lam': lists, '--d': lists,
+               '--limit': limits},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for option, values in OPTIONS[command].items():
+        # --limit is always present, so that admitted sizes stay small
+        if option == '--limit' or draw(st.integers(0, 9)) < 9:
+            argv.append(option)
+            if values is not None:
+                argv.append(draw(values))
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=250, deadline=None)
+def test_fuzzed_argv_ends_in_contract_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (EX_OK, EX_FAIL, EX_LIMIT, EX_USAGE), argv

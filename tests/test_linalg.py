@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+from qpartition.centralizer import RationalFunction
 from qpartition.linalg import Echelon, nullspace, rank
 
 ONE = Fraction(1)
@@ -105,3 +107,159 @@ def test_fully_reduced_invariant():
             if p2 != p:
                 assert p2 not in row
         assert row.get(p) == ONE
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free echelon against plain elimination over the field
+
+class FieldEchelon:
+    """Reference: reduced row echelon form by elimination over the field,
+    pivots normalised to one, every operation on field values."""
+
+    def __init__(self, width, one):
+        self.width, self.one, self.zero = width, one, one - one
+        self.rows, self.tags = {}, {}
+
+    def reduce(self, row, tag_row=None):
+        res = {c: v for c, v in row.items() if v}
+        combo = dict(tag_row) if tag_row is not None else {}
+        for p in sorted(res):
+            if p in self.rows and res.get(p):
+                factor = res[p]
+                for c, v in self.rows[p].items():
+                    res[c] = res.get(c, self.zero) - factor * v
+                for t, v in self.tags.get(p, {}).items():
+                    combo[t] = combo.get(t, self.zero) - factor * v
+        return ({c: v for c, v in res.items() if v},
+                {t: v for t, v in combo.items() if v})
+
+    def add(self, row, tag=None):
+        res, combo = self.reduce(row, {tag: self.one} if tag is not None else None)
+        if not res:
+            return None
+        p = min(res)
+        inv = self.one / res[p]
+        new_row = {c: inv * v for c, v in res.items()}
+        new_tags = {t: inv * v for t, v in combo.items()}
+        for p2, row2 in self.rows.items():
+            factor = row2.get(p)
+            if factor:
+                for c, v in new_row.items():
+                    row2[c] = row2.get(c, self.zero) - factor * v
+                self.rows[p2] = {c: v for c, v in row2.items() if v}
+                t2 = self.tags.setdefault(p2, {})
+                for t, v in new_tags.items():
+                    t2[t] = t2.get(t, self.zero) - factor * v
+                self.tags[p2] = {t: v for t, v in t2.items() if v}
+        self.rows[p] = new_row
+        self.tags[p] = new_tags
+        return p
+
+    def nullspace(self):
+        basis = []
+        for f in (c for c in range(self.width) if c not in self.rows):
+            vec = [self.zero] * self.width
+            vec[f] = self.one
+            for p, row in self.rows.items():
+                if f in row:
+                    vec[p] = self.zero - row[f]
+            basis.append(vec)
+        return basis
+
+
+BIG = 10 ** 12
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-BIG, BIG),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+raw_rows = st.integers(1, 7).flatmap(lambda width: st.tuples(
+    st.just(width),
+    st.lists(st.lists(entries, min_size=width, max_size=width), max_size=8),
+    st.lists(st.lists(st.integers(-4, 4), min_size=width, max_size=width),
+             min_size=1, max_size=3)))
+
+
+@st.composite
+def differential_cases(draw):
+    """A matrix with integer, huge and fractional entries, some zero rows,
+    duplicates and scaled copies, plus probe rows (half of them members)."""
+    width, rows, coeffs = draw(raw_rows)
+    rows = [row if draw(st.booleans()) else [Fraction(v) for v in row] for row in rows]
+    extra = []
+    for row in rows:
+        kind = draw(st.sampled_from(['none', 'copy', 'scaled', 'zero']))
+        if kind == 'copy':
+            extra.append(list(row))
+        elif kind == 'scaled':
+            extra.append([Fraction(-7, 3) * v for v in row])
+        elif kind == 'zero':
+            extra.append([0] * width)
+    rows = rows + extra
+    probes = [[sum(c * row[col] for c, row in zip(cs, rows)) for col in range(width)]
+              for cs in coeffs] + [draw(st.lists(entries, min_size=width, max_size=width))]
+    return width, draw(st.permutations(rows)), probes
+
+
+@given(differential_cases())
+@settings(max_examples=100, deadline=None)
+def test_fraction_free_echelon_matches_field_elimination(case):
+    width, rows, probes = case
+    ech, ref = Echelon(width, ONE), FieldEchelon(width, ONE)
+    for tag, row in enumerate(rows):
+        assert ech.add(sparse(row), tag=tag) == ref.add(sparse(row), tag=tag)
+    assert ech.rank == len(ref.rows)
+    assert ech.rows == ref.rows
+    assert ech.nullspace() == ref.nullspace()
+    for probe in probes:
+        assert ech.reduce(sparse(probe)) == ref.reduce(sparse(probe))
+        assert ech.reduce(sparse(probe), {'x': ONE}) == ref.reduce(sparse(probe), {'x': ONE})
+        res, combo = ref.reduce(sparse(probe), {})
+        want = None if res else {t: -v for t, v in combo.items()}
+        assert ech.coordinates(sparse(probe)) == want
+
+
+@given(differential_cases())
+@settings(max_examples=60, deadline=None)
+def test_fraction_free_echelon_untagged_matches_field_elimination(case):
+    # the path the solvers take: no tags, integer or fractional rows
+    width, rows, probes = case
+    ech, ref = Echelon(width, ONE), FieldEchelon(width, ONE)
+    for row in rows:
+        assert ech.add(sparse(row)) == ref.add(sparse(row))
+    assert ech.rows == ref.rows
+    assert nullspace(rows, width, ONE) == ref.nullspace()
+    for probe in probes:
+        assert ech.reduce(sparse(probe))[0] == ref.reduce(sparse(probe))[0]
+
+
+def test_stored_rows_are_primitive_integers():
+    ech = Echelon(3, ONE)
+    ech.add({0: Fraction(-2, 3), 1: Fraction(-4, 9), 2: Fraction(8, 3)})
+    ech.add({1: -6, 2: -10})
+    for p, row in ech._rows.items():
+        assert all(type(v) is int for v in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
+    assert ech.rows == {0: {0: 1, 2: Fraction(-4) - Fraction(2, 3) * Fraction(5, 3)},
+                        1: {1: 1, 2: Fraction(5, 3)}}
+
+
+def test_rational_function_matrix_rank():
+    q = RationalFunction((0, 1))
+    one = RationalFunction.constant(1)
+    rows = [{0: one, 1: q, 2: q * q},
+            {0: q, 1: q * q, 2: q * q * q},  # q times the first row
+            {0: one, 1: one, 2: one},
+            {0: q - one, 1: q * q - one, 2: q * q * q - q * q + q - one}]
+    ech = Echelon(3, one)
+    pivots = [ech.add(row) for row in rows]
+    assert pivots == [0, None, 1, 2]
+    assert ech.rank == 3 and ech.nullspace() == []
+    ech = Echelon(3, one)
+    for row in rows[:3]:
+        ech.add(row)
+    assert ech.rank == 2
+    assert all(v == one for v in (ech.rows[0][0], ech.rows[1][1]))
+    (vec,) = ech.nullspace()
+    for row in rows[:3]:
+        assert not sum((row.get(c, one - one) * vec[c] for c in range(3)), one - one)
