@@ -63,6 +63,7 @@ from math import lcm
 from typing import Sequence
 
 from .coeff import LaurentPoly, ZeroSpecialization
+from .hecke import act_by_words
 from .linalg import Echelon
 from .symcomb import all_permutations
 from .tensoract import MultiIndex, all_indices, first_occurrence, _swap_letters
@@ -866,22 +867,24 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
             else:
                 cols.append(((gid_map[swapped], a), (gid_map[j], a - b)))
         spec_cols[i] = cols
+
+    def times_gen(i: int, cols: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+        new_cols = {}
+        for c0, col in cols.items():
+            acc: dict[int, int] = {}
+            for mid, v in col.items():
+                for rg, coef in spec_cols[i][mid]:
+                    cur = acc.get(rg, 0) + coef * v
+                    if cur:
+                        acc[rg] = cur
+                    else:
+                        acc.pop(rg, None)
+            new_cols[c0] = acc
+        return new_cols
+
+    identity = {t: {t: 1} for t in range(len(idxs))}
     image_vectors = []
-    for w in all_permutations(n):
-        cols: dict[int, dict[int, int]] = {t: {t: 1} for t in range(len(idxs))}
-        for i in reversed(w.reduced_word()):
-            new_cols = {}
-            for c0, col in cols.items():
-                acc: dict[int, object] = {}
-                for mid, v in col.items():
-                    for rg, coef in spec_cols[i][mid]:
-                        cur = acc.get(rg, 0) + coef * v
-                        if cur:
-                            acc[rg] = cur
-                        else:
-                            acc.pop(rg, None)
-                new_cols[c0] = acc
-            cols = new_cols
+    for cols in act_by_words(all_permutations(n), identity, times_gen).values():
         vec = {}
         for c0, col in cols.items():
             for rg, v in col.items():

@@ -2,8 +2,10 @@
 
 Everything downstream works over Z[q, q^-1] tensored with Q, so the
 coefficient type has to support negative exponents (q is a unit) and
-exact arithmetic.  Coefficients are `fractions.Fraction`; terms with
-coefficient zero are never stored.
+exact arithmetic.  A coefficient is stored as a Python `int` when it is
+integral and as a `fractions.Fraction` otherwise, so the common integral
+case never pays for `Fraction` arithmetic; either way it is exact, and
+floats are refused.  Terms with coefficient zero are never stored.
 
 >>> p = Q + 1
 >>> p * p
@@ -36,26 +38,49 @@ class ZeroSpecialization(ValueError):
     """
 
 
+def _exact(c: Scalar) -> Scalar:
+    """c as an int when integral, else as a Fraction; other types are refused."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f'Laurent coefficients are int or Fraction, not {type(c).__name__}')
+
+
+def _demote(c: Scalar) -> Scalar:
+    """A nonzero result of exact arithmetic, with an integral Fraction made an int."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial sum_e c_e q^e with c_e in Q."""
 
     __slots__ = ('_terms', '_hash')
 
     def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
+        items = terms.items() if hasattr(terms, 'items') else terms
+        acc: dict[int, Scalar] = {}
         for e, c in items:
-            c = Fraction(c)
-            if c:
-                acc[e] = acc.get(e, Fraction(0)) + c
-                if not acc[e]:
-                    del acc[e]
-        self._terms = tuple(sorted(acc.items()))
-        self._hash = hash(self._terms)
+            acc[e] = acc.get(e, 0) + _exact(c)
+        self._terms = _normal_terms(acc)
+        self._hash = None
+
+    @classmethod
+    def _make(cls, terms: tuple[tuple[int, Scalar], ...]) -> LaurentPoly:
+        """Wrap terms that are already sorted, nonzero and int-when-integral."""
+        p = object.__new__(cls)
+        p._terms = terms
+        p._hash = None
+        return p
 
     @property
-    def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        """Sorted (exponent, coefficient) pairs, no zero coefficients."""
+    def terms(self) -> tuple[tuple[int, Scalar], ...]:
+        """Sorted (exponent, coefficient) pairs, no zero coefficients.
+
+        A coefficient is an `int` when integral and a `Fraction` otherwise.
+        """
         return self._terms
 
     def is_zero(self) -> bool:
@@ -65,48 +90,71 @@ class LaurentPoly:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, LaurentPoly):
+            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._terms == other._terms
+            return self._terms == _constant_terms(other)
+        return NotImplemented
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._terms)
         return self._hash
 
     def __add__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
+        if isinstance(other, LaurentPoly):
+            terms = other._terms
+        elif isinstance(other, (int, Fraction)):
+            terms = _constant_terms(other)
+        else:
             return NotImplemented
+        if not self._terms:
+            return other if isinstance(other, LaurentPoly) else LaurentPoly._make(terms)
+        if not terms:
+            return self
         acc = dict(self._terms)
-        for e, c in other._terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return LaurentPoly(acc)
+        for e, c in terms:
+            acc[e] = acc.get(e, 0) + c
+        return LaurentPoly._make(_normal_terms(acc))
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly([(e, -c) for e, c in self._terms])
+        return LaurentPoly._make(tuple([(e, -c) for e, c in self._terms]))
 
     def __sub__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
-        return self + (-other if isinstance(other, LaurentPoly) else LaurentPoly({0: -Fraction(other)}))
+        if not isinstance(other, (LaurentPoly, int, Fraction)):
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other: Scalar) -> LaurentPoly:
-        return LaurentPoly({0: other}) - self
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return -self + other
 
     def __mul__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return LaurentPoly([(e, c * other) for e, c in self._terms])
-        if not isinstance(other, LaurentPoly):
+        if isinstance(other, LaurentPoly):
+            a, b = self._terms, other._terms
+        elif isinstance(other, (int, Fraction)):
+            a, b = self._terms, _constant_terms(other)
+        else:
             return NotImplemented
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return ZERO
+        if len(a) == 1:
+            # a monomial: no cancellation, and the order of b is kept
+            e1, c1 = a[0]
+            if c1 == 1:
+                return LaurentPoly._make(tuple([(e1 + e2, c2) for e2, c2 in b]))
+            return LaurentPoly._make(tuple([(e1 + e2, _demote(c1 * c2)) for e2, c2 in b]))
+        acc: dict[int, Scalar] = {}
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(acc)
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return LaurentPoly._make(_normal_terms(acc))
 
     __rmul__ = __mul__
 
@@ -115,7 +163,8 @@ class LaurentPoly:
             return NotImplemented
         if len(self._terms) == 1:
             e, c = self._terms[0]
-            return LaurentPoly({e * k: c ** k})
+            # a negative power of an int would be a float: go through Fraction
+            return LaurentPoly._make(((e * k, _demote(Fraction(c) ** k if k < 0 else c ** k)),))
         if k < 0:
             raise ValueError('negative power of a non-monomial Laurent polynomial')
         out = ONE
@@ -150,7 +199,7 @@ class LaurentPoly:
     def coefficient(self, e: int) -> Fraction:
         for e1, c in self._terms:
             if e1 == e:
-                return c
+                return Fraction(c)
         return Fraction(0)
 
     def to_json(self) -> list[list]:
@@ -162,7 +211,7 @@ class LaurentPoly:
         return cls([(int(e), Fraction(int(num), int(den))) for e, num, den in data])
 
     def __repr__(self) -> str:
-        return f'LaurentPoly({dict(self._terms)!r})'
+        return f'LaurentPoly({ {e: Fraction(c) for e, c in self._terms}!r})'
 
     def __str__(self) -> str:
         if not self._terms:
@@ -183,6 +232,16 @@ class LaurentPoly:
         for p in parts[1:]:
             out += f' + {p}' if not p.startswith('-') else f' - {p[1:]}'
         return out
+
+
+def _normal_terms(acc: dict[int, Scalar]) -> tuple[tuple[int, Scalar], ...]:
+    """Sorted nonzero terms of an exact accumulator, integral values as ints."""
+    return tuple([(e, _demote(c)) for e, c in sorted(acc.items()) if c])
+
+
+def _constant_terms(c: Scalar) -> tuple[tuple[int, Scalar], ...]:
+    c = _exact(c)
+    return ((0, c),) if c else ()
 
 
 def lp(c: Scalar, e: int = 0) -> LaurentPoly:

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
-from .coeff import LaurentPoly, ONE, Q, lp
+from .coeff import LaurentPoly, ONE, Q, ZERO, lp
 from .symcomb import Composition, Permutation
 
 __all__ = [
     'HeckeElement',
     'RankMismatch',
+    'act_by_words',
     't_w',
     't_w_inverse',
     'generator_inverse',
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction, LaurentPoly]
+V = TypeVar('V')
+
+_Q_MINUS_ONE = Q - 1
 
 
 class RankMismatch(ValueError):
@@ -84,7 +88,7 @@ class HeckeElement:
         self._check(other)
         acc = dict(self.terms)
         for w, c in other.terms:
-            acc[w] = acc.get(w, LaurentPoly()) + c
+            acc[w] = acc.get(w, ZERO) + c
         return HeckeElement.build(self.n, acc)
 
     def __sub__(self, other: HeckeElement) -> HeckeElement:
@@ -97,13 +101,11 @@ class HeckeElement:
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         """Product in the algebra, expanding the left factor into generators."""
         self._check(other)
+        pieces = act_by_words(self.support(), other, generator_times)
         acc: dict[Permutation, LaurentPoly] = {}
         for w, c in self.terms:
-            piece = other
-            for i in reversed(w.reduced_word()):
-                piece = generator_times(i, piece)
-            for v, cv in piece.terms:
-                acc[v] = acc.get(v, LaurentPoly()) + c * cv
+            for v, cv in pieces[w].terms:
+                acc[v] = acc.get(v, ZERO) + c * cv
         return HeckeElement.build(self.n, acc)
 
     def to_json(self) -> list[dict]:
@@ -123,6 +125,35 @@ class HeckeElement:
         return f'HeckeElement({self.n}, {body})'
 
 
+def act_by_words(ws: Iterable[Permutation], v: V, step: Callable[[int, V], V]) -> dict[Permutation, V]:
+    """{w: T_w v} for every w in ws, each T_w acting through a reduced word.
+
+    T_w v = step(i, T_{s_i w} v) with i the first letter of
+    w.reduced_word(), so T_w is applied letter by letter from the right
+    end of the word; step(i, u) must compute T_i u.  Every shorter
+    element met on the way is computed once and shared, which is what
+    makes acting with many T_w (a whole Hecke element, or all coset
+    representatives) cheaper than walking each word separately.
+    """
+    memo: dict[Permutation, V] = {}
+    out: dict[Permutation, V] = {}
+    for w in ws:
+        path = []
+        u = w
+        while u not in memo:
+            if u.is_identity():
+                memo[u] = v
+                break
+            i = u.reduced_word()[0]
+            su = Permutation.simple(u.n, i) * u
+            path.append((u, i, su))
+            u = su
+        for u, i, su in reversed(path):
+            memo[u] = step(i, memo[su])
+        out[w] = memo[w]
+    return out
+
+
 def t_w(w: Permutation) -> HeckeElement:
     """The basis element T_w."""
     return HeckeElement.build(w.n, {w: ONE})
@@ -137,16 +168,16 @@ def generator_times(i: int, h: HeckeElement) -> HeckeElement:
     acc: dict[Permutation, LaurentPoly] = {}
 
     def bump(w: Permutation, c: LaurentPoly) -> None:
-        acc[w] = acc.get(w, LaurentPoly()) + c
+        acc[w] = acc.get(w, ZERO) + c
 
     for w, c in h.terms:
         sw = s * w
-        if w.inverse()(i) < w.inverse()(i + 1):
+        if w.images.index(i) < w.images.index(i + 1):
             # l(sw) = l(w) + 1
             bump(sw, c)
         else:
             bump(sw, Q * c)
-            bump(w, (Q - 1) * c)
+            bump(w, _Q_MINUS_ONE * c)
     return HeckeElement.build(n, acc)
 
 
@@ -159,7 +190,7 @@ def times_generator(h: HeckeElement, i: int) -> HeckeElement:
     acc: dict[Permutation, LaurentPoly] = {}
 
     def bump(w: Permutation, c: LaurentPoly) -> None:
-        acc[w] = acc.get(w, LaurentPoly()) + c
+        acc[w] = acc.get(w, ZERO) + c
 
     for w, c in h.terms:
         ws = w * s
@@ -167,7 +198,7 @@ def times_generator(h: HeckeElement, i: int) -> HeckeElement:
             bump(ws, c)
         else:
             bump(ws, Q * c)
-            bump(w, (Q - 1) * c)
+            bump(w, _Q_MINUS_ONE * c)
     return HeckeElement.build(n, acc)
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .coeff import LaurentPoly, ONE, Q
-from .hecke import HeckeElement, RankMismatch
+from .coeff import LaurentPoly, ONE, Q, ZERO
+from .hecke import HeckeElement, RankMismatch, act_by_words
 from .symcomb import (
     Composition,
     NotDistinguished,
@@ -52,6 +52,8 @@ __all__ = [
     'half_hom_dim',
     'half_qpartition_dim',
 ]
+
+_Q_MINUS_ONE = Q - 1
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class QPermElement:
             raise RankMismatch('different shapes')
         acc = dict(self.terms)
         for d, c in other.terms:
-            acc[d] = acc.get(d, LaurentPoly()) + c
+            acc[d] = acc.get(d, ZERO) + c
         return QPermElement.build(self.shape, acc)
 
     def scale(self, c: LaurentPoly | int) -> QPermElement:
@@ -115,14 +117,14 @@ def apply_generator_to_basis(i: int, shape: Composition, d: Permutation) -> dict
     sd = Permutation.simple(n, i) * d
     if row_i < row_i1:
         return {sd: ONE}
-    return {sd: Q, d: Q - 1}
+    return {sd: Q, d: _Q_MINUS_ONE}
 
 
 def apply_generator(i: int, v: QPermElement) -> QPermElement:
     acc: dict[Permutation, LaurentPoly] = {}
     for d, c in v.terms:
         for d2, c2 in apply_generator_to_basis(i, v.shape, d).items():
-            acc[d2] = acc.get(d2, LaurentPoly()) + c * c2
+            acc[d2] = acc.get(d2, ZERO) + c * c2
     return QPermElement.build(v.shape, acc)
 
 
@@ -130,12 +132,10 @@ def apply(h: HeckeElement, v: QPermElement) -> QPermElement:
     """A Hecke algebra element acting on a module element."""
     if h.n != v.shape.n:
         raise RankMismatch('algebra and module over different symmetric groups')
+    pieces = act_by_words(h.support(), v, apply_generator)
     out = QPermElement.build(v.shape, {})
     for w, c in h.terms:
-        piece = v
-        for i in reversed(w.reduced_word()):
-            piece = apply_generator(i, piece)
-        out = out + piece.scale(c)
+        out = out + pieces[w].scale(c)
     return out
 
 
@@ -162,7 +162,7 @@ class HomMatrix:
             col = self.columns[src.index(d)]
             for e, ce in zip(tgt, col):
                 if ce:
-                    acc[e] = acc.get(e, LaurentPoly()) + c * ce
+                    acc[e] = acc.get(e, ZERO) + c * ce
         return QPermElement.build(self.target, acc)
 
 
@@ -177,42 +177,47 @@ def hom_matrix(mu: Composition, lam: Composition, d: Permutation) -> HomMatrix:
     """
     if not is_distinguished(mu, d, lam):
         raise NotDistinguished(f'{d} is not in D_{mu.parts},{lam.parts}')
+    return _hom_matrix(mu, lam, _double_coset_members(mu, lam)[d])
+
+
+def _double_coset_members(mu: Composition, lam: Composition) -> dict[Permutation, list[Permutation]]:
+    """The distinguished reps e of lambda's left cosets, grouped by the
+    distinguished rep of their double coset Y_mu e Y_lambda."""
+    members: dict[Permutation, list[Permutation]] = {}
+    for e in coset_reps(lam):
+        members.setdefault(_double_rep(mu, lam, e), []).append(e)
+    return members
+
+
+def _double_rep(mu: Composition, lam: Composition, e: Permutation) -> Permutation:
+    """The minimal length element of Y_mu e Y_lambda, found by greedy descent."""
+    w = e
+    changed = True
+    while changed:
+        changed = False
+        for s_block in mu.blocks():
+            for a, b in zip(s_block, s_block[1:]):
+                if w.inverse()(a) > w.inverse()(b):
+                    w = _transpose(w, a, b, left=True)
+                    changed = True
+        for s_block in lam.blocks():
+            for a, b in zip(s_block, s_block[1:]):
+                if w(a) > w(b):
+                    w = _transpose(w, a, b, left=False)
+                    changed = True
+    return w
+
+
+def _hom_matrix(mu: Composition, lam: Composition, members: list[Permutation]) -> HomMatrix:
+    """The map sending x_mu to the sum of T_e x_lambda over members."""
     src = coset_reps(mu)
     tgt = coset_reps(lam)
-
-    # membership in Y_mu d Y_lambda via the distinguished rep of e's double coset
-    dcr = set(double_coset_reps(mu, lam))
-    assert d in dcr
-
-    def double_rep(e: Permutation) -> Permutation:
-        # minimal length element of Y_mu e Y_lambda, found by greedy descent
-        w = e
-        changed = True
-        while changed:
-            changed = False
-            for s_block in mu.blocks():
-                for a, b in zip(s_block, s_block[1:]):
-                    if w.inverse()(a) > w.inverse()(b):
-                        w = _transpose(w, a, b, left=True)
-                        changed = True
-            for s_block in lam.blocks():
-                for a, b in zip(s_block, s_block[1:]):
-                    if w(a) > w(b):
-                        w = _transpose(w, a, b, left=False)
-                        changed = True
-        return w
-
-    base = QPermElement.build(lam, {
-        e: ONE for e in tgt if double_rep(e) == d
-    })
-
+    base = QPermElement.build(lam, {e: ONE for e in members})
+    images = act_by_words(src, base, apply_generator)
     columns = []
     for c in src:
-        image = base
-        for i in reversed(c.reduced_word()):
-            image = apply_generator(i, image)
-        tgt_coeffs = dict(image.terms)
-        columns.append(tuple(tgt_coeffs.get(e, LaurentPoly()) for e in tgt))
+        tgt_coeffs = dict(images[c].terms)
+        columns.append(tuple(tgt_coeffs.get(e, ZERO) for e in tgt))
     return HomMatrix(mu, lam, tuple(columns))
 
 
@@ -232,7 +237,8 @@ def _transpose(w: Permutation, a: int, b: int, left: bool) -> Permutation:
 
 def hom_basis(mu: Composition, lam: Composition) -> list[HomMatrix]:
     """The standard basis of Hom(M_q^mu, M_q^lambda), one map per double coset."""
-    return [hom_matrix(mu, lam, d) for d in double_coset_reps(mu, lam)]
+    members = _double_coset_members(mu, lam)
+    return [_hom_matrix(mu, lam, members[d]) for d in double_coset_reps(mu, lam)]
 
 
 def hom_dim(mu: Composition, lam: Composition) -> int:

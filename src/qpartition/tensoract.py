@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Mapping
 
-from .coeff import LaurentPoly, ONE, Q
-from .hecke import HeckeElement, RankMismatch
+from .coeff import LaurentPoly, ONE, Q, ZERO
+from .hecke import HeckeElement, RankMismatch, act_by_words
 from .symcomb import Composition, Permutation, RowStandardTableau
 
 __all__ = [
@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 MultiIndex = tuple[int, ...]
+
+_Q_MINUS_ONE = Q - 1
 
 
 class GeneratorOutOfRange(ValueError):
@@ -247,7 +249,7 @@ class TensorVector:
             raise RankMismatch('tensor vectors of different shape')
         acc = dict(self.terms)
         for j, c in other.terms:
-            acc[j] = acc.get(j, LaurentPoly()) + c
+            acc[j] = acc.get(j, ZERO) + c
         return TensorVector.build(self.n, self.r, acc)
 
     def scale(self, c: LaurentPoly | int) -> TensorVector:
@@ -280,7 +282,7 @@ def _act_gen_basis(n: int, i: int, index: MultiIndex) -> dict[MultiIndex, Lauren
     swapped = _swap_letters(index, i)
     if fi < fi1:
         return {swapped: ONE}
-    return {swapped: Q, index: Q - 1}
+    return {swapped: Q, index: _Q_MINUS_ONE}
 
 
 def apply_generator(i: int, v: TensorVector) -> TensorVector:
@@ -290,24 +292,23 @@ def apply_generator(i: int, v: TensorVector) -> TensorVector:
     acc: dict[MultiIndex, LaurentPoly] = {}
     for j, c in v.terms:
         for j2, c2 in _act_gen_basis(v.n, i, j).items():
-            acc[j2] = acc.get(j2, LaurentPoly()) + c * c2
+            acc[j2] = acc.get(j2, ZERO) + c * c2
     return TensorVector.build(v.n, v.r, acc)
 
 
 def apply(h: HeckeElement, v: TensorVector) -> TensorVector:
     """A Hecke algebra element acting on a tensor vector.
 
-    T_w acts through any reduced word; independence of the chosen word
+    T_w acts through a reduced word (hecke.act_by_words, which shares
+    the common prefixes of the words); independence of the chosen word
     is a consequence of the relations and is exercised in the tests.
     """
     if h.n != v.n:
         raise RankMismatch(f'element of H(S_{h.n}) cannot act on letters 1..{v.n}')
+    pieces = act_by_words(h.support(), v, apply_generator)
     out = TensorVector.build(v.n, v.r, {})
     for w, c in h.terms:
-        piece = v
-        for i in reversed(w.reduced_word()):
-            piece = apply_generator(i, piece)
-        out = out + piece.scale(c)
+        out = out + pieces[w].scale(c)
     return out
 
 
@@ -330,7 +331,7 @@ def _compose_columns(
         for m, c1 in mid.items():
             for row, c2 in a[m].items():
                 key = row
-                val = acc.get(key, LaurentPoly()) + c2 * c1
+                val = acc.get(key, ZERO) + c2 * c1
                 if val:
                     acc[key] = val
                 elif key in acc:
@@ -400,7 +401,7 @@ def verify_relations(n: int, r: int) -> RelationReport:
         expect = {col: {col: Q} for col in all_indices(n, r)}
         for col, rows in mats[i].items():
             for row, c in rows.items():
-                val = expect[col].get(row, LaurentPoly()) + (Q - 1) * c
+                val = expect[col].get(row, ZERO) + _Q_MINUS_ONE * c
                 if val:
                     expect[col][row] = val
                 elif row in expect[col]:
