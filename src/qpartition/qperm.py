@@ -29,6 +29,9 @@ from .symcomb import (
     Composition,
     NotDistinguished,
     Permutation,
+    _double_coset_members,
+    _is_coset_rep,
+    _perm,
     coset_reps,
     count_double_cosets,
     double_coset_reps,
@@ -65,11 +68,15 @@ class QPermElement:
 
     @classmethod
     def build(cls, shape: Composition, data: dict[Permutation, LaurentPoly]) -> QPermElement:
-        reps = set(coset_reps(shape))
         for d in data:
-            if d not in reps:
+            if not _is_coset_rep(shape, d):
                 raise NotDistinguished(f'{d} is not a distinguished coset rep for {shape}')
-        return cls(shape, tuple(sorted((d, c) for d, c in data.items() if c)))
+        return cls._make(shape, data)
+
+    @classmethod
+    def _make(cls, shape: Composition, data: dict[Permutation, LaurentPoly]) -> QPermElement:
+        """build for data whose keys are coset reps by construction."""
+        return cls(shape, tuple(sorted(((d, c) for d, c in data.items() if c), key=_images)))
 
     @classmethod
     def basis_vector(cls, shape: Composition, d: Permutation) -> QPermElement:
@@ -87,17 +94,21 @@ class QPermElement:
         acc = dict(self.terms)
         for d, c in other.terms:
             acc[d] = acc.get(d, ZERO) + c
-        return QPermElement.build(self.shape, acc)
+        return QPermElement._make(self.shape, acc)
 
     def scale(self, c: LaurentPoly | int) -> QPermElement:
         c = c if isinstance(c, LaurentPoly) else LaurentPoly({0: c})
-        return QPermElement.build(self.shape, {d: c * cd for d, cd in self.terms})
+        return QPermElement._make(self.shape, {d: c * cd for d, cd in self.terms})
 
     def __sub__(self, other: QPermElement) -> QPermElement:
         return self + other.scale(-1)
 
     def is_zero(self) -> bool:
         return not self.terms
+
+
+def _images(term: tuple[Permutation, LaurentPoly]) -> tuple[int, ...]:
+    return term[0].images
 
 
 def apply_generator_to_basis(i: int, shape: Composition, d: Permutation) -> dict[Permutation, LaurentPoly]:
@@ -109,23 +120,39 @@ def apply_generator_to_basis(i: int, shape: Composition, d: Permutation) -> dict
     n = shape.n
     if not 1 <= i <= n - 1:
         raise RankMismatch(f'T_{i} does not exist for S_{n}')
-    dinv = d.inverse()
-    row_i = shape.block_index(dinv(i))
-    row_i1 = shape.block_index(dinv(i + 1))
+    if not _is_coset_rep(shape, d):
+        raise NotDistinguished(f'{d} is not a distinguished coset rep for {shape}')
+    return _generator_on_basis(i, shape, d)
+
+
+def _generator_on_basis(i: int, shape: Composition, d: Permutation) -> dict[Permutation, LaurentPoly]:
+    """apply_generator_to_basis for a valid i and d in D_lambda.
+
+    d^-1(i) is the position of the letter i in d's one-line notation,
+    and s_i d swaps the letters i and i+1 there.
+    """
+    im = d.images
+    pos_i, pos_i1 = im.index(i), im.index(i + 1)
+    row_i, row_i1 = shape.block_index(pos_i + 1), shape.block_index(pos_i1 + 1)
     if row_i == row_i1:
         return {d: Q}
-    sd = Permutation.simple(n, i) * d
+    swapped = list(im)
+    swapped[pos_i], swapped[pos_i1] = i + 1, i
+    sd = _perm(tuple(swapped))
     if row_i < row_i1:
         return {sd: ONE}
     return {sd: Q, d: _Q_MINUS_ONE}
 
 
 def apply_generator(i: int, v: QPermElement) -> QPermElement:
+    n = v.shape.n
+    if not 1 <= i <= n - 1:
+        raise RankMismatch(f'T_{i} does not exist for S_{n}')
     acc: dict[Permutation, LaurentPoly] = {}
     for d, c in v.terms:
-        for d2, c2 in apply_generator_to_basis(i, v.shape, d).items():
+        for d2, c2 in _generator_on_basis(i, v.shape, d).items():
             acc[d2] = acc.get(d2, ZERO) + c * c2
-    return QPermElement.build(v.shape, acc)
+    return QPermElement._make(v.shape, acc)
 
 
 def apply(h: HeckeElement, v: QPermElement) -> QPermElement:
@@ -133,7 +160,7 @@ def apply(h: HeckeElement, v: QPermElement) -> QPermElement:
     if h.n != v.shape.n:
         raise RankMismatch('algebra and module over different symmetric groups')
     pieces = act_by_words(h.support(), v, apply_generator)
-    out = QPermElement.build(v.shape, {})
+    out = QPermElement._make(v.shape, {})
     for w, c in h.terms:
         out = out + pieces[w].scale(c)
     return out
@@ -163,7 +190,7 @@ class HomMatrix:
             for e, ce in zip(tgt, col):
                 if ce:
                     acc[e] = acc.get(e, ZERO) + c * ce
-        return QPermElement.build(self.target, acc)
+        return QPermElement._make(self.target, acc)
 
 
 def hom_matrix(mu: Composition, lam: Composition, d: Permutation) -> HomMatrix:
@@ -180,59 +207,17 @@ def hom_matrix(mu: Composition, lam: Composition, d: Permutation) -> HomMatrix:
     return _hom_matrix(mu, lam, _double_coset_members(mu, lam)[d])
 
 
-def _double_coset_members(mu: Composition, lam: Composition) -> dict[Permutation, list[Permutation]]:
-    """The distinguished reps e of lambda's left cosets, grouped by the
-    distinguished rep of their double coset Y_mu e Y_lambda."""
-    members: dict[Permutation, list[Permutation]] = {}
-    for e in coset_reps(lam):
-        members.setdefault(_double_rep(mu, lam, e), []).append(e)
-    return members
-
-
-def _double_rep(mu: Composition, lam: Composition, e: Permutation) -> Permutation:
-    """The minimal length element of Y_mu e Y_lambda, found by greedy descent."""
-    w = e
-    changed = True
-    while changed:
-        changed = False
-        for s_block in mu.blocks():
-            for a, b in zip(s_block, s_block[1:]):
-                if w.inverse()(a) > w.inverse()(b):
-                    w = _transpose(w, a, b, left=True)
-                    changed = True
-        for s_block in lam.blocks():
-            for a, b in zip(s_block, s_block[1:]):
-                if w(a) > w(b):
-                    w = _transpose(w, a, b, left=False)
-                    changed = True
-    return w
-
-
 def _hom_matrix(mu: Composition, lam: Composition, members: list[Permutation]) -> HomMatrix:
     """The map sending x_mu to the sum of T_e x_lambda over members."""
     src = coset_reps(mu)
     tgt = coset_reps(lam)
-    base = QPermElement.build(lam, {e: ONE for e in members})
+    base = QPermElement._make(lam, {e: ONE for e in members})
     images = act_by_words(src, base, apply_generator)
     columns = []
     for c in src:
         tgt_coeffs = dict(images[c].terms)
         columns.append(tuple(tgt_coeffs.get(e, ZERO) for e in tgt))
     return HomMatrix(mu, lam, tuple(columns))
-
-
-def _transpose(w: Permutation, a: int, b: int, left: bool) -> Permutation:
-    """Multiply w by the transposition (a b) on the chosen side."""
-    im = list(w.images)
-    if left:
-        for idx, x in enumerate(im):
-            if x == a:
-                im[idx] = b
-            elif x == b:
-                im[idx] = a
-    else:
-        im[a - 1], im[b - 1] = im[b - 1], im[a - 1]
-    return Permutation(tuple(im))
 
 
 def hom_basis(mu: Composition, lam: Composition) -> list[HomMatrix]:
@@ -300,10 +285,11 @@ def qpartition_dim(n: int, r: int) -> int:
     if n < 1 or r < 1:
         raise ValueError('need n >= 1 and r >= 1')
     mults = tensor_multiplicities(n, r)
+    hooks = {k: Composition.hook(n, k) for k in mults}
     total = 0
     for k, mk in mults.items():
         for l, ml in mults.items():
-            total += mk * ml * hom_dim(Composition.hook(n, k), Composition.hook(n, l))
+            total += mk * ml * hom_dim(hooks[k], hooks[l])
     return total
 
 

@@ -8,6 +8,11 @@ Hecke algebra modules do.
 
 Positions and letters are 1-based throughout, matching the usual
 combinatorial conventions.
+
+The public constructors validate their input.  Objects built inside the
+library from data that is correct by construction (products, inverses,
+coset and double coset representatives) go through ``_perm``, which
+skips the check; ``Composition`` computes its blocks once.
 """
 
 from __future__ import annotations
@@ -36,6 +41,17 @@ class NotDistinguished(ValueError):
     """Raised when a permutation is not a distinguished (double) coset rep."""
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of plain ints; anything that is not an int raises TypeError."""
+    values = tuple(values)
+    if not {int}.issuperset(map(type, values)):
+        for x in values:
+            if not isinstance(x, int):
+                raise TypeError(f'{what} are int, not {type(x).__name__}: {values}')
+        values = tuple(map(int, values))
+    return values
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1..n} in one-line notation.
@@ -52,8 +68,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f'not a permutation of 1..{len(self.images)}: {self.images}')
+        images = _ints(self.images, 'permutation letters')
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f'not a permutation of 1..{len(images)}: {images}')
+        object.__setattr__(self, 'images', images)
 
     @property
     def n(self) -> int:
@@ -66,13 +84,14 @@ class Permutation:
         """Composition of functions: (self * other)(i) == self(other(i))."""
         if self.n != other.n:
             raise ValueError('size mismatch')
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
+        im = self.images
+        return _perm(tuple([im[j - 1] for j in other.images]))
 
     def inverse(self) -> Permutation:
         inv = [0] * self.n
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(tuple(inv))
+        return _perm(tuple(inv))
 
     def length(self) -> int:
         """Coxeter length = number of inversions."""
@@ -99,7 +118,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
+        return _perm(tuple(range(1, n + 1)))
 
     @classmethod
     def simple(cls, n: int, i: int) -> Permutation:
@@ -108,7 +127,7 @@ class Permutation:
             raise ValueError(f's_{i} does not exist in S_{n}')
         im = list(range(1, n + 1))
         im[i - 1], im[i] = im[i], im[i - 1]
-        return cls(tuple(im))
+        return _perm(tuple(im))
 
     @classmethod
     def from_word(cls, n: int, word: tuple[int, ...] | list[int]) -> Permutation:
@@ -124,9 +143,16 @@ class Permutation:
         return f'Permutation({self.images!r})'
 
 
+def _perm(images: tuple[int, ...]) -> Permutation:
+    """A Permutation from a tuple known to be one, without validation."""
+    w = object.__new__(Permutation)
+    object.__setattr__(w, 'images', images)
+    return w
+
+
 def all_permutations(n: int) -> list[Permutation]:
     """All of S_n sorted lexicographically by one-line notation."""
-    return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+    return [_perm(p) for p in itertools.permutations(range(1, n + 1))]
 
 
 @dataclass(frozen=True)
@@ -143,8 +169,10 @@ class Composition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(p < 0 for p in self.parts):
-            raise ValueError(f'negative part in {self.parts}')
+        parts = _ints(self.parts, 'composition parts')
+        if any(p < 0 for p in parts):
+            raise ValueError(f'negative part in {parts}')
+        object.__setattr__(self, 'parts', parts)
 
     @property
     def n(self) -> int:
@@ -152,6 +180,10 @@ class Composition:
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Consecutive blocks of {1..n}, one per part (possibly empty)."""
+        return self._blocks
+
+    @cached_property
+    def _blocks(self) -> tuple[tuple[int, ...], ...]:
         out = []
         start = 1
         for p in self.parts:
@@ -159,27 +191,29 @@ class Composition:
             start += p
         return tuple(out)
 
+    @cached_property
+    def _block_of(self) -> tuple[int, ...]:
+        """_block_of[x] is the 1-based block index of letter x (slot 0 unused)."""
+        return (0,) + tuple(idx for idx, block in enumerate(self._blocks, start=1) for _ in block)
+
+    @cached_property
+    def _rises(self) -> tuple[int, ...]:
+        """The letters a with a and a + 1 in one block."""
+        return tuple(a for block in self._blocks for a in block[:-1])
+
     def block_index(self, letter: int) -> int:
         """1-based index of the part whose block contains the letter."""
-        start = 1
-        for idx, p in enumerate(self.parts, start=1):
-            if start <= letter < start + p:
-                return idx
-            start += p
-        raise ValueError(f'letter {letter} out of range for {self}')
+        if not 1 <= letter < len(self._block_of):
+            raise ValueError(f'letter {letter} out of range for {self}')
+        return self._block_of[letter]
 
     def young_subgroup(self) -> list[Permutation]:
         """All elements of Y_lambda, the block-wise permutations."""
-        n = self.n
-        out = []
-        per_block = [list(itertools.permutations(b)) for b in self.blocks()]
-        for choice in itertools.product(*per_block):
-            im = [0] * n
-            for block, perm in zip(self.blocks(), choice):
-                for src, dst in zip(block, perm):
-                    im[src - 1] = dst
-            out.append(Permutation(tuple(im)))
-        return sorted(out)
+        # blocks are consecutive, so an element's one-line notation is the
+        # concatenation of one permutation of each block
+        per_block = [list(itertools.permutations(b)) for b in self._blocks]
+        return [_perm(tuple(x for perm in choice for x in perm))
+                for choice in itertools.product(*per_block)]
 
     @classmethod
     def hook(cls, n: int, k: int) -> Composition:
@@ -224,30 +258,55 @@ class RowStandardTableau:
         Entries of the initial tableau in reading order are 1..n, so the
         one-line notation of d is just the concatenation of the rows.
         """
-        return Permutation(tuple(x for row in self.rows for x in row))
+        return _perm(tuple(x for row in self.rows for x in row))
 
     def __repr__(self) -> str:
         return f'RowStandardTableau({self.rows!r})'
 
 
+def _fillings(letters: tuple[int, ...], parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Row-standard fillings of parts with the letters, rows concatenated.
+
+    Every row is a combination of the letters left over by the rows
+    before it, so the concatenations come out in lexicographic order.
+    """
+    if len(parts) <= 1:
+        yield letters
+        return
+    if max(parts) <= 1:
+        # rows of at most one letter: every order of the letters
+        yield from itertools.permutations(letters)
+        return
+    for row in itertools.combinations(letters, parts[0]):
+        rest = tuple(x for x in letters if x not in row)
+        for tail in _fillings(rest, parts[1:]):
+            yield row + tail
+
+
 def row_standard_tableaux(shape: Composition) -> Iterator[RowStandardTableau]:
-    """All row-standard fillings of the shape, in no particular order."""
-
-    def fill(remaining: frozenset[int], parts: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not parts:
-            yield ()
-            return
-        for chosen in itertools.combinations(sorted(remaining), parts[0]):
-            for rest in fill(remaining - set(chosen), parts[1:]):
-                yield (chosen,) + rest
-
-    n = shape.n
-    for rows in fill(frozenset(range(1, n + 1)), shape.parts):
-        yield RowStandardTableau(rows)
+    """All row-standard fillings of the shape, ordered by reading word."""
+    for word in _fillings(tuple(range(1, shape.n + 1)), shape.parts):
+        yield RowStandardTableau(tuple(tuple(word[a - 1] for a in block) for block in shape.blocks()))
 
 
-def _increasing_on_blocks(w: Permutation, shape: Composition) -> bool:
-    return all(w(a) < w(b) for block in shape.blocks() for a, b in zip(block, block[1:]))
+def _increasing_on_blocks(images: tuple[int, ...], shape: Composition) -> bool:
+    """w(a) < w(a + 1) whenever a and a + 1 share a block of the shape."""
+    return all(images[a - 1] < images[a] for a in shape._rises)
+
+
+def _inverse_increasing_on_blocks(images: tuple[int, ...], shape: Composition) -> bool:
+    """w^-1 increasing on the blocks of the shape, read off w directly.
+
+    w^-1(a) < w^-1(a + 1) says that the letter a stands left of a + 1 in
+    w's one-line notation, so no inverse is built.
+    """
+    index = images.index
+    return all(index(a) < index(a + 1) for a in shape._rises)
+
+
+def _is_coset_rep(shape: Composition, d: Permutation) -> bool:
+    """d in D_lambda: a permutation of 1..n increasing on every block."""
+    return isinstance(d, Permutation) and d.n == shape.n and _increasing_on_blocks(d.images, shape)
 
 
 @cache
@@ -262,7 +321,7 @@ def coset_reps(shape: Composition) -> tuple[Permutation, ...]:
     >>> [d.images for d in coset_reps(Composition((2, 1)))]
     [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
     """
-    return tuple(sorted(t.permutation() for t in row_standard_tableaux(shape)))
+    return tuple(map(_perm, _fillings(tuple(range(1, shape.n + 1)), shape.parts)))
 
 
 @cache
@@ -275,11 +334,37 @@ def double_coset_reps(mu: Composition, lam: Composition) -> tuple[Permutation, .
     """
     if mu.n != lam.n:
         raise ValueError('compositions of different n')
-    return tuple(d for d in coset_reps(lam) if _increasing_on_blocks(d.inverse(), mu))
+    return tuple(d for d in coset_reps(lam) if _inverse_increasing_on_blocks(d.images, mu))
+
+
+def _double_coset_members(mu: Composition, lam: Composition) -> dict[Permutation, list[Permutation]]:
+    """D_lambda grouped by double coset: {d: [e in D_lambda lying in Y_mu d Y_lambda]}.
+
+    The double coset of e is fixed by the mu-block indices of e(1), ...,
+    e(n): block by block of lambda they count how many letters land in
+    each mu-block (the block-incidence matrix), already sorted within a
+    lambda-block because e increases there.  The keys d run through
+    double_coset_reps(mu, lam), each list in the order of coset_reps(lam).
+    """
+    block_of = mu._block_of
+
+    def key(e: Permutation) -> tuple[int, ...]:
+        return tuple([block_of[x] for x in e.images])
+
+    rep_of = {key(d): d for d in double_coset_reps(mu, lam)}
+    members: dict[Permutation, list[Permutation]] = {d: [] for d in rep_of.values()}
+    for e in coset_reps(lam):
+        members[rep_of[key(e)]].append(e)
+    return members
 
 
 def is_distinguished(mu: Composition, d: Permutation, lam: Composition) -> bool:
-    return _increasing_on_blocks(d, lam) and _increasing_on_blocks(d.inverse(), mu)
+    """Whether d lies in D_{mu,lambda}."""
+    if mu.n != lam.n:
+        raise ValueError('compositions of different n')
+    if d.n != lam.n:
+        raise ValueError(f'{d} is not a permutation of 1..{lam.n}')
+    return _increasing_on_blocks(d.images, lam) and _inverse_increasing_on_blocks(d.images, mu)
 
 
 @cache

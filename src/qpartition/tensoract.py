@@ -31,7 +31,7 @@ from typing import Iterator, Mapping
 
 from .coeff import LaurentPoly, ONE, Q, ZERO
 from .hecke import HeckeElement, RankMismatch, act_by_words
-from .symcomb import Composition, Permutation, RowStandardTableau
+from .symcomb import Composition, Permutation, RowStandardTableau, _perm
 
 __all__ = [
     'MultiIndex',
@@ -197,6 +197,21 @@ class Orbit:
         return len(self.members)
 
 
+def _colorings(n: int, partition: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], MultiIndex]]:
+    """(colors, e_j) for every injective coloring of the partition's blocks.
+
+    Colorings come in lexicographic order; each multi-index is read off
+    the block label of every position, so it is index_of_partition of a
+    valid ColoredSetPartition without building or checking one.
+    """
+    labels = [0] * sum(len(block) for block in partition)
+    for label, block in enumerate(partition):
+        for pos in block:
+            labels[pos - 1] = label
+    for colors in itertools.permutations(range(1, n + 1), len(partition)):
+        yield colors, tuple([colors[label] for label in labels])
+
+
 def orbits(n: int, r: int) -> list[Orbit]:
     """All orbits of the basis of V tensor r, in set-partition order.
 
@@ -205,13 +220,8 @@ def orbits(n: int, r: int) -> list[Orbit]:
     """
     if n < 1 or r < 1:
         raise ValueError('need n >= 1 and r >= 1')
-    out = []
-    for partition in set_partitions(r, min(n, r)):
-        members = []
-        for colors in itertools.permutations(range(1, n + 1), len(partition)):
-            members.append(index_of_partition(ColoredSetPartition(partition, colors)))
-        out.append(Orbit(partition, tuple(members)))
-    return out
+    return [Orbit(partition, tuple(j for _, j in _colorings(n, partition)))
+            for partition in set_partitions(r, min(n, r))]
 
 
 def all_indices(n: int, r: int) -> list[MultiIndex]:
@@ -450,14 +460,16 @@ def orbit_correspondence(
     gens = tuple(generators) if generators is not None else tuple(range(1, n))
     k = len(partition)
     shape = Composition.hook(n, k)
-    orbit_members = [
-        index_of_partition(ColoredSetPartition(partition, colors))
-        for colors in itertools.permutations(range(1, n + 1), k)
-    ]
-    mapping = {j: hook_tableau(j, n).permutation() for j in orbit_members}
+    ColoredSetPartition(partition, tuple(range(1, k + 1)))  # checks the partition once
+    # hook_tableau(j, n) has the unused letters in its first row and one
+    # row per color, in block order: d reads the rows off in that order
+    mapping = {
+        j: _perm(tuple(x for x in range(1, n + 1) if x not in colors) + colors)
+        for colors, j in _colorings(n, partition)
+    }
 
     failures: list[str] = []
-    for j in orbit_members:
+    for j in mapping:
         for i in gens:
             lhs = {
                 mapping[j2]: c

@@ -367,15 +367,48 @@ except SolverInvariantError as exc:
 """
 
 
-def test_solver_invariants_raise_under_python_O():
-    # asserts vanish under -O; the invariants must not
+def run_optimised(code):
+    """Run code in a python -O child process; returns its stdout lines."""
     src = str(Path(qpartition.__file__).resolve().parents[1])
     env = {**os.environ, 'PYTHONPATH': src + os.pathsep + os.environ.get('PYTHONPATH', '')}
-    proc = subprocess.run([sys.executable, '-O', '-c', OPTIMISED_CHECKS],
+    proc = subprocess.run([sys.executable, '-O', '-c', code],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ['disconnected table raised',
-                                        'stalled echelon raised: True']
+    return proc.stdout.splitlines()
+
+
+def test_solver_invariants_raise_under_python_O():
+    # asserts vanish under -O; the invariants must not
+    assert run_optimised(OPTIMISED_CHECKS) == ['disconnected table raised',
+                                               'stalled echelon raised: True']
+
+
+BOUNDARY_CHECKS = """
+from qpartition.qperm import apply_generator_to_basis
+from qpartition.symcomb import Composition, NotDistinguished, Permutation, is_distinguished
+if __debug__:
+    raise SystemExit('not running under python -O')
+checks = [
+    (TypeError, lambda: Permutation((1.0, 2))),
+    (TypeError, lambda: Composition((1.5, 0.5))),
+    (TypeError, lambda: Composition(('a',))),
+    (ValueError, lambda: is_distinguished(Composition((2,)), Permutation((1, 2, 3)), Composition((3,)))),
+    (NotDistinguished, lambda: apply_generator_to_basis(1, Composition((2, 1)), Permutation((2, 1, 3)))),
+]
+for error, call in checks:
+    try:
+        call()
+        print('accepted')
+    except error:
+        print(error.__name__)
+print(Permutation([2, 1]) == Permutation((2, 1)))
+"""
+
+
+def test_boundary_checks_raise_under_python_O():
+    # the public constructors validate with raised errors, not asserts
+    assert run_optimised(BOUNDARY_CHECKS) == [
+        'TypeError', 'TypeError', 'TypeError', 'ValueError', 'NotDistinguished', 'True']
 
 
 # ---------------------------------------------------------------------------
