@@ -66,7 +66,7 @@ from .coeff import LaurentPoly, ZeroSpecialization
 from .hecke import act_by_words
 from .linalg import Echelon
 from .symcomb import all_permutations
-from .tensoract import MultiIndex, all_indices, first_occurrence, _swap_letters
+from .tensoract import MultiIndex, _classify, _swap_letters, all_indices
 
 __all__ = [
     'DimensionLimitExceeded',
@@ -314,15 +314,6 @@ def _components(n: int, r: int, gens: Sequence[int]) -> list[list[int]]:
     return [sorted(g) for g in sorted(groups.values())]
 
 
-def _classify(idx: MultiIndex, i: int) -> tuple[int, MultiIndex]:
-    """(case, swapped index) for T_i on e_idx; case 1 means diagonal."""
-    fi = first_occurrence(idx, i)
-    fi1 = first_occurrence(idx, i + 1)
-    if fi == 0 and fi1 == 0:
-        return 1, idx
-    return (2 if fi < fi1 else 3), _swap_letters(idx, i)
-
-
 def _table(C: list[int], idxs: list[MultiIndex], gid_map: dict[MultiIndex, int],
            gens: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Generator table of component C in the labelling given by its order.
@@ -333,7 +324,7 @@ def _table(C: list[int], idxs: list[MultiIndex], gid_map: dict[MultiIndex, int],
     pos = {g: t for t, g in enumerate(C)}
     return tuple(
         tuple((case, pos[gid_map[swapped]])
-              for case, swapped in (_classify(idxs[g], i) for i in gens))
+              for case, swapped in (_classify(i, idxs[g]) for i in gens))
         for g in C)
 
 
@@ -388,6 +379,37 @@ def _apply(op, u: dict[int, object]) -> dict[int, object]:
     return out
 
 
+def _scaled_generator(entries, a, b):
+    """b T_i at q = a/b as a monomial-plus-diagonal map (see _apply).
+
+    entries[cl] is the (case, target) of T_i on basis vector cl (the
+    letter rule, tensoract._classify): a at cl itself in case 1, b at the
+    target in case 2, a at the target plus a - b at cl in case 3.
+    """
+    to, coef, diag = [], [], {}
+    for cl, (case, t) in enumerate(entries):
+        to.append(t)
+        coef.append(b if case == 2 else a)
+        if case == 3 and a != b:  # at q = 1 the diagonal part is zero
+            diag[cl] = a - b
+    return to, coef, diag
+
+
+def _shifted(op, d):
+    """The monomial-plus-diagonal map op - d (d times the identity); a column
+    whose target is itself (case 1) holds its diagonal entry in coef."""
+    to, coef, diag = op
+    coef, shifted = list(coef), {}
+    for cl, t in enumerate(to):
+        if t == cl:
+            coef[cl] -= d
+        else:
+            v = diag[cl] - d if cl in diag else -d
+            if v:
+                shifted[cl] = v
+    return to, coef, shifted
+
+
 class _PairSolver:
     """Solve X A_i = A_i X restricted to one ordered component pair.
 
@@ -411,39 +433,20 @@ class _PairSolver:
         self.one, self.zero = (1, 0) if self.over_q else (one, one - one)
         # scale carried by the image of a column: b on case 2, else a
         self.factor = {1: a, 2: b, 3: a}
-        # ring images under generator position i: b A_i on case 1 and 2
-        # edges (images[0][i]), b A_i - (a - b) on case 3 edges
-        # (images[1][i]); column cl holds coef[cl] at the swap target
-        # tgt[cl] (cl itself in case 1), plus diag[cl] at cl itself.
+        # ring images under generator position i: b A_i (images[0][i]), and
+        # b A_i - (a - b), which a case 3 tree edge applies (images[1][i]);
         # coimages hold the same maps acting on functionals (row vectors)
         # from the right: f -> f b A_i and f -> f (b A_i - (a - b)).
         self.images = [], []
         self.coimages = [], []
         for k in range(len(table_p[0])):
-            tgt, coef, coef3, diag, diag3 = [], [], [], {}, {}
-            for cl, entries in enumerate(table_p):
-                case, rl = entries[k]
-                tgt.append(rl)
-                if case == 1:
-                    coef.append(a)
-                    coef3.append(b)
-                elif case == 2:
-                    coef.append(b)
-                    coef3.append(b)
-                    diag3[cl] = b - a
-                else:
-                    coef.append(a)
-                    coef3.append(a)
-                    diag[cl] = a - b
-            if a == b:  # q = 1: the diagonal parts are zero
-                diag = diag3 = {}
-            src = [0] * self.m  # tgt is a bijection; src is its inverse
-            for cl, rl in enumerate(tgt):
+            op = _scaled_generator([entries[k] for entries in table_p], a, b)
+            src = [0] * self.m  # op's target map is a bijection; src is its inverse
+            for cl, rl in enumerate(op[0]):
                 src[rl] = cl
-            self.images[0].append((tgt, coef, diag))
-            self.images[1].append((tgt, coef3, diag3))
-            self.coimages[0].append((src, [coef[cl] for cl in src], diag))
-            self.coimages[1].append((src, [coef3[cl] for cl in src], diag3))
+            for which, (to, coef, diag) in enumerate((op, _shifted(op, a - b))):
+                self.images[which].append((to, coef, diag))
+                self.coimages[which].append((src, [coef[cl] for cl in src], diag))
         self._build_tree()
         self._collect_events()
 
@@ -855,32 +858,12 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
 
     # image of the algebra: span of all T_w matrices, here b^l(w) T_w
     img = Echelon(width, Fraction(1))
-    spec_cols = {}
-    for i in range(1, n):
-        cols = []
-        for j in idxs:
-            case, swapped = _classify(j, i)
-            if case == 1:
-                cols.append(((gid_map[j], a),))
-            elif case == 2:
-                cols.append(((gid_map[swapped], b),))
-            else:
-                cols.append(((gid_map[swapped], a), (gid_map[j], a - b)))
-        spec_cols[i] = cols
+    gens = {i: _scaled_generator([(case, gid_map[j2]) for case, j2 in
+                                  (_classify(i, j) for j in idxs)], a, b)
+            for i in range(1, n)}
 
     def times_gen(i: int, cols: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
-        new_cols = {}
-        for c0, col in cols.items():
-            acc: dict[int, int] = {}
-            for mid, v in col.items():
-                for rg, coef in spec_cols[i][mid]:
-                    cur = acc.get(rg, 0) + coef * v
-                    if cur:
-                        acc[rg] = cur
-                    else:
-                        acc.pop(rg, None)
-            new_cols[c0] = acc
-        return new_cols
+        return {c0: _apply(gens[i], col) for c0, col in cols.items()}
 
     identity = {t: {t: 1} for t in range(len(idxs))}
     image_vectors = []

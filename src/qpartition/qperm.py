@@ -3,7 +3,8 @@
 M_q^lambda is the left ideal generated by the Young subgroup sum
 x_lambda; its basis is {T_d x_lambda} over the distinguished coset
 representatives d.  A generator T_i moves a basis vector by the rows of
-i and i+1 in the row-standard tableau d applied to the initial tableau:
+i and i+1 in the row-standard tableau d applied to the initial tableau
+(the row rule _row_rule; the formula itself is hecke._column):
 
     same row:            q T_d
     row(i) < row(i+1):   T_{s_i d}
@@ -23,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .coeff import LaurentPoly, ONE, Q, ZERO
-from .hecke import HeckeElement, RankMismatch, act_by_words
+from .coeff import LaurentPoly, ONE, ZERO
+from .hecke import HeckeElement, RankMismatch, _Sparse, _images, act, act_by_words
 from .symcomb import (
     Composition,
     NotDistinguished,
@@ -56,114 +57,67 @@ __all__ = [
     'half_qpartition_dim',
 ]
 
-_Q_MINUS_ONE = Q - 1
-
-
-@dataclass(frozen=True)
-class QPermElement:
-    """A vector in M_q^lambda in the distinguished basis {T_d x_lambda}."""
-
-    shape: Composition
-    terms: tuple[tuple[Permutation, LaurentPoly], ...]
-
-    @classmethod
-    def build(cls, shape: Composition, data: dict[Permutation, LaurentPoly]) -> QPermElement:
-        for d in data:
-            if not _is_coset_rep(shape, d):
-                raise NotDistinguished(f'{d} is not a distinguished coset rep for {shape}')
-        return cls._make(shape, data)
-
-    @classmethod
-    def _make(cls, shape: Composition, data: dict[Permutation, LaurentPoly]) -> QPermElement:
-        """build for data whose keys are coset reps by construction."""
-        return cls(shape, tuple(sorted(((d, c) for d, c in data.items() if c), key=_images)))
-
-    @classmethod
-    def basis_vector(cls, shape: Composition, d: Permutation) -> QPermElement:
-        return cls.build(shape, {d: ONE})
-
-    def coefficient(self, d: Permutation) -> LaurentPoly:
-        for e, c in self.terms:
-            if e == d:
-                return c
-        return LaurentPoly()
-
-    def __add__(self, other: QPermElement) -> QPermElement:
-        if self.shape != other.shape:
-            raise RankMismatch('different shapes')
-        acc = dict(self.terms)
-        for d, c in other.terms:
-            acc[d] = acc.get(d, ZERO) + c
-        return QPermElement._make(self.shape, acc)
-
-    def scale(self, c: LaurentPoly | int) -> QPermElement:
-        c = c if isinstance(c, LaurentPoly) else LaurentPoly({0: c})
-        return QPermElement._make(self.shape, {d: c * cd for d, cd in self.terms})
-
-    def __sub__(self, other: QPermElement) -> QPermElement:
-        return self + other.scale(-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def _images(term: tuple[Permutation, LaurentPoly]) -> tuple[int, ...]:
-    return term[0].images
-
-
-def apply_generator_to_basis(i: int, shape: Composition, d: Permutation) -> dict[Permutation, LaurentPoly]:
-    """T_i (T_d x_lambda) as a sparse combination of basis vectors.
+def _row_rule(i: int, shape: Composition, d: Permutation) -> tuple[int, Permutation]:
+    """The tableau-row rule: (case, target) of T_i on T_d x_lambda, d in D_lambda.
 
     The rows of i and i+1 in the tableau d applied to the initial
-    tableau are the block indices of d^-1(i) and d^-1(i+1).
-    """
-    n = shape.n
-    if not 1 <= i <= n - 1:
-        raise RankMismatch(f'T_{i} does not exist for S_{n}')
-    if not _is_coset_rep(shape, d):
-        raise NotDistinguished(f'{d} is not a distinguished coset rep for {shape}')
-    return _generator_on_basis(i, shape, d)
-
-
-def _generator_on_basis(i: int, shape: Composition, d: Permutation) -> dict[Permutation, LaurentPoly]:
-    """apply_generator_to_basis for a valid i and d in D_lambda.
-
-    d^-1(i) is the position of the letter i in d's one-line notation,
-    and s_i d swaps the letters i and i+1 there.
+    tableau are the block indices of d^-1(i) and d^-1(i+1); d^-1(i) is
+    the position of the letter i in d's one-line notation, and s_i d
+    swaps the letters i and i+1 there.
     """
     im = d.images
     pos_i, pos_i1 = im.index(i), im.index(i + 1)
     row_i, row_i1 = shape.block_index(pos_i + 1), shape.block_index(pos_i1 + 1)
     if row_i == row_i1:
-        return {d: Q}
+        return 1, d
     swapped = list(im)
     swapped[pos_i], swapped[pos_i1] = i + 1, i
-    sd = _perm(tuple(swapped))
-    if row_i < row_i1:
-        return {sd: ONE}
-    return {sd: Q, d: _Q_MINUS_ONE}
+    return (2 if row_i < row_i1 else 3), _perm(tuple(swapped))
+
+
+@dataclass(frozen=True)
+class QPermElement(_Sparse):
+    """A vector in M_q^lambda in the distinguished basis {T_d x_lambda}."""
+
+    shape: Composition
+    terms: tuple[tuple[Permutation, LaurentPoly], ...]
+
+    _key = staticmethod(_images)
+
+    @property
+    def n(self) -> int:
+        return self.shape.n
+
+    @property
+    def _space(self) -> tuple[Composition]:
+        return (self.shape,)
+
+    @staticmethod
+    def _label(space, d: Permutation) -> Permutation:
+        if not _is_coset_rep(space[0], d):
+            raise NotDistinguished(f'{d} is not a distinguished coset rep for {space[0]}')
+        return d
+
+    def _rule(self, i: int, d: Permutation) -> tuple[int, Permutation]:
+        return _row_rule(i, self.shape, d)
+
+    @classmethod
+    def basis_vector(cls, shape: Composition, d: Permutation) -> QPermElement:
+        return cls.build(shape, {d: ONE})
+
+
+def apply_generator_to_basis(i: int, shape: Composition, d: Permutation) -> dict[Permutation, LaurentPoly]:
+    """T_i (T_d x_lambda) as a sparse combination of basis vectors."""
+    return dict(QPermElement.basis_vector(shape, d).generator_step(i).terms)
 
 
 def apply_generator(i: int, v: QPermElement) -> QPermElement:
-    n = v.shape.n
-    if not 1 <= i <= n - 1:
-        raise RankMismatch(f'T_{i} does not exist for S_{n}')
-    acc: dict[Permutation, LaurentPoly] = {}
-    for d, c in v.terms:
-        for d2, c2 in _generator_on_basis(i, v.shape, d).items():
-            acc[d2] = acc.get(d2, ZERO) + c * c2
-    return QPermElement._make(v.shape, acc)
+    return v.generator_step(i)
 
 
 def apply(h: HeckeElement, v: QPermElement) -> QPermElement:
     """A Hecke algebra element acting on a module element."""
-    if h.n != v.shape.n:
-        raise RankMismatch('algebra and module over different symmetric groups')
-    pieces = act_by_words(h.support(), v, apply_generator)
-    out = QPermElement._make(v.shape, {})
-    for w, c in h.terms:
-        out = out + pieces[w].scale(c)
-    return out
+    return act(h, v)
 
 
 @dataclass(frozen=True)
@@ -190,7 +144,7 @@ class HomMatrix:
             for e, ce in zip(tgt, col):
                 if ce:
                     acc[e] = acc.get(e, ZERO) + c * ce
-        return QPermElement._make(self.target, acc)
+        return QPermElement._make((self.target,), acc)
 
 
 def hom_matrix(mu: Composition, lam: Composition, d: Permutation) -> HomMatrix:
@@ -211,7 +165,7 @@ def _hom_matrix(mu: Composition, lam: Composition, members: list[Permutation]) -
     """The map sending x_mu to the sum of T_e x_lambda over members."""
     src = coset_reps(mu)
     tgt = coset_reps(lam)
-    base = QPermElement._make(lam, {e: ONE for e in members})
+    base = QPermElement._make((lam,), {e: ONE for e in members})
     images = act_by_words(src, base, apply_generator)
     columns = []
     for c in src:

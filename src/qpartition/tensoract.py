@@ -6,14 +6,16 @@ basis vector e_j through the positions of the first occurrences of the
 letters i and i+1 in j:
 
     neither occurs:                       T_i e_j = q e_j
-    i occurs first (or i+1 is absent...): see below
     first(i) < first(i+1):                T_i e_j = e_{swapped j}
     first(i) > first(i+1):                T_i e_j = q e_{swapped j} + (q-1) e_j
 
 where "swapped j" replaces every i by i+1 and vice versa, and an absent
 letter counts as first occurrence 0, so "i+1 absent, i present" lands in
 the third case.  This extends the defining relations of the Hecke
-algebra, which is checked by verify_relations below, brute force.
+algebra, which is checked by verify_relations below, brute force.  The
+letter rule (_classify) supplies only the case and the swapped index;
+the three-case formula itself is hecke._column, shared with H(S_n) and
+the q-permutation modules.
 
 Basis vectors are grouped into orbits: e_j determines a set partition of
 the positions {1..r} (same letter = same block) together with an
@@ -27,11 +29,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .coeff import LaurentPoly, ONE, Q, ZERO
-from .hecke import HeckeElement, RankMismatch, act_by_words
-from .symcomb import Composition, Permutation, RowStandardTableau, _perm
+from .hecke import HeckeElement, _Sparse, _column, act
+from .symcomb import Composition, Permutation, RowStandardTableau, _ints, _perm
 
 __all__ = [
     'MultiIndex',
@@ -229,81 +231,57 @@ def all_indices(n: int, r: int) -> list[MultiIndex]:
     return list(itertools.product(range(1, n + 1), repeat=r))
 
 
+def _swap_letters(index: MultiIndex, i: int) -> MultiIndex:
+    return tuple(i + 1 if x == i else i if x == i + 1 else x for x in index)
+
+
+def _classify(i: int, index: MultiIndex) -> tuple[int, MultiIndex]:
+    """The letter rule: (case, target) of T_i on e_j (see hecke._column).
+
+    With 0 standing for an absent letter, a plain comparison of the two
+    first occurrences sorts out the cases: neither letter occurs is case
+    1 (target e_j itself), an absent i counts as earlier than any
+    occurrence of i+1 (case 2), and first(i) > 0 = first(i+1) lands in
+    the deformed case 3.
+    """
+    fi = first_occurrence(index, i)
+    fi1 = first_occurrence(index, i + 1)
+    if fi == 0 and fi1 == 0:
+        return 1, index
+    return (2 if fi < fi1 else 3), _swap_letters(index, i)
+
+
 @dataclass(frozen=True)
-class TensorVector:
+class TensorVector(_Sparse):
     """A vector in V tensor r with Laurent polynomial coefficients."""
 
     n: int
     r: int
     terms: tuple[tuple[MultiIndex, LaurentPoly], ...]
 
-    @classmethod
-    def build(cls, n: int, r: int, data: Mapping[MultiIndex, LaurentPoly]) -> TensorVector:
-        for j in data:
-            if len(j) != r or any(not 1 <= x <= n for x in j):
-                raise ValueError(f'bad multi-index {j} for n={n}, r={r}')
-        return cls(n, r, tuple(sorted((j, c) for j, c in data.items() if c)))
+    _range_error = GeneratorOutOfRange
+    _rule = staticmethod(_classify)
+
+    @property
+    def _space(self) -> tuple[int, int]:
+        return (self.n, self.r)
+
+    @staticmethod
+    def _label(space, index: MultiIndex) -> MultiIndex:
+        n, r = space
+        index = _ints(index, 'multi-index letters')
+        if len(index) != r or any(not 1 <= x <= n for x in index):
+            raise ValueError(f'bad multi-index {index} for n={n}, r={r}')
+        return index
 
     @classmethod
     def basis_vector(cls, n: int, r: int, index: MultiIndex) -> TensorVector:
         return cls.build(n, r, {index: ONE})
 
-    def coefficient(self, index: MultiIndex) -> LaurentPoly:
-        for j, c in self.terms:
-            if j == index:
-                return c
-        return LaurentPoly()
-
-    def __add__(self, other: TensorVector) -> TensorVector:
-        if (self.n, self.r) != (other.n, other.r):
-            raise RankMismatch('tensor vectors of different shape')
-        acc = dict(self.terms)
-        for j, c in other.terms:
-            acc[j] = acc.get(j, ZERO) + c
-        return TensorVector.build(self.n, self.r, acc)
-
-    def scale(self, c: LaurentPoly | int) -> TensorVector:
-        c = c if isinstance(c, LaurentPoly) else LaurentPoly({0: c})
-        return TensorVector.build(self.n, self.r, {j: c * cj for j, cj in self.terms})
-
-    def __sub__(self, other: TensorVector) -> TensorVector:
-        return self + other.scale(-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def _swap_letters(index: MultiIndex, i: int) -> MultiIndex:
-    return tuple(i + 1 if x == i else i if x == i + 1 else x for x in index)
-
-
-def _act_gen_basis(n: int, i: int, index: MultiIndex) -> dict[MultiIndex, LaurentPoly]:
-    """T_i e_j as a sparse column; the three-case first-occurrence rule.
-
-    With 0 standing for an absent letter, a plain comparison of the two
-    first occurrences sorts out the cases: an absent i counts as earlier
-    than any occurrence of i+1, and first(i) > 0 = first(i+1) lands in
-    the deformed case.
-    """
-    fi = first_occurrence(index, i)
-    fi1 = first_occurrence(index, i + 1)
-    if fi == 0 and fi1 == 0:
-        return {index: Q}
-    swapped = _swap_letters(index, i)
-    if fi < fi1:
-        return {swapped: ONE}
-    return {swapped: Q, index: _Q_MINUS_ONE}
-
 
 def apply_generator(i: int, v: TensorVector) -> TensorVector:
     """T_i acting on a tensor vector."""
-    if not 1 <= i <= v.n - 1:
-        raise GeneratorOutOfRange(f'T_{i} does not act for n={v.n}')
-    acc: dict[MultiIndex, LaurentPoly] = {}
-    for j, c in v.terms:
-        for j2, c2 in _act_gen_basis(v.n, i, j).items():
-            acc[j2] = acc.get(j2, ZERO) + c * c2
-    return TensorVector.build(v.n, v.r, acc)
+    return v.generator_step(i)
 
 
 def apply(h: HeckeElement, v: TensorVector) -> TensorVector:
@@ -313,13 +291,7 @@ def apply(h: HeckeElement, v: TensorVector) -> TensorVector:
     the common prefixes of the words); independence of the chosen word
     is a consequence of the relations and is exercised in the tests.
     """
-    if h.n != v.n:
-        raise RankMismatch(f'element of H(S_{h.n}) cannot act on letters 1..{v.n}')
-    pieces = act_by_words(h.support(), v, apply_generator)
-    out = TensorVector.build(v.n, v.r, {})
-    for w, c in h.terms:
-        out = out + pieces[w].scale(c)
-    return out
+    return act(h, v)
 
 
 @cache
@@ -327,7 +299,7 @@ def generator_matrix(n: int, r: int, i: int) -> dict[MultiIndex, dict[MultiIndex
     """The matrix of T_i on V tensor r as sparse columns: col -> row -> coeff."""
     if not 1 <= i <= n - 1:
         raise GeneratorOutOfRange(f'T_{i} does not act for n={n}')
-    return {j: _act_gen_basis(n, i, j) for j in all_indices(n, r)}
+    return {j: _column(j, *_classify(i, j)) for j in all_indices(n, r)}
 
 
 def _compose_columns(
@@ -468,15 +440,14 @@ def orbit_correspondence(
         for colors, j in _colorings(n, partition)
     }
 
+    # both sides act by the one three-case rule (hecke._column), so they
+    # agree exactly when the letter rule and the row rule give the same
+    # case and matching targets
     failures: list[str] = []
     for j in mapping:
         for i in gens:
-            lhs = {
-                mapping[j2]: c
-                for j2, c in _act_gen_basis(n, i, j).items()
-            }
-            rhs = qperm.apply_generator_to_basis(i, shape, mapping[j])
-            if lhs != rhs:
+            case, j2 = _classify(i, j)
+            if (case, mapping[j2]) != qperm._row_rule(i, shape, mapping[j]):
                 failures.append(f'T_{i} disagrees on {j}')
     return OrbitCorrespondence(
         n=n,

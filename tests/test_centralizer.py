@@ -384,8 +384,11 @@ def test_solver_invariants_raise_under_python_O():
 
 
 BOUNDARY_CHECKS = """
+from qpartition.coeff import ONE
+from qpartition.hecke import HeckeElement, RankMismatch
 from qpartition.qperm import apply_generator_to_basis
 from qpartition.symcomb import Composition, NotDistinguished, Permutation, is_distinguished
+from qpartition.tensoract import TensorVector
 if __debug__:
     raise SystemExit('not running under python -O')
 checks = [
@@ -394,6 +397,9 @@ checks = [
     (TypeError, lambda: Composition(('a',))),
     (ValueError, lambda: is_distinguished(Composition((2,)), Permutation((1, 2, 3)), Composition((3,)))),
     (NotDistinguished, lambda: apply_generator_to_basis(1, Composition((2, 1)), Permutation((2, 1, 3)))),
+    (TypeError, lambda: HeckeElement.build(2, {Permutation((2, 1)): 0.5})),
+    (TypeError, lambda: TensorVector.build(2, 2, {(1.0, 2): ONE})),
+    (RankMismatch, lambda: HeckeElement.from_json(3, [{'perm': [2, 1], 'coeff': []}])),
 ]
 for error, call in checks:
     try:
@@ -408,7 +414,8 @@ print(Permutation([2, 1]) == Permutation((2, 1)))
 def test_boundary_checks_raise_under_python_O():
     # the public constructors validate with raised errors, not asserts
     assert run_optimised(BOUNDARY_CHECKS) == [
-        'TypeError', 'TypeError', 'TypeError', 'ValueError', 'NotDistinguished', 'True']
+        'TypeError', 'TypeError', 'TypeError', 'ValueError', 'NotDistinguished',
+        'TypeError', 'TypeError', 'RankMismatch', 'True']
 
 
 # ---------------------------------------------------------------------------
