@@ -6,10 +6,11 @@ q-deformed letter permutations, the decomposition of that action into
 q-permutation modules for hook compositions, and the centralizer
 algebra with its dimension combinatorics (Stirling numbers, double
 cosets, Bell numbers).  All arithmetic is exact: Laurent polynomials
-over Q, or specializations at nonzero rationals.
+over Q, rational functions in Q(q), or specializations at nonzero
+rationals.
 """
 
-from .coeff import LaurentPoly, Q, ONE, ZERO, ZeroSpecialization, lp
+from .coeff import LaurentPoly, Q, ONE, ZERO, RationalFunction, ZeroSpecialization, lp
 from .symcomb import (
     Composition,
     NotDistinguished,
@@ -64,7 +65,6 @@ from .centralizer import (
     DEFAULT_Q_VALUES,
     DimensionLimitExceeded,
     DoubleCentralizerReport,
-    RationalFunction,
     StructureConstants,
     commutant_basis,
     double_centralizer_check,

@@ -50,8 +50,8 @@ matrices alone, and two isomorphic orbits whose tables differ are
 simply solved twice.
 
 Default arithmetic specializes q at several generic rational points and
-cross-checks the dimensions; a fully symbolic mode over the rational
-function field Q(q) is available for small sizes.
+cross-checks the dimensions; a fully symbolic mode over the field Q(q)
+(coeff.RationalFunction) is available for small sizes.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .coeff import LaurentPoly, ZeroSpecialization
+from .coeff import RationalFunction, ZeroSpecialization
 from .hecke import act_by_words
 from .linalg import Echelon
 from .symcomb import all_permutations
@@ -83,6 +83,9 @@ __all__ = [
 ]
 
 DEFAULT_Q_VALUES = (Fraction(2), Fraction(3), Fraction(7, 5))
+# one and q in Q(q), the field of the symbolic mode
+_RF_ONE = RationalFunction((1,))
+_RF_Q = RationalFunction((0, 1))
 
 
 class DimensionLimitExceeded(ValueError):
@@ -101,190 +104,6 @@ class SolverInvariantError(RuntimeError):
         self.pair, self.event = pair, event
         where = f'pair {pair}' if event is None else f'pair {pair}, event {event}'
         super().__init__(f'{message} ({where})')
-
-
-# ---------------------------------------------------------------------------
-# rational function field Q(q), used by the symbolic mode
-
-def _poly_trim(t: list[Fraction]) -> tuple[Fraction, ...]:
-    while t and not t[-1]:
-        t.pop()
-    return tuple(t)
-
-
-def _poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _poly_trim(out)
-
-
-def _poly_neg(a):
-    return tuple(-c for c in a)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError('polynomial division by zero')
-    a = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for top in range(len(a) - 1, len(b) - 2, -1):
-        c = a[top] * inv
-        if c:
-            quo[top - len(b) + 1] = c
-            for j, d in enumerate(b):
-                a[top - len(b) + 1 + j] -= c * d
-    return _poly_trim(quo), _poly_trim(a)
-
-
-def _poly_gcd(a, b):
-    while b:
-        _, a = _poly_divmod(a, b)
-        a, b = b, a
-    if a:
-        inv = 1 / a[-1]
-        a = tuple(c * inv for c in a)
-    return a
-
-
-class RationalFunction:
-    """An element of Q(q): a reduced fraction of polynomials, monic bottom."""
-
-    __slots__ = ('num', 'den')
-
-    def __init__(self, num, den=(Fraction(1),)):
-        num = _poly_trim(list(Fraction(c) for c in num))
-        den = _poly_trim(list(Fraction(c) for c in den))
-        if not den:
-            raise ZeroDivisionError('zero denominator')
-        g = _poly_gcd(num, den)
-        if g and g != (Fraction(1),):
-            num, _ = _poly_divmod(num, g)
-            den, _ = _poly_divmod(den, g)
-        lead = den[-1]
-        if lead != 1:
-            inv = 1 / lead
-            num = tuple(c * inv for c in num)
-            den = tuple(c * inv for c in den)
-        object.__setattr__(self, 'num', num)
-        object.__setattr__(self, 'den', den)
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> RationalFunction:
-        if p.is_zero():
-            return cls(())
-        low = p.min_exponent()
-        shift = -low if low < 0 else 0
-        coeffs = [Fraction(0)] * (p.max_exponent() + shift + 1)
-        for e, c in p.terms:
-            coeffs[e + shift] = c
-        den = [Fraction(0)] * shift + [Fraction(1)]
-        return cls(coeffs, den)
-
-    @classmethod
-    def constant(cls, c) -> RationalFunction:
-        return cls((Fraction(c),))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return self == RationalFunction.constant(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(
-            _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
-            _poly_mul(self.den, other.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(_poly_neg(self.num), self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if not other.num:
-            raise ZeroDivisionError('division by zero rational function')
-        return RationalFunction(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    @staticmethod
-    def _coerce(x) -> RationalFunction:
-        if isinstance(x, RationalFunction):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RationalFunction.constant(x)
-        raise TypeError(f'cannot coerce {x!r} into Q(q)')
-
-    @staticmethod
-    def _poly_str(p) -> str:
-        if not p:
-            return '0'
-        parts = []
-        for e in range(len(p) - 1, -1, -1):
-            c = p[e]
-            if not c:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                head = '' if c == 1 else '-' if c == -1 else f'{c}*'
-                parts.append(f'{head}q' if e == 1 else f'{head}q^{e}')
-        return ' + '.join(parts).replace('+ -', '- ')
-
-    def __str__(self):
-        top = self._poly_str(self.num)
-        if self.den == (Fraction(1),):
-            return top
-        bot = self._poly_str(self.den)
-        if ' ' in top:
-            top = f'({top})'
-        if ' ' in bot or '/' in bot:
-            bot = f'({bot})'
-        return f'{top}/{bot}'
-
-    def __repr__(self):
-        return f'RationalFunction({self})'
-
-
-_RF_ONE = RationalFunction((Fraction(1),))
-_RF_Q = RationalFunction((Fraction(0), Fraction(1)))
 
 
 # ---------------------------------------------------------------------------

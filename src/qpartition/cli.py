@@ -518,8 +518,9 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser('commutant', help='brute-force centralizer dimension')
     _add_common(sub)
-    sub.add_argument('--q', help='comma-separated nonzero rationals, e.g. 7/5,3')
-    sub.add_argument('--symbolic', action='store_true', help='work over Q(q) directly')
+    field = sub.add_mutually_exclusive_group()
+    field.add_argument('--q', help='comma-separated nonzero rationals, e.g. 7/5,3')
+    field.add_argument('--symbolic', action='store_true', help='work over Q(q) directly')
     sub.add_argument('--half', action='store_true')
     sub.add_argument('--with-basis', action='store_true', dest='with_basis')
     sub.add_argument('--limit', type=_positive_int, default=DEFAULT_LIMIT)

@@ -1,4 +1,4 @@
-"""Exact Laurent polynomials in one variable q over the rationals.
+"""Exact Laurent polynomials in one variable q over the rationals, and Q(q).
 
 Everything downstream works over Z[q, q^-1] tensored with Q, so the
 coefficient type has to support negative exponents (q is a unit) and
@@ -6,6 +6,11 @@ exact arithmetic.  A coefficient is stored as a Python `int` when it is
 integral and as a `fractions.Fraction` otherwise, so the common integral
 case never pays for `Fraction` arithmetic; either way it is exact, and
 floats are refused.  Terms with coefficient zero are never stored.
+
+The same type, with no negative exponents, holds the polynomials in q:
+division with remainder and the gcd are written once here, and
+RationalFunction, the field Q(q) of the symbolic commutant, is a
+reduced fraction of two of them.
 
 >>> p = Q + 1
 >>> p * p
@@ -26,6 +31,7 @@ __all__ = [
     'ONE',
     'ZERO',
     'lp',
+    'RationalFunction',
 ]
 
 Scalar = Union[int, Fraction]
@@ -214,24 +220,7 @@ class LaurentPoly:
         return f'LaurentPoly({ {e: Fraction(c) for e, c in self._terms}!r})'
 
     def __str__(self) -> str:
-        if not self._terms:
-            return '0'
-        parts = []
-        for e, c in self._terms:
-            if e == 0:
-                parts.append(str(c))
-            else:
-                var = 'q' if e == 1 else f'q^{e}'
-                if c == 1:
-                    parts.append(var)
-                elif c == -1:
-                    parts.append(f'-{var}')
-                else:
-                    parts.append(f'{c}*{var}')
-        out = parts[0]
-        for p in parts[1:]:
-            out += f' + {p}' if not p.startswith('-') else f' - {p[1:]}'
-        return out
+        return _terms_str(self._terms)
 
 
 def _normal_terms(acc: dict[int, Scalar]) -> tuple[tuple[int, Scalar], ...]:
@@ -252,3 +241,154 @@ def lp(c: Scalar, e: int = 0) -> LaurentPoly:
 Q = LaurentPoly({1: 1})
 ONE = LaurentPoly({0: 1})
 ZERO = LaurentPoly()
+
+
+def _terms_str(terms: Iterable[tuple[int, Scalar]]) -> str:
+    """Terms (e, c), in the order given, as 'c*q^e + ...'; '0' if there are none."""
+    parts = []
+    for e, c in terms:
+        var = 'q' if e == 1 else f'q^{e}'
+        parts.append(str(c) if e == 0 else var if c == 1 else f'-{var}' if c == -1 else f'{c}*{var}')
+    return ' + '.join(parts).replace('+ -', '- ') if parts else '0'
+
+
+# ---------------------------------------------------------------------------
+# polynomials in q (no negative exponents) and the field Q(q)
+
+def _div(c: Scalar, d: Scalar) -> Scalar:
+    """The exact quotient c / d for d != 0, an int when integral."""
+    if type(c) is int and type(d) is int:
+        return c // d if not c % d else Fraction(c, d)
+    return _demote(Fraction(c) / d)
+
+
+def _divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Quotient and remainder of polynomials in q: a = quo b + rem, deg rem < deg b."""
+    if not b:
+        raise ZeroDivisionError('polynomial division by zero')
+    *low, (eb, cb) = b._terms
+    rem = dict(a._terms)
+    quo = {}
+    for e in range(a._terms[-1][0] if a else -1, eb - 1, -1):
+        c = rem.pop(e, 0)
+        if c:
+            k = quo[e - eb] = _div(c, cb)
+            for e2, c2 in low:
+                rem[e - eb + e2] = rem.get(e - eb + e2, 0) - k * c2
+    return LaurentPoly._make(_normal_terms(quo)), LaurentPoly._make(_normal_terms(rem))
+
+
+def _gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The monic gcd of polynomials in q, zero if both are zero (Euclid's
+    algorithm; Knuth, TAOCP vol. 2, 4.6.1)."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return a * _div(1, a._terms[-1][1]) if a else a
+
+
+class RationalFunction:
+    """An element of Q(q): num/den for polynomials num and den in q with no
+    common factor and den monic, so equal elements have equal (num, den).
+
+    The constructor takes coefficients, constant term first:
+    RationalFunction((-1, 0, 1), (-1, 1)) is (q^2 - 1)/(q - 1) = q + 1.
+    """
+
+    __slots__ = ('num', 'den')
+
+    def __init__(self, num: Iterable[Scalar], den: Iterable[Scalar] = (1,)):
+        f = self._reduced(LaurentPoly(enumerate(num)), LaurentPoly(enumerate(den)))
+        self.num, self.den = f.num, f.den
+
+    @classmethod
+    def _make(cls, num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
+        """Wrap num/den that is already in lowest terms with den monic."""
+        f = object.__new__(cls)
+        f.num, f.den = num, den
+        return f
+
+    @classmethod
+    def _reduced(cls, num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
+        """num/den for polynomials num and den in q, brought to lowest terms."""
+        if not den:
+            raise ZeroDivisionError('zero denominator in Q(q)')
+        if not num:
+            return cls._make(ZERO, ONE)
+        if den._terms[-1][0]:  # else den is a unit and num/den is reduced
+            g = _gcd(num, den)
+            num, den = _divmod(num, g)[0], _divmod(den, g)[0]
+        lead = den._terms[-1][1]
+        if lead != 1:
+            inv = _div(1, lead)
+            num, den = num * inv, den * inv
+        return cls._make(num, den)
+
+    @classmethod
+    def from_laurent(cls, p: LaurentPoly) -> RationalFunction:
+        """p as num/q^k, k the order of its pole at 0 (so q does not divide num)."""
+        shift = lp(1, max(0, -p.min_exponent()) if p else 0)
+        return cls._make(p * shift, shift)
+
+    @classmethod
+    def constant(cls, c: Scalar) -> RationalFunction:
+        return cls((c,))
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RationalFunction):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, (int, Fraction)):
+            return self.den == ONE and self.num == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __add__(self, other: RationalFunction | Scalar) -> RationalFunction:
+        other = self._coerce(other)
+        return self._reduced(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> RationalFunction:
+        return self._make(-self.num, self.den)
+
+    def __sub__(self, other: RationalFunction | Scalar) -> RationalFunction:
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other: Scalar) -> RationalFunction:
+        return self._coerce(other) - self
+
+    def __mul__(self, other: RationalFunction | Scalar) -> RationalFunction:
+        other = self._coerce(other)
+        return self._reduced(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: RationalFunction | Scalar) -> RationalFunction:
+        other = self._coerce(other)
+        return self._reduced(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other: Scalar) -> RationalFunction:
+        return self._coerce(other) / self
+
+    @staticmethod
+    def _coerce(x) -> RationalFunction:
+        """x as an element of Q(q); a scalar that is not int or Fraction raises TypeError."""
+        return x if isinstance(x, RationalFunction) else RationalFunction.constant(x)
+
+    def __str__(self) -> str:
+        top = _terms_str(reversed(self.num.terms))
+        if self.den == ONE:
+            return top
+        bot = _terms_str(reversed(self.den.terms))
+        if ' ' in top:
+            top = f'({top})'
+        if ' ' in bot or '/' in bot:
+            bot = f'({bot})'
+        return f'{top}/{bot}'
+
+    def __repr__(self) -> str:
+        return f'RationalFunction({self})'

@@ -234,8 +234,9 @@ def act_by_words(ws: Iterable[Permutation], v: V, step: Callable[[int, V], V]) -
 
 
 def t_w(w: Permutation) -> HeckeElement:
-    """The basis element T_w."""
-    return HeckeElement._make((w.n,), {w: ONE})
+    """The basis element T_w; w is checked as build checks its labels."""
+    space = (getattr(w, 'n', 0),)
+    return HeckeElement._make(space, {HeckeElement._label(space, w): ONE})
 
 
 def generator_times(i: int, h: S) -> S:

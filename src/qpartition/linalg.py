@@ -14,8 +14,8 @@ step res = d_p res - res[p] row_p, with d_p and res[p] first divided
 by their gcd, followed by removing the content of res.  The same step
 keeps the stored rows fully reduced and carries the tag combinations.
 
-Over any other field (the rational function field defined in
-centralizer) field elements only need +, -, *, /, == and truthiness
+Over any other field (such as Q(q), coeff.RationalFunction) field
+elements only need +, -, *, /, == and truthiness
 (zero is falsy).  Each stored row is normalised to pivot one, so d_p is
 one and the step above is ordinary elimination.
 

@@ -276,7 +276,7 @@ class TensorVector(_Sparse):
 
     @classmethod
     def basis_vector(cls, n: int, r: int, index: MultiIndex) -> TensorVector:
-        return cls.build(n, r, {index: ONE})
+        return cls._make((n, r), {cls._label((n, r), index): ONE})
 
 
 def apply_generator(i: int, v: TensorVector) -> TensorVector:

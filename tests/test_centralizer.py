@@ -384,7 +384,7 @@ def test_solver_invariants_raise_under_python_O():
 
 
 BOUNDARY_CHECKS = """
-from qpartition.coeff import ONE
+from qpartition.coeff import ONE, RationalFunction
 from qpartition.hecke import HeckeElement, RankMismatch
 from qpartition.qperm import apply_generator_to_basis
 from qpartition.symcomb import Composition, NotDistinguished, Permutation, is_distinguished
@@ -400,6 +400,7 @@ checks = [
     (TypeError, lambda: HeckeElement.build(2, {Permutation((2, 1)): 0.5})),
     (TypeError, lambda: TensorVector.build(2, 2, {(1.0, 2): ONE})),
     (RankMismatch, lambda: HeckeElement.from_json(3, [{'perm': [2, 1], 'coeff': []}])),
+    (TypeError, lambda: RationalFunction((0.1,))),
 ]
 for error, call in checks:
     try:
@@ -415,7 +416,7 @@ def test_boundary_checks_raise_under_python_O():
     # the public constructors validate with raised errors, not asserts
     assert run_optimised(BOUNDARY_CHECKS) == [
         'TypeError', 'TypeError', 'TypeError', 'ValueError', 'NotDistinguished',
-        'TypeError', 'TypeError', 'RankMismatch', 'True']
+        'TypeError', 'TypeError', 'RankMismatch', 'TypeError', 'True']
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,19 @@ def test_commutant_symbolic(capsys):
     assert data['dim'] == 8
 
 
+def test_commutant_symbolic_with_q_is_usage_error(capsys):
+    # --q would be silently dropped in symbolic mode, so the parser refuses the pair
+    for argv in (('--symbolic', '--q', '7/5'), ('--q', '7/5', '--symbolic')):
+        with pytest.raises(SystemExit) as info:
+            main(['commutant', '--n', '2', '--r', '2', *argv])
+        assert info.value.code == EX_USAGE
+        out, err = capsys.readouterr()
+        assert out == ''
+        errors = [line for line in err.splitlines() if 'error:' in line]
+        assert len(errors) == 1 and 'not allowed with argument' in errors[0]
+        assert errors[0] == err.splitlines()[-1] and 'Traceback' not in err
+
+
 def test_commutant_half(capsys):
     data = run_json(capsys, 'commutant', '--n', '5', '--r', '2', '--half',
                     '--format', 'json')

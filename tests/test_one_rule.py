@@ -284,6 +284,24 @@ def test_labels_are_checked_before_zero_terms_drop():
         QPermElement.build(Composition((2,)), {Permutation((2, 1)): 0})
 
 
+def test_t_w_and_basis_vector_check_their_label():
+    # t_w gives build's TypeError, not an AttributeError on the label
+    for w in ((2, 1), [2, 1], None):
+        with pytest.raises(TypeError, match='labelled by a Permutation'):
+            t_w(w)
+    with pytest.raises(RankMismatch):
+        HeckeElement.build(2, {Permutation((2, 1, 3)): ONE})
+    assert t_w(Permutation([2, 1])) == HeckeElement.build(2, {Permutation((2, 1)): ONE})
+    # a list index is normalised like any other, as Permutation([2, 1]) is
+    v = TensorVector.basis_vector(2, 2, [1, 2])
+    assert v == TensorVector.basis_vector(2, 2, (1, 2))
+    assert repr(v) == repr(TensorVector.basis_vector(2, 2, (1, 2)))
+    with pytest.raises(ValueError):
+        TensorVector.basis_vector(2, 2, [1, 3])
+    with pytest.raises(TypeError):
+        TensorVector.basis_vector(2, 2, [1.0, 2])
+
+
 def test_shared_arithmetic_keeps_each_module_error():
     v = QPermElement.basis_vector(Composition((1, 1)), Permutation((1, 2)))
     with pytest.raises(RankMismatch):
