@@ -3,18 +3,21 @@
 The oracle computes End over the Hecke algebra of V tensor r directly:
 matrices X with X A_i = A_i X for all generator matrices A_i.  Because
 each A_i only ever connects basis vectors inside one orbit, the A_i are
-block diagonal over the orbit components (recovered here by union-find
-on the matrix supports, not from any classification), and the commutant
-splits into independent blocks X restricted to ordered component pairs.
+block diagonal over the orbit components (recovered here by a
+breadth-first walk along the letter rule, not from any classification),
+and the commutant splits into independent blocks X restricted to ordered
+component pairs.
 
 Within a pair (C, C') the system is solved cyclically: every column of
 A_i restricted to C touches at most one other basis vector, so each
 generator equation either pins a column of X to an image of another
 column or is a genuine linear constraint.  Columns propagate along a
-spanning tree from a root column y; loop and non-tree equations become
-linear constraints on y, collected into an exact echelon.  Constraints
-are streamed lazily: solve with a subset, then verify every raw
-equation on the candidate basis and feed back any violated equation.
+spanning tree from a root column y; every other equation is an event
+(i, c, c2, case), generator position i from column c to column c2 (a
+loop, where T_i fixes the basis vector, is case 1 with c2 = c), and
+becomes linear constraints on y, collected into an exact echelon.
+Constraints are streamed lazily: solve with a subset, then verify every
+raw equation on the candidate basis and feed back any violated equation.
 The final basis therefore satisfies all equations exactly; no identity
 from the module theory enters anywhere.
 
@@ -30,24 +33,25 @@ fractions are formed only when a basis is materialized.  The event rows
 are integer too: a functional f on column c is pulled back to the root
 through the same maps acting from the right (f b A_i, less (a - b) f on
 case 3), its scale multiplied by b or a along each tree edge, and the
-two halves of an edge equation are cross-multiplied by each other's
-scale.  The echelon that collects them eliminates fraction-free (see
+two halves of an event are cross-multiplied by each other's scale where
+their paths join and pulled on from there as one (a loop joins at
+once).  The echelon that collects them eliminates fraction-free (see
 linalg), so no Fraction arithmetic is left on the solver's path.  Over
 Q(q) the same code runs with a = q and b = 1, and the echelon works
 over the field with pivots one.
 
-Many pairs repeat one solve.  Each component is relabelled in
-breadth-first order from its smallest basis index, taking the
-generators in their given order, and its table records, for every local
-vertex and generator, the case of the T_i action and the local label of
-the target.  The pair solver reads nothing but the two tables, so pairs
-with equal tables (compared exactly, as tuples) have the same solution
-up to relabelling: each such class is solved once per q value and its
-basis is carried to the other pairs through their relabellings.  The
-module theory predicts which orbits are isomorphic (hook compositions,
-one per number of blocks) but is not consulted: classes come from the
-matrices alone, and two isomorphic orbits whose tables differ are
-simply solved twice.
+Many pairs repeat one solve.  One breadth-first walk per component,
+from its smallest basis index and taking the generators in their given
+order, labels its vertices in the order it finds them and records its
+table: for every local vertex and generator, the case of the T_i action
+and the local label of the target.  The pair solver reads nothing but
+the two tables, so pairs with equal tables (compared exactly, as tuples)
+have the same solution up to relabelling: each such class is solved
+once per q value and its basis is carried to the other pairs through
+their relabellings.  The module theory predicts which orbits are
+isomorphic (hook compositions, one per number of blocks) but is not
+consulted: classes come from the matrices alone, and two isomorphic
+orbits whose tables differ are simply solved twice.
 
 Default arithmetic specializes q at several generic rational points and
 cross-checks the dimensions; a fully symbolic mode over the field Q(q)
@@ -62,11 +66,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .coeff import RationalFunction, ZeroSpecialization
+from .coeff import RationalFunction, ZeroSpecialization, _exact
 from .hecke import act_by_words
 from .linalg import Echelon
-from .symcomb import all_permutations
-from .tensoract import MultiIndex, _classify, _swap_letters, all_indices
+from .symcomb import _ints, all_permutations
+from .tensoract import _classify, all_indices
 
 __all__ = [
     'DimensionLimitExceeded',
@@ -107,45 +111,7 @@ class SolverInvariantError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# orbit components straight from the matrix supports
-
-def _components(n: int, r: int, gens: Sequence[int]) -> list[list[int]]:
-    idxs = all_indices(n, r)
-    gid = {j: t for t, j in enumerate(idxs)}
-    parent = list(range(len(idxs)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j in idxs:
-        for i in gens:
-            j2 = _swap_letters(j, i)
-            if j2 != j:
-                a, b = find(gid[j]), find(gid[j2])
-                if a != b:
-                    parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for t in range(len(idxs)):
-        groups.setdefault(find(t), []).append(t)
-    return [sorted(g) for g in sorted(groups.values())]
-
-
-def _table(C: list[int], idxs: list[MultiIndex], gid_map: dict[MultiIndex, int],
-           gens: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Generator table of component C in the labelling given by its order.
-
-    Entry [v][k] is (case, target) of the k-th generator on C[v], with the
-    target as a position in C; case 1 targets v itself.
-    """
-    pos = {g: t for t, g in enumerate(C)}
-    return tuple(
-        tuple((case, pos[gid_map[swapped]])
-              for case, swapped in (_classify(i, idxs[g]) for i in gens))
-        for g in C)
-
+# orbit components and their tables, straight from the letter rule
 
 def _bfs(table) -> tuple[list[int], dict[int, tuple[int, int, int]]]:
     """Breadth-first order of a table from vertex 0, generators in order,
@@ -160,21 +126,36 @@ def _bfs(table) -> tuple[list[int], dict[int, tuple[int, int, int]]]:
     return order, par
 
 
-def _component_classes(comps: list[list[int]], idxs: list[MultiIndex],
-                       gid_map: dict[MultiIndex, int], gens: Sequence[int]
-                       ) -> dict[tuple, list[list[int]]]:
-    """Group the components by their table in breadth-first labelling.
+def _component_classes(n: int, r: int, gens: Sequence[int]) -> dict[tuple, list[list[int]]]:
+    """The orbit components of V tensor r, grouped by their generator table.
 
-    Each component is relabelled in breadth-first order from its first
-    (smallest) index; the keys are the tables in that labelling, compared
-    exactly, and the values list the relabelled components.
+    One breadth-first walk per component, from its smallest basis index
+    and taking the generators in order, labels each vertex in the order
+    it is found and records its table row: entry [v][k] is the (case,
+    label of target) of the k-th generator on vertex v (case 1 targets v
+    itself).  The keys are the tables, compared exactly; the values list
+    the components, each in walk order, by their smallest index.
     """
+    idxs = all_indices(n, r)
+    gid = {j: t for t, j in enumerate(idxs)}
+    label = [-1] * len(idxs)
     classes: dict[tuple, list[list[int]]] = {}
-    for C in comps:
-        order, _ = _bfs(_table(C, idxs, gid_map, gens))
-        if len(order) == len(C):  # else keep C's order: the pair solver reports it
-            C = [C[t] for t in order]
-        classes.setdefault(_table(C, idxs, gid_map, gens), []).append(C)
+    for start in range(len(idxs)):
+        if label[start] >= 0:
+            continue
+        label[start] = 0
+        C, table = [start], []
+        for g in C:
+            row = []
+            for i in gens:
+                case, j2 = _classify(i, idxs[g])
+                t = gid[j2]
+                if label[t] < 0:
+                    label[t] = len(C)
+                    C.append(t)
+                row.append((case, label[t]))
+            table.append(tuple(row))
+        classes.setdefault(tuple(table), []).append(C)
     return classes
 
 
@@ -233,10 +214,10 @@ class _PairSolver:
     """Solve X A_i = A_i X restricted to one ordered component pair.
 
     The input is the tables of the column component C and of the row
-    component C' (see _table), and nothing else; every index is local, and
-    the root column is vertex 0 of C.  Basis blocks come back as
-    {(position in C', position in C): value}.  pair names the pair in
-    errors.
+    component C' (see _component_classes), and nothing else; every index
+    is local, and the root column is vertex 0 of C.  Basis blocks come
+    back as {(position in C', position in C): value}.  pair names the
+    pair in errors.
     """
 
     def __init__(self, table, table_p, qf, one, rng: random.Random,
@@ -248,7 +229,6 @@ class _PairSolver:
         # one and zero are those of the ring everything is computed in
         self.over_q = isinstance(qf, Fraction)
         a, b = (qf.numerator, qf.denominator) if self.over_q else (qf, one)
-        self.a = a
         self.one, self.zero = (1, 0) if self.over_q else (one, one - one)
         # scale carried by the image of a column: b on case 2, else a
         self.factor = {1: a, 2: b, 3: a}
@@ -275,70 +255,66 @@ class _PairSolver:
             raise SolverInvariantError('component not connected by its own edges', self.pair)
 
     def _collect_events(self):
+        """Events (i, c, c2, case): generator position i on column c, with
+        target c2 (c itself on a loop, case 1); tree edges hold by
+        construction and are left out."""
         tree_children = {(k, p): c for c, (p, k, _) in self.par.items()}
-        self.events = []
-        for c, entries in enumerate(self.table):
-            for k, (case, c2) in enumerate(entries):
-                if case == 1:
-                    self.events.append(('loop', k, c))
-                elif tree_children.get((k, c)) != c2:  # tree edges hold by construction
-                    self.events.append(('edge', k, c, c2, case))
-        self.ev_pos = {ev: pos for pos, ev in enumerate(self.events)}
+        self.events = [(k, c, c2, case)
+                       for c, entries in enumerate(self.table)
+                       for k, (case, c2) in enumerate(entries)
+                       if tree_children.get((k, c)) != c2]
 
     # -- functional pullback along the tree, over the ring -----------------
 
-    def _pull(self, f: dict[int, object], c: int) -> tuple[dict[int, object], object]:
-        """Functional f on column c as (g, s) on the root: f x_c = g y / s.
+    def _up(self, f: dict[int, object], s, c: int) -> tuple[dict[int, object], object, int]:
+        """One tree edge up: f x_c = g y / s becomes f' x_p = g y / s' with
+        (f', s', p).  With x_c = image(x_p) / factor, f' is f's coimage and
+        s' is s times the factor (b on case 2, a on case 3)."""
+        p, i, case = self.par[c]
+        return _apply(self.coimages[case == 3][i], f), self.factor[case] * s, p
 
-        A tree edge with x_c = image(x_p) / factor maps f to f's coimage and
-        multiplies s by the factor (b on case 2, a on case 3).
-        """
+    def _pull(self, f: dict[int, object], c: int) -> tuple[dict[int, object], object]:
+        """Functional f on column c as (g, s) on the root: f x_c = g y / s."""
         s = self.one
         while c and f:  # up to the root, vertex 0
-            c, i, case = self.par[c]
-            f = _apply(self.coimages[case == 3][i], f)
-            s = self.factor[case] * s
+            f, s, c = self._up(f, s, c)
         return f, s
 
     def _event_rows(self, ev) -> list[dict[int, object]]:
         """Rows on the root column y of one raw equation, one per row of C'.
 
-        With q = a/b the equations are taken times b: a loop at c is
-        (b A_i - a) x_c = 0; a non-tree edge c -> c2 of case k is
-        factor_k x_c2 = N x_c, with N = b A_i (case 2) or b A_i - (a - b)
-        (case 3).  An edge row pulls both halves to the root, (g2, s2) from
-        c2 and (g1, s1) from c, and combines them as factor_k s1 g2 - s2 g1.
+        With q = a/b the equations are taken times b: the event (i, c, c2,
+        case) is factor_case x_c2 = N x_c, with N = b A_i (cases 1 and 2) or
+        b A_i - (a - b) (case 3); a loop (case 1, c2 = c) is a x_c = b A_i x_c.
+        The halves climb, (h1, s1) from c and (h2, s2) from c2, the later
+        found first (labels are breadth-first), until they meet where their
+        paths join (at c on a loop); factor_case s1 h2 - s2 h1 is then pulled
+        once to the root.  That is factor_case s1 g2 - s2 g1 for the halves
+        pulled on their own, divided by the scale of the shared path, which
+        the echelon's normalised rows do not see.
         """
+        i, c, c2, case = ev
+        coimage, k = self.coimages[case == 3][i], self.factor[case]
         out = []
-        if ev[0] == 'loop':
-            _, i, c = ev
-            coimage, a = self.coimages[0][i], self.a
-            for rl in range(self.m):
-                f = _apply(coimage, {rl: self.one})
-                cur = f.get(rl, self.zero) - a
-                if cur:
-                    f[rl] = cur
+        for rl in range(self.m):
+            h1, s1, v1 = _apply(coimage, {rl: self.one}), self.one, c
+            h2, s2, v2 = {rl: self.one}, self.one, c2
+            while v1 != v2:
+                if v1 > v2:
+                    h1, s1, v1 = self._up(h1, s1, v1)
                 else:
-                    del f[rl]
-                row, _ = self._pull(f, c)
-                if row:
-                    out.append(row)
-        else:
-            _, i, c, c2, case = ev
-            coimage, k = self.coimages[case == 3][i], self.factor[case]
-            for rl in range(self.m):
-                g2, s2 = self._pull({rl: self.one}, c2)
-                g1, s1 = self._pull(_apply(coimage, {rl: self.one}), c)
-                k1 = k * s1
-                row = {cl: k1 * v for cl, v in g2.items()}
-                for cl, v in g1.items():
-                    cur = row.get(cl, self.zero) - s2 * v
-                    if cur:
-                        row[cl] = cur
-                    else:
-                        del row[cl]
-                if row:
-                    out.append(row)
+                    h2, s2, v2 = self._up(h2, s2, v2)
+            k1 = k * s1
+            f = {cl: k1 * v for cl, v in h2.items()}
+            for cl, v in h1.items():
+                cur = f.get(cl, self.zero) - s2 * v
+                if cur:
+                    f[cl] = cur
+                else:
+                    del f[cl]
+            row, _ = self._pull(f, v1)
+            if row:
+                out.append(row)
         return out
 
     # -- column propagation and raw verification over the ring -------------
@@ -369,21 +345,14 @@ class _PairSolver:
             cols[c] = self._image(i, case, u), factor[case] * s
         return cols
 
-    def _violations(self, cols: dict[int, tuple[dict[int, object], object]]) -> list:
-        """Raw equations the columns break, checked exactly over the ring.
-
-        The event of generator i at column c, of case k and with target
-        c2 (c itself for a loop), states
-        image_i,k(u_c) * s_c2 == factor_k * s_c * u_c2.
+    def _violations(self, cols: dict[int, tuple[dict[int, object], object]]) -> list[int]:
+        """Positions of the events the columns break, checked exactly over
+        the ring: the event (i, c, c2, case) states
+        image_i,case(u_c) * s_c2 == factor_case * s_c * u_c2.
         """
         factor = self.factor
         bad = []
-        for ev in self.events:
-            if ev[0] == 'loop':
-                _, i, c = ev
-                c2, case = c, 1
-            else:
-                _, i, c, c2, case = ev
+        for pos, (i, c, c2, case) in enumerate(self.events):
             u, s = cols[c]
             u2, s2 = cols[c2]
             lhs = self._image(i, case, u)
@@ -393,7 +362,7 @@ class _PairSolver:
                 lhs = {rl: v * s2 for rl, v in lhs.items()}
                 scale = factor[case] * s
             if len(lhs) != len(u2) or lhs != {rl: scale * v for rl, v in u2.items()}:
-                bad.append(ev)
+                bad.append(pos)
                 if len(bad) >= 8:
                     break
         return bad
@@ -402,15 +371,15 @@ class _PairSolver:
         ech = Echelon(self.m, self.field_one)
         chosen: set[int] = set()
 
-        def feed(ev_pos: int):
-            if ev_pos in chosen:
+        def feed(pos: int):
+            if pos in chosen:
                 return
-            chosen.add(ev_pos)
-            for row in self._event_rows(self.events[ev_pos]):
+            chosen.add(pos)
+            for row in self._event_rows(self.events[pos]):
                 ech.add(row)
 
-        for pos, ev in enumerate(self.events):
-            if ev[0] == 'loop' and ev[2] == 0:
+        for pos, (_, c, c2, _) in enumerate(self.events):
+            if c == c2 == 0:  # the loops at the root
                 feed(pos)
         if self.events:
             for pos in self.rng.sample(range(len(self.events)), min(3, len(self.events))):
@@ -424,8 +393,7 @@ class _PairSolver:
             bad_positions: set[int] = set()
             for y in candidates:
                 cols = self._propagate(y)
-                for ev in self._violations(cols):
-                    bad_positions.add(self.ev_pos[ev])
+                bad_positions.update(self._violations(cols))
                 all_cols.append(cols)
             if not bad_positions:
                 if not with_basis:
@@ -497,8 +465,8 @@ def commutant_basis(
 ) -> CommutantReport:
     """Compute the centralizer dimension (and optionally a basis) exactly.
 
-    Default mode specializes q at each value in q_values (nonzero
-    rationals) and cross-checks that all runs agree; symbolic mode works
+    Default mode specializes q at each value in q_values (nonzero ints or
+    Fractions) and cross-checks that all runs agree; symbolic mode works
     over Q(q) directly and is gated by symbolic_limit.  The basis, if
     requested, is materialized as sparse matrices
     {(row index, column index): value} at the first q value, or over
@@ -507,16 +475,14 @@ def commutant_basis(
     if n < 1 or r < 1:
         raise ValueError('need n >= 1 and r >= 1')
     _check_limit(n, r, limit)
-    gens = tuple(generators) if generators is not None else tuple(range(1, n))
+    gens = _ints(generators, 'generators') if generators is not None else tuple(range(1, n))
     if any(not 1 <= i <= n - 1 for i in gens):
         raise ValueError(f'generators out of range for n={n}: {gens}')
     if symbolic:
         _check_limit(n, r, symbolic_limit)
-    idxs = all_indices(n, r)
-    gid_map = {j: t for t, j in enumerate(idxs)}
-    comps = _components(n, r, gens)
-    classes = _component_classes(comps, idxs, gid_map, gens)
-    counts = {'components': len(comps), 'pairs': len(comps) ** 2,
+    classes = _component_classes(n, r, gens)
+    components = sum(map(len, classes.values()))
+    counts = {'components': components, 'pairs': components ** 2,
               'pair_classes': len(classes) ** 2}
 
     if symbolic:
@@ -524,7 +490,7 @@ def commutant_basis(
         return CommutantReport(
             n, r, 'symbolic', gens, (), (dim,), True, **counts, basis=mats)
 
-    q_values = tuple(Fraction(q0) for q0 in q_values)
+    q_values = tuple(Fraction(_exact(q0, 'q values')) for q0 in q_values)
     if not q_values:
         raise ValueError('need at least one q value')
     for q0 in q_values:
@@ -615,14 +581,11 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
     denominators, and each T_w by b^l(w) with q0 = a/b, which leaves
     every kernel, span and rank unchanged.
     """
-    q0 = Fraction(q0)
-    if not q0:
-        raise ZeroSpecialization('q must specialize to a unit, got 0')
-    _check_limit(n, r, limit)
+    q0 = Fraction(_exact(q0, 'q values'))
     report = commutant_basis(n, r, (q0,), with_basis=True, limit=limit)
     idxs = all_indices(n, r)
     gid_map = {j: t for t, j in enumerate(idxs)}
-    comps = _components(n, r, tuple(range(1, n)))
+    comps = [C for Cs in _component_classes(n, r, range(1, n)).values() for C in Cs]
     a, b = q0.numerator, q0.denominator
 
     comp_of = {}
@@ -729,7 +692,7 @@ def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> Stru
     X_t scaled by the lcm s_t of its denominators; a coordinate c of
     s_a X_a s_b X_b on s_t X_t is c s_t / (s_a s_b) on X_t.
     """
-    q0 = Fraction(q0)
+    q0 = Fraction(_exact(q0, 'q values'))
     report = commutant_basis(n, r, (q0,), with_basis=True, limit=limit)
     N = n ** r
     scaled = [_integral(X) for X in report.basis]

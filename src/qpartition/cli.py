@@ -266,6 +266,8 @@ def _check_work(what: str, work: int, limit: int) -> None:
 
 
 def cmd_dims(ns) -> int:
+    if ns.half and ns.n < 2:
+        raise ValueError('need n >= 2 for a restricted subalgebra')
     # each of the n r rows also runs up to r multiplicity transfer steps
     _check_work('dims', _dims_work(ns.n, ns.r) + ns.n * ns.r ** 2, ns.limit)
     rows = []

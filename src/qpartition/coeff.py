@@ -44,15 +44,16 @@ class ZeroSpecialization(ValueError):
     """
 
 
-def _exact(c: Scalar) -> Scalar:
-    """c as an int when integral, else as a Fraction; other types are refused."""
+def _exact(c: Scalar, what: str = 'Laurent coefficients') -> Scalar:
+    """c as an int when integral, else as a Fraction; other types, floats
+    among them, are refused with a TypeError naming what c is."""
     if type(c) is int:
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
         return int(c)
-    raise TypeError(f'Laurent coefficients are int or Fraction, not {type(c).__name__}')
+    raise TypeError(f'{what} are int or Fraction, not {type(c).__name__}')
 
 
 def _demote(c: Scalar) -> Scalar:
@@ -179,12 +180,12 @@ class LaurentPoly:
         return out
 
     def evaluate(self, q0: Scalar) -> Fraction:
-        """Specialize q to the nonzero rational q0.
+        """Specialize q to the nonzero rational q0, an int or a Fraction.
 
         >>> (Q**2 - 1).evaluate(Fraction(7, 5))
         Fraction(24, 25)
         """
-        q0 = Fraction(q0)
+        q0 = Fraction(_exact(q0, 'q values'))
         if not q0:
             raise ZeroSpecialization('q must specialize to a unit, got 0')
         out = Fraction(0)

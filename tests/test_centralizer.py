@@ -27,8 +27,9 @@ from qpartition.centralizer import (
     _PairSolver,
     _RF_ONE,
     _RF_Q,
-    _components,
-    _table,
+    _apply,
+    _bfs,
+    _component_classes,
     commutant_basis,
     double_centralizer_check,
     half_commutant_basis,
@@ -37,7 +38,7 @@ from qpartition.centralizer import (
 from qpartition.coeff import Q, ZeroSpecialization, lp
 from qpartition.linalg import Echelon
 from qpartition.qperm import half_qpartition_dim, qpartition_dim
-from qpartition.tensoract import all_indices, generator_matrix
+from qpartition.tensoract import _classify, _swap_letters, all_indices, generator_matrix
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 rfuncs = st.lists(rationals, min_size=1, max_size=3).flatmap(
@@ -228,6 +229,35 @@ def test_bad_arguments():
         commutant_basis(2, 2, generators=(5,))
 
 
+@pytest.mark.parametrize('generators', [[1.5], ['1'], [1, 2.0]])
+def test_non_int_generators_are_refused(generators):
+    # 1.5 fixes every tensor, so it once gave the commutant of nothing
+    with pytest.raises(TypeError, match='generators are int'):
+        commutant_basis(3, 2, generators=generators)
+
+
+@pytest.mark.parametrize('call', [
+    lambda: commutant_basis(3, 2, (0.1,)),
+    lambda: commutant_basis(3, 2, (Fraction(2), 0.5)),
+    lambda: commutant_basis(3, 2, ('2',)),
+    lambda: half_commutant_basis(3, 2, (1.5,)),
+    lambda: double_centralizer_check(2, 2, 0.5),
+    lambda: structure_constants(2, 2, 0.5),
+    lambda: (Q + 1).evaluate(0.1),
+])
+def test_float_q_values_are_refused(call):
+    with pytest.raises(TypeError, match='q values are int or Fraction'):
+        call()
+
+
+def test_int_q_values_are_accepted():
+    assert commutant_basis(3, 2, (2,)).q_values == (Fraction(2),)
+    assert double_centralizer_check(2, 2, 2) == double_centralizer_check(2, 2, Fraction(2))
+    assert (Q + 1).evaluate(2) == 3
+    with pytest.raises(ZeroSpecialization):
+        double_centralizer_check(2, 2, 0)
+
+
 # ---------------------------------------------------------------------------
 # bicommutant and multiplication table
 
@@ -263,6 +293,42 @@ def test_structure_constants_closed():
 
 # ---------------------------------------------------------------------------
 # the pair-class memo against solving every pair on its own
+
+def _components(n, r, gens):
+    """Reference: the orbit components by union-find on the matrix supports,
+    each sorted, in the order of their smallest index."""
+    idxs = all_indices(n, r)
+    gid = {j: t for t, j in enumerate(idxs)}
+    parent = list(range(len(idxs)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for j in idxs:
+        for i in gens:
+            j2 = _swap_letters(j, i)
+            if j2 != j:
+                a, b = find(gid[j]), find(gid[j2])
+                if a != b:
+                    parent[a] = b
+    groups = {}
+    for t in range(len(idxs)):
+        groups.setdefault(find(t), []).append(t)
+    return [sorted(g) for g in sorted(groups.values())]
+
+
+def _table(C, idxs, gid_map, gens):
+    """Reference: the generator table of component C in the labelling given
+    by its order; entry [v][k] is (case, position in C of the target)."""
+    pos = {g: t for t, g in enumerate(C)}
+    return tuple(
+        tuple((case, pos[gid_map[swapped]])
+              for case, swapped in (_classify(i, idxs[g]) for i in gens))
+        for g in C)
+
 
 def unmemoised(n, r, q0, gens=None, with_basis=False):
     """Sum over every ordered component pair, each solved in sorted-index labels."""
@@ -317,6 +383,117 @@ def test_memo_matches_unmemoised_on_generator_subsets(case):
     q0 = Fraction(3)
     report = commutant_basis(n, r, (q0,), generators=gens)
     assert report.dim == unmemoised(n, r, q0, gens)[0]
+
+
+# ---------------------------------------------------------------------------
+# the one walk against the union-find components and their sorted tables
+
+def check_walk(n, r, gens):
+    idxs = all_indices(n, r)
+    gid_map = {j: t for t, j in enumerate(idxs)}
+    classes = _component_classes(n, r, gens)
+    walked = [C for Cs in classes.values() for C in Cs]
+    assert sorted(map(sorted, walked)) == _components(n, r, gens)
+    for key, Cs in classes.items():
+        # within a class, the components come by their smallest index
+        assert [C[0] for C in Cs] == sorted(C[0] for C in Cs)
+        for C in Cs:
+            assert C[0] == min(C)
+            assert key == _table(C, idxs, gid_map, gens)
+            assert _bfs(key)[0] == list(range(len(C)))
+
+
+@pytest.mark.parametrize('n,r', SMALL_GRID)
+def test_walk_matches_union_find_and_sorted_tables(n, r):
+    check_walk(n, r, tuple(range(1, n)))
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 3),
+    st.lists(st.integers(1, n - 1), min_size=1, max_size=4, unique=True))))
+@settings(max_examples=40, deadline=None)
+def test_walk_matches_union_find_on_generator_subsets(case):
+    # generator subsets in any order: the walk takes them as given
+    check_walk(*case)
+
+
+# ---------------------------------------------------------------------------
+# one event shape: a loop is the case-1 edge from c to itself
+
+def loop_rows_reference(solver, ev, a):
+    """Rows of the loop (b A_i - a) x_c = 0, pulled back to the root."""
+    i, c, _, _ = ev
+    out = []
+    for rl in range(solver.m):
+        f = _apply(solver.coimages[0][i], {rl: solver.one})
+        cur = f.get(rl, solver.zero) - a
+        if cur:
+            f[rl] = cur
+        else:
+            del f[rl]
+        row, _ = solver._pull(f, c)
+        if row:
+            out.append(row)
+    return out
+
+
+def edge_rows_reference(solver, ev):
+    """Rows factor_case s1 g2 - s2 g1, each half pulled to the root on its own."""
+    i, c, c2, case = ev
+    coimage, k = solver.coimages[case == 3][i], solver.factor[case]
+    out = []
+    for rl in range(solver.m):
+        g2, s2 = solver._pull({rl: solver.one}, c2)
+        g1, s1 = solver._pull(_apply(coimage, {rl: solver.one}), c)
+        row = {cl: k * s1 * v for cl, v in g2.items()}
+        for cl, v in g1.items():
+            row[cl] = row.get(cl, solver.zero) - s2 * v
+        row = {cl: v for cl, v in row.items() if v}
+        if row:
+            out.append(row)
+    return out
+
+
+def path_to_root(solver, v):
+    path = [v]
+    while v:
+        v = solver.par[v][0]
+        path.append(v)
+    return path
+
+
+@pytest.mark.parametrize('field', ['7/5', 'Q(q)'])
+@pytest.mark.parametrize('n,r', [(3, 2), (4, 2), (2, 3)])
+def test_event_rows_match_the_two_pull_and_loop_references(n, r, field):
+    if field == 'Q(q)':
+        qf, one, a, b = _RF_Q, _RF_ONE, _RF_Q, _RF_ONE
+    else:
+        qf, one, a, b = Fraction(7, 5), Fraction(1), 7, 5
+    classes = _component_classes(n, r, tuple(range(1, n)))
+    loops = 0
+    for table in classes:
+        for table_p in classes:
+            solver = _PairSolver(table, table_p, qf, one, random.Random(0), (0, 0))
+            for ev in solver.events:
+                i, c, c2, case = ev
+                assert (case == 1) == (c2 == c)
+                rows = solver._event_rows(ev)
+                # the halves meet where the paths of c and c2 join; the
+                # rows are the reference rows divided by that vertex's scale
+                above_c = set(path_to_root(solver, c))
+                meet = next(v for v in path_to_root(solver, c2) if v in above_c)
+                s = solver.one
+                for v in path_to_root(solver, meet)[:-1]:
+                    s = (b if solver.par[v][2] == 2 else a) * s
+                assert [{cl: s * x for cl, x in row.items()} for row in rows] == \
+                    edge_rows_reference(solver, ev)
+                if case == 1:  # so a loop row is -s_c times the loop formula's
+                    loops += 1
+                    assert meet == c
+                    assert rows == [{cl: -x for cl, x in row.items()}
+                                    for row in loop_rows_reference(solver, ev, a)]
+    # at n = 2 every letter is 1 or 2, so T_1 moves every tensor: no loops
+    assert loops or n == 2
 
 
 def test_pair_counts_reported():
@@ -384,6 +561,7 @@ def test_solver_invariants_raise_under_python_O():
 
 
 BOUNDARY_CHECKS = """
+from qpartition.centralizer import commutant_basis
 from qpartition.coeff import ONE, RationalFunction
 from qpartition.hecke import HeckeElement, RankMismatch
 from qpartition.qperm import apply_generator_to_basis
@@ -401,6 +579,9 @@ checks = [
     (TypeError, lambda: TensorVector.build(2, 2, {(1.0, 2): ONE})),
     (RankMismatch, lambda: HeckeElement.from_json(3, [{'perm': [2, 1], 'coeff': []}])),
     (TypeError, lambda: RationalFunction((0.1,))),
+    (TypeError, lambda: commutant_basis(3, 2, generators=[1.5])),
+    (TypeError, lambda: commutant_basis(3, 2, generators=['1'])),
+    (TypeError, lambda: commutant_basis(3, 2, (0.1,))),
 ]
 for error, call in checks:
     try:
@@ -416,7 +597,8 @@ def test_boundary_checks_raise_under_python_O():
     # the public constructors validate with raised errors, not asserts
     assert run_optimised(BOUNDARY_CHECKS) == [
         'TypeError', 'TypeError', 'TypeError', 'ValueError', 'NotDistinguished',
-        'TypeError', 'TypeError', 'RankMismatch', 'TypeError', 'True']
+        'TypeError', 'TypeError', 'RankMismatch', 'TypeError', 'TypeError', 'TypeError',
+        'TypeError', 'True']
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,17 @@ def test_dims_half_csv(capsys):
     assert '5,2,52,52,true' in lines
 
 
+@pytest.mark.parametrize('fmt', ['text', 'json', 'csv'])
+def test_dims_half_needs_two_letters(capsys, fmt):
+    # as for commutant --half: S_{n-1} needs n >= 2, not an empty table
+    code, out, err = run(capsys, 'dims', '--n', '1', '--r', '2', '--half', '--format', fmt)
+    assert code == EX_USAGE and not out
+    assert err == 'qpartition: error: need n >= 2 for a restricted subalgebra\n'
+    code, _, err = run(capsys, 'commutant', '--n', '1', '--r', '2', '--half')
+    assert code == EX_USAGE
+    assert err == 'qpartition: error: need n >= 2 for a restricted subalgebra\n'
+
+
 def test_dims_text_table(capsys):
     code, out, _ = run(capsys, 'dims', '--n', '2', '--r', '2')
     assert code == EX_OK
