@@ -24,12 +24,22 @@ from the module theory enters anywhere.
 Propagation and verification run on integers, fraction-free in the
 manner of Bareiss.  With q = a/b in lowest terms, b A_i has integer
 entries (a on the diagonal in case 1, b in case 2, a and a - b in case
-3).  Each candidate column is kept as a sparse integer vector u_c with
-an integer scale s_c, meaning x_c = u_c / s_c: the root is the
-candidate times the lcm of its denominators, and a tree edge multiplies
-the scale by b (case 2) or a (case 3).  Every raw equation then becomes
-an equality of integer vectors, cross-multiplied by the two scales, and
-fractions are formed only when a basis is materialized.  The event rows
+3).  Over Q all d candidates of a round pass together, packed by
+Kronecker substitution (Schonhage 1982; Harvey 2009): each is brought to
+one common scale S, the lcm of all their denominators, and entry rl of
+column c is the one int sum of u_c^(k)[rl] 2^(kW) over the candidates
+k, with balanced fields of a width W proved a priori to hold every
+value (see _PairSolver._width).  A column is a dense list of these ints,
+since the d supports together fill it, and a map is applied by C-level
+list operations.  x_c = u_c / (S s_c), where the scale s_c = a^ea b^eb
+is the product of the factors along the tree path of c (b on a case 2
+edge, a on case 3) and so depends on the path alone.  Each event
+therefore gets two coprime integer multipliers once per pair, and it
+holds for every candidate exactly when ml image(u_c) == mr u_c2 as lists
+of packed ints; most events need no multiplication at all.  Fractions
+are formed only when a basis is materialized, by unpacking the fields.
+Over Q(q), where a product with zero is not free, each candidate stays
+its own sparse pack of one, and the same loops run.  The event rows
 are integer too: a functional f on column c is pulled back to the root
 through the same maps acting from the right (f b A_i, less (a - b) f on
 case 3), its scale multiplied by b or a along each tree edge, and the
@@ -63,7 +73,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .coeff import RationalFunction, ZeroSpecialization, _exact
@@ -210,6 +222,70 @@ def _shifted(op, d):
     return to, coef, shifted
 
 
+def _dense(coimage):
+    """The image map whose coimage is (src, coef, diag), in dense form
+    (gather, coef, diag, kappa) for _apply_dense: entry rl of the image of
+    u is coef[rl] u[src[rl]] + diag[rl] u[rl], diag None when it is zero;
+    kappa = max over rl of |coef[rl]| + |diag[rl]| bounds how much the
+    map can grow the largest |entry| (see _PairSolver._width)."""
+    src, coef, diag = coimage
+    gather = itemgetter(*src) if len(src) > 1 else tuple
+    if not diag:
+        return gather, coef, None, max(map(abs, coef))
+    diag = [diag.get(rl, 0) for rl in range(len(src))]
+    return gather, coef, diag, max(map(add, map(abs, coef), map(abs, diag)))
+
+
+def _apply_dense(op, u: list) -> list:
+    """A dense map (see _dense) applied to the dense column u."""
+    gather, coef, diag, _ = op
+    out = list(map(mul, coef, gather(u)))
+    if diag is not None:
+        out = list(map(add, out, map(mul, diag, u)))
+    return out
+
+
+def _pack(fields: Sequence[int], width: int) -> int:
+    """Fields f_0, ..., f_(d-1) as the one int sum of f_k 2^(k width).
+
+    The pack is linear in the fields, and _unpack recovers every field f
+    with -2^(width-1) <= f < 2^(width-1), zero and negative ones too:
+
+    >>> _pack([3, -1, 0, -4], 4)
+    -16397
+    >>> _unpack(-16397, 4, 4)
+    [3, -1, 0, -4]
+    >>> _unpack(_pack([0, -8, 7, 0], 4), 4, 4)
+    [0, -8, 7, 0]
+    """
+    packed = 0
+    for f in reversed(fields):
+        packed = (packed << width) + f
+    return packed
+
+
+def _unpack(packed: int, width: int, d: int) -> list[int]:
+    """The d balanced fields of a _pack of that width, each in
+    [-2^(width-1), 2^(width-1)), lowest first."""
+    mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
+    fields = []
+    for _ in range(d):
+        f = packed & mask
+        if f >= half:
+            f -= full
+        fields.append(f)
+        packed = (packed - f) >> width
+    return fields
+
+
+def _power(x, e: int, one):
+    """x^e for e >= 0 in the ring of one (Q(q) has no ** operator)."""
+    out = one
+    for _ in range(e):
+        out = out * x
+    return out
+
+
 class _PairSolver:
     """Solve X A_i = A_i X restricted to one ordered component pair.
 
@@ -230,12 +306,15 @@ class _PairSolver:
         self.over_q = isinstance(qf, Fraction)
         a, b = (qf.numerator, qf.denominator) if self.over_q else (qf, one)
         self.one, self.zero = (1, 0) if self.over_q else (one, one - one)
+        self.a, self.b = a, b
         # scale carried by the image of a column: b on case 2, else a
         self.factor = {1: a, 2: b, 3: a}
-        # ring images under generator position i: b A_i (images[0][i]), and
-        # b A_i - (a - b), which a case 3 tree edge applies (images[1][i]);
-        # coimages hold the same maps acting on functionals (row vectors)
-        # from the right: f -> f b A_i and f -> f (b A_i - (a - b)).
+        # maps under generator position i: b A_i (index 0), and b A_i - (a - b),
+        # which a case 3 tree edge applies (index 1).  coimages hold them
+        # acting on functionals (row vectors) from the right, f -> f b A_i
+        # and f -> f (b A_i - (a - b)), as sparse monomial-plus-diagonal
+        # maps; images hold them acting on columns, dense over Q (_dense)
+        # and sparse over Q(q) (_apply).
         self.images = [], []
         self.coimages = [], []
         for k in range(len(table_p[0])):
@@ -244,10 +323,12 @@ class _PairSolver:
             for cl, rl in enumerate(op[0]):
                 src[rl] = cl
             for which, (to, coef, diag) in enumerate((op, _shifted(op, a - b))):
-                self.images[which].append((to, coef, diag))
-                self.coimages[which].append((src, [coef[cl] for cl in src], diag))
+                coimage = (src, [coef[cl] for cl in src], diag)
+                self.coimages[which].append(coimage)
+                self.images[which].append(_dense(coimage) if self.over_q else (to, coef, diag))
         self._build_tree()
         self._collect_events()
+        self._prepare_checks()
 
     def _build_tree(self):
         self.order, self.par = _bfs(self.table)
@@ -317,55 +398,164 @@ class _PairSolver:
                 out.append(row)
         return out
 
-    # -- column propagation and raw verification over the ring -------------
+    # -- packed propagation and raw verification over the ring -------------
 
-    def _clear(self, y: list) -> tuple[dict[int, object], object]:
-        """Root column y as (u, s) with y = u / s; over Q, u and s are ints."""
-        if not self.over_q:
-            return {rl: v for rl, v in enumerate(y) if v}, self.one
-        s = lcm(*(v.denominator for v in y))
-        return {rl: v.numerator * (s // v.denominator) for rl, v in enumerate(y) if v}, s
+    def _prepare_checks(self):
+        """Per-pair data of the raw checks, independent of the candidates.
 
-    def _image(self, i: int, case: int, u: dict[int, object]) -> dict[int, object]:
-        """b A_i u, less (a - b) u when case is 3; sparse, zeros dropped."""
-        return _apply(self.images[case == 3][i], u)
-
-    def _propagate(self, y: list) -> dict[int, tuple[dict[int, object], object]]:
-        """Columns c -> (u_c, s_c) of the candidate with root y: x_c = u_c / s_c.
-
-        A tree edge maps x_p to A x_p (case 2) or (A - (q - 1)) x_p / q
-        (case 3); with q = a/b that is u_c = the ring image of u_p and
-        s_c = factor * s_p.
+        Column c is x_c = u_c / (S s_c), S the scale of the root pack and
+        s_c = a^ea b^eb (exps[c] = (ea, eb)) the product of the factors
+        along its tree path.  The event (i, c, c2, case) states
+        N u_c s_c2 = factor_case s_c u_c2; dividing out the common part of
+        the two monomials leaves ml N u_c = mr u_c2 with coprime
+        multipliers ml and mr, None where they are one.  Over Q, reach
+        bounds the growth of every column and event side (see _width).
         """
-        factor = self.factor
-        cols = {0: self._clear(y)}
+        a, b, one = self.a, self.b, self.one
+        self.exps = exps = [(0, 0)] * len(self.table)
+        gain = [1] * len(self.table)
         for c in self.order[1:]:
             p, i, case = self.par[c]
-            u, s = cols[p]
-            cols[c] = self._image(i, case, u), factor[case] * s
-        return cols
+            ea, eb = exps[p]
+            exps[c] = (ea, eb + 1) if case == 2 else (ea + 1, eb)
+            if self.over_q:
+                gain[c] = gain[p] * self.images[case == 3][i][3]
+        multipliers = {}  # (ea, eb) of s_c2 / (factor s_c) -> (ml, mr)
+        checks, reach = [], max(gain)
+        for i, c, c2, case in self.events:
+            key = (exps[c2][0] - exps[c][0] - (case != 2),
+                   exps[c2][1] - exps[c][1] - (case == 2))
+            if key not in multipliers:
+                ea, eb = key
+                ml = _power(a, max(ea, 0), one) * _power(b, max(eb, 0), one)
+                mr = _power(a, max(-ea, 0), one) * _power(b, max(-eb, 0), one)
+                multipliers[key] = (None if ml == 1 else ml, None if mr == 1 else mr)
+            ml, mr = multipliers[key]
+            if self.over_q:
+                kappa = self.images[case == 3][i][3]
+                reach = max(reach, gain[c] * kappa * abs(ml or 1), gain[c2] * abs(mr or 1))
+            checks.append((i, c, c2, case, ml, mr))
+        self.reach = reach
+        self.steps = self._schedule(checks)
 
-    def _violations(self, cols: dict[int, tuple[dict[int, object], object]]) -> list[int]:
-        """Positions of the events the columns break, checked exactly over
-        the ring: the event (i, c, c2, case) states
-        image_i,case(u_c) * s_c2 == factor_case * s_c * u_c2.
+    def _schedule(self, checks: list) -> list[tuple]:
+        """The steps of _verify: per column c in breadth-first order, its
+        tree edge, the checks (with their positions) whose two columns exist
+        once c does, and the columns used for the last time there."""
+        at = {c: t for t, c in enumerate(self.order)}
+        due = [[] for _ in self.order]
+        last = list(range(len(self.order)))
+        for c, (p, _, _) in self.par.items():
+            last[at[p]] = max(last[at[p]], at[c])
+        for pos, check in enumerate(checks):
+            t = max(at[check[1]], at[check[2]])
+            due[t].append((pos, *check))
+            for v in check[1:3]:
+                last[at[v]] = max(last[at[v]], t)
+        done = [[] for _ in self.order]
+        for t, c in enumerate(self.order):
+            done[last[t]].append(c)
+        return [(c, self.par.get(c), due[t], done[t]) for t, c in enumerate(self.order)]
+
+    def _width(self, bound: int) -> int:
+        """Field width W of a root pack whose fields are at most bound in size.
+
+        Proof that W suffices.  Packing (_pack) is Z-linear, and so is every
+        step after it: a map multiplies entries by integer coefficients and
+        adds them, an event side is multiplied by the integer ml or mr.  So
+        each packed entry is exactly the pack of the d candidates' own
+        values, the numbers the per-candidate computation would give.  Those
+        are bounded: a map with kappa = max |coef[rl]| + |diag[rl]| grows the
+        largest |entry| at most kappa-fold, so column c is within
+        bound G_c (G_c the product of kappa along its tree path) and the
+        event sides within bound G_c kappa_i |ml| and bound G_c2 |mr|; reach
+        is the largest of these factors, so every field is below
+        2^(W-2) <= 2^(W-1).  Two packs whose fields are all below 2^(W-1)
+        in size are equal only if every field is: their difference has
+        fields g_k with |g_k| < 2^W, and sum g_k 2^(kW) = 0 forces
+        g_0 = 0 mod 2^W, so g_0 = 0, and so on upwards.  Hence the packed
+        comparison of an event holds if and only if it holds for every
+        candidate, and _unpack recovers every column entry.  An overflowing
+        field would not be visible in the packed int, which is why the bound
+        is proved a priori rather than checked.
         """
-        factor = self.factor
+        return (bound * self.reach).bit_length() + 2
+
+    def _packs(self, candidates: list) -> list[tuple]:
+        """The candidates as packs (root, S, W, d): the d roots y_k = root / S,
+        packed at width W.  Over Q one pack holds them all, as a dense list
+        of ints; over Q(q) each candidate is its own sparse pack of one
+        (dense columns of RationalFunction were several times slower, since
+        a product with zero is not free there), and W is None."""
+        if not self.over_q:
+            return [({rl: v for rl, v in enumerate(y) if v}, self.one, None, 1)
+                    for y in candidates]
+        S = lcm(*(v.denominator for y in candidates for v in y))
+        fields = [[v.numerator * (S // v.denominator) for v in y] for y in candidates]
+        W = self._width(max(max(map(abs, f)) for f in fields))
+        return [([_pack(entry, W) for entry in zip(*fields)], S, W, len(candidates))]
+
+    def _image(self, i: int, case: int, u):
+        """b A_i u, less (a - b) u when case is 3."""
+        op = self.images[case == 3][i]
+        return _apply_dense(op, u) if self.over_q else _apply(op, u)
+
+    def _times(self, k, u):
+        """k u for a ring element k."""
+        return list(map(mul, repeat(k), u)) if self.over_q else {rl: k * v for rl, v in u.items()}
+
+    def _verify(self, root, keep: bool = False, limit: int | None = 8) -> tuple[list[int], list]:
+        """Propagate a pack from its root column and check every event on it.
+
+        A tree edge maps x_p to A x_p (case 2) or (A - (q - 1)) x_p / q
+        (case 3); with q = a/b that is u_c = the ring image of u_p, its
+        factor (b on case 2, a on case 3) going into s_c.  An event is
+        checked exactly, as ml image_i,case(u_c) == mr u_c2 (see
+        _prepare_checks), as soon as both its columns exist, and a column
+        is dropped after its last use unless keep, so only a breadth-first
+        frontier of columns is alive at a time.  A packed event holds if and
+        only if it holds for every candidate of the pack (see _width).
+
+        Returns the positions of the first limit (None: all) events broken,
+        in the order checked, and the columns (None where dropped).
+        """
+        cols = [None] * len(self.table)
         bad = []
-        for pos, (i, c, c2, case) in enumerate(self.events):
-            u, s = cols[c]
-            u2, s2 = cols[c2]
-            lhs = self._image(i, case, u)
-            if c2 == c:  # s_c cancels
-                scale = factor[case]
+        for c, edge, checks, done in self.steps:
+            if edge is None:
+                cols[c] = root
             else:
-                lhs = {rl: v * s2 for rl, v in lhs.items()}
-                scale = factor[case] * s
-            if len(lhs) != len(u2) or lhs != {rl: scale * v for rl, v in u2.items()}:
-                bad.append(pos)
-                if len(bad) >= 8:
-                    break
-        return bad
+                p, i, case = edge
+                cols[c] = self._image(i, case, cols[p])
+            for pos, i, c1, c2, case, ml, mr in checks:
+                lhs, rhs = self._image(i, case, cols[c1]), cols[c2]
+                if ml is not None:
+                    lhs = self._times(ml, lhs)
+                if mr is not None:
+                    rhs = self._times(mr, rhs)
+                if lhs != rhs:
+                    bad.append(pos)
+                    if len(bad) == limit:
+                        return bad, cols
+            if not keep:
+                for v in done:
+                    cols[v] = None
+        return bad, cols
+
+    def _basis(self, pack: tuple, cols: list) -> list[dict]:
+        """The d basis blocks {(rl, c): x_c[rl]} of a checked pack."""
+        _, S, W, d = pack
+        blocks = [{} for _ in range(d)]
+        a, b, one = self.a, self.b, self.one
+        for c, (u, (ea, eb)) in enumerate(zip(cols, self.exps)):
+            s = S * _power(a, ea, one) * _power(b, eb, one)
+            for rl, val in enumerate(u) if self.over_q else u.items():
+                if not val:
+                    continue
+                for X, v in zip(blocks, _unpack(val, W, d) if W else (val,)):
+                    if v:
+                        X[(rl, c)] = Fraction(v, s) if self.over_q else v / s
+        return blocks
 
     def solve(self, with_basis: bool):
         ech = Echelon(self.m, self.field_one)
@@ -389,23 +579,15 @@ class _PairSolver:
             candidates = ech.nullspace()
             if not candidates:
                 return 0, []
-            all_cols = []
+            checked = []
             bad_positions: set[int] = set()
-            for y in candidates:
-                cols = self._propagate(y)
-                bad_positions.update(self._violations(cols))
-                all_cols.append(cols)
+            for pack in self._packs(candidates):
+                bad, cols = self._verify(pack[0], keep=with_basis)
+                bad_positions.update(bad)
+                if with_basis:
+                    checked.append((pack, cols))
             if not bad_positions:
-                if not with_basis:
-                    return len(candidates), []
-                basis = []
-                for cols in all_cols:
-                    entries = {}
-                    for c, (u, s) in cols.items():
-                        for rl, val in u.items():
-                            entries[(rl, c)] = Fraction(val, s) if self.over_q else val / s
-                    basis.append(entries)
-                return len(candidates), basis
+                return len(candidates), [X for pack, cols in checked for X in self._basis(pack, cols)]
             before = ech.rank
             for pos in sorted(bad_positions):
                 feed(pos)
@@ -467,7 +649,8 @@ def commutant_basis(
 
     Default mode specializes q at each value in q_values (nonzero ints or
     Fractions) and cross-checks that all runs agree; symbolic mode works
-    over Q(q) directly and is gated by symbolic_limit.  The basis, if
+    over Q(q) directly (q_values are checked all the same, not used) and
+    is gated by symbolic_limit.  The basis, if
     requested, is materialized as sparse matrices
     {(row index, column index): value} at the first q value, or over
     Q(q) in symbolic mode.
@@ -478,6 +661,12 @@ def commutant_basis(
     gens = _ints(generators, 'generators') if generators is not None else tuple(range(1, n))
     if any(not 1 <= i <= n - 1 for i in gens):
         raise ValueError(f'generators out of range for n={n}: {gens}')
+    q_values = tuple(Fraction(_exact(q0, 'q values')) for q0 in q_values)
+    if not q_values:
+        raise ValueError('need at least one q value')
+    for q0 in q_values:
+        if not q0:
+            raise ZeroSpecialization('q must specialize to a unit, got 0')
     if symbolic:
         _check_limit(n, r, symbolic_limit)
     classes = _component_classes(n, r, gens)
@@ -490,12 +679,6 @@ def commutant_basis(
         return CommutantReport(
             n, r, 'symbolic', gens, (), (dim,), True, **counts, basis=mats)
 
-    q_values = tuple(Fraction(_exact(q0, 'q values')) for q0 in q_values)
-    if not q_values:
-        raise ValueError('need at least one q value')
-    for q0 in q_values:
-        if not q0:
-            raise ZeroSpecialization('q must specialize to a unit, got 0')
     dims = []
     basis = None
     for which, q0 in enumerate(q_values):

@@ -7,6 +7,7 @@ two-route check of the dimension formula.
 
 import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -30,6 +31,9 @@ from qpartition.centralizer import (
     _apply,
     _bfs,
     _component_classes,
+    _scaled_generator,
+    _shifted,
+    _unpack,
     commutant_basis,
     double_centralizer_check,
     half_commutant_basis,
@@ -218,6 +222,8 @@ def test_limit_guard():
 def test_zero_q_guard():
     with pytest.raises(ZeroSpecialization):
         commutant_basis(2, 2, q_values=(Fraction(0),))
+    with pytest.raises(ZeroSpecialization):  # symbolic mode checks them too
+        commutant_basis(2, 2, q_values=(Fraction(0),), symbolic=True)
 
 
 def test_bad_arguments():
@@ -225,6 +231,8 @@ def test_bad_arguments():
         commutant_basis(0, 2)
     with pytest.raises(ValueError):
         commutant_basis(2, 2, q_values=())
+    with pytest.raises(ValueError):  # symbolic mode checks them too
+        commutant_basis(2, 2, q_values=(), symbolic=True)
     with pytest.raises(ValueError):
         commutant_basis(2, 2, generators=(5,))
 
@@ -238,6 +246,7 @@ def test_non_int_generators_are_refused(generators):
 
 @pytest.mark.parametrize('call', [
     lambda: commutant_basis(3, 2, (0.1,)),
+    lambda: commutant_basis(2, 2, (0.1,), symbolic=True),
     lambda: commutant_basis(3, 2, (Fraction(2), 0.5)),
     lambda: commutant_basis(3, 2, ('2',)),
     lambda: half_commutant_basis(3, 2, (1.5,)),
@@ -582,6 +591,8 @@ checks = [
     (TypeError, lambda: commutant_basis(3, 2, generators=[1.5])),
     (TypeError, lambda: commutant_basis(3, 2, generators=['1'])),
     (TypeError, lambda: commutant_basis(3, 2, (0.1,))),
+    (TypeError, lambda: commutant_basis(2, 2, (0.1,), symbolic=True)),
+    (ValueError, lambda: commutant_basis(2, 2, (), symbolic=True)),
 ]
 for error, call in checks:
     try:
@@ -598,7 +609,7 @@ def test_boundary_checks_raise_under_python_O():
     assert run_optimised(BOUNDARY_CHECKS) == [
         'TypeError', 'TypeError', 'TypeError', 'ValueError', 'NotDistinguished',
         'TypeError', 'TypeError', 'RankMismatch', 'TypeError', 'TypeError', 'TypeError',
-        'TypeError', 'True']
+        'TypeError', 'TypeError', 'ValueError', 'True']
 
 
 # ---------------------------------------------------------------------------
@@ -653,23 +664,235 @@ def test_symbolic_matches_specialised_at_random_q(a, b, negative, cell):
     assert symbolic_dim(*cell) == commutant_basis(*cell, (q0,)).dim == qpartition_dim(*cell)
 
 
+# ---------------------------------------------------------------------------
+# the packed check against the per-candidate path it replaced
+
+class Reference:
+    """The per-candidate verification over Q: each root cleared of its own
+    denominators, sparse dict columns with their own scales, every event
+    cross-multiplied by the scales of its two columns.  The maps are built
+    from the row table afresh, not taken from the solver."""
+
+    def __init__(self, table_p, q0):
+        a, b = q0.numerator, q0.denominator
+        self.factor = {1: a, 2: b, 3: a}
+        self.images = [], []
+        for k in range(len(table_p[0])):
+            op = _scaled_generator([entries[k] for entries in table_p], a, b)
+            self.images[0].append(op)
+            self.images[1].append(_shifted(op, a - b))
+
+    @staticmethod
+    def clear(y):
+        s = math.lcm(*(v.denominator for v in y))
+        return {rl: v.numerator * (s // v.denominator) for rl, v in enumerate(y) if v}, s
+
+    def image(self, i, case, u):
+        return _apply(self.images[case == 3][i], u)
+
+    def propagate(self, solver, root):
+        """Columns c -> (u_c, s_c) from the root (u_0, s_0): x_c = u_c / s_c."""
+        cols = {0: root}
+        for c in solver.order[1:]:
+            p, i, case = solver.par[c]
+            u, s = cols[p]
+            cols[c] = self.image(i, case, u), self.factor[case] * s
+        return cols
+
+    def largest(self, solver, cols):
+        """The largest |value| in any column and on either side of any event,
+        the sides taken with the common part of their scales divided out:
+        ml N u_c and mr u_c2, ml = s_c2 / g and mr = factor s_c / g for
+        g = gcd(s_c2, factor s_c)."""
+        def size(u):
+            return max(map(abs, u.values()), default=0)
+
+        out = max(size(u) for u, _ in cols.values())
+        for i, c, c2, case in solver.events:
+            (u, s), (u2, s2) = cols[c], cols[c2]
+            g = math.gcd(s2, self.factor[case] * s)
+            out = max(out, abs(s2 // g) * size(self.image(i, case, u)),
+                      abs(self.factor[case] * s // g) * size(u2))
+        return out
+
+    def violations(self, solver, cols, limit=8):
+        """The replaced _violations: image s_c2 == factor s_c u_c2, exactly."""
+        bad = []
+        for pos, (i, c, c2, case) in enumerate(solver.events):
+            (u, s), (u2, s2) = cols[c], cols[c2]
+            lhs = {rl: v * s2 for rl, v in self.image(i, case, u).items()}
+            if lhs != {rl: self.factor[case] * s * v for rl, v in u2.items()}:
+                bad.append(pos)
+                if len(bad) == limit:
+                    break
+        return bad
+
+
+def packed_rounds(table, table_p, q0):
+    """Run a pair solve round by round, yielding per round the solver, the
+    candidates, their pack, its columns and every event it breaks.  Unlike solve,
+    which feeds the loops at the root first (after which every pair of the
+    grid passes in its first round), it starts from no equation at all, so
+    the early candidates break events and every round feeds back the
+    flagged ones."""
+    solver = _PairSolver(table, table_p, q0, Fraction(1), random.Random(0), (0, 0))
+    ech = Echelon(solver.m, Fraction(1))
+    while candidates := ech.nullspace():
+        (pack,) = solver._packs(candidates)
+        bad, cols = solver._verify(pack[0], keep=True, limit=None)
+        yield solver, candidates, pack, cols, bad
+        if not bad:
+            return
+        for pos in solver._verify(pack[0])[0]:  # as solve feeds them, at most 8
+            for row in solver._event_rows(solver.events[pos]):
+                ech.add(row)
+
+
+def pair_classes(n, r):
+    classes = _component_classes(n, r, tuple(range(1, n)))
+    return [(table, table_p) for table in classes for table_p in classes]
+
+
+PACK_Q = DEFAULT_Q_VALUES + HARD_Q
+
+
+@pytest.mark.parametrize('n,r', SMALL_GRID)
+def test_packed_check_matches_per_candidate_reference(n, r):
+    failing = 0
+    for q0 in PACK_Q:
+        for table, table_p in pair_classes(n, r):
+            ref = Reference(table_p, q0)
+            for solver, candidates, pack, _, bad in packed_rounds(table, table_p, q0):
+                failing += bool(bad)
+                flagged = set()
+                for y in candidates:
+                    flagged.update(ref.violations(solver, ref.propagate(solver, ref.clear(y)),
+                                                  limit=None))
+                # the pack fails an event exactly when some candidate does
+                assert sorted(bad) == sorted(flagged)
+                # and solve, which stops at 8, is handed only such events
+                first, left = solver._verify(pack[0])
+                assert set(first) <= flagged and len(first) == min(8, len(flagged))
+                if not flagged:  # a full pass drops each column after its last use
+                    assert left == [None] * len(left)
+    # at n <= 2 the one event of a component, T_1 back from vertex 1, follows
+    # from the quadratic relation, so even the whole space passes it
+    assert failing or n <= 2
+
+
+@pytest.mark.parametrize('n,r', SMALL_GRID)
+def test_packed_width_covers_every_field(n, r):
+    for q0 in PACK_Q:
+        for table, table_p in pair_classes(n, r):
+            ref = Reference(table_p, q0)
+            for solver, candidates, pack, cols, _ in packed_rounds(table, table_p, q0):
+                root, S, W, d = pack
+                assert d == len(candidates) and S == math.lcm(
+                    *(v.denominator for y in candidates for v in y))
+                fields = [[_unpack(v, W, d) for v in u] for u in cols]
+                largest = 0
+                for k, y in enumerate(candidates):
+                    scaled = [v * S for v in y]
+                    assert all(v.denominator == 1 for v in scaled)
+                    u0 = {rl: v.numerator for rl, v in enumerate(scaled) if v}
+                    ref_cols = ref.propagate(solver, (u0, S))
+                    for c, (u, _) in ref_cols.items():
+                        # the packed column holds candidate k's column as field k
+                        assert [f[k] for f in fields[c]] == [u.get(rl, 0) for rl in range(solver.m)]
+                    largest = max(largest, ref.largest(solver, ref_cols))
+                assert largest < 2 ** (W - 1)
+
+
+def test_packs_over_q_of_q_hold_one_sparse_candidate_each():
+    table = next(iter(_component_classes(3, 2, (1, 2))))
+    solver = _PairSolver(table, table, _RF_Q, _RF_ONE, random.Random(0), (0, 0))
+    y = [_RF_ONE, _RF_ONE - _RF_ONE, _RF_Q]
+    assert solver._packs([y, y]) == [({0: _RF_ONE, 2: _RF_Q}, _RF_ONE, None, 1)] * 2
+
+
 def test_verification_rejects_a_perturbed_root():
+    # one perturbed candidate inside a pack of d is flagged
     # (3, 2): columns on the orbit of e_11, rows on the orbit of e_12,
     # where the solution space is a proper subspace of the root columns
     n, r, gens = 3, 2, (1, 2)
     idxs = all_indices(n, r)
     gid_map = {j: t for t, j in enumerate(idxs)}
     C, Cp = _components(n, r, gens)
-    solver = _PairSolver(_table(C, idxs, gid_map, gens), _table(Cp, idxs, gid_map, gens),
+    table_p = _table(Cp, idxs, gid_map, gens)
+    solver = _PairSolver(_table(C, idxs, gid_map, gens), table_p,
                          Fraction(-3, 2), Fraction(1), random.Random(0), (C[0], Cp[0]))
+    ref = Reference(table_p, Fraction(-3, 2))
     ech = Echelon(solver.m, Fraction(1))
     for ev in solver.events:
         for row in solver._event_rows(ev):
             ech.add(row)
     candidates = ech.nullspace()
-    assert 0 < len(candidates) < solver.m
-    for y in candidates:
-        assert solver._violations(solver._propagate(y)) == []
-        perturbed = list(y)
-        perturbed[0] += 1
-        assert solver._violations(solver._propagate(perturbed))
+    assert 1 < len(candidates) < solver.m
+
+    def packed_violations(ys):
+        (pack,) = solver._packs(ys)
+        assert pack[3] == len(ys)
+        return sorted(solver._verify(pack[0], limit=None)[0])
+
+    assert packed_violations(candidates) == []
+    for k in range(len(candidates)):
+        for delta in (1, Fraction(-1, 3)):
+            perturbed = list(candidates)
+            perturbed[k] = [perturbed[k][0] + delta] + perturbed[k][1:]
+            alone = ref.violations(solver, ref.propagate(solver, ref.clear(perturbed[k])),
+                                   limit=None)
+            assert alone
+            assert packed_violations(perturbed) == alone
+
+
+def reference_solve(solver, with_basis):
+    """The replaced solve: candidate by candidate on the reference path."""
+    ref = Reference(solver.table_p, Fraction(solver.a, solver.b))
+    ech = Echelon(solver.m, solver.field_one)
+    chosen = set()
+
+    def feed(pos):
+        if pos not in chosen:
+            chosen.add(pos)
+            for row in solver._event_rows(solver.events[pos]):
+                ech.add(row)
+
+    for pos, (_, c, c2, _) in enumerate(solver.events):
+        if c == c2 == 0:
+            feed(pos)
+    if solver.events:
+        for pos in solver.rng.sample(range(len(solver.events)), min(3, len(solver.events))):
+            feed(pos)
+    while True:
+        candidates = ech.nullspace()
+        if not candidates:
+            return 0, []
+        all_cols = [ref.propagate(solver, ref.clear(y)) for y in candidates]
+        bad = set()
+        for cols in all_cols:
+            bad.update(ref.violations(solver, cols))
+        if not bad:
+            return len(candidates), [
+                {(rl, c): Fraction(v, s) for c, (u, s) in cols.items() for rl, v in u.items()}
+                for cols in all_cols] if with_basis else []
+        for pos in sorted(bad):
+            feed(pos)
+
+
+@pytest.mark.parametrize('q0', [Fraction(7, 5), Fraction(-3, 2)])
+@pytest.mark.parametrize('n,r', [(3, 3), (4, 2), (2, 4)])
+def test_unpacked_basis_equals_reference_basis(n, r, q0, monkeypatch):
+    packed = commutant_basis(n, r, (q0,), with_basis=True).basis
+    init = _PairSolver.__init__
+
+    def keep_table_p(self, table, table_p, *args):
+        init(self, table, table_p, *args)
+        self.table_p = table_p
+
+    monkeypatch.setattr(_PairSolver, '__init__', keep_table_p)
+    monkeypatch.setattr(_PairSolver, 'solve', reference_solve)
+    reference = commutant_basis(n, r, (q0,), with_basis=True).basis
+    assert len(packed) == len(reference) == qpartition_dim(n, r)
+    for X, Y in zip(packed, reference):
+        assert X == Y
+        assert all(type(v) is Fraction for v in X.values())
