@@ -24,12 +24,12 @@ from the module theory enters anywhere.
 Propagation and verification run on integers, fraction-free in the
 manner of Bareiss.  With q = a/b in lowest terms, b A_i has integer
 entries (a on the diagonal in case 1, b in case 2, a and a - b in case
-3).  Over Q all d candidates of a round pass together, packed by
-Kronecker substitution (Schonhage 1982; Harvey 2009): each is brought to
-one common scale S, the lcm of all their denominators, and entry rl of
+3).  All d candidates of a round pass together, packed by Kronecker
+substitution (Schonhage 1982; Harvey 2009): each is brought to one
+common scale S, the lcm of all their denominators, and entry rl of
 column c is the one int sum of u_c^(k)[rl] 2^(kW) over the candidates
 k, with balanced fields of a width W proved a priori to hold every
-value (see _PairSolver._width).  A column is a dense list of these ints,
+value (see _width).  A column is a dense list of these ints,
 since the d supports together fill it, and a map is applied by C-level
 list operations.  x_c = u_c / (S s_c), where the scale s_c = a^ea b^eb
 is the product of the factors along the tree path of c (b on a case 2
@@ -38,8 +38,14 @@ therefore gets two coprime integer multipliers once per pair, and it
 holds for every candidate exactly when ml image(u_c) == mr u_c2 as lists
 of packed ints; most events need no multiplication at all.  Fractions
 are formed only when a basis is materialized, by unpacking the fields.
-Over Q(q), where a product with zero is not free, each candidate stays
-its own sparse pack of one, and the same loops run.  The event rows
+Over Q(q) the same integer path runs, one level of Kronecker
+substitution down: the candidates are cleared to polynomials in Z[q]
+with one common scale S(q), and a polynomial whose coefficients are all
+below 2^(K-1) in size is fixed by its value at q = 2^K.  K is proved a
+priori to exceed every coefficient a column or an event side can reach,
+so the checks run at a = 2^K and b = 1, an event holds over Q(q) exactly
+when it holds there, and a basis entry is read off the balanced base-2^K
+digits of its field (see _PairSolver._pack_roots).  The event rows
 are integer too: a functional f on column c is pulled back to the root
 through the same maps acting from the right (f b A_i, less (a - b) f on
 case 3), its scale multiplied by b or a along each tree edge, and the
@@ -47,8 +53,8 @@ two halves of an event are cross-multiplied by each other's scale where
 their paths join and pulled on from there as one (a loop joins at
 once).  The echelon that collects them eliminates fraction-free (see
 linalg), so no Fraction arithmetic is left on the solver's path.  Over
-Q(q) the same code runs with a = q and b = 1, and the echelon works
-over the field with pivots one.
+Q(q) the event rows come from the same code with a = q and b = 1, and
+the echelon works over the field with pivots one.
 
 Many pairs repeat one solve.  One breadth-first walk per component,
 from its smallest basis index and taking the generators in their given
@@ -78,7 +84,7 @@ from math import lcm
 from operator import add, itemgetter, mul
 from typing import Sequence
 
-from .coeff import RationalFunction, ZeroSpecialization, _exact
+from .coeff import ONE, RationalFunction, ZeroSpecialization, _divmod, _exact, _gcd
 from .hecke import act_by_words
 from .linalg import Echelon
 from .symcomb import _ints, all_permutations
@@ -96,9 +102,13 @@ __all__ = [
     'StructureConstants',
     'structure_constants',
     'DEFAULT_Q_VALUES',
+    'SYMBOLIC_LIMIT',
 ]
 
 DEFAULT_Q_VALUES = (Fraction(2), Fraction(3), Fraction(7, 5))
+# largest n^r of symbolic mode: on a shared 2-CPU host (64,1) takes about
+# 1.3 s and (81,1) about 4 s
+SYMBOLIC_LIMIT = 64
 # one and q in Q(q), the field of the symbolic mode
 _RF_ONE = RationalFunction((1,))
 _RF_Q = RationalFunction((0, 1))
@@ -227,7 +237,7 @@ def _dense(coimage):
     (gather, coef, diag, kappa) for _apply_dense: entry rl of the image of
     u is coef[rl] u[src[rl]] + diag[rl] u[rl], diag None when it is zero;
     kappa = max over rl of |coef[rl]| + |diag[rl]| bounds how much the
-    map can grow the largest |entry| (see _PairSolver._width)."""
+    map can grow the largest |entry| (see _width)."""
     src, coef, diag = coimage
     gather = itemgetter(*src) if len(src) > 1 else tuple
     if not diag:
@@ -278,12 +288,46 @@ def _unpack(packed: int, width: int, d: int) -> list[int]:
     return fields
 
 
-def _power(x, e: int, one):
-    """x^e for e >= 0 in the ring of one (Q(q) has no ** operator)."""
-    out = one
-    for _ in range(e):
-        out = out * x
-    return out
+def _width(bound: int, reach: int) -> int:
+    """Field width W of a root pack (_PairSolver._pack_roots) whose fields
+    are at most bound in size, when reach bounds their growth.
+
+    Proof that W suffices.  Packing (_pack) is Z-linear, and so is every
+    step after it: a map multiplies entries by integer coefficients and
+    adds them, an event side is multiplied by the integer ml or mr.  So
+    each packed entry is exactly the pack of the d candidates' own
+    values, the numbers the per-candidate computation would give.  Those
+    are bounded: a map with kappa = max |coef[rl]| + |diag[rl]| grows the
+    largest |entry| at most kappa-fold, so column c is within
+    bound G_c (G_c the product of kappa along its tree path) and the
+    event sides within bound G_c kappa_i |ml| and bound G_c2 |mr|; reach
+    is the largest of these factors, so every field is below
+    2^(W-2) <= 2^(W-1).  Two packs whose fields are all below 2^(W-1)
+    in size are equal only if every field is: their difference has
+    fields g_k with |g_k| < 2^W, and sum g_k 2^(kW) = 0 forces
+    g_0 = 0 mod 2^W, so g_0 = 0, and so on upwards.  Hence the packed
+    comparison of an event holds if and only if it holds for every
+    candidate, and _unpack recovers every column entry.  An overflowing
+    field would not be visible in the packed int, which is why the bound
+    is proved a priori rather than checked.
+    """
+    return (bound * reach).bit_length() + 2
+
+
+def _coimages(table_p, a, b) -> tuple[list, list]:
+    """The maps of every generator position on the row component, at q = a/b,
+    acting on functionals (row vectors) from the right: f -> f b A_i (index
+    0) and f -> f (b A_i - (a - b)) (index 1, which a case 3 tree edge
+    applies), each as the sparse monomial-plus-diagonal coimage (src, coef,
+    diag) of _apply; _dense turns one into the map on columns."""
+    coimages = [], []
+    for k in range(len(table_p[0])):
+        op = _scaled_generator([entries[k] for entries in table_p], a, b)
+        # op's target map permutes the rows; src is its inverse
+        src = sorted(range(len(table_p)), key=op[0].__getitem__)
+        for which, (_, coef, diag) in enumerate((op, _shifted(op, a - b))):
+            coimages[which].append((src, [coef[cl] for cl in src], diag))
+    return coimages
 
 
 class _PairSolver:
@@ -298,42 +342,35 @@ class _PairSolver:
 
     def __init__(self, table, table_p, qf, one, rng: random.Random,
                  pair: tuple[int, int]):
-        self.table, self.pair = table, pair
+        self.table, self.table_p, self.pair = table, table_p, pair
         self.field_one, self.rng = one, rng
         self.m = len(table_p)
-        # q = a/b in lowest terms with b > 0; over Q(q), a = q and b = 1;
-        # one and zero are those of the ring everything is computed in
+        # q = a/b in lowest terms with b > 0; over Q(q), a = q and b = 1 for
+        # the event rows, while the checks run on integers (see _pack_roots);
+        # one and zero are those of the ring the event rows are computed in
         self.over_q = isinstance(qf, Fraction)
-        a, b = (qf.numerator, qf.denominator) if self.over_q else (qf, one)
-        self.one, self.zero = (1, 0) if self.over_q else (one, one - one)
-        self.a, self.b = a, b
+        if self.over_q:
+            self.a, self.b, self.one, self.zero = qf.numerator, qf.denominator, 1, 0
+        else:
+            self.a, self.b, self.one, self.zero = qf, one, one, one - one
         # scale carried by the image of a column: b on case 2, else a
-        self.factor = {1: a, 2: b, 3: a}
-        # maps under generator position i: b A_i (index 0), and b A_i - (a - b),
-        # which a case 3 tree edge applies (index 1).  coimages hold them
-        # acting on functionals (row vectors) from the right, f -> f b A_i
-        # and f -> f (b A_i - (a - b)), as sparse monomial-plus-diagonal
-        # maps; images hold them acting on columns, dense over Q (_dense)
-        # and sparse over Q(q) (_apply).
-        self.images = [], []
-        self.coimages = [], []
-        for k in range(len(table_p[0])):
-            op = _scaled_generator([entries[k] for entries in table_p], a, b)
-            src = [0] * self.m  # op's target map is a bijection; src is its inverse
-            for cl, rl in enumerate(op[0]):
-                src[rl] = cl
-            for which, (to, coef, diag) in enumerate((op, _shifted(op, a - b))):
-                coimage = (src, [coef[cl] for cl in src], diag)
-                self.coimages[which].append(coimage)
-                self.images[which].append(_dense(coimage) if self.over_q else (to, coef, diag))
+        self.factor = {1: self.a, 2: self.b, 3: self.a}
+        self.coimages = _coimages(table_p, self.a, self.b)
+        self._checks_at: dict[tuple[int, int], tuple] = {}  # see _checks
         self._build_tree()
         self._collect_events()
-        self._prepare_checks()
 
     def _build_tree(self):
         self.order, self.par = _bfs(self.table)
         if len(self.order) != len(self.table):
             raise SolverInvariantError('component not connected by its own edges', self.pair)
+        # column c carries the scale s_c = a^ea b^eb, exps[c] = (ea, eb), the
+        # product of the factors along its tree path (see _checks)
+        self.exps = exps = [(0, 0)] * len(self.table)
+        for c in self.order[1:]:
+            p, _, case = self.par[c]
+            ea, eb = exps[p]
+            exps[c] = (ea, eb + 1) if case == 2 else (ea + 1, eb)
 
     def _collect_events(self):
         """Events (i, c, c2, case): generator position i on column c, with
@@ -398,141 +435,141 @@ class _PairSolver:
                 out.append(row)
         return out
 
-    # -- packed propagation and raw verification over the ring -------------
+    # -- packed propagation and raw verification on integers ---------------
 
-    def _prepare_checks(self):
-        """Per-pair data of the raw checks, independent of the candidates.
+    def _checks(self, a: int, b: int) -> tuple[int, list[tuple]]:
+        """The raw checks at the integer point q = a/b as (reach, steps),
+        built on first use and kept per (a, b).
 
         Column c is x_c = u_c / (S s_c), S the scale of the root pack and
-        s_c = a^ea b^eb (exps[c] = (ea, eb)) the product of the factors
-        along its tree path.  The event (i, c, c2, case) states
+        s_c = a^ea b^eb (see _build_tree).  The event (i, c, c2, case) states
         N u_c s_c2 = factor_case s_c u_c2; dividing out the common part of
         the two monomials leaves ml N u_c = mr u_c2 with coprime
-        multipliers ml and mr, None where they are one.  Over Q, reach
-        bounds the growth of every column and event side (see _width).
+        multipliers ml and mr, None where they are one.  The maps N act on
+        columns in dense form (_dense), and reach bounds the growth of every
+        column and event side (see _width).  The steps are _schedule's.
         """
-        a, b, one = self.a, self.b, self.one
-        self.exps = exps = [(0, 0)] * len(self.table)
-        gain = [1] * len(self.table)
+        if (a, b) in self._checks_at:
+            return self._checks_at[a, b]
+        coimages = self.coimages if self.over_q else _coimages(self.table_p, a, b)
+        images = [list(map(_dense, maps)) for maps in coimages]
+        edges, gain = {}, [1] * len(self.table)
         for c in self.order[1:]:
             p, i, case = self.par[c]
-            ea, eb = exps[p]
-            exps[c] = (ea, eb + 1) if case == 2 else (ea + 1, eb)
-            if self.over_q:
-                gain[c] = gain[p] * self.images[case == 3][i][3]
-        multipliers = {}  # (ea, eb) of s_c2 / (factor s_c) -> (ml, mr)
-        checks, reach = [], max(gain)
-        for i, c, c2, case in self.events:
-            key = (exps[c2][0] - exps[c][0] - (case != 2),
-                   exps[c2][1] - exps[c][1] - (case == 2))
+            edges[c] = p, images[case == 3][i]
+            gain[c] = gain[p] * edges[c][1][3]
+        checks, reach, multipliers = [], max(gain), {}
+        for pos, (i, c, c2, case) in enumerate(self.events):
+            # s_c2 / (factor s_c) = a^ea b^eb, and (ml, mr) per (ea, eb)
+            key = ea, eb = (self.exps[c2][0] - self.exps[c][0] - (case != 2),
+                            self.exps[c2][1] - self.exps[c][1] - (case == 2))
             if key not in multipliers:
-                ea, eb = key
-                ml = _power(a, max(ea, 0), one) * _power(b, max(eb, 0), one)
-                mr = _power(a, max(-ea, 0), one) * _power(b, max(-eb, 0), one)
-                multipliers[key] = (None if ml == 1 else ml, None if mr == 1 else mr)
+                multipliers[key] = (a ** max(ea, 0) * b ** max(eb, 0),
+                                    a ** max(-ea, 0) * b ** max(-eb, 0))
             ml, mr = multipliers[key]
-            if self.over_q:
-                kappa = self.images[case == 3][i][3]
-                reach = max(reach, gain[c] * kappa * abs(ml or 1), gain[c2] * abs(mr or 1))
-            checks.append((i, c, c2, case, ml, mr))
-        self.reach = reach
-        self.steps = self._schedule(checks)
+            op = images[case == 3][i]
+            reach = max(reach, gain[c] * op[3] * abs(ml), gain[c2] * abs(mr))
+            checks.append((pos, op, c, c2, None if ml == 1 else ml, None if mr == 1 else mr))
+        self._checks_at[a, b] = out = reach, self._schedule(edges, checks)
+        return out
 
-    def _schedule(self, checks: list) -> list[tuple]:
+    def _schedule(self, edges: dict, checks: list) -> list[tuple]:
         """The steps of _verify: per column c in breadth-first order, its
-        tree edge, the checks (with their positions) whose two columns exist
-        once c does, and the columns used for the last time there."""
+        tree edge (parent, map), None at the root, the checks (pos, map, c,
+        c2, ml, mr) whose two columns exist once c does, and the columns
+        used for the last time there."""
         at = {c: t for t, c in enumerate(self.order)}
         due = [[] for _ in self.order]
         last = list(range(len(self.order)))
         for c, (p, _, _) in self.par.items():
             last[at[p]] = max(last[at[p]], at[c])
-        for pos, check in enumerate(checks):
-            t = max(at[check[1]], at[check[2]])
-            due[t].append((pos, *check))
-            for v in check[1:3]:
+        for check in checks:
+            t = max(at[check[2]], at[check[3]])
+            due[t].append(check)
+            for v in check[2:4]:
                 last[at[v]] = max(last[at[v]], t)
         done = [[] for _ in self.order]
         for t, c in enumerate(self.order):
             done[last[t]].append(c)
-        return [(c, self.par.get(c), due[t], done[t]) for t, c in enumerate(self.order)]
+        return [(c, edges.get(c), due[t], done[t]) for t, c in enumerate(self.order)]
 
-    def _width(self, bound: int) -> int:
-        """Field width W of a root pack whose fields are at most bound in size.
+    def _pack_roots(self, candidates: list) -> tuple:
+        """The candidates as one pack (root, S, (a, b), W, d), to be checked
+        at the integer point q = a/b: the d roots y_k = root / S, packed at
+        width W as a dense list of ints.
 
-        Proof that W suffices.  Packing (_pack) is Z-linear, and so is every
-        step after it: a map multiplies entries by integer coefficients and
-        adds them, an event side is multiplied by the integer ml or mr.  So
-        each packed entry is exactly the pack of the d candidates' own
-        values, the numbers the per-candidate computation would give.  Those
-        are bounded: a map with kappa = max |coef[rl]| + |diag[rl]| grows the
-        largest |entry| at most kappa-fold, so column c is within
-        bound G_c (G_c the product of kappa along its tree path) and the
-        event sides within bound G_c kappa_i |ml| and bound G_c2 |mr|; reach
-        is the largest of these factors, so every field is below
-        2^(W-2) <= 2^(W-1).  Two packs whose fields are all below 2^(W-1)
-        in size are equal only if every field is: their difference has
-        fields g_k with |g_k| < 2^W, and sum g_k 2^(kW) = 0 forces
-        g_0 = 0 mod 2^W, so g_0 = 0, and so on upwards.  Hence the packed
-        comparison of an event holds if and only if it holds for every
-        candidate, and _unpack recovers every column entry.  An overflowing
-        field would not be visible in the packed int, which is why the bound
-        is proved a priori rather than checked.
+        Over Q, S is the lcm of all the candidates' denominators and a/b is
+        q.  Over Q(q) the candidates are cleared to Z[q]: with L(q) the lcm
+        of their denominator polynomials and c the lcm of the coefficient
+        denominators of every y_k L, each P_k = S y_k for S(q) = c L(q) has
+        entries in Z[q].  Each entry is taken at q = 2^K, so a = 2^K and
+        b = 1, and S is the list of coefficients of S(q), constant first.
+
+        Proof that K suffices.  Taking q to 2^K is a ring map Z[q] -> Z, so
+        every integer column and event side is the value at 2^K of the
+        polynomial that the same steps give over Z[q] with a = q and b = 1.
+        There each row of the maps b A_i and b A_i - (a - b) has one entry q
+        or 1 and at most one more, q - 1 or 1 - q, so its coefficient
+        1-norms sum to at most 3, and a map grows the largest |coefficient|
+        at most 3-fold; the multipliers ml and mr are powers of q, which
+        leave the coefficients as they are.  With B0 the largest root
+        |coefficient| and h the tree height (the largest ea + eb), every
+        column and event side therefore has its coefficients within
+        B0 3^(h+1) < 2^(K-2), for K = bit_length(B0 3^(h+1)) + 2.  Two
+        polynomials whose coefficients are all below 2^(K-1) in size are
+        equal if and only if their values at 2^K are, by the argument of
+        _width with the coefficients as fields.  So an event holds over
+        Q(q) exactly when it holds at q = 2^K, and the balanced base-2^K
+        digits of an entry (_unpack) are its coefficients.
         """
-        return (bound * self.reach).bit_length() + 2
+        if self.over_q:
+            S = lcm(*(v.denominator for y in candidates for v in y))
+            fields = [[v.numerator * (S // v.denominator) for v in y] for y in candidates]
+            a, b = self.a, self.b
+        else:
+            dens = {v.den for y in candidates for v in y}
+            L = ONE
+            for den in dens:
+                L = L * _divmod(den, _gcd(L, den))[0]
+            cofactor = {den: _divmod(L, den)[0] for den in dens}
+            polys = [[cofactor[v.den] * v.num for v in y] for y in candidates]
+            c = lcm(*(x.denominator for y in polys for p in y for _, x in p.terms))
+            B0 = int(max(abs(x) for y in polys for p in y for _, x in p.terms) * c)
+            K = (B0 * 3 ** (max(map(sum, self.exps)) + 1)).bit_length() + 2
+            fields = [[sum(int(x * c) << (K * e) for e, x in p.terms) for p in y] for y in polys]
+            S = [L.coefficient(e) * c for e in range(L.max_exponent() + 1)]
+            a, b = 1 << K, 1
+        reach, _ = self._checks(a, b)
+        W = _width(max(max(map(abs, f)) for f in fields), reach)
+        return [_pack(entry, W) for entry in zip(*fields)], S, (a, b), W, len(candidates)
 
-    def _packs(self, candidates: list) -> list[tuple]:
-        """The candidates as packs (root, S, W, d): the d roots y_k = root / S,
-        packed at width W.  Over Q one pack holds them all, as a dense list
-        of ints; over Q(q) each candidate is its own sparse pack of one
-        (dense columns of RationalFunction were several times slower, since
-        a product with zero is not free there), and W is None."""
-        if not self.over_q:
-            return [({rl: v for rl, v in enumerate(y) if v}, self.one, None, 1)
-                    for y in candidates]
-        S = lcm(*(v.denominator for y in candidates for v in y))
-        fields = [[v.numerator * (S // v.denominator) for v in y] for y in candidates]
-        W = self._width(max(max(map(abs, f)) for f in fields))
-        return [([_pack(entry, W) for entry in zip(*fields)], S, W, len(candidates))]
-
-    def _image(self, i: int, case: int, u):
-        """b A_i u, less (a - b) u when case is 3."""
-        op = self.images[case == 3][i]
-        return _apply_dense(op, u) if self.over_q else _apply(op, u)
-
-    def _times(self, k, u):
-        """k u for a ring element k."""
-        return list(map(mul, repeat(k), u)) if self.over_q else {rl: k * v for rl, v in u.items()}
-
-    def _verify(self, root, keep: bool = False, limit: int | None = 8) -> tuple[list[int], list]:
+    def _verify(self, pack: tuple, keep: bool = False, limit: int | None = 8) -> tuple[list[int], list]:
         """Propagate a pack from its root column and check every event on it.
 
         A tree edge maps x_p to A x_p (case 2) or (A - (q - 1)) x_p / q
-        (case 3); with q = a/b that is u_c = the ring image of u_p, its
+        (case 3); with q = a/b that is u_c = the integer image of u_p, its
         factor (b on case 2, a on case 3) going into s_c.  An event is
-        checked exactly, as ml image_i,case(u_c) == mr u_c2 (see
-        _prepare_checks), as soon as both its columns exist, and a column
-        is dropped after its last use unless keep, so only a breadth-first
-        frontier of columns is alive at a time.  A packed event holds if and
-        only if it holds for every candidate of the pack (see _width).
+        checked exactly, as ml image_i,case(u_c) == mr u_c2 (see _checks),
+        as soon as both its columns exist, and a column is dropped after its
+        last use unless keep, so only a breadth-first frontier of columns is
+        alive at a time.  A packed event holds if and only if it holds for
+        every candidate of the pack (see _width), over Q(q) too (see
+        _pack_roots).
 
         Returns the positions of the first limit (None: all) events broken,
         in the order checked, and the columns (None where dropped).
         """
+        _, steps = self._checks(*pack[2])
         cols = [None] * len(self.table)
         bad = []
-        for c, edge, checks, done in self.steps:
-            if edge is None:
-                cols[c] = root
-            else:
-                p, i, case = edge
-                cols[c] = self._image(i, case, cols[p])
-            for pos, i, c1, c2, case, ml, mr in checks:
-                lhs, rhs = self._image(i, case, cols[c1]), cols[c2]
+        for c, edge, checks, done in steps:
+            cols[c] = pack[0] if edge is None else _apply_dense(edge[1], cols[edge[0]])
+            for pos, op, c1, c2, ml, mr in checks:
+                lhs, rhs = _apply_dense(op, cols[c1]), cols[c2]
                 if ml is not None:
-                    lhs = self._times(ml, lhs)
+                    lhs = list(map(mul, repeat(ml), lhs))
                 if mr is not None:
-                    rhs = self._times(mr, rhs)
+                    rhs = list(map(mul, repeat(mr), rhs))
                 if lhs != rhs:
                     bad.append(pos)
                     if len(bad) == limit:
@@ -543,18 +580,26 @@ class _PairSolver:
         return bad, cols
 
     def _basis(self, pack: tuple, cols: list) -> list[dict]:
-        """The d basis blocks {(rl, c): x_c[rl]} of a checked pack."""
-        _, S, W, d = pack
+        """The d basis blocks {(rl, c): x_c[rl]} of a checked pack, with
+        x_c = u_c / (S s_c).  Over Q(q) a field of u_c is P(2^K) for the
+        polynomial P = S(q) q^ea x_c, whose coefficients are its balanced
+        base-2^K digits (see _pack_roots)."""
+        _, S, (a, b), W, d = pack
+        if self.over_q:
+            dens, value = [S * a ** ea * b ** eb for ea, eb in self.exps], Fraction
+        else:
+            K = a.bit_length() - 1
+            dens = [[0] * ea + S for ea, _ in self.exps]
+
+            def value(v: int, den: list) -> RationalFunction:
+                return RationalFunction(_unpack(v, K, v.bit_length() // K + 2), den)
         blocks = [{} for _ in range(d)]
-        a, b, one = self.a, self.b, self.one
-        for c, (u, (ea, eb)) in enumerate(zip(cols, self.exps)):
-            s = S * _power(a, ea, one) * _power(b, eb, one)
-            for rl, val in enumerate(u) if self.over_q else u.items():
-                if not val:
-                    continue
-                for X, v in zip(blocks, _unpack(val, W, d) if W else (val,)):
-                    if v:
-                        X[(rl, c)] = Fraction(v, s) if self.over_q else v / s
+        for c, (u, s) in enumerate(zip(cols, dens)):
+            for rl, val in enumerate(u):
+                if val:
+                    for X, v in zip(blocks, _unpack(val, W, d)):
+                        if v:
+                            X[(rl, c)] = value(v, s)
         return blocks
 
     def solve(self, with_basis: bool):
@@ -579,22 +624,17 @@ class _PairSolver:
             candidates = ech.nullspace()
             if not candidates:
                 return 0, []
-            checked = []
-            bad_positions: set[int] = set()
-            for pack in self._packs(candidates):
-                bad, cols = self._verify(pack[0], keep=with_basis)
-                bad_positions.update(bad)
-                if with_basis:
-                    checked.append((pack, cols))
-            if not bad_positions:
-                return len(candidates), [X for pack, cols in checked for X in self._basis(pack, cols)]
+            pack = self._pack_roots(candidates)
+            bad, cols = self._verify(pack, keep=with_basis)
+            if not bad:
+                return len(candidates), self._basis(pack, cols) if with_basis else []
             before = ech.rank
-            for pos in sorted(bad_positions):
+            for pos in sorted(bad):
                 feed(pos)
             if ech.rank <= before:
                 raise SolverInvariantError(
                     'violated equation did not cut the space', self.pair,
-                    tuple(self.events[pos] for pos in sorted(bad_positions)))
+                    tuple(self.events[pos] for pos in sorted(bad)))
 
 
 # ---------------------------------------------------------------------------
@@ -642,16 +682,15 @@ def commutant_basis(
     symbolic: bool = False,
     with_basis: bool = False,
     limit: int = 4096,
-    symbolic_limit: int = 64,
     generators: Sequence[int] | None = None,
 ) -> CommutantReport:
     """Compute the centralizer dimension (and optionally a basis) exactly.
 
     Default mode specializes q at each value in q_values (nonzero ints or
-    Fractions) and cross-checks that all runs agree; symbolic mode works
-    over Q(q) directly (q_values are checked all the same, not used) and
-    is gated by symbolic_limit.  The basis, if
-    requested, is materialized as sparse matrices
+    Fractions) and cross-checks that all runs agree, refusing n^r above
+    limit; symbolic mode works over Q(q) directly (q_values are checked
+    all the same, not used) and refuses n^r above SYMBOLIC_LIMIT too.  The
+    basis, if requested, is materialized as sparse matrices
     {(row index, column index): value} at the first q value, or over
     Q(q) in symbolic mode.
     """
@@ -668,7 +707,7 @@ def commutant_basis(
         if not q0:
             raise ZeroSpecialization('q must specialize to a unit, got 0')
     if symbolic:
-        _check_limit(n, r, symbolic_limit)
+        _check_limit(n, r, SYMBOLIC_LIMIT)
     classes = _component_classes(n, r, gens)
     components = sum(map(len, classes.values()))
     counts = {'components': components, 'pairs': components ** 2,

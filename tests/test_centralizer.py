@@ -24,6 +24,7 @@ from qpartition.centralizer import (
     DEFAULT_Q_VALUES,
     DimensionLimitExceeded,
     RationalFunction,
+    SYMBOLIC_LIMIT,
     SolverInvariantError,
     _PairSolver,
     _RF_ONE,
@@ -39,7 +40,7 @@ from qpartition.centralizer import (
     half_commutant_basis,
     structure_constants,
 )
-from qpartition.coeff import Q, ZeroSpecialization, lp
+from qpartition.coeff import ONE, Q, LaurentPoly, ZeroSpecialization, lp
 from qpartition.linalg import Echelon
 from qpartition.qperm import half_qpartition_dim, qpartition_dim
 from qpartition.tensoract import _classify, _swap_letters, all_indices, generator_matrix
@@ -168,17 +169,22 @@ def test_symbolic_mode_agrees():
         assert sym.dim == commutant_basis(n, r).dim
 
 
-def test_symbolic_basis_commutes_over_function_field():
-    n, r = 2, 2
+# every cell symbolic mode admits, up to n = 16 and r = 6
+SYMBOLIC_GRID = [(n, r) for n in range(1, 17) for r in range(1, 7) if n ** r <= SYMBOLIC_LIMIT]
+
+
+@pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
+def test_symbolic_dimension_matches_formula(n, r):
+    # a dimension over Q(q) itself, not at a few rational points
+    assert commutant_basis(n, r, symbolic=True).dim == qpartition_dim(n, r)
+
+
+@pytest.mark.parametrize('n,r', [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+def test_symbolic_basis_commutes_over_function_field(n, r):
     report = commutant_basis(n, r, symbolic=True, with_basis=True)
     assert len(report.basis) == report.dim
     idxs = all_indices(n, r)
     gid = {j: t for t, j in enumerate(idxs)}
-    cols = generator_matrix(n, r, 1)
-    A = {}
-    for j, col in cols.items():
-        for j2, c in col.items():
-            A[(gid[j2], gid[j])] = RationalFunction.from_laurent(c)
     zero = _RF_ONE - _RF_ONE
 
     def mul(P, X):
@@ -191,8 +197,11 @@ def test_symbolic_basis_commutes_over_function_field():
                 out[(i, j)] = out.get((i, j), zero) + w * v
         return {k: v for k, v in out.items() if v}
 
-    for X in report.basis:
-        assert mul(A, X) == mul(X, A)
+    for i in range(1, n):
+        A = {(gid[j2], gid[j]): RationalFunction.from_laurent(c)
+             for j, col in generator_matrix(n, r, i).items() for j2, c in col.items()}
+        for X in report.basis:
+            assert mul(A, X) == mul(X, A)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +666,9 @@ def symbolic_dim(n, r):
        st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]))
 @settings(max_examples=30, deadline=None)
 def test_symbolic_matches_specialised_at_random_q(a, b, negative, cell):
-    # the integer path (q = a/b) and the Q(q) path (a = q, b = 1) share
-    # the pullback, the propagation and the verification
+    # the pullback is shared by the integer path (q = a/b) and the Q(q)
+    # path (a = q, b = 1), and so are the propagation and the verification,
+    # which Q(q) runs on integers at q = 2^K
     q0 = Fraction(-a if negative else a, b)
     assume(q0 not in (1, -1))
     assert symbolic_dim(*cell) == commutant_basis(*cell, (q0,)).dim == qpartition_dim(*cell)
@@ -671,10 +681,12 @@ class Reference:
     """The per-candidate verification over Q: each root cleared of its own
     denominators, sparse dict columns with their own scales, every event
     cross-multiplied by the scales of its two columns.  The maps are built
-    from the row table afresh, not taken from the solver."""
+    from the row table afresh, not taken from the solver.  Given q0 = q in
+    Q(q) rather than a Fraction, it runs at a = q and b = 1 (see
+    SymbolicReference)."""
 
     def __init__(self, table_p, q0):
-        a, b = q0.numerator, q0.denominator
+        a, b = (q0.numerator, q0.denominator) if isinstance(q0, Fraction) else (q0, _RF_ONE)
         self.factor = {1: a, 2: b, 3: a}
         self.images = [], []
         for k in range(len(table_p[0])):
@@ -734,16 +746,17 @@ def packed_rounds(table, table_p, q0):
     which feeds the loops at the root first (after which every pair of the
     grid passes in its first round), it starts from no equation at all, so
     the early candidates break events and every round feeds back the
-    flagged ones."""
-    solver = _PairSolver(table, table_p, q0, Fraction(1), random.Random(0), (0, 0))
-    ech = Echelon(solver.m, Fraction(1))
+    flagged ones.  q0 is a Fraction, or q in Q(q) for the symbolic mode."""
+    one = Fraction(1) if isinstance(q0, Fraction) else _RF_ONE
+    solver = _PairSolver(table, table_p, q0, one, random.Random(0), (0, 0))
+    ech = Echelon(solver.m, one)
     while candidates := ech.nullspace():
-        (pack,) = solver._packs(candidates)
-        bad, cols = solver._verify(pack[0], keep=True, limit=None)
+        pack = solver._pack_roots(candidates)
+        bad, cols = solver._verify(pack, keep=True, limit=None)
         yield solver, candidates, pack, cols, bad
         if not bad:
             return
-        for pos in solver._verify(pack[0])[0]:  # as solve feeds them, at most 8
+        for pos in solver._verify(pack)[0]:  # as solve feeds them, at most 8
             for row in solver._event_rows(solver.events[pos]):
                 ech.add(row)
 
@@ -771,7 +784,7 @@ def test_packed_check_matches_per_candidate_reference(n, r):
                 # the pack fails an event exactly when some candidate does
                 assert sorted(bad) == sorted(flagged)
                 # and solve, which stops at 8, is handed only such events
-                first, left = solver._verify(pack[0])
+                first, left = solver._verify(pack)
                 assert set(first) <= flagged and len(first) == min(8, len(flagged))
                 if not flagged:  # a full pass drops each column after its last use
                     assert left == [None] * len(left)
@@ -786,7 +799,7 @@ def test_packed_width_covers_every_field(n, r):
         for table, table_p in pair_classes(n, r):
             ref = Reference(table_p, q0)
             for solver, candidates, pack, cols, _ in packed_rounds(table, table_p, q0):
-                root, S, W, d = pack
+                root, S, _, W, d = pack
                 assert d == len(candidates) and S == math.lcm(
                     *(v.denominator for y in candidates for v in y))
                 fields = [[_unpack(v, W, d) for v in u] for u in cols]
@@ -803,11 +816,84 @@ def test_packed_width_covers_every_field(n, r):
                 assert largest < 2 ** (W - 1)
 
 
-def test_packs_over_q_of_q_hold_one_sparse_candidate_each():
-    table = next(iter(_component_classes(3, 2, (1, 2))))
-    solver = _PairSolver(table, table, _RF_Q, _RF_ONE, random.Random(0), (0, 0))
-    y = [_RF_ONE, _RF_ONE - _RF_ONE, _RF_Q]
-    assert solver._packs([y, y]) == [({0: _RF_ONE, 2: _RF_Q}, _RF_ONE, None, 1)] * 2
+class SymbolicReference(Reference):
+    """The replaced Q(q) path: each candidate propagated on its own, as it
+    is (no denominators cleared), in sparse columns of RationalFunction
+    values at a = q and b = 1, and every event checked over Q(q)."""
+
+    def __init__(self, table_p):
+        super().__init__(table_p, _RF_Q)
+
+    @staticmethod
+    def clear(y):
+        return {rl: v for rl, v in enumerate(y) if v}, _RF_ONE
+
+    def largest(self, solver, cols):
+        """The largest |coefficient| in any column and on either side of any
+        event; the multipliers are powers of q, which leave coefficients as
+        they are."""
+        def size(u):
+            return max((abs(x) for v in u.values() for _, x in v.num.terms), default=0)
+
+        out = max(size(u) for u, _ in cols.values())
+        for i, c, c2, case in solver.events:
+            out = max(out, size(self.image(i, case, cols[c][0])), size(cols[c2][0]))
+        return out
+
+
+@pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
+def test_packed_check_over_q_of_q_matches_sparse_reference(n, r):
+    failing = 0
+    for table, table_p in pair_classes(n, r):
+        ref = SymbolicReference(table_p)
+        for solver, candidates, pack, _, bad in packed_rounds(table, table_p, _RF_Q):
+            failing += bool(bad)
+            flagged = set()
+            for y in candidates:
+                flagged.update(ref.violations(solver, ref.propagate(solver, ref.clear(y)),
+                                              limit=None))
+            # the integer check at q = 2^K fails an event exactly when some
+            # candidate fails it over Q(q)
+            assert sorted(bad) == sorted(flagged)
+            first, left = solver._verify(pack)
+            assert set(first) <= flagged and len(first) == min(8, len(flagged))
+            if not flagged:
+                assert left == [None] * len(left)
+    assert failing or n <= 2
+
+
+@pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
+def test_packed_width_over_q_of_q_covers_every_coefficient(n, r):
+    for table, table_p in pair_classes(n, r):
+        ref = SymbolicReference(table_p)
+        for solver, candidates, pack, cols, _ in packed_rounds(table, table_p, _RF_Q):
+            root, S, (a, b), W, d = pack
+            K = a.bit_length() - 1
+            assert (a, b) == (1 << K, 1) and d == len(candidates)
+            S = RationalFunction(S)
+            ref_int = Reference(table_p, Fraction(a))
+            fields = [[_unpack(v, W, d) for v in u] for u in cols]
+            largest = largest_int = 0
+            for k, y in enumerate(candidates):
+                # S(q) y_k has its entries in Z[q]
+                P = {rl: S * v for rl, v in enumerate(y) if v}
+                assert all(v.den == ONE and all(type(x) is int for _, x in v.num.terms)
+                           for v in P.values())
+                ref_cols = ref.propagate(solver, (P, _RF_ONE))
+                for c, (u, _) in ref_cols.items():
+                    for rl in range(solver.m):
+                        # field k of the packed column is the polynomial
+                        # column's entry at q = 2^K, and its base-2^K digits
+                        # are that entry's coefficients
+                        f = fields[c][rl][k]
+                        digits = _unpack(f, K, f.bit_length() // K + 2)
+                        assert LaurentPoly(enumerate(digits)) == u.get(rl, _RF_ONE - _RF_ONE).num
+                largest = max(largest, ref.largest(solver, ref_cols))
+                # and the integer fields stay within the width W at q = 2^K
+                u0 = {rl: sum(x << (K * e) for e, x in v.num.terms) for rl, v in P.items()}
+                largest_int = max(largest_int, ref_int.largest(solver, ref_int.propagate(solver, (u0, 1))))
+            assert largest < 2 ** (K - 1)
+            assert largest_int < 2 ** (W - 1)
 
 
 def test_verification_rejects_a_perturbed_root():
@@ -830,9 +916,9 @@ def test_verification_rejects_a_perturbed_root():
     assert 1 < len(candidates) < solver.m
 
     def packed_violations(ys):
-        (pack,) = solver._packs(ys)
-        assert pack[3] == len(ys)
-        return sorted(solver._verify(pack[0], limit=None)[0])
+        pack = solver._pack_roots(ys)
+        assert pack[4] == len(ys)
+        return sorted(solver._verify(pack, limit=None)[0])
 
     assert packed_violations(candidates) == []
     for k in range(len(candidates)):
