@@ -16,6 +16,13 @@ spanning tree from a root column y; every other equation is an event
 (i, c, c2, case), generator position i from column c to column c2 (a
 loop, where T_i fixes the basis vector, is case 1 with c2 = c), and
 becomes linear constraints on y, collected into an exact echelon.
+A loop asks less than its m rows.  On the row component T_i fixes a
+row (case 1) or moves it in a 2-cycle, rl to t in case 2 and t back to
+rl in case 3; taken times b, the loop is (b A_i - a) x_c = 0, a matrix
+whose row is zero where T_i fixes the row and whose rows on a 2-cycle
+{rl, t} are a(-1, 1) and b(1, -1).  With a and b nonzero the loop holds
+exactly when x_c[rl] = x_c[t] on every 2-cycle, and that equality is
+what is checked and pulled back (see _PairSolver._cycles).
 Constraints are streamed lazily: solve with a subset, then verify every
 raw equation on the candidate basis and feed back any violated equation.
 The final basis therefore satisfies all equations exactly; no identity
@@ -107,7 +114,8 @@ __all__ = [
 
 DEFAULT_Q_VALUES = (Fraction(2), Fraction(3), Fraction(7, 5))
 # largest n^r of symbolic mode: on a shared 2-CPU host (64,1) takes about
-# 1.3 s and (81,1) about 4 s
+# 0.15 s and (81,1) about 0.3 s; a larger limit would change which inputs
+# the CLI refuses as over a resource limit
 SYMBOLIC_LIMIT = 64
 # one and q in Q(q), the field of the symbolic mode
 _RF_ONE = RationalFunction((1,))
@@ -357,6 +365,7 @@ class _PairSolver:
         self.factor = {1: self.a, 2: self.b, 3: self.a}
         self.coimages = _coimages(table_p, self.a, self.b)
         self._checks_at: dict[tuple[int, int], tuple] = {}  # see _checks
+        self._cycles_of: dict[int, list[tuple[int, int]]] = {}  # see _cycles
         self._build_tree()
         self._collect_events()
 
@@ -382,6 +391,27 @@ class _PairSolver:
                        for k, (case, c2) in enumerate(entries)
                        if tree_children.get((k, c)) != c2]
 
+    def _cycles(self, i: int) -> list[tuple[int, int]]:
+        """The 2-cycles (rl, t) of generator position i on the row component,
+        rl in case 2 and t in case 3, built on first use and kept.
+
+        Every row must be fixed (case 1, its target itself) or have a
+        partner that the generator sends back to it in the other moving
+        case; the loops' equalities (see _event_rows and _verify) rest on
+        this shape, so a table without it is refused.
+        """
+        if i in self._cycles_of:
+            return self._cycles_of[i]
+        column = [entries[i] for entries in self.table_p]
+        for rl, (case, t) in enumerate(column):
+            if not (t == rl if case == 1 else case in (2, 3) and column[t] == (5 - case, rl)):
+                raise SolverInvariantError(
+                    f'generator position {i} neither fixes row {rl} nor moves it '
+                    f'in a 2-cycle', self.pair, (i, rl, (case, t)))
+        cycles = self._cycles_of[i] = [(rl, t) for rl, (case, t) in enumerate(column)
+                                       if case == 2]
+        return cycles
+
     # -- functional pullback along the tree, over the ring -----------------
 
     def _up(self, f: dict[int, object], s, c: int) -> tuple[dict[int, object], object, int]:
@@ -399,19 +429,29 @@ class _PairSolver:
         return f, s
 
     def _event_rows(self, ev) -> list[dict[int, object]]:
-        """Rows on the root column y of one raw equation, one per row of C'.
+        """Rows on the root column y of one raw equation: one per 2-cycle of
+        T_i on C' for a loop, else one per row of C'.
 
         With q = a/b the equations are taken times b: the event (i, c, c2,
-        case) is factor_case x_c2 = N x_c, with N = b A_i (cases 1 and 2) or
-        b A_i - (a - b) (case 3); a loop (case 1, c2 = c) is a x_c = b A_i x_c.
-        The halves climb, (h1, s1) from c and (h2, s2) from c2, the later
-        found first (labels are breadth-first), until they meet where their
-        paths join (at c on a loop); factor_case s1 h2 - s2 h1 is then pulled
-        once to the root.  That is factor_case s1 g2 - s2 g1 for the halves
-        pulled on their own, divided by the scale of the shared path, which
-        the echelon's normalised rows do not see.
+        case) is factor_case x_c2 = N x_c, with N = b A_i (case 2) or
+        b A_i - (a - b) (case 3).  A loop (case 1, c2 = c) is
+        (b A_i - a) x_c = 0.  Its row rl is zero where T_i fixes rl; on a
+        2-cycle (rl, t) of T_i (see _cycles), b A_i has row rl = (0, a) and
+        row t = (b, a - b) on {rl, t}, so the two rows of b A_i - a are
+        a(-1, 1) and b(1, -1), both multiples of x_c[rl] - x_c[t].  That one
+        functional per 2-cycle is pulled to the root, and the rows span what
+        the m rows of the loop span.
+        Otherwise the halves climb, (h1, s1) from c and (h2, s2) from c2, the
+        later found first (labels are breadth-first), until they meet where
+        their paths join; factor_case s1 h2 - s2 h1 is then pulled once to
+        the root.  That is factor_case s1 g2 - s2 g1 for the halves pulled on
+        their own, divided by the scale of the shared path, which the
+        echelon's normalised rows do not see.
         """
         i, c, c2, case = ev
+        if case == 1:
+            minus = self.zero - self.one
+            return [self._pull({rl: self.one, t: minus}, c)[0] for rl, t in self._cycles(i)]
         coimage, k = self.coimages[case == 3][i], self.factor[case]
         out = []
         for rl in range(self.m):
@@ -447,7 +487,12 @@ class _PairSolver:
         the two monomials leaves ml N u_c = mr u_c2 with coprime
         multipliers ml and mr, None where they are one.  The maps N act on
         columns in dense form (_dense), and reach bounds the growth of every
-        column and event side (see _width).  The steps are _schedule's.
+        column and event side (see _width).  A loop (case 1) is checked as
+        u_c[rl] == u_c[t] on every 2-cycle (rl, t) of T_i instead (see
+        _event_rows), as the check (pos, None, c, c, ends_rl, ends_t) with
+        the two gathers of those ends, and not at all when T_i moves no row;
+        its sides still count in reach, so W is that of the full check.  The
+        steps are _schedule's.
         """
         if (a, b) in self._checks_at:
             return self._checks_at[a, b]
@@ -458,7 +503,7 @@ class _PairSolver:
             p, i, case = self.par[c]
             edges[c] = p, images[case == 3][i]
             gain[c] = gain[p] * edges[c][1][3]
-        checks, reach, multipliers = [], max(gain), {}
+        checks, reach, multipliers, ends = [], max(gain), {}, {}
         for pos, (i, c, c2, case) in enumerate(self.events):
             # s_c2 / (factor s_c) = a^ea b^eb, and (ml, mr) per (ea, eb)
             key = ea, eb = (self.exps[c2][0] - self.exps[c][0] - (case != 2),
@@ -469,14 +514,21 @@ class _PairSolver:
             ml, mr = multipliers[key]
             op = images[case == 3][i]
             reach = max(reach, gain[c] * op[3] * abs(ml), gain[c2] * abs(mr))
-            checks.append((pos, op, c, c2, None if ml == 1 else ml, None if mr == 1 else mr))
+            if case != 1:
+                checks.append((pos, op, c, c2, None if ml == 1 else ml, None if mr == 1 else mr))
+                continue
+            if i not in ends:
+                cycles = self._cycles(i)
+                ends[i] = cycles and tuple(itemgetter(*side) for side in zip(*cycles))
+            if ends[i]:
+                checks.append((pos, None, c, c, *ends[i]))
         self._checks_at[a, b] = out = reach, self._schedule(edges, checks)
         return out
 
     def _schedule(self, edges: dict, checks: list) -> list[tuple]:
         """The steps of _verify: per column c in breadth-first order, its
-        tree edge (parent, map), None at the root, the checks (pos, map, c,
-        c2, ml, mr) whose two columns exist once c does, and the columns
+        tree edge (parent, map), None at the root, the checks of _checks
+        whose two columns exist once c does, and the columns
         used for the last time there."""
         at = {c: t for t, c in enumerate(self.order)}
         due = [[] for _ in self.order]
@@ -552,9 +604,15 @@ class _PairSolver:
         checked exactly, as ml image_i,case(u_c) == mr u_c2 (see _checks),
         as soon as both its columns exist, and a column is dropped after its
         last use unless keep, so only a breadth-first frontier of columns is
-        alive at a time.  A packed event holds if and only if it holds for
-        every candidate of the pack (see _width), over Q(q) too (see
-        _pack_roots).
+        alive at a time.  A loop is one tuple comparison, the entries of u_c
+        at the case 2 ends of the 2-cycles of T_i against those at their
+        case 3 ends, with no map and no multiplier: since a and b are
+        nonzero (over Q(q), a = 2^K and b = 1), the loop holds exactly when
+        x_c[rl] = x_c[t] on each 2-cycle (see _event_rows), that is when the
+        fields of u_c[rl] and u_c[t] agree, and two packed entries of one
+        column are equal exactly when their fields are (see _width).  A
+        packed event holds if and only if it holds for every candidate of the
+        pack (see _width), over Q(q) too (see _pack_roots).
 
         Returns the positions of the first limit (None: all) events broken,
         in the order checked, and the columns (None where dropped).
@@ -565,11 +623,14 @@ class _PairSolver:
         for c, edge, checks, done in steps:
             cols[c] = pack[0] if edge is None else _apply_dense(edge[1], cols[edge[0]])
             for pos, op, c1, c2, ml, mr in checks:
-                lhs, rhs = _apply_dense(op, cols[c1]), cols[c2]
-                if ml is not None:
-                    lhs = list(map(mul, repeat(ml), lhs))
-                if mr is not None:
-                    rhs = list(map(mul, repeat(mr), rhs))
+                if op is None:  # a loop: ml and mr gather the ends of the 2-cycles
+                    lhs, rhs = ml(cols[c1]), mr(cols[c1])
+                else:
+                    lhs, rhs = _apply_dense(op, cols[c1]), cols[c2]
+                    if ml is not None:
+                        lhs = list(map(mul, repeat(ml), lhs))
+                    if mr is not None:
+                        rhs = list(map(mul, repeat(mr), rhs))
                 if lhs != rhs:
                     bad.append(pos)
                     if len(bad) == limit:

@@ -439,9 +439,10 @@ def test_walk_matches_union_find_on_generator_subsets(case):
 # one event shape: a loop is the case-1 edge from c to itself
 
 def loop_rows_reference(solver, ev, a):
-    """Rows of the loop (b A_i - a) x_c = 0, pulled back to the root."""
+    """Rows of the loop (b A_i - a) x_c = 0, pulled back to the root, as
+    {rl: row rl}; the rows that vanish are left out."""
     i, c, _, _ = ev
-    out = []
+    out = {}
     for rl in range(solver.m):
         f = _apply(solver.coimages[0][i], {rl: solver.one})
         cur = f.get(rl, solver.zero) - a
@@ -451,8 +452,25 @@ def loop_rows_reference(solver, ev, a):
             del f[rl]
         row, _ = solver._pull(f, c)
         if row:
-            out.append(row)
+            out[rl] = row
     return out
+
+
+def is_multiple(row, ref):
+    """row is a nonzero multiple of ref."""
+    cl0 = next(iter(row), None)
+    return cl0 is not None and row.keys() == ref.keys() and all(
+        row[cl] * ref[cl0] == ref[cl] * row[cl0] for cl in row)
+
+
+def same_span(rows, ref, m, one):
+    """rows and ref span the same space of functionals on m coordinates."""
+    echs = Echelon(m, one), Echelon(m, one)
+    for ech, side in zip(echs, (rows, ref)):
+        for row in side:
+            ech.add(row)
+    return echs[0].rank == echs[1].rank and all(
+        not ech.reduce(row)[0] for ech, side in zip(echs, (ref, rows)) for row in side)
 
 
 def edge_rows_reference(solver, ev):
@@ -503,13 +521,17 @@ def test_event_rows_match_the_two_pull_and_loop_references(n, r, field):
                 s = solver.one
                 for v in path_to_root(solver, meet)[:-1]:
                     s = (b if solver.par[v][2] == 2 else a) * s
-                assert [{cl: s * x for cl, x in row.items()} for row in rows] == \
-                    edge_rows_reference(solver, ev)
-                if case == 1:  # so a loop row is -s_c times the loop formula's
+                if case != 1:
+                    assert [{cl: s * x for cl, x in row.items()} for row in rows] == \
+                        edge_rows_reference(solver, ev)
+                else:  # one row per 2-cycle (rl, t), a multiple of the loop formula's row rl
                     loops += 1
                     assert meet == c
-                    assert rows == [{cl: -x for cl, x in row.items()}
-                                    for row in loop_rows_reference(solver, ev, a)]
+                    reference = loop_rows_reference(solver, ev, a)
+                    cycles = solver._cycles(i)
+                    assert len(rows) == len(cycles) and len(reference) == 2 * len(cycles)
+                    assert all(is_multiple(row, reference[rl]) for row, (rl, _) in zip(rows, cycles))
+                    assert same_span(rows, reference.values(), solver.m, one)
     # at n = 2 every letter is 1 or 2, so T_1 moves every tensor: no loops
     assert loops or n == 2
 
@@ -541,6 +563,26 @@ def test_disconnected_component_raises():
     assert info.value.pair == (0, 0)
 
 
+# row tables in which generator position 0 is not a product of 2-cycles:
+# a case 2 row sent to a row that moves on, one sent to a case 3 row that
+# goes back elsewhere, and a case 1 row with another target
+MALFORMED_ROW_TABLES = [(((2, 1),), ((2, 0),)),
+                        (((2, 1),), ((3, 1),)),
+                        (((1, 1),), ((1, 0),))]
+
+
+@pytest.mark.parametrize('table_p', MALFORMED_ROW_TABLES)
+def test_malformed_two_cycle_raises(table_p):
+    # a one-vertex column component fixed by T_1: its loop is the first
+    # event fed, and its rows read the 2-cycles of the row table
+    solver = _PairSolver((((1, 0),),), table_p, Fraction(2), Fraction(1),
+                         random.Random(0), (0, 3))
+    with pytest.raises(SolverInvariantError) as info:
+        solver.solve(with_basis=False)
+    assert info.value.pair == (0, 3)
+    assert 'generator position 0' in str(info.value)
+
+
 OPTIMISED_CHECKS = """
 import random
 from fractions import Fraction
@@ -554,6 +596,12 @@ try:
     _PairSolver(table, table, Fraction(2), Fraction(1), random.Random(0), (0, 0))
 except SolverInvariantError:
     print('disconnected table raised')
+moving_on = (((2, 1),), ((2, 0),))
+try:
+    _PairSolver((((1, 0),),), moving_on, Fraction(2), Fraction(1), random.Random(0),
+                (0, 0)).solve(with_basis=False)
+except SolverInvariantError as exc:
+    print('malformed 2-cycle raised:', 'generator position 0' in str(exc))
 linalg.Echelon.add = lambda self, row, tag=None: None
 try:
     commutant_basis(3, 2, (Fraction(2),))
@@ -575,6 +623,7 @@ def run_optimised(code):
 def test_solver_invariants_raise_under_python_O():
     # asserts vanish under -O; the invariants must not
     assert run_optimised(OPTIMISED_CHECKS) == ['disconnected table raised',
+                                               'malformed 2-cycle raised: True',
                                                'stalled echelon raised: True']
 
 
@@ -929,6 +978,31 @@ def test_verification_rejects_a_perturbed_root():
                                    limit=None)
             assert alone
             assert packed_violations(perturbed) == alone
+
+
+def test_a_dropped_two_cycle_is_caught(monkeypatch):
+    # a mutant that forgets one 2-cycle of each generator checks its loops
+    # on too few rows and pulls back too few rows for them: the per-candidate
+    # reference flags events the packed check passes, and the loop rows no
+    # longer span the loop formula's
+    cycles = _PairSolver._cycles
+    monkeypatch.setattr(_PairSolver, '_cycles', lambda self, i: cycles(self, i)[1:])
+    q0 = Fraction(7, 5)
+    missed = narrowed = 0
+    for table, table_p in pair_classes(4, 2):
+        ref = Reference(table_p, q0)
+        for solver, candidates, _, _, bad in packed_rounds(table, table_p, q0):
+            flagged = set()
+            for y in candidates:
+                flagged.update(ref.violations(solver, ref.propagate(solver, ref.clear(y)),
+                                              limit=None))
+            missed += sorted(bad) != sorted(flagged)
+        for ev in solver.events:
+            if ev[3] == 1:
+                narrowed += not same_span(solver._event_rows(ev),
+                                          loop_rows_reference(solver, ev, 7).values(),
+                                          solver.m, Fraction(1))
+    assert missed and narrowed
 
 
 def reference_solve(solver, with_basis):
