@@ -84,15 +84,16 @@ cross-checks the dimensions; a fully symbolic mode over the field Q(q)
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
 from operator import add, itemgetter, mul
 from typing import Sequence
 
+from ._record import Record
 from .coeff import ONE, RationalFunction, ZeroSpecialization, _divmod, _exact, _gcd
 from .hecke import act_by_words
+from .limits import DimensionLimitExceeded, _check_limit
 from .linalg import Echelon
 from .symcomb import _ints, all_permutations
 from .tensoract import _classify, all_indices
@@ -120,10 +121,6 @@ SYMBOLIC_LIMIT = 64
 # one and q in Q(q), the field of the symbolic mode
 _RF_ONE = RationalFunction((1,))
 _RF_Q = RationalFunction((0, 1))
-
-
-class DimensionLimitExceeded(ValueError):
-    """Raised when n^r exceeds the configured size guard."""
 
 
 class SolverInvariantError(RuntimeError):
@@ -701,38 +698,34 @@ class _PairSolver:
 # ---------------------------------------------------------------------------
 # public entry points
 
-@dataclass
-class CommutantReport:
-    """Dimensions of End over the subalgebra generated by the given T_i."""
+class CommutantReport(Record):
+    """Dimensions of End over the subalgebra generated by the given T_i.
 
-    n: int
-    r: int
-    mode: str
-    generators: tuple[int, ...]
-    q_values: tuple[Fraction, ...]
-    dims: tuple[int, ...]
-    agree: bool
-    components: int
-    pairs: int  # ordered component pairs, components ** 2
-    pair_classes: int  # pairs with distinct tables: solves run per q value
-    basis: list | None = None
+    pairs counts the ordered component pairs, components ** 2, and
+    pair_classes the pairs with distinct tables: the solves run per q value.
+    """
+
+    __slots__ = ('n', 'r', 'mode', 'generators', 'q_values', 'dims', 'agree',
+                 'components', 'pairs', 'pair_classes', 'basis')
+
+    def __init__(self, n: int, r: int, mode: str, generators: tuple[int, ...],
+                 q_values: tuple[Fraction, ...], dims: tuple[int, ...], agree: bool,
+                 components: int, pairs: int, pair_classes: int, basis: list | None = None):
+        self.n = n
+        self.r = r
+        self.mode = mode
+        self.generators = generators
+        self.q_values = q_values
+        self.dims = dims
+        self.agree = agree
+        self.components = components
+        self.pairs = pairs
+        self.pair_classes = pair_classes
+        self.basis = basis
 
     @property
     def dim(self) -> int:
         return self.dims[0]
-
-
-def _check_limit(n: int, r: int, limit: int) -> None:
-    """Refuse more than limit basis vectors in V tensor r, or, since each
-    has r letters, an r above limit (which only n = 1 would admit)."""
-    if r > limit:
-        raise DimensionLimitExceeded(f'r = {r} exceeds limit {limit}')
-    # n >= 2 and r past the bit length of limit mean n^r > limit; n^r is
-    # then not formed, since it may have billions of digits
-    if n >= 2 and r > limit.bit_length():
-        raise DimensionLimitExceeded(f'n^r = {n}^{r} exceeds limit {limit}')
-    if n ** r > limit:
-        raise DimensionLimitExceeded(f'n^r = {n ** r} exceeds limit {limit}')
 
 
 def commutant_basis(
@@ -834,15 +827,19 @@ def _integral(X: dict) -> tuple[dict, int]:
     return {k: v.numerator * (s // v.denominator) for k, v in X.items()}, s
 
 
-@dataclass
-class DoubleCentralizerReport:
-    n: int
-    r: int
-    q0: Fraction
-    dim_commutant: int
-    dim_image: int
-    dim_bicommutant: int
-    image_contained: bool
+class DoubleCentralizerReport(Record):
+    __slots__ = ('n', 'r', 'q0', 'dim_commutant', 'dim_image', 'dim_bicommutant',
+                 'image_contained')
+
+    def __init__(self, n: int, r: int, q0: Fraction, dim_commutant: int, dim_image: int,
+                 dim_bicommutant: int, image_contained: bool):
+        self.n = n
+        self.r = r
+        self.q0 = q0
+        self.dim_commutant = dim_commutant
+        self.dim_image = dim_image
+        self.dim_bicommutant = dim_bicommutant
+        self.image_contained = image_contained
 
     @property
     def holds(self) -> bool:
@@ -954,16 +951,19 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
     )
 
 
-@dataclass
-class StructureConstants:
+class StructureConstants(Record):
     """Multiplication table of the centralizer in its computed basis."""
 
-    n: int
-    r: int
-    q0: Fraction
-    dim: int
-    table: dict[tuple[int, int], dict[int, object]]
-    closed: bool
+    __slots__ = ('n', 'r', 'q0', 'dim', 'table', 'closed')
+
+    def __init__(self, n: int, r: int, q0: Fraction, dim: int,
+                 table: dict[tuple[int, int], dict[int, object]], closed: bool):
+        self.n = n
+        self.r = r
+        self.q0 = q0
+        self.dim = dim
+        self.table = table
+        self.closed = closed
 
 
 def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> StructureConstants:

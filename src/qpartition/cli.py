@@ -14,46 +14,17 @@ limit was exceeded, 64 usage error (bad arguments, or an --out file that
 cannot be written).
 """
 
+# Each subcommand imports the modules it runs inside its own function, so
+# --help loads none of the mathematics and only commutant loads the
+# centralizer.  json and fractions are imported where they are used too.
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import re
 import sys
-from fractions import Fraction
 from math import comb, factorial
 
-from .centralizer import (
-    DEFAULT_Q_VALUES,
-    DimensionLimitExceeded,
-    _check_limit,
-    commutant_basis,
-    half_commutant_basis,
-)
-from .coeff import Q, ZeroSpecialization, lp
-from .glq import tq_dimension
-from .hecke import t_w, young_sum, signed_young_sum
-from .qperm import half_qpartition_dim, hom_matrix, qpartition_dim
-from .symcomb import (
-    Composition,
-    NotDistinguished,
-    Permutation,
-    bell,
-    coset_reps,
-    double_coset_reps,
-)
-from .tensoract import (
-    GeneratorOutOfRange,
-    TensorVector,
-    all_indices,
-    apply,
-    apply_generator,
-    generator_matrix,
-    orbit_correspondence,
-    set_partitions,
-    verify_relations,
-)
+from .limits import DimensionLimitExceeded, _check_limit
 
 __all__ = ['main']
 
@@ -96,6 +67,8 @@ _HUGE_EXPONENT = re.compile(r'[eE][-+]?0*[1-9][0-9]{3}')
 
 
 def _rational(text: str) -> Fraction:
+    from fractions import Fraction
+
     if _HUGE_EXPONENT.search(text):
         raise ValueError('exponent too large')
     return Fraction(text)
@@ -129,10 +102,18 @@ def _parse_index(text: str, n: int, r: int) -> tuple[int, ...]:
 
 
 def _parse_composition(text: str, what: str) -> Composition:
+    from .symcomb import Composition
+
     parts = _parse_ints(text, what)
     if any(p < 0 for p in parts):
         raise ValueError(f'{what} {text!r} has negative parts')
     return Composition(parts)
+
+
+def _json(payload) -> str:
+    import json
+
+    return json.dumps(payload, indent=2)
 
 
 def _emit(ns, text: str) -> None:
@@ -151,6 +132,10 @@ def _emit(ns, text: str) -> None:
 
 def _young_sum_checks(n: int) -> tuple[int, list[str]]:
     """T_i x_lambda = q x_lambda and T_i y_lambda = -y_lambda inside blocks."""
+    from .coeff import Q, lp
+    from .hecke import signed_young_sum, t_w, young_sum
+    from .symcomb import Composition, Permutation
+
     checks = 0
     failures = []
     for k in range(n):
@@ -171,6 +156,12 @@ def _young_sum_checks(n: int) -> tuple[int, list[str]]:
 
 def _associativity_samples(n: int, r: int, seed: int, count: int = 5) -> tuple[int, list[str]]:
     """Seeded spot check that (h h') v = h (h' v) on random inputs."""
+    import random
+
+    from .hecke import t_w
+    from .symcomb import Permutation
+    from .tensoract import TensorVector, apply
+
     rng = random.Random(seed)
     failures = []
     letters = list(range(1, n + 1))
@@ -204,6 +195,8 @@ def _young_sum_terms(n: int, cap: int) -> int:
 
 
 def cmd_verify(ns) -> int:
+    from .tensoract import orbit_correspondence, set_partitions, verify_relations
+
     n, r = ns.n, ns.r
     _check_limit(n, r, ns.limit)
     _check_work('verify young sums', _young_sum_terms(n, ns.limit), ns.limit)
@@ -230,13 +223,13 @@ def cmd_verify(ns) -> int:
 
     all_pass = all(ok for _, ok, _, _ in checks)
     if ns.format == 'json':
-        _emit(ns, json.dumps({
+        _emit(ns, _json({
             'n': n, 'r': r, 'seed': ns.seed, 'passed': all_pass,
             'checks': [
                 {'name': name, 'passed': ok, 'detail': detail,
                  'failures': list(fails)}
                 for name, ok, detail, fails in checks],
-        }, indent=2))
+        }))
     else:
         lines = []
         for name, ok, detail, fails in checks:
@@ -266,6 +259,9 @@ def _check_work(what: str, work: int, limit: int) -> None:
 
 
 def cmd_dims(ns) -> int:
+    from .qperm import half_qpartition_dim, qpartition_dim
+    from .symcomb import bell
+
     if ns.half and ns.n < 2:
         raise ValueError('need n >= 2 for a restricted subalgebra')
     # each of the n r rows also runs up to r multiplicity transfer steps
@@ -287,7 +283,7 @@ def cmd_dims(ns) -> int:
     mismatch = any(row['match'] is False for row in rows)
 
     if ns.format == 'json':
-        _emit(ns, json.dumps({'half': ns.half, 'rows': rows}, indent=2))
+        _emit(ns, _json({'half': ns.half, 'rows': rows}))
     elif ns.format == 'csv':
         lines = ['n,r,dim,bell,match']
         for row in rows:
@@ -314,6 +310,8 @@ def _term_key(item):
 
 
 def cmd_act(ns) -> int:
+    from .tensoract import GeneratorOutOfRange, TensorVector, apply_generator
+
     n, r = ns.n, ns.r
     idx = _parse_index(ns.index, n, r)
     if not 1 <= ns.gen <= n - 1:
@@ -321,11 +319,11 @@ def cmd_act(ns) -> int:
     image = apply_generator(ns.gen, TensorVector.basis_vector(n, r, idx))
     terms = sorted(image.terms, key=_term_key)
     if ns.format == 'json':
-        _emit(ns, json.dumps({
+        _emit(ns, _json({
             'n': n, 'r': r, 'generator': ns.gen, 'index': list(idx),
             'terms': [
                 {'index': list(j), 'coeff': c.to_json()} for j, c in terms],
-        }, indent=2))
+        }))
     else:
         body = ' + '.join(f'({c}) e({",".join(map(str, j))})' for j, c in terms)
         _emit(ns, body if body else '0')
@@ -343,7 +341,10 @@ def _basis_json(basis) -> list:
 
 
 def cmd_commutant(ns) -> int:
-    q_values = _parse_q_list(ns.q) if ns.q else DEFAULT_Q_VALUES
+    from .centralizer import DEFAULT_Q_VALUES, commutant_basis, half_commutant_basis
+    from .qperm import half_qpartition_dim, qpartition_dim
+
+    q_values = _parse_q_list(ns.q) if ns.q is not None else DEFAULT_Q_VALUES
     compute = half_commutant_basis if ns.half else commutant_basis
     rep = compute(
         ns.n, ns.r, q_values,
@@ -362,7 +363,7 @@ def cmd_commutant(ns) -> int:
         }
         if rep.basis is not None:
             payload['basis'] = _basis_json(rep.basis)
-        _emit(ns, json.dumps(payload, indent=2))
+        _emit(ns, _json(payload))
     else:
         qs = ','.join(str(q0) for q0 in rep.q_values) or 'symbolic'
         lines = [
@@ -390,6 +391,9 @@ def _glq_work(n: int, r: int) -> int:
 
 
 def cmd_glq_dims(ns) -> int:
+    from .coeff import ZeroSpecialization
+    from .glq import tq_dimension
+
     _check_work('glq-dims', _glq_work(ns.n, ns.r), ns.limit)
     poly = tq_dimension(ns.n, ns.r)
     try:
@@ -404,7 +408,7 @@ def cmd_glq_dims(ns) -> int:
         if at is not None:
             payload['at'] = str(at)
             payload['value'] = str(value)
-        _emit(ns, json.dumps(payload, indent=2))
+        _emit(ns, _json(payload))
     else:
         text = f'dim t_q({ns.n},{ns.r}) = {poly}'
         if at is not None:
@@ -417,6 +421,8 @@ def cmd_glq_dims(ns) -> int:
 # export
 
 def _action_payload(n: int, r: int, gen: int) -> dict:
+    from .tensoract import all_indices, generator_matrix
+
     cols = generator_matrix(n, r, gen)
     return {
         'n': n, 'r': r, 'generator': gen,
@@ -436,6 +442,9 @@ def _coset_space_size(shape: Composition) -> int:
 
 
 def _hom_payload(mu: Composition, lam: Composition, d: Permutation) -> dict:
+    from .qperm import hom_matrix
+    from .symcomb import coset_reps
+
     mat = hom_matrix(mu, lam, d)
     return {
         'source': list(mu.parts), 'target': list(lam.parts),
@@ -447,13 +456,16 @@ def _hom_payload(mu: Composition, lam: Composition, d: Permutation) -> dict:
 
 
 def cmd_export(ns) -> int:
+    from .symcomb import NotDistinguished, Permutation, double_coset_reps
+    from .tensoract import GeneratorOutOfRange
+
     if ns.what == 'action':
         if ns.n is None or ns.r is None or ns.gen is None:
             raise ValueError('export --what action needs --n, --r and --gen')
         _check_limit(ns.n, ns.r, ns.limit)
         if not 1 <= ns.gen <= ns.n - 1:
             raise GeneratorOutOfRange(f'T_{ns.gen} does not act for n={ns.n}')
-        _emit(ns, json.dumps(_action_payload(ns.n, ns.r, ns.gen), indent=2))
+        _emit(ns, _json(_action_payload(ns.n, ns.r, ns.gen)))
         return EX_OK
 
     if ns.mu is None or ns.lam is None:
@@ -472,11 +484,11 @@ def cmd_export(ns) -> int:
         d = Permutation(_parse_ints(ns.d, 'd'))
         if d not in double_coset_reps(mu, lam):
             raise NotDistinguished(f'{d.images} is not distinguished for (mu, lam)')
-        _emit(ns, json.dumps(_hom_payload(mu, lam, d), indent=2))
+        _emit(ns, _json(_hom_payload(mu, lam, d)))
     else:
-        _emit(ns, json.dumps({
+        _emit(ns, _json({
             'maps': [_hom_payload(mu, lam, d) for d in double_coset_reps(mu, lam)],
-        }, indent=2))
+        }))
     return EX_OK
 
 
@@ -563,7 +575,9 @@ def main(argv=None) -> int:
     except (MemoryError, OverflowError) as exc:  # a --limit too large to protect
         print(f'qpartition: resource limit: {type(exc).__name__}: {exc}', file=sys.stderr)
         return EX_LIMIT
-    except (GeneratorOutOfRange, NotDistinguished, ZeroSpecialization, ValueError) as exc:
+    # the library's usage errors (GeneratorOutOfRange, NotDistinguished,
+    # ZeroSpecialization, ...) are ValueErrors, so none of it is loaded here
+    except ValueError as exc:
         print(f'qpartition: error: {exc}', file=sys.stderr)
         return EX_USAGE
 

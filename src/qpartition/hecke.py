@@ -17,11 +17,11 @@ type, _Sparse; each supplies its classifier, the (case, target) of T_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar, Union
 
+from ._record import FrozenRecord
 from .coeff import LaurentPoly, ONE, Q, ZERO, lp
 from .symcomb import Composition, Permutation
 
@@ -66,17 +66,28 @@ def _column(b: Hashable, case: int, t: Hashable) -> dict[Hashable, LaurentPoly]:
     return {t: Q, b: _Q_MINUS_ONE}
 
 
-class _Sparse:
+class _Sparse(FrozenRecord):
     """A finite sum of terms coeff * b over the basis labels b of one module.
 
-    A subclass is a frozen dataclass: the fields of its _space, then terms,
-    the (label, nonzero LaurentPoly) pairs sorted by _key.  It supplies n
-    (H(S_n) acts), the label check _label(space, b) and the classifier
+    A subclass is a frozen record whose __slots__ are the fields of its
+    _space, then terms, the (label, nonzero LaurentPoly) pairs sorted by
+    _key; its __init__ takes them in that order.  It supplies n (H(S_n)
+    acts), the label check _label(space, b) and the classifier
     _rule(i, b) -> (case, target) of T_i (see _column).
     """
 
+    __slots__ = ()
     _key = staticmethod(itemgetter(0))
     _range_error = RankMismatch
+
+    # FrozenRecord's == and hash, field by field without the generic tuple
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._space == other._space and self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((*self._space, self.terms))
 
     @classmethod
     def build(cls: type[S], *args) -> S:
@@ -145,14 +156,15 @@ def act(h: HeckeElement, v: S) -> S:
     return v._make(v._space, acc)
 
 
-@dataclass(frozen=True)
 class HeckeElement(_Sparse):
     """A finite sum of terms coeff * T_w, all w in the same S_n."""
 
-    n: int
-    terms: tuple[tuple[Permutation, LaurentPoly], ...]
-
+    __slots__ = ('n', 'terms')
     _key = staticmethod(_images)
+
+    def __init__(self, n: int, terms: tuple[tuple[Permutation, LaurentPoly], ...]):
+        object.__setattr__(self, 'n', n)
+        object.__setattr__(self, 'terms', terms)
 
     @property
     def _space(self) -> tuple[int]:

@@ -21,9 +21,9 @@ step; iterating gives the transfer rules implemented at the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
+from ._record import FrozenRecord
 from .coeff import LaurentPoly, ONE, ZERO
 from .hecke import HeckeElement, RankMismatch, _Sparse, _images, act, act_by_words
 from .symcomb import (
@@ -75,14 +75,15 @@ def _row_rule(i: int, shape: Composition, d: Permutation) -> tuple[int, Permutat
     return (2 if row_i < row_i1 else 3), _perm(tuple(swapped))
 
 
-@dataclass(frozen=True)
 class QPermElement(_Sparse):
     """A vector in M_q^lambda in the distinguished basis {T_d x_lambda}."""
 
-    shape: Composition
-    terms: tuple[tuple[Permutation, LaurentPoly], ...]
-
+    __slots__ = ('shape', 'terms')
     _key = staticmethod(_images)
+
+    def __init__(self, shape: Composition, terms: tuple[tuple[Permutation, LaurentPoly], ...]):
+        object.__setattr__(self, 'shape', shape)
+        object.__setattr__(self, 'terms', terms)
 
     @property
     def n(self) -> int:
@@ -120,8 +121,7 @@ def apply(h: HeckeElement, v: QPermElement) -> QPermElement:
     return act(h, v)
 
 
-@dataclass(frozen=True)
-class HomMatrix:
+class HomMatrix(FrozenRecord):
     """A module homomorphism M_q^mu -> M_q^lambda in distinguished bases.
 
     columns[c] lists the image of the c-th basis vector of the source as
@@ -129,9 +129,13 @@ class HomMatrix:
     the sorted order of coset_reps.
     """
 
-    source: Composition
-    target: Composition
-    columns: tuple[tuple[LaurentPoly, ...], ...]
+    __slots__ = ('source', 'target', 'columns')
+
+    def __init__(self, source: Composition, target: Composition,
+                 columns: tuple[tuple[LaurentPoly, ...], ...]):
+        object.__setattr__(self, 'source', source)
+        object.__setattr__(self, 'target', target)
+        object.__setattr__(self, 'columns', columns)
 
     def image_of(self, v: QPermElement) -> QPermElement:
         if v.shape != self.source:

@@ -18,10 +18,11 @@ skips the check; ``Composition`` computes its blocks once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb, factorial
 from typing import Iterator
+
+from ._record import FrozenRecord
 
 __all__ = [
     'Permutation',
@@ -52,8 +53,7 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(FrozenRecord):
     """A permutation of {1..n} in one-line notation.
 
     >>> w = Permutation((2, 3, 1))
@@ -65,13 +65,22 @@ class Permutation:
     True
     """
 
-    images: tuple[int, ...]
+    __slots__ = ('images',)
 
-    def __post_init__(self):
-        images = _ints(self.images, 'permutation letters')
+    def __init__(self, images: tuple[int, ...]):
+        images = _ints(images, 'permutation letters')
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f'not a permutation of 1..{len(images)}: {images}')
         object.__setattr__(self, 'images', images)
+
+    # written out, not FrozenRecord's: permutations are dict keys on hot paths
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @property
     def n(self) -> int:
@@ -155,8 +164,7 @@ def all_permutations(n: int) -> list[Permutation]:
     return [_perm(p) for p in itertools.permutations(range(1, n + 1))]
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(FrozenRecord):
     """A composition of n: parts sum to n, zero parts are kept verbatim.
 
     >>> lam = Composition((2, 0, 3))
@@ -166,13 +174,24 @@ class Composition:
     ((1, 2), (), (3, 4, 5))
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ('parts', '__dict__')  # the __dict__ holds the cached properties
 
-    def __post_init__(self):
-        parts = _ints(self.parts, 'composition parts')
+    def __init__(self, parts: tuple[int, ...]):
+        parts = _ints(parts, 'composition parts')
         if any(p < 0 for p in parts):
             raise ValueError(f'negative part in {parts}')
         object.__setattr__(self, 'parts', parts)
+
+    def _astuple(self) -> tuple:
+        return (self.parts,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def n(self) -> int:
@@ -226,22 +245,22 @@ class Composition:
         return f'Composition({self.parts!r})'
 
 
-@dataclass(frozen=True)
-class RowStandardTableau:
+class RowStandardTableau(FrozenRecord):
     """A filling of a composition shape with 1..n, rows increasing.
 
     Rows may be empty when the shape has zero parts.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ('rows',)
 
-    def __post_init__(self):
-        flat = sorted(x for row in self.rows for x in row)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        flat = sorted(x for row in rows for x in row)
         if flat != list(range(1, len(flat) + 1)):
-            raise ValueError(f'entries must be exactly 1..n: {self.rows}')
-        for row in self.rows:
+            raise ValueError(f'entries must be exactly 1..n: {rows}')
+        for row in rows:
             if any(a >= b for a, b in zip(row, row[1:])):
-                raise ValueError(f'rows must increase: {self.rows}')
+                raise ValueError(f'rows must increase: {rows}')
+        object.__setattr__(self, 'rows', rows)
 
     @property
     def shape(self) -> Composition:

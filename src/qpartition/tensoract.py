@@ -27,10 +27,10 @@ realized by the tableau correspondence of orbit_correspondence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
+from ._record import FrozenRecord, Record
 from .coeff import LaurentPoly, ONE, Q, ZERO
 from .hecke import HeckeElement, _Sparse, _column, act
 from .symcomb import Composition, Permutation, RowStandardTableau, _ints, _perm
@@ -80,8 +80,7 @@ def first_occurrence(index: MultiIndex, letter: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class ColoredSetPartition:
+class ColoredSetPartition(FrozenRecord):
     """A set partition of positions {1..r} with injectively colored blocks.
 
     Blocks are sorted by their smallest element; colors[b] is the letter
@@ -95,17 +94,18 @@ class ColoredSetPartition:
     (3, 6, 1)
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    colors: tuple[int, ...]
+    __slots__ = ('blocks', 'colors')
 
-    def __post_init__(self):
-        flat = sorted(x for b in self.blocks for x in b)
+    def __init__(self, blocks: tuple[tuple[int, ...], ...], colors: tuple[int, ...]):
+        flat = sorted(x for b in blocks for x in b)
         if flat != list(range(1, len(flat) + 1)):
-            raise ValueError(f'blocks must partition 1..r: {self.blocks}')
-        if [min(b) for b in self.blocks] != sorted(min(b) for b in self.blocks):
+            raise ValueError(f'blocks must partition 1..r: {blocks}')
+        if [min(b) for b in blocks] != sorted(min(b) for b in blocks):
             raise ValueError('blocks must be sorted by smallest element')
-        if len(set(self.colors)) != len(self.blocks):
+        if len(set(colors)) != len(blocks):
             raise ValueError('coloring must be injective, one color per block')
+        object.__setattr__(self, 'blocks', blocks)
+        object.__setattr__(self, 'colors', colors)
 
     @property
     def r(self) -> int:
@@ -184,12 +184,14 @@ def set_partitions(r: int, max_blocks: int) -> Iterator[tuple[tuple[int, ...], .
             rgs[j], tops[j] = 0, top
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(FrozenRecord):
     """One orbit of basis vectors: a set partition plus all its colorings."""
 
-    partition: tuple[tuple[int, ...], ...]
-    members: tuple[MultiIndex, ...]
+    __slots__ = ('partition', 'members')
+
+    def __init__(self, partition: tuple[tuple[int, ...], ...], members: tuple[MultiIndex, ...]):
+        object.__setattr__(self, 'partition', partition)
+        object.__setattr__(self, 'members', members)
 
     @property
     def k(self) -> int:
@@ -251,16 +253,17 @@ def _classify(i: int, index: MultiIndex) -> tuple[int, MultiIndex]:
     return (2 if fi < fi1 else 3), _swap_letters(index, i)
 
 
-@dataclass(frozen=True)
 class TensorVector(_Sparse):
     """A vector in V tensor r with Laurent polynomial coefficients."""
 
-    n: int
-    r: int
-    terms: tuple[tuple[MultiIndex, LaurentPoly], ...]
-
+    __slots__ = ('n', 'r', 'terms')
     _range_error = GeneratorOutOfRange
     _rule = staticmethod(_classify)
+
+    def __init__(self, n: int, r: int, terms: tuple[tuple[MultiIndex, LaurentPoly], ...]):
+        object.__setattr__(self, 'n', n)
+        object.__setattr__(self, 'r', r)
+        object.__setattr__(self, 'terms', terms)
 
     @property
     def _space(self) -> tuple[int, int]:
@@ -335,14 +338,16 @@ def _columns_equal(
     return None
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(FrozenRecord):
     """Outcome of the brute force relation check on V tensor r."""
 
-    n: int
-    r: int
-    checks: int
-    failures: tuple[str, ...]
+    __slots__ = ('n', 'r', 'checks', 'failures')
+
+    def __init__(self, n: int, r: int, checks: int, failures: tuple[str, ...]):
+        object.__setattr__(self, 'n', n)
+        object.__setattr__(self, 'r', r)
+        object.__setattr__(self, 'checks', checks)
+        object.__setattr__(self, 'failures', failures)
 
     @property
     def passed(self) -> bool:
@@ -395,8 +400,7 @@ def verify_relations(n: int, r: int) -> RelationReport:
     return RelationReport(n, r, checks, tuple(failures))
 
 
-@dataclass
-class OrbitCorrespondence:
+class OrbitCorrespondence(Record):
     """The basis matching between one orbit and its q-permutation module.
 
     mapping sends each orbit member e_j to the distinguished coset rep
@@ -406,12 +410,17 @@ class OrbitCorrespondence:
     same way on both sides (checked coefficient by coefficient).
     """
 
-    n: int
-    partition: tuple[tuple[int, ...], ...]
-    shape: Composition
-    mapping: dict[MultiIndex, Permutation]
-    equivariant: bool
-    failures: tuple[str, ...]
+    __slots__ = ('n', 'partition', 'shape', 'mapping', 'equivariant', 'failures')
+
+    def __init__(self, n: int, partition: tuple[tuple[int, ...], ...], shape: Composition,
+                 mapping: dict[MultiIndex, Permutation], equivariant: bool,
+                 failures: tuple[str, ...]):
+        self.n = n
+        self.partition = partition
+        self.shape = shape
+        self.mapping = mapping
+        self.equivariant = equivariant
+        self.failures = failures
 
 
 def orbit_correspondence(

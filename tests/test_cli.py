@@ -108,6 +108,13 @@ def test_zero_q_is_usage_error(capsys):
     assert 'unit' in err
 
 
+def test_empty_q_list_is_usage_error(capsys):
+    # an empty --q is a bad list, not a missing one: no run at the default q values
+    code, out, err = run(capsys, 'commutant', '--n', '2', '--r', '2', '--q', '')
+    assert code == EX_USAGE and out == ''
+    assert err.startswith("qpartition: error: bad q list ''") and err.count('\n') == 1
+
+
 # ---------------------------------------------------------------------------
 # act
 
