@@ -582,10 +582,11 @@ class _PairSolver:
                 L = L * _divmod(den, _gcd(L, den))[0]
             cofactor = {den: _divmod(L, den)[0] for den in dens}
             polys = [[cofactor[v.den] * v.num for v in y] for y in candidates]
-            c = lcm(*(x.denominator for y in polys for p in y for _, x in p.terms))
-            B0 = int(max(abs(x) for y in polys for p in y for _, x in p.terms) * c)
+            forms = [[p.integer_form() for p in y] for y in polys]
+            c = lcm(*(den for y in forms for _, _, den in y))
+            B0 = max(max(map(abs, cs)) * (c // den) for y in forms for _, cs, den in y if cs)
             K = (B0 * 3 ** (max(map(sum, self.exps)) + 1)).bit_length() + 2
-            fields = [[sum(int(x * c) << (K * e) for e, x in p.terms) for p in y] for y in polys]
+            fields = [[_pack(cs, K) * (c // den) << (K * lo) for lo, cs, den in y] for y in forms]
             S = [L.coefficient(e) * c for e in range(L.max_exponent() + 1)]
             a, b = 1 << K, 1
         reach, _ = self._checks(a, b)

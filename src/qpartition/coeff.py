@@ -2,10 +2,18 @@
 
 Everything downstream works over Z[q, q^-1] tensored with Q, so the
 coefficient type has to support negative exponents (q is a unit) and
-exact arithmetic.  A coefficient is stored as a Python `int` when it is
-integral and as a `fractions.Fraction` otherwise, so the common integral
-case never pays for `Fraction` arithmetic; either way it is exact, and
-floats are refused.  Terms with coefficient zero are never stored.
+exact arithmetic.  A LaurentPoly is stored as q^lo (c_0 + c_1 q + ... +
+c_k q^k) / den: a shift lo, a tuple c of ints with c_0 and c_k nonzero,
+and a denominator den > 0 with gcd(den, c_0, ..., c_k) = 1 (the zero
+polynomial is lo = 0, c = (), den = 1).  That form is canonical, so ==
+and hash compare it field by field, and all arithmetic is on ints: a
+product is one integer convolution (one big-int product by Kronecker
+substitution when both operands are long) and a gcd with the
+denominator, a sum aligns the shifts over a common denominator, and
+evaluate is an integer Horner scheme with one Fraction at the end.
+Floats are refused.  The public view, terms, is built on demand: sorted
+(exponent, coefficient) pairs, a coefficient an `int` when integral and
+a `fractions.Fraction` otherwise.
 
 The same type, with no negative exponents, holds the polynomials in q:
 division with remainder and the gcd are written once here, and
@@ -17,11 +25,15 @@ reduced fraction of two of them.
 LaurentPoly({0: Fraction(1, 1), 1: Fraction(2, 1), 2: Fraction(1, 1)})
 >>> (Q ** -1 * p).evaluate(Fraction(2))
 Fraction(3, 2)
+>>> LaurentPoly({-1: Fraction(1, 2), 1: 3}).integer_form()
+(-1, (1, 0, 6), 2)
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, index
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -56,31 +68,52 @@ def _exact(c: Scalar, what: str = 'Laurent coefficients') -> Scalar:
     raise TypeError(f'{what} are int or Fraction, not {type(c).__name__}')
 
 
-def _demote(c: Scalar) -> Scalar:
-    """A nonzero result of exact arithmetic, with an integral Fraction made an int."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+def _exponent(e: int) -> int:
+    """e as an int; an exponent of another type raises TypeError."""
+    try:
+        return index(e)
+    except TypeError:
+        raise TypeError(f'Laurent exponents are int, not {type(e).__name__}') from None
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial sum_e c_e q^e with c_e in Q."""
+    """Immutable Laurent polynomial q^lo (c_0 + ... + c_k q^k) / den over Q,
+    in the canonical form of the module docstring."""
 
-    __slots__ = ('_terms', '_hash')
+    __slots__ = ('_lo', '_c', '_den', '_hash')
 
     def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         items = terms.items() if hasattr(terms, 'items') else terms
-        acc: dict[int, Scalar] = {}
+        values: dict[int, Scalar] = {}
         for e, c in items:
-            acc[e] = acc.get(e, 0) + _exact(c)
-        self._terms = _normal_terms(acc)
+            if type(c) is not int:
+                c = _exact(c)
+            if type(e) is not int:
+                e = _exponent(e)
+            if c:
+                values[e] = values[e] + c if e in values else c
+        if 0 in values.values():  # terms that cancelled
+            values = {e: c for e, c in values.items() if c}
         self._hash = None
+        if not values:
+            self._lo, self._c, self._den = 0, (), 1
+            return
+        # den is the lcm of the reduced denominators: for each prime power
+        # p^a exactly dividing den some coefficient has p^a in its
+        # denominator, and its scaled numerator is prime to p, so the
+        # content is coprime to den
+        lo = min(values)
+        den = lcm(*[c.denominator for c in values.values()])
+        c = [0] * (max(values) - lo + 1)
+        for e, x in values.items():
+            c[e - lo] = x.numerator * (den // x.denominator)
+        self._lo, self._c, self._den = lo, tuple(c), den
 
-    @classmethod
-    def _make(cls, terms: tuple[tuple[int, Scalar], ...]) -> LaurentPoly:
-        """Wrap terms that are already sorted, nonzero and int-when-integral."""
-        p = object.__new__(cls)
-        p._terms = terms
-        p._hash = None
-        return p
+    def integer_form(self) -> tuple[int, tuple[int, ...], int]:
+        """The canonical (lo, c, den) with self = q^lo sum_i c_i q^i / den:
+        c a tuple of ints with both ends nonzero, den > 0 coprime to the
+        content of c; (0, (), 1) for the zero polynomial."""
+        return self._lo, self._c, self._den
 
     @property
     def terms(self) -> tuple[tuple[int, Scalar], ...]:
@@ -88,46 +121,65 @@ class LaurentPoly:
 
         A coefficient is an `int` when integral and a `Fraction` otherwise.
         """
-        return self._terms
+        den = self._den
+        if den == 1:
+            return tuple([(e, x) for e, x in enumerate(self._c, self._lo) if x])
+        return tuple([(e, x // den if not x % den else Fraction(x, den))
+                      for e, x in enumerate(self._c, self._lo) if x])
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._c
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._c)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
+            return self._c == other._c and self._lo == other._lo and self._den == other._den
         if isinstance(other, (int, Fraction)):
-            return self._terms == _constant_terms(other)
+            other = _exact(other)
+            if not other:
+                return not self._c
+            return (self._lo == 0 and len(self._c) == 1 and self._c[0] == other.numerator
+                    and self._den == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._terms)
+            self._hash = hash((self._lo, self._c, self._den))
         return self._hash
 
     def __add__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
-        if isinstance(other, LaurentPoly):
-            terms = other._terms
-        elif isinstance(other, (int, Fraction)):
-            terms = _constant_terms(other)
-        else:
-            return NotImplemented
-        if not self._terms:
-            return other if isinstance(other, LaurentPoly) else LaurentPoly._make(terms)
-        if not terms:
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _constant(other)
+        if not self._c:
+            return other
+        if not other._c:
             return self
-        acc = dict(self._terms)
-        for e, c in terms:
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly._make(_normal_terms(acc))
+        a, la, da = self._c, self._lo, self._den
+        b, lb, db = other._c, other._lo, other._den
+        den = da
+        if da != db:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            den = da * sa
+            if sa != 1:
+                a = [x * sa for x in a]
+            if sb != 1:
+                b = [x * sb for x in b]
+        if la > lb:
+            a, la, b, lb = b, lb, a, la
+        off = lb - la
+        out = [*a, *[0] * (off + len(b) - len(a))]
+        out[off:off + len(b)] = map(add, out[off:off + len(b)], b)
+        return _normal(la, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._make(tuple([(e, -c) for e, c in self._terms]))
+        return _make(self._lo, tuple([-x for x in self._c]), self._den)
 
     def __sub__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
         if not isinstance(other, (LaurentPoly, int, Fraction)):
@@ -140,38 +192,34 @@ class LaurentPoly:
         return -self + other
 
     def __mul__(self, other: LaurentPoly | Scalar) -> LaurentPoly:
-        if isinstance(other, LaurentPoly):
-            a, b = self._terms, other._terms
-        elif isinstance(other, (int, Fraction)):
-            a, b = self._terms, _constant_terms(other)
-        else:
-            return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _constant(other)
+        a, b = self._c, other._c
+        if not a or not b:
+            return ZERO
         if len(a) > len(b):
             a, b = b, a
-        if not a:
-            return ZERO
-        if len(a) == 1:
-            # a monomial: no cancellation, and the order of b is kept
-            e1, c1 = a[0]
-            if c1 == 1:
-                return LaurentPoly._make(tuple([(e1 + e2, c2) for e2, c2 in b]))
-            return LaurentPoly._make(tuple([(e1 + e2, _demote(c1 * c2)) for e2, c2 in b]))
-        acc: dict[int, Scalar] = {}
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly._make(_normal_terms(acc))
+        if len(a) > 1:
+            c = _convolve(a, b)
+        elif a[0] == 1:
+            c = b
+        else:
+            x = a[0]
+            c = [x * y for y in b]
+        # the end coefficients are products of nonzero ints: no zero to strip
+        return _coprime(self._lo + other._lo, c, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> LaurentPoly:
         if not isinstance(k, int):
             return NotImplemented
-        if len(self._terms) == 1:
-            e, c = self._terms[0]
-            # a negative power of an int would be a float: go through Fraction
-            return LaurentPoly._make(((e * k, _demote(Fraction(c) ** k if k < 0 else c ** k)),))
+        if len(self._c) == 1:
+            # a negative power goes through Fraction, never a float
+            x = Fraction(self._c[0], self._den) ** k
+            return _make(self._lo * k, (x.numerator,), x.denominator)
         if k < 0:
             raise ValueError('negative power of a non-monomial Laurent polynomial')
         out = ONE
@@ -188,50 +236,134 @@ class LaurentPoly:
         q0 = Fraction(_exact(q0, 'q values'))
         if not q0:
             raise ZeroSpecialization('q must specialize to a unit, got 0')
-        out = Fraction(0)
-        for e, c in self._terms:
-            out += c * q0 ** e
-        return out
+        c = self._c
+        if not c:
+            return Fraction(0)
+        # Horner in p/s over the ints: num / s^k = sum_i c_i (p/s)^i
+        p, s = q0.numerator, q0.denominator
+        num, den = c[-1], self._den
+        if s == 1:
+            for x in c[-2::-1]:
+                num = num * p + x
+        else:
+            t = 1
+            for x in c[-2::-1]:
+                t *= s
+                num = num * p + x * t
+            den *= t
+        lo = self._lo
+        if lo > 0:
+            num *= p ** lo
+            den *= s ** lo
+        elif lo < 0:
+            num *= s ** -lo
+            den *= p ** -lo
+        return Fraction(num, den)
 
     def min_exponent(self) -> int:
-        if not self._terms:
+        if not self._c:
             raise ValueError('zero polynomial has no exponents')
-        return self._terms[0][0]
+        return self._lo
 
     def max_exponent(self) -> int:
-        if not self._terms:
+        if not self._c:
             raise ValueError('zero polynomial has no exponents')
-        return self._terms[-1][0]
+        return self._lo + len(self._c) - 1
 
     def coefficient(self, e: int) -> Fraction:
-        for e1, c in self._terms:
-            if e1 == e:
-                return Fraction(c)
+        i = e - self._lo
+        if 0 <= i < len(self._c):
+            return Fraction(self._c[i], self._den)
         return Fraction(0)
 
     def to_json(self) -> list[list]:
         """Encode as [[exponent, "num", "den"], ...] sorted by exponent."""
-        return [[e, str(c.numerator), str(c.denominator)] for e, c in self._terms]
+        return [[e, str(c.numerator), str(c.denominator)] for e, c in self.terms]
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable]) -> LaurentPoly:
         return cls([(int(e), Fraction(int(num), int(den))) for e, num, den in data])
 
     def __repr__(self) -> str:
-        return f'LaurentPoly({ {e: Fraction(c) for e, c in self._terms}!r})'
+        return f'LaurentPoly({ {e: Fraction(c) for e, c in self.terms}!r})'
 
     def __str__(self) -> str:
-        return _terms_str(self._terms)
+        return _terms_str(self.terms)
 
 
-def _normal_terms(acc: dict[int, Scalar]) -> tuple[tuple[int, Scalar], ...]:
-    """Sorted nonzero terms of an exact accumulator, integral values as ints."""
-    return tuple([(e, _demote(c)) for e, c in sorted(acc.items()) if c])
+_new = object.__new__
 
 
-def _constant_terms(c: Scalar) -> tuple[tuple[int, Scalar], ...]:
+def _make(lo: int, c: tuple[int, ...], den: int) -> LaurentPoly:
+    """Wrap a (lo, c, den) that is already canonical."""
+    p = _new(LaurentPoly)
+    p._lo, p._c, p._den, p._hash = lo, c, den, None
+    return p
+
+
+def _normal(lo: int, c: list[int], den: int) -> LaurentPoly:
+    """q^lo c / den for any ints c and den > 0, brought to canonical form."""
+    i, k = 0, len(c)
+    while k and not c[k - 1]:
+        k -= 1
+    if not k:
+        return ZERO
+    while not c[i]:
+        i += 1
+    return _coprime(lo + i, c[i:k] if i or k < len(c) else c, den)
+
+
+def _coprime(lo: int, c: list[int], den: int) -> LaurentPoly:
+    """q^lo c / den for ints c with nonzero ends and den > 0, in canonical form."""
+    if den != 1:
+        g = gcd(den, *c)
+        if g != 1:
+            den //= g
+            c = [x // g for x in c]
+    return _make(lo, tuple(c), den)
+
+
+def _constant(c: Scalar) -> LaurentPoly:
     c = _exact(c)
-    return ((0, c),) if c else ()
+    return _make(0, (c.numerator,), c.denominator) if c else ZERO
+
+
+# The shorter operand's length from which one big-int product beats the
+# schoolbook double loop (timed on 2- to 80-term int polynomials).
+_KRONECKER = 16
+
+
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The coefficients of the product of the int polynomials a and b
+    (constant first, len(a) <= len(b)).
+
+    On long operands by Kronecker substitution (Schoenhage 1982; Harvey
+    2009): with every product coefficient below 2^(K-1) in size, each
+    operand is taken at 2^K, the two ints multiplied once, and the
+    coefficients read back as the balanced base-2^K digits, as in
+    centralizer._pack.  Adding the offset sum_i 2^(K-1) 2^(K i) makes
+    every digit d + 2^(K-1) lie in [0, 2^K), so packing and unpacking
+    are byte conversions with K a multiple of 8.
+    """
+    if len(a) < _KRONECKER:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+        return out
+    n = len(a) + len(b) - 1
+    bound = max(map(abs, a)) * max(map(abs, b)) * len(a)
+    width = (bound.bit_length() + 8) >> 3  # bytes per digit, so bound < 2^(8 width - 1)
+    half = 1 << (8 * width - 1)
+    half_bytes = half.to_bytes(width, 'little')
+
+    def pack(v):
+        digits = b''.join([(x + half).to_bytes(width, 'little') for x in v])
+        return int.from_bytes(digits, 'little') - int.from_bytes(half_bytes * len(v), 'little')
+
+    product = pack(a) * pack(b) + int.from_bytes(half_bytes * n, 'little')
+    digits = product.to_bytes(n * width, 'little')
+    return [int.from_bytes(digits[i:i + width], 'little') - half for i in range(0, n * width, width)]
 
 
 def lp(c: Scalar, e: int = 0) -> LaurentPoly:
@@ -256,27 +388,50 @@ def _terms_str(terms: Iterable[tuple[int, Scalar]]) -> str:
 # ---------------------------------------------------------------------------
 # polynomials in q (no negative exponents) and the field Q(q)
 
-def _div(c: Scalar, d: Scalar) -> Scalar:
-    """The exact quotient c / d for d != 0, an int when integral."""
-    if type(c) is int and type(d) is int:
-        return c // d if not c % d else Fraction(c, d)
-    return _demote(Fraction(c) / d)
-
-
 def _divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Quotient and remainder of polynomials in q: a = quo b + rem, deg rem < deg b."""
-    if not b:
+    """Quotient and remainder of polynomials in q: a = quo b + rem, deg rem < deg b.
+
+    Long division on the int coefficients: when the leading coefficient m
+    of b does not divide the next top coefficient, the remainder and the
+    quotient so far are scaled by |m| into a common denominator D, so that
+    a = (quo b + rem) / D holds throughout.
+    """
+    if not b._c:
         raise ZeroDivisionError('polynomial division by zero')
-    *low, (eb, cb) = b._terms
-    rem = dict(a._terms)
-    quo = {}
-    for e in range(a._terms[-1][0] if a else -1, eb - 1, -1):
-        c = rem.pop(e, 0)
-        if c:
-            k = quo[e - eb] = _div(c, cb)
-            for e2, c2 in low:
-                rem[e - eb + e2] = rem.get(e - eb + e2, 0) - k * c2
-    return LaurentPoly._make(_normal_terms(quo)), LaurentPoly._make(_normal_terms(rem))
+    if not a._c:
+        return ZERO, ZERO
+    if len(b._c) == 1 and not b._lo:
+        return a * Fraction(b._den, b._c[0]), ZERO
+    base = min(a._lo, b._lo)
+    rem = [0] * (a._lo - base) + list(a._c)
+    B, off = b._c, b._lo - base
+    steps = len(rem) - (off + len(B)) + 1
+    if steps <= 0:
+        return ZERO, a
+    lead, m = B[-1], abs(B[-1])
+    quo = [0] * steps
+    D = 1
+    for s in range(steps - 1, -1, -1):
+        t = rem[s + off + len(B) - 1]
+        if t:
+            if t % lead:
+                rem = [x * m for x in rem]
+                quo = [x * m for x in quo]
+                D *= m
+                t *= m
+            k = quo[s] = t // lead
+            for j, y in enumerate(B, s + off):
+                rem[j] -= k * y
+    # a = q^base (quo B' + rem) / (D da), B' = q^off B = db q^-base b
+    return (_normal(0, [x * b._den for x in quo], D * a._den),
+            _normal(base, rem[:off + len(B) - 1], D * a._den))
+
+
+def _monic(p: LaurentPoly) -> LaurentPoly:
+    """p divided by its leading coefficient c_k / den, for p nonzero."""
+    lead = p._c[-1]
+    c = p._c if lead > 0 else [-x for x in p._c]
+    return _normal(p._lo, c, abs(lead))
 
 
 def _gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -284,7 +439,7 @@ def _gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     algorithm; Knuth, TAOCP vol. 2, 4.6.1)."""
     while b:
         a, b = b, _divmod(a, b)[1]
-    return a * _div(1, a._terms[-1][1]) if a else a
+    return _monic(a) if a else a
 
 
 class RationalFunction:
@@ -315,20 +470,21 @@ class RationalFunction:
             raise ZeroDivisionError('zero denominator in Q(q)')
         if not num:
             return cls._make(ZERO, ONE)
-        if den._terms[-1][0]:  # else den is a unit and num/den is reduced
+        if den.max_exponent():  # else den is a unit and num/den is reduced
             g = _gcd(num, den)
-            num, den = _divmod(num, g)[0], _divmod(den, g)[0]
-        lead = den._terms[-1][1]
-        if lead != 1:
-            inv = _div(1, lead)
-            num, den = num * inv, den * inv
+            if g.max_exponent():
+                num, den = _divmod(num, g)[0], _divmod(den, g)[0]
+        lead, d = den._c[-1], den._den
+        if lead != d:  # den is not monic: divide both by lead / d
+            num, den = num * Fraction(d, lead), _monic(den)
         return cls._make(num, den)
 
     @classmethod
     def from_laurent(cls, p: LaurentPoly) -> RationalFunction:
         """p as num/q^k, k the order of its pole at 0 (so q does not divide num)."""
-        shift = lp(1, max(0, -p.min_exponent()) if p else 0)
-        return cls._make(p * shift, shift)
+        if p._lo >= 0:
+            return cls._make(p, ONE)
+        return cls._make(_make(0, p._c, p._den), _make(-p._lo, (1,), 1))
 
     @classmethod
     def constant(cls, c: Scalar) -> RationalFunction:

@@ -254,6 +254,7 @@ class RowStandardTableau(FrozenRecord):
     __slots__ = ('rows',)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple([_ints(row, 'tableau entries') for row in rows])
         flat = sorted(x for row in rows for x in row)
         if flat != list(range(1, len(flat) + 1)):
             raise ValueError(f'entries must be exactly 1..n: {rows}')

@@ -97,6 +97,8 @@ class ColoredSetPartition(FrozenRecord):
     __slots__ = ('blocks', 'colors')
 
     def __init__(self, blocks: tuple[tuple[int, ...], ...], colors: tuple[int, ...]):
+        blocks = tuple([_ints(b, 'block positions') for b in blocks])
+        colors = _ints(colors, 'colors')
         flat = sorted(x for b in blocks for x in b)
         if flat != list(range(1, len(flat) + 1)):
             raise ValueError(f'blocks must partition 1..r: {blocks}')

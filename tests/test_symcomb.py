@@ -130,6 +130,17 @@ def test_initial_tableau_permutation_is_identity():
     assert RowStandardTableau.initial(lam).permutation() == Permutation.identity(6)
 
 
+def test_tableau_rows_are_normalised_to_tuples_of_ints():
+    listed = RowStandardTableau([[1, 2], [3]])
+    built = RowStandardTableau(((1, 2), (3,)))
+    assert listed.rows == ((1, 2), (3,)) and type(listed.rows[0]) is tuple
+    assert listed == built and hash(listed) == hash(built)
+    assert RowStandardTableau(([True, 2], range(3, 4))) == built
+    assert [type(x) for row in RowStandardTableau([[True, 2], [3]]).rows for x in row] == [int] * 3
+    with pytest.raises(TypeError, match='tableau entries are int, not float'):
+        RowStandardTableau([[1.0, 2], [3]])
+
+
 # ---------------------------------------------------------------------------
 # cosets: brute force oracle
 

@@ -94,6 +94,19 @@ def test_colored_partition_validation():
         ColoredSetPartition(((1,), (2,)), (1, 1))
 
 
+def test_colored_partition_fields_are_normalised_to_tuples_of_ints():
+    listed = ColoredSetPartition([[1, 3], [2]], [5, 2])
+    built = colored_partition((5, 2, 5))
+    assert listed.blocks == ((1, 3), (2,)) and listed.colors == (5, 2)
+    assert type(listed.blocks[0]) is tuple and type(listed.colors) is tuple
+    assert listed == built and hash(listed) == hash(built)
+    assert ColoredSetPartition([[True, 3], [2]], [5, 2]) == built
+    with pytest.raises(TypeError, match='block positions are int, not str'):
+        ColoredSetPartition([['1'], [2]], [1, 2])
+    with pytest.raises(TypeError, match='colors are int, not float'):
+        ColoredSetPartition([[1], [2]], [1.0, 2])
+
+
 def test_set_partition_census():
     for r in range(1, 8):
         for max_blocks in range(1, r + 1):
