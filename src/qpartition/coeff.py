@@ -7,13 +7,13 @@ c_k q^k) / den: a shift lo, a tuple c of ints with c_0 and c_k nonzero,
 and a denominator den > 0 with gcd(den, c_0, ..., c_k) = 1 (the zero
 polynomial is lo = 0, c = (), den = 1).  That form is canonical, so ==
 and hash compare it field by field, and all arithmetic is on ints: a
-product is one integer convolution (one big-int product by Kronecker
-substitution when both operands are long) and a gcd with the
-denominator, a sum aligns the shifts over a common denominator, and
-evaluate is an integer Horner scheme with one Fraction at the end.
-Floats are refused.  The public view, terms, is built on demand: sorted
-(exponent, coefficient) pairs, a coefficient an `int` when integral and
-a `fractions.Fraction` otherwise.
+product is one integer convolution and a gcd with the denominator, a
+sum aligns the shifts over a common denominator, and evaluate is an
+integer Horner scheme with one Fraction at the end.  The tuple is dense,
+so memory and time grow with the span of the exponents, not with the
+number of terms.  Floats are refused.  The public view, terms, is
+built on demand: sorted (exponent, coefficient) pairs, a coefficient an
+`int` when integral and a `fractions.Fraction` otherwise.
 
 The same type, with no negative exponents, holds the polynomials in q:
 division with remainder and the gcd are written once here, and
@@ -48,6 +48,9 @@ __all__ = [
 
 Scalar = Union[int, Fraction]
 
+# The most consecutive exponents LaurentPoly.from_json accepts.
+JSON_SPAN_LIMIT = 1 << 16
+
 
 class ZeroSpecialization(ValueError):
     """Raised when a Laurent polynomial is evaluated at q = 0.
@@ -78,7 +81,13 @@ def _exponent(e: int) -> int:
 
 class LaurentPoly:
     """Immutable Laurent polynomial q^lo (c_0 + ... + c_k q^k) / den over Q,
-    in the canonical form of the module docstring."""
+    in the canonical form of the module docstring.
+
+    c holds every exponent from the lowest to the highest, zeros
+    included: q^0 + q^(10^6) stores a million ints.  from_json refuses
+    such spans; the library itself only builds polynomials whose degrees
+    are bounded by permutation lengths and Gaussian-binomial degrees.
+    """
 
     __slots__ = ('_lo', '_c', '_den', '_hash')
 
@@ -282,7 +291,18 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable]) -> LaurentPoly:
-        return cls([(int(e), Fraction(int(num), int(den))) for e, num, den in data])
+        """Decode the to_json form.
+
+        The stored tuple is as long as the span of the exponents, so
+        nonzero terms spanning more than JSON_SPAN_LIMIT exponents raise
+        ValueError rather than allocating the gap.
+        """
+        terms = [(int(e), Fraction(int(num), int(den))) for e, num, den in data]
+        exponents = [e for e, c in terms if c]
+        if exponents and max(exponents) - min(exponents) >= JSON_SPAN_LIMIT:
+            raise ValueError(f'Laurent polynomial spans exponents {min(exponents)} to '
+                             f'{max(exponents)}, more than {JSON_SPAN_LIMIT} in a row')
+        return cls(terms)
 
     def __repr__(self) -> str:
         return f'LaurentPoly({ {e: Fraction(c) for e, c in self.terms}!r})'
@@ -328,42 +348,16 @@ def _constant(c: Scalar) -> LaurentPoly:
     return _make(0, (c.numerator,), c.denominator) if c else ZERO
 
 
-# The shorter operand's length from which one big-int product beats the
-# schoolbook double loop (timed on 2- to 80-term int polynomials).
-_KRONECKER = 16
-
-
 def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """The coefficients of the product of the int polynomials a and b
-    (constant first, len(a) <= len(b)).
-
-    On long operands by Kronecker substitution (Schoenhage 1982; Harvey
-    2009): with every product coefficient below 2^(K-1) in size, each
-    operand is taken at 2^K, the two ints multiplied once, and the
-    coefficients read back as the balanced base-2^K digits, as in
-    centralizer._pack.  Adding the offset sum_i 2^(K-1) 2^(K i) makes
-    every digit d + 2^(K-1) lie in [0, 2^K), so packing and unpacking
-    are byte conversions with K a multiple of 8.
-    """
-    if len(a) < _KRONECKER:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
+    (constant first, len(a) <= len(b)), by the schoolbook double loop;
+    a zero of a costs one test, so a gap in a is not multiplied out."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
-        return out
-    n = len(a) + len(b) - 1
-    bound = max(map(abs, a)) * max(map(abs, b)) * len(a)
-    width = (bound.bit_length() + 8) >> 3  # bytes per digit, so bound < 2^(8 width - 1)
-    half = 1 << (8 * width - 1)
-    half_bytes = half.to_bytes(width, 'little')
-
-    def pack(v):
-        digits = b''.join([(x + half).to_bytes(width, 'little') for x in v])
-        return int.from_bytes(digits, 'little') - int.from_bytes(half_bytes * len(v), 'little')
-
-    product = pack(a) * pack(b) + int.from_bytes(half_bytes * n, 'little')
-    digits = product.to_bytes(n * width, 'little')
-    return [int.from_bytes(digits[i:i + width], 'little') - half for i in range(0, n * width, width)]
+    return out
 
 
 def lp(c: Scalar, e: int = 0) -> LaurentPoly:

@@ -6,21 +6,22 @@ reference (renamed DictLaurent): a sorted tuple of (exponent,
 coefficient) pairs, each coefficient an int or a Fraction, with one
 Fraction product per pair of terms.  Every public operation must agree
 with it, down to the types in terms and the text of repr, str and
-to_json, on short operands (schoolbook convolution) and on long ones
-with large coefficients and mixed denominators (Kronecker substitution).
+to_json, on short operands and on long ones with large coefficients
+and mixed denominators.
 Then the canonical form itself, and the pinned public strings.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpartition import coeff
 from qpartition.coeff import (
-    ONE, Q, ZERO, LaurentPoly, RationalFunction, ZeroSpecialization, _convolve, _divmod, _gcd, lp,
+    ONE, Q, ZERO, LaurentPoly, RationalFunction, ZeroSpecialization, _divmod, _gcd, lp,
 )
+from qpartition.hecke import HeckeElement
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +211,9 @@ short_terms = st.dictionaries(st.integers(-6, 6), small, max_size=5)
 
 @st.composite
 def long_terms(draw):
-    """A dense run of 14 to 40 exponents, so both operands of a product
-    can reach the Kronecker length, some of them zero."""
+    """A dense run of 14 to 40 exponents, some of them zero."""
     lo = draw(st.integers(-25, 10))
-    size = draw(st.integers(coeff._KRONECKER - 2, 40))
+    size = draw(st.integers(14, 40))
     coeffs = draw(st.lists(st.one_of(large, small), min_size=size, max_size=size))
     return dict(enumerate(coeffs, lo))
 
@@ -295,42 +295,19 @@ def test_equality_with_scalars_matches_dict_reference(a, s):
     assert (LaurentPoly({0: s}) == s) and (LaurentPoly({0: s}) == Fraction(s))
 
 
-def _schoolbook(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-ints = st.one_of(st.integers(-10 ** 25, 10 ** 25), st.integers(-3, 3),
-                 st.sampled_from([2 ** 31, -(2 ** 31), 2 ** 63 - 1, -(2 ** 64), 255, -256, 128, -128]))
-
-
-@given(st.lists(ints, min_size=1, max_size=40), st.lists(ints, min_size=1, max_size=40))
-@settings(max_examples=200, deadline=None)
-def test_convolution_matches_schoolbook_on_both_paths(a, b):
-    a, b = sorted((tuple(a), tuple(b)), key=len)
-    assert _convolve(a, b) == _schoolbook(a, b)
-
-
-@pytest.mark.parametrize('size', [coeff._KRONECKER - 1, coeff._KRONECKER, 33])
-@pytest.mark.parametrize('m', [1, 127, 128, 255, 256, 2 ** 31 - 1, 2 ** 64, 'tight'])
-def test_convolution_at_the_digit_bound(size, m):
-    # the middle coefficients reach the bound max|a| max|b| len(a) that sizes the
-    # digits; 'tight' puts that bound just above 2^(8k - 1), where a digit one
-    # byte narrower would overflow
-    ms = [isqrt((1 << (8 * k - 1)) // size) + 1 for k in (2, 3, 5, 9)] if m == 'tight' else [m]
-    for m in ms:
-        for a, b in [([m] * size, [m] * size), ([m] * size, [-m] * size), ([-m] * size, [-m] * (size + 3))]:
-            assert _convolve(tuple(a), tuple(b)) == _schoolbook(a, b)
-
-
-def test_both_convolution_paths_are_taken():
-    short, long_ = (1, 2) * 4, (-3, 5, 7) * 6
-    assert len(short) < coeff._KRONECKER <= len(long_)
-    for a, b in [(short, long_), (long_, long_)]:
-        assert _convolve(a, b) == _schoolbook(a, b)
+def test_wide_exponent_gaps():
+    # the dense form stores the gap, but a product skips its zeros and
+    # from_json refuses a gap of JSON_SPAN_LIMIT or more
+    gap = coeff.JSON_SPAN_LIMIT - 1
+    p = LaurentPoly({0: 1, gap: Fraction(-1, 3)})
+    assert agrees(p * p, DictLaurent({0: 1, gap: Fraction(-1, 3)}) ** 2)
+    assert LaurentPoly.from_json(p.to_json()) == p
+    assert LaurentPoly.from_json([[-gap, '1', '1'], [gap, '0', '1'], [0, '2', '1']]) == lp(1, -gap) + 2
+    for data in ([[0, '1', '1'], [gap + 1, '1', '2']], [[-9, '1', '1'], [gap - 8, '-3', '1']]):
+        with pytest.raises(ValueError, match=f'more than {coeff.JSON_SPAN_LIMIT} in a row'):
+            LaurentPoly.from_json(data)
+    with pytest.raises(ValueError, match='spans exponents 0 to 1000000000'):
+        HeckeElement.from_json(2, [{'perm': [2, 1], 'coeff': [[0, '1', '1'], [10 ** 9, '1', '1']]}])
 
 
 # ---------------------------------------------------------------------------
