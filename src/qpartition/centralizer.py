@@ -850,31 +850,93 @@ class DoubleCentralizerReport(Record):
 def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) -> DoubleCentralizerReport:
     """Check that the bicommutant of the letter action is the action image.
 
-    Computes the commutant basis at q0, then the space of matrices
-    commuting with every basis element, and compares it with the span of
-    all T_w action matrices.  Elements of the bicommutant commute in
-    particular with the orbit projections (which lie in the commutant
-    since the A_i are block diagonal), so the bicommutant ansatz can be
-    taken block diagonal without loss.
+    Computes the commutant basis at q0, then compares B, the space of
+    matrices commuting with every basis element, with I, the span of all
+    T_w action matrices.  Elements of B commute in particular with the
+    orbit projections (which lie in the commutant since the A_i are block
+    diagonal), so the ansatz for B can be taken block diagonal without
+    loss; width is the number of its unknowns.
 
     Both systems are homogeneous, so they are built over the integers:
-    each commutant basis element is scaled by the lcm of its
+    each commutant basis element X is scaled by the lcm of its
     denominators, and each T_w by b^l(w) with q0 = a/b, which leaves
     every kernel, span and rank unchanged.
+
+    Containment (image_contained) is checked on the generators alone:
+    A_i X == X A_i exactly for each A_i = b T_i and each X.  Matrices
+    commuting with every X are closed under products, and I is spanned
+    by products of the A_i (the T_w are such products, the empty one
+    included), so this holds exactly when I is inside B.  Then dim I <=
+    dim B, and B is the nullspace of the rows of Y X - X Y over all X, so
+    dim B <= width - rank(any subset of those rows).  Hence once the rows
+    fed reach rank width - dim I, the sandwich dim I <= dim B <= dim I
+    closes and the remaining rows are all dependent: they are not fed
+    (see _bicommutant).  When containment fails, or that rank is never
+    reached, every row is fed and dim_bicommutant is the true width -
+    rank of the whole system.
     """
     q0 = Fraction(_exact(q0, 'q values'))
     report = commutant_basis(n, r, (q0,), with_basis=True, limit=limit)
     idxs = all_indices(n, r)
+    N = len(idxs)
     gid_map = {j: t for t, j in enumerate(idxs)}
     comps = [C for Cs in _component_classes(n, r, range(1, n)).values() for C in Cs]
     a, b = q0.numerator, q0.denominator
 
-    comp_of = {}
-    for blk, C in enumerate(comps):
-        for g in C:
-            comp_of[g] = blk
-    offsets = []
-    off = 0
+    # image of the algebra: span of all T_w matrices, here b^l(w) T_w
+    img = Echelon(N * N, Fraction(1))
+    gens = {i: _scaled_generator([(case, gid_map[j2]) for case, j2 in
+                                  (_classify(i, j) for j in idxs)], a, b)
+            for i in range(1, n)}
+
+    def times_gen(i: int, cols: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+        return {c0: _apply(gens[i], col) for c0, col in cols.items()}
+
+    identity = {t: {t: 1} for t in range(N)}
+    for cols in act_by_words(all_permutations(n), identity, times_gen).values():
+        img.add({rg * N + c0: v for c0, col in cols.items() for rg, v in col.items()})
+
+    basis = [_integral(X)[0] for X in report.basis]
+    dim_bicommutant, contained, _ = _bicommutant(comps, list(gens.values()), basis, img.rank)
+    return DoubleCentralizerReport(
+        n=n, r=r, q0=q0,
+        dim_commutant=report.dim,
+        dim_image=img.rank,
+        dim_bicommutant=dim_bicommutant,
+        image_contained=contained,
+    )
+
+
+def _commutes(op, src: list[int], X: dict) -> bool:
+    """Whether A X == X A, for A the monomial-plus-diagonal map op (see
+    _apply) on global indices, src the inverse of its target map, and X
+    sparse {(row, column): value}."""
+    to, coef, diag = op
+    diff: dict[tuple[int, int], int] = {}
+    for (rg, cg), v in X.items():
+        key = to[rg], cg  # (A X)[to[rg], cg] gets coef[rg] v
+        diff[key] = diff.get(key, 0) + coef[rg] * v
+        m = src[cg]  # (X A)[rg, m] gets coef[m] v
+        diff[rg, m] = diff.get((rg, m), 0) - coef[m] * v
+        dv = diag.get(rg, 0) - diag.get(cg, 0)
+        if dv:
+            diff[rg, cg] = diff.get((rg, cg), 0) + dv * v
+    return not any(diff.values())
+
+
+def _bicommutant(comps: list[list[int]], gens: list, basis: list[dict],
+                 dim_image: int) -> tuple[int, bool, int]:
+    """(dim_bicommutant, image_contained, rows fed) for the integral
+    commutant basis, the components comps and the scaled generators gens
+    whose products span an image of dimension dim_image.
+
+    See double_centralizer_check for why the early stop is exact.  The
+    elements are fed sparsest first (a stable sort by their number of
+    nonzeros), which reaches the full rank after far fewer rows than the
+    basis order; each element must lie inside one component pair.
+    """
+    comp_of = {g: blk for blk, C in enumerate(comps) for g in C}
+    offsets, off = [], 0
     for C in comps:
         offsets.append(off)
         off += len(C) * len(C)
@@ -883,31 +945,37 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
 
     def var(row_gid: int, col_gid: int) -> int:
         blk = comp_of[row_gid]
-        if comp_of[col_gid] != blk:
-            raise SolverInvariantError(
-                'bicommutant entry outside the diagonal blocks',
-                (comps[blk][0], comps[comp_of[col_gid]][0]), (row_gid, col_gid))
-        s = len(comps[blk])
-        return offsets[blk] + local[blk][row_gid] * s + local[blk][col_gid]
+        return offsets[blk] + local[blk][row_gid] * len(comps[blk]) + local[blk][col_gid]
+
+    blocks = []
+    for X in basis:
+        rg, cg = next(iter(X))
+        bp, bc = comp_of[rg], comp_of[cg]
+        for key in X:
+            if comp_of[key[0]] != bp or comp_of[key[1]] != bc:
+                raise SolverInvariantError('commutant element outside one component pair',
+                                           (comps[bp][0], comps[bc][0]), key)
+        blocks.append((bp, bc))
+    srcs = [sorted(range(len(op[0])), key=op[0].__getitem__) for op in gens]
+    contained = all(_commutes(op, src, X) for X in basis for op, src in zip(gens, srcs))
 
     # bicommutant: Y X = X Y for every commutant basis element X
+    target = width - dim_image if contained else None
     ech = Echelon(width, Fraction(1))
-    for X in report.basis:
-        X, _ = _integral(X)
+    fed = 0
+    for t in sorted(range(len(basis)), key=lambda t: len(basis[t])):
+        X, (bp, bc) = basis[t], blocks[t]
         rows_of = {}
         cols_of = {}
         for (rg, cg), v in X.items():
             rows_of.setdefault(rg, []).append((cg, v))
             cols_of.setdefault(cg, []).append((rg, v))
-        bp = comp_of[next(iter(X))[0]]
-        bc = comp_of[next(iter(X))[1]]
         for rho in comps[bp]:
             for c in comps[bc]:
                 row: dict[int, object] = {}
                 for m, v in cols_of.get(c, ()):  # (Y X)[rho, c]
                     key = var(rho, m)
-                    cur = row.get(key, 0) + v
-                    row[key] = cur
+                    row[key] = row.get(key, 0) + v
                 for m, v in rows_of.get(rho, ()):  # -(X Y)[rho, c]
                     key = var(m, c)
                     cur = row.get(key, 0) - v
@@ -916,40 +984,11 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
                     else:
                         row.pop(key, None)
                 if row:
+                    fed += 1
                     ech.add(row)
-    bicommutant = ech.nullspace()
-
-    # image of the algebra: span of all T_w matrices, here b^l(w) T_w
-    img = Echelon(width, Fraction(1))
-    gens = {i: _scaled_generator([(case, gid_map[j2]) for case, j2 in
-                                  (_classify(i, j) for j in idxs)], a, b)
-            for i in range(1, n)}
-
-    def times_gen(i: int, cols: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
-        return {c0: _apply(gens[i], col) for c0, col in cols.items()}
-
-    identity = {t: {t: 1} for t in range(len(idxs))}
-    image_vectors = []
-    for cols in act_by_words(all_permutations(n), identity, times_gen).values():
-        vec = {}
-        for c0, col in cols.items():
-            for rg, v in col.items():
-                vec[var(rg, c0)] = v
-        image_vectors.append(vec)
-        img.add(vec)
-
-    bic_ech = Echelon(width, Fraction(1))
-    for y in bicommutant:
-        bic_ech.add({t: v for t, v in enumerate(y) if v})
-    contained = all(not bic_ech.reduce(vec)[0] for vec in image_vectors)
-
-    return DoubleCentralizerReport(
-        n=n, r=r, q0=q0,
-        dim_commutant=report.dim,
-        dim_image=img.rank,
-        dim_bicommutant=len(bicommutant),
-        image_contained=contained,
-    )
+                    if ech.rank == target:
+                        return width - ech.rank, True, fed
+    return width - ech.rank, contained, fed
 
 
 class StructureConstants(Record):
