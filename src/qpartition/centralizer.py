@@ -31,37 +31,34 @@ from the module theory enters anywhere.
 Propagation and verification run on integers, fraction-free in the
 manner of Bareiss.  With q = a/b in lowest terms, b A_i has integer
 entries (a on the diagonal in case 1, b in case 2, a and a - b in case
-3).  All d candidates of a round pass together, packed by Kronecker
-substitution (Schonhage 1982; Harvey 2009): each is brought to one
-common scale S, the lcm of all their denominators, and entry rl of
-column c is the one int sum of u_c^(k)[rl] 2^(kW) over the candidates
-k, with balanced fields of a width W proved a priori to hold every
-value (see _width).  A column is a dense list of these ints,
-since the d supports together fill it, and a map is applied by C-level
-list operations.  x_c = u_c / (S s_c), where the scale s_c = a^ea b^eb
-is the product of the factors along the tree path of c (b on a case 2
-edge, a on case 3) and so depends on the path alone.  Each event
-therefore gets two coprime integer multipliers once per pair, and it
-holds for every candidate exactly when ml image(u_c) == mr u_c2 as lists
-of packed ints; most events need no multiplication at all.  Fractions
-are formed only when a basis is materialized, by unpacking the fields.
-Over Q(q) the same integer path runs, one level of Kronecker
-substitution down: the candidates are cleared to polynomials in Z[q]
-with one common scale S(q), and a polynomial whose coefficients are all
-below 2^(K-1) in size is fixed by its value at q = 2^K.  K is proved a
-priori to exceed every coefficient a column or an event side can reach,
-so the checks run at a = 2^K and b = 1, an event holds over Q(q) exactly
-when it holds there, and a basis entry is read off the balanced base-2^K
-digits of its field (see _PairSolver._pack_roots).  The event rows
-are integer too: a functional f on column c is pulled back to the root
-through the same maps acting from the right (f b A_i, less (a - b) f on
-case 3), its scale multiplied by b or a along each tree edge, and the
-two halves of an event are cross-multiplied by each other's scale where
-their paths join and pulled on from there as one (a loop joins at
-once).  The echelon that collects them eliminates fraction-free (see
-linalg), so no Fraction arithmetic is left on the solver's path.  Over
-Q(q) the event rows come from the same code with a = q and b = 1, and
-the echelon works over the field with pivots one.
+3).  The event rows are integer too: a functional f on column c is
+pulled back to the root through the same maps acting from the right
+(f b A_i, less (a - b) f on case 3), its scale multiplied by b or a
+along each tree edge, and the two halves of an event are
+cross-multiplied by each other's scale where their paths join and
+pulled on from there as one (a loop joins at once).  The echelon that
+collects them is fraction-free (see linalg); its kernel gives candidate
+k as an integer root x_k with its own scale L_k.  All d candidates of a
+round pass together, packed by Kronecker substitution (Schonhage 1982;
+Harvey 2009): entry rl of column c is the one int sum of
+u_c^(k)[rl] 2^(kW) over k, with balanced fields of a width W proved a
+priori to hold every value (see _width).  A column is a dense list of
+these ints, since the d supports together fill it, and a map is applied
+by C-level list operations.  Field k is x_c L_k s_c, where the scale
+s_c = a^ea b^eb is the product of the factors along the tree path of c
+(b on a case 2 edge, a on case 3).  Each event therefore gets two
+coprime integer multipliers once per pair, and it holds for every
+candidate exactly when ml image(u_c) == mr u_c2 as lists of packed
+ints; most events need no multiplication at all.  Fractions are formed
+only when a basis is materialized, by unpacking the fields.  Over Q(q)
+the same code runs with a = q and b = 1, so the maps' entries are q, 1
+and q - 1 and the event rows, the echelon and its kernel are over Z[q].
+The checks then run one level of Kronecker substitution down, at
+a = 2^K and b = 1: K is proved a priori to exceed every coefficient a
+column or an event side can reach, so a polynomial is fixed by its
+value at q = 2^K and a basis entry, the only RationalFunction built, is
+read off the balanced base-2^K digits of its field (see
+_PairSolver._pack_roots).
 
 Many pairs repeat one solve.  One breadth-first walk per component,
 from its smallest basis index and taking the generators in their given
@@ -91,7 +88,7 @@ from operator import add, itemgetter, mul
 from typing import Sequence
 
 from ._record import Record
-from .coeff import ONE, RationalFunction, ZeroSpecialization, _divmod, _exact, _gcd
+from .coeff import ONE, Q, ZERO, LaurentPoly, RationalFunction, ZeroSpecialization, _exact
 from .hecke import act_by_words
 from .limits import DimensionLimitExceeded, _check_limit
 from .linalg import Echelon
@@ -115,12 +112,9 @@ __all__ = [
 
 DEFAULT_Q_VALUES = (Fraction(2), Fraction(3), Fraction(7, 5))
 # largest n^r of symbolic mode: on a shared 2-CPU host (64,1) takes about
-# 0.15 s and (81,1) about 0.3 s; a larger limit would change which inputs
-# the CLI refuses as over a resource limit
+# 0.07 s and (81,1) about 0.14 s (best of 5, counting only); a larger limit
+# would change which inputs the CLI refuses as over a resource limit
 SYMBOLIC_LIMIT = 64
-# one and q in Q(q), the field of the symbolic mode
-_RF_ONE = RationalFunction((1,))
-_RF_Q = RationalFunction((0, 1))
 
 
 class SolverInvariantError(RuntimeError):
@@ -345,19 +339,18 @@ class _PairSolver:
     pair in errors.
     """
 
-    def __init__(self, table, table_p, qf, one, rng: random.Random,
-                 pair: tuple[int, int]):
+    def __init__(self, table, table_p, qf, rng: random.Random, pair: tuple[int, int]):
         self.table, self.table_p, self.pair = table, table_p, pair
-        self.field_one, self.rng = one, rng
+        self.rng = rng
         self.m = len(table_p)
-        # q = a/b in lowest terms with b > 0; over Q(q), a = q and b = 1 for
-        # the event rows, while the checks run on integers (see _pack_roots);
-        # one and zero are those of the ring the event rows are computed in
+        # q = a/b in lowest terms with b > 0; over Q(q) (qf is coeff.Q), a = q
+        # and b = 1 for the event rows, while the checks run on integers (see
+        # _pack_roots); one and zero are those of the event rows' ring
         self.over_q = isinstance(qf, Fraction)
         if self.over_q:
             self.a, self.b, self.one, self.zero = qf.numerator, qf.denominator, 1, 0
         else:
-            self.a, self.b, self.one, self.zero = qf, one, one, one - one
+            self.a, self.b, self.one, self.zero = qf, ONE, ONE, ZERO
         # scale carried by the image of a column: b on case 2, else a
         self.factor = {1: self.a, 2: self.b, 3: self.a}
         self.coimages = _coimages(table_p, self.a, self.b)
@@ -447,8 +440,7 @@ class _PairSolver:
         """
         i, c, c2, case = ev
         if case == 1:
-            minus = self.zero - self.one
-            return [self._pull({rl: self.one, t: minus}, c)[0] for rl, t in self._cycles(i)]
+            return [self._pull({rl: self.one, t: -self.one}, c)[0] for rl, t in self._cycles(i)]
         coimage, k = self.coimages[case == 3][i], self.factor[case]
         out = []
         for rl in range(self.m):
@@ -478,7 +470,7 @@ class _PairSolver:
         """The raw checks at the integer point q = a/b as (reach, steps),
         built on first use and kept per (a, b).
 
-        Column c is x_c = u_c / (S s_c), S the scale of the root pack and
+        Field k of column c is x_c L_k s_c, L_k the scale of candidate k and
         s_c = a^ea b^eb (see _build_tree).  The event (i, c, c2, case) states
         N u_c s_c2 = factor_case s_c u_c2; dividing out the common part of
         the two monomials leaves ml N u_c = mr u_c2 with coprime
@@ -543,16 +535,11 @@ class _PairSolver:
         return [(c, edges.get(c), due[t], done[t]) for t, c in enumerate(self.order)]
 
     def _pack_roots(self, candidates: list) -> tuple:
-        """The candidates as one pack (root, S, (a, b), W, d), to be checked
-        at the integer point q = a/b: the d roots y_k = root / S, packed at
-        width W as a dense list of ints.
-
-        Over Q, S is the lcm of all the candidates' denominators and a/b is
-        q.  Over Q(q) the candidates are cleared to Z[q]: with L(q) the lcm
-        of their denominator polynomials and c the lcm of the coefficient
-        denominators of every y_k L, each P_k = S y_k for S(q) = c L(q) has
-        entries in Z[q].  Each entry is taken at q = 2^K, so a = 2^K and
-        b = 1, and S is the list of coefficients of S(q), constant first.
+        """The kernel vectors (L_k, x_k) (Echelon.kernel) as one pack (root,
+        scales, (a, b), W, d), checked at the integer point q = a/b: the d
+        roots y_k = x_k / L_k, the x_k packed at width W as a dense list of
+        ints, and scales the L_k.  Over Q(q), where the x_k are over Z[q],
+        each entry is taken at q = 2^K, so a = 2^K and b = 1.
 
         Proof that K suffices.  Taking q to 2^K is a ring map Z[q] -> Z, so
         every integer column and event side is the value at 2^K of the
@@ -561,7 +548,7 @@ class _PairSolver:
         or 1 and at most one more, q - 1 or 1 - q, so its coefficient
         1-norms sum to at most 3, and a map grows the largest |coefficient|
         at most 3-fold; the multipliers ml and mr are powers of q, which
-        leave the coefficients as they are.  With B0 the largest root
+        leave the coefficients as they are.  With B0 the largest kernel
         |coefficient| and h the tree height (the largest ea + eb), every
         column and event side therefore has its coefficients within
         B0 3^(h+1) < 2^(K-2), for K = bit_length(B0 3^(h+1)) + 2.  Two
@@ -571,27 +558,18 @@ class _PairSolver:
         Q(q) exactly when it holds at q = 2^K, and the balanced base-2^K
         digits of an entry (_unpack) are its coefficients.
         """
+        scales, fields = zip(*candidates)
         if self.over_q:
-            S = lcm(*(v.denominator for y in candidates for v in y))
-            fields = [[v.numerator * (S // v.denominator) for v in y] for y in candidates]
             a, b = self.a, self.b
         else:
-            dens = {v.den for y in candidates for v in y}
-            L = ONE
-            for den in dens:
-                L = L * _divmod(den, _gcd(L, den))[0]
-            cofactor = {den: _divmod(L, den)[0] for den in dens}
-            polys = [[cofactor[v.den] * v.num for v in y] for y in candidates]
-            forms = [[p.integer_form() for p in y] for y in polys]
-            c = lcm(*(den for y in forms for _, _, den in y))
-            B0 = max(max(map(abs, cs)) * (c // den) for y in forms for _, cs, den in y if cs)
+            forms = [[v.integer_form() for v in x] for x in fields]
+            B0 = max(max(map(abs, cs)) for y in forms for _, cs, _ in y if cs)
             K = (B0 * 3 ** (max(map(sum, self.exps)) + 1)).bit_length() + 2
-            fields = [[_pack(cs, K) * (c // den) << (K * lo) for lo, cs, den in y] for y in forms]
-            S = [L.coefficient(e) * c for e in range(L.max_exponent() + 1)]
+            fields = [[_pack(cs, K) << (K * lo) for lo, cs, _ in y] for y in forms]
             a, b = 1 << K, 1
         reach, _ = self._checks(a, b)
         W = _width(max(max(map(abs, f)) for f in fields), reach)
-        return [_pack(entry, W) for entry in zip(*fields)], S, (a, b), W, len(candidates)
+        return [_pack(entry, W) for entry in zip(*fields)], scales, (a, b), W, len(scales)
 
     def _verify(self, pack: tuple, keep: bool = False, limit: int | None = 8) -> tuple[list[int], list]:
         """Propagate a pack from its root column and check every event on it.
@@ -639,30 +617,30 @@ class _PairSolver:
         return bad, cols
 
     def _basis(self, pack: tuple, cols: list) -> list[dict]:
-        """The d basis blocks {(rl, c): x_c[rl]} of a checked pack, with
-        x_c = u_c / (S s_c).  Over Q(q) a field of u_c is P(2^K) for the
-        polynomial P = S(q) q^ea x_c, whose coefficients are its balanced
-        base-2^K digits (see _pack_roots)."""
-        _, S, (a, b), W, d = pack
+        """The d basis blocks {(rl, c): x_c[rl]} of a checked pack, field k of
+        u_c being x_c L_k s_c; over Q(q) that is P(2^K) for P = L_k(q) q^ea x_c,
+        whose coefficients are its balanced base-2^K digits (see _pack_roots)."""
+        _, scales, (a, _), W, d = pack
+        dens = [[L * self.a ** ea * self.b ** eb for L in scales] for ea, eb in self.exps]
         if self.over_q:
-            dens, value = [S * a ** ea * b ** eb for ea, eb in self.exps], Fraction
+            value = Fraction
         else:
             K = a.bit_length() - 1
-            dens = [[0] * ea + S for ea, _ in self.exps]
 
-            def value(v: int, den: list) -> RationalFunction:
-                return RationalFunction(_unpack(v, K, v.bit_length() // K + 2), den)
+            def value(v: int, den: LaurentPoly) -> RationalFunction:
+                digits = _unpack(v, K, v.bit_length() // K + 2)
+                return RationalFunction._reduced(LaurentPoly(enumerate(digits)), den)
         blocks = [{} for _ in range(d)]
-        for c, (u, s) in enumerate(zip(cols, dens)):
+        for c, (u, ds) in enumerate(zip(cols, dens)):
             for rl, val in enumerate(u):
                 if val:
-                    for X, v in zip(blocks, _unpack(val, W, d)):
+                    for X, v, s in zip(blocks, _unpack(val, W, d), ds):
                         if v:
                             X[(rl, c)] = value(v, s)
         return blocks
 
     def solve(self, with_basis: bool):
-        ech = Echelon(self.m, self.field_one)
+        ech = Echelon(self.m, self.one)
         chosen: set[int] = set()
 
         def feed(pos: int):
@@ -680,7 +658,7 @@ class _PairSolver:
                 feed(pos)
 
         while True:
-            candidates = ech.nullspace()
+            candidates = ech.kernel()
             if not candidates:
                 return 0, []
             pack = self._pack_roots(candidates)
@@ -769,7 +747,7 @@ def commutant_basis(
               'pair_classes': len(classes) ** 2}
 
     if symbolic:
-        dim, mats = _total_dim(classes, _RF_Q, _RF_ONE, with_basis)
+        dim, mats = _total_dim(classes, Q, with_basis)
         return CommutantReport(
             n, r, 'symbolic', gens, (), (dim,), True, **counts, basis=mats)
 
@@ -777,7 +755,7 @@ def commutant_basis(
     basis = None
     for which, q0 in enumerate(q_values):
         want = with_basis and which == 0
-        dim, mats = _total_dim(classes, q0, Fraction(1), want)
+        dim, mats = _total_dim(classes, q0, want)
         dims.append(dim)
         if want:
             basis = mats
@@ -786,7 +764,7 @@ def commutant_basis(
         len(set(dims)) == 1, **counts, basis=basis)
 
 
-def _total_dim(classes: dict[tuple, list[list[int]]], qf, one, materialize: bool):
+def _total_dim(classes: dict[tuple, list[list[int]]], qf, materialize: bool):
     """Dimension, and the basis if materialize, summed over all component pairs.
 
     Each pair of classes is solved once per call, that is per q value;
@@ -798,7 +776,7 @@ def _total_dim(classes: dict[tuple, list[list[int]]], qf, one, materialize: bool
     rng = random.Random(20259)
     for table, comps in classes.items():
         for table_p, comps_p in classes.items():
-            solver = _PairSolver(table, table_p, qf, one, rng, (comps[0][0], comps_p[0][0]))
+            solver = _PairSolver(table, table_p, qf, rng, (comps[0][0], comps_p[0][0]))
             dim, blocks = solver.solve(with_basis=materialize)
             total += dim * len(comps) * len(comps_p)
             if materialize:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import qpartition
-from qpartition import linalg
+from qpartition import centralizer, linalg
 from qpartition.centralizer import (
     DEFAULT_Q_VALUES,
     DimensionLimitExceeded,
@@ -27,8 +27,6 @@ from qpartition.centralizer import (
     SYMBOLIC_LIMIT,
     SolverInvariantError,
     _PairSolver,
-    _RF_ONE,
-    _RF_Q,
     _apply,
     _bfs,
     _component_classes,
@@ -40,10 +38,15 @@ from qpartition.centralizer import (
     half_commutant_basis,
     structure_constants,
 )
-from qpartition.coeff import ONE, Q, LaurentPoly, ZeroSpecialization, lp
+from qpartition.coeff import ONE, Q, ZERO, LaurentPoly, ZeroSpecialization, lp
 from qpartition.linalg import Echelon
 from qpartition.qperm import half_qpartition_dim, qpartition_dim
 from qpartition.tensoract import _classify, _swap_letters, all_indices, generator_matrix
+from test_linalg import FieldEchelon, primitive
+
+# one and q in Q(q)
+RF_ONE = RationalFunction((1,))
+RF_Q = RationalFunction((0, 1))
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 rfuncs = st.lists(rationals, min_size=1, max_size=3).flatmap(
@@ -106,20 +109,20 @@ def test_rational_function_field_axioms(a, b):
 def test_rational_function_reduction():
     # (q^2 - 1)/(q - 1) reduces to q + 1
     x = RationalFunction((-1, 0, 1), (-1, 1))
-    assert x == _RF_Q + 1
+    assert x == RF_Q + 1
     assert str(x) == 'q + 1'
 
 
 def test_rational_function_from_laurent():
     x = RationalFunction.from_laurent(lp(1, -2) + Q)
-    assert x == (_RF_Q * _RF_Q * _RF_Q + 1) / (_RF_Q * _RF_Q)
+    assert x == (RF_Q * RF_Q * RF_Q + 1) / (RF_Q * RF_Q)
     assert str(x) == '(q^3 + 1)/q^2'
 
 
 def test_rational_function_strings():
-    assert str(_RF_ONE - _RF_ONE) == '0'
-    assert str(-_RF_Q) == '-q'
-    assert str(_RF_ONE / (_RF_Q + 1)) == '1/(q + 1)'
+    assert str(RF_ONE - RF_ONE) == '0'
+    assert str(-RF_Q) == '-q'
+    assert str(RF_ONE / (RF_Q + 1)) == '1/(q + 1)'
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +188,7 @@ def test_symbolic_basis_commutes_over_function_field(n, r):
     assert len(report.basis) == report.dim
     idxs = all_indices(n, r)
     gid = {j: t for t, j in enumerate(idxs)}
-    zero = _RF_ONE - _RF_ONE
+    zero = RF_ONE - RF_ONE
 
     def mul(P, X):
         rows = {}
@@ -359,7 +362,7 @@ def unmemoised(n, r, q0, gens=None, with_basis=False):
     total, basis = 0, []
     for C, table in zip(comps, tables):
         for Cp, table_p in zip(comps, tables):
-            solver = _PairSolver(table, table_p, Fraction(q0), Fraction(1), rng, (C[0], Cp[0]))
+            solver = _PairSolver(table, table_p, Fraction(q0), rng, (C[0], Cp[0]))
             dim, blocks = solver.solve(with_basis)
             total += dim
             basis.extend({(Cp[a], C[b]): v for (a, b), v in X.items()} for X in blocks)
@@ -464,13 +467,11 @@ def is_multiple(row, ref):
 
 
 def same_span(rows, ref, m, one):
-    """rows and ref span the same space of functionals on m coordinates."""
-    echs = Echelon(m, one), Echelon(m, one)
-    for ech, side in zip(echs, (rows, ref)):
-        for row in side:
-            ech.add(row)
-    return echs[0].rank == echs[1].rank and all(
-        not ech.reduce(row)[0] for ech, side in zip(echs, (ref, rows)) for row in side)
+    """rows and ref span the same space of functionals on m coordinates:
+    each side has the rank of the two together."""
+    rows, ref = list(rows), list(ref)
+    both = linalg.rank(rows + ref, m, one)
+    return linalg.rank(rows, m, one) == linalg.rank(ref, m, one) == both
 
 
 def edge_rows_reference(solver, ev):
@@ -501,15 +502,16 @@ def path_to_root(solver, v):
 @pytest.mark.parametrize('field', ['7/5', 'Q(q)'])
 @pytest.mark.parametrize('n,r', [(3, 2), (4, 2), (2, 3)])
 def test_event_rows_match_the_two_pull_and_loop_references(n, r, field):
+    # over Q(q) the rows are built over Z[q], with a = q and b = 1
     if field == 'Q(q)':
-        qf, one, a, b = _RF_Q, _RF_ONE, _RF_Q, _RF_ONE
+        qf, a, b = Q, Q, ONE
     else:
-        qf, one, a, b = Fraction(7, 5), Fraction(1), 7, 5
+        qf, a, b = Fraction(7, 5), 7, 5
     classes = _component_classes(n, r, tuple(range(1, n)))
     loops = 0
     for table in classes:
         for table_p in classes:
-            solver = _PairSolver(table, table_p, qf, one, random.Random(0), (0, 0))
+            solver = _PairSolver(table, table_p, qf, random.Random(0), (0, 0))
             for ev in solver.events:
                 i, c, c2, case = ev
                 assert (case == 1) == (c2 == c)
@@ -531,7 +533,7 @@ def test_event_rows_match_the_two_pull_and_loop_references(n, r, field):
                     cycles = solver._cycles(i)
                     assert len(rows) == len(cycles) and len(reference) == 2 * len(cycles)
                     assert all(is_multiple(row, reference[rl]) for row, (rl, _) in zip(rows, cycles))
-                    assert same_span(rows, reference.values(), solver.m, one)
+                    assert same_span(rows, reference.values(), solver.m, solver.one)
     # at n = 2 every letter is 1 or 2, so T_1 moves every tensor: no loops
     assert loops or n == 2
 
@@ -559,7 +561,7 @@ def test_disconnected_component_raises():
     # two vertices, one generator acting diagonally on both: no edge joins them
     table = (((1, 0),), ((1, 1),))
     with pytest.raises(SolverInvariantError) as info:
-        _PairSolver(table, table, Fraction(2), Fraction(1), random.Random(0), (0, 0))
+        _PairSolver(table, table, Fraction(2), random.Random(0), (0, 0))
     assert info.value.pair == (0, 0)
 
 
@@ -575,8 +577,7 @@ MALFORMED_ROW_TABLES = [(((2, 1),), ((2, 0),)),
 def test_malformed_two_cycle_raises(table_p):
     # a one-vertex column component fixed by T_1: its loop is the first
     # event fed, and its rows read the 2-cycles of the row table
-    solver = _PairSolver((((1, 0),),), table_p, Fraction(2), Fraction(1),
-                         random.Random(0), (0, 3))
+    solver = _PairSolver((((1, 0),),), table_p, Fraction(2), random.Random(0), (0, 3))
     with pytest.raises(SolverInvariantError) as info:
         solver.solve(with_basis=False)
     assert info.value.pair == (0, 3)
@@ -587,18 +588,18 @@ OPTIMISED_CHECKS = """
 import random
 from fractions import Fraction
 import qpartition
-from qpartition import linalg
+from qpartition import centralizer, linalg
 from qpartition.centralizer import SolverInvariantError, _PairSolver, commutant_basis
 if __debug__:
     raise SystemExit('not running under python -O')
 table = (((1, 0),), ((1, 1),))
 try:
-    _PairSolver(table, table, Fraction(2), Fraction(1), random.Random(0), (0, 0))
+    _PairSolver(table, table, Fraction(2), random.Random(0), (0, 0))
 except SolverInvariantError:
     print('disconnected table raised')
 moving_on = (((2, 1),), ((2, 0),))
 try:
-    _PairSolver((((1, 0),),), moving_on, Fraction(2), Fraction(1), random.Random(0),
+    _PairSolver((((1, 0),),), moving_on, Fraction(2), random.Random(0),
                 (0, 0)).solve(with_basis=False)
 except SolverInvariantError as exc:
     print('malformed 2-cycle raised:', 'generator position 0' in str(exc))
@@ -727,15 +728,16 @@ def test_symbolic_matches_specialised_at_random_q(a, b, negative, cell):
 # the packed check against the per-candidate path it replaced
 
 class Reference:
-    """The per-candidate verification over Q: each root cleared of its own
-    denominators, sparse dict columns with their own scales, every event
-    cross-multiplied by the scales of its two columns.  The maps are built
-    from the row table afresh, not taken from the solver.  Given q0 = q in
-    Q(q) rather than a Fraction, it runs at a = q and b = 1 (see
+    """The per-candidate verification over Q: each root the integer kernel
+    vector x with its own scale L (x / L is the root column), sparse dict
+    columns with their own scales, every event cross-multiplied by the
+    scales of its two columns.  The maps are built from the row table
+    afresh, not taken from the solver.  Given q0 = coeff.Q rather than a
+    Fraction, it runs over Z[q] at a = q and b = 1 (see
     SymbolicReference)."""
 
     def __init__(self, table_p, q0):
-        a, b = (q0.numerator, q0.denominator) if isinstance(q0, Fraction) else (q0, _RF_ONE)
+        a, b = (q0.numerator, q0.denominator) if isinstance(q0, Fraction) else (q0, ONE)
         self.factor = {1: a, 2: b, 3: a}
         self.images = [], []
         for k in range(len(table_p[0])):
@@ -744,9 +746,10 @@ class Reference:
             self.images[1].append(_shifted(op, a - b))
 
     @staticmethod
-    def clear(y):
-        s = math.lcm(*(v.denominator for v in y))
-        return {rl: v.numerator * (s // v.denominator) for rl, v in enumerate(y) if v}, s
+    def clear(candidate):
+        """A kernel pair (L, x) as the root column (u, s), x / L = u / s."""
+        L, x = candidate
+        return {rl: v for rl, v in enumerate(x) if v}, L
 
     def image(self, i, case, u):
         return _apply(self.images[case == 3][i], u)
@@ -791,15 +794,15 @@ class Reference:
 
 def packed_rounds(table, table_p, q0):
     """Run a pair solve round by round, yielding per round the solver, the
-    candidates, their pack, its columns and every event it breaks.  Unlike solve,
-    which feeds the loops at the root first (after which every pair of the
-    grid passes in its first round), it starts from no equation at all, so
-    the early candidates break events and every round feeds back the
-    flagged ones.  q0 is a Fraction, or q in Q(q) for the symbolic mode."""
-    one = Fraction(1) if isinstance(q0, Fraction) else _RF_ONE
-    solver = _PairSolver(table, table_p, q0, one, random.Random(0), (0, 0))
-    ech = Echelon(solver.m, one)
-    while candidates := ech.nullspace():
+    candidates (kernel pairs (L, x)), their pack, its columns and every
+    event it breaks.  Unlike solve, which feeds the loops at the root first
+    (after which every pair of the grid passes in its first round), it
+    starts from no equation at all, so the early candidates break events
+    and every round feeds back the flagged ones.  q0 is a Fraction, or
+    coeff.Q for the symbolic mode."""
+    solver = _PairSolver(table, table_p, q0, random.Random(0), (0, 0))
+    ech = Echelon(solver.m, solver.one)
+    while candidates := ech.kernel():
         pack = solver._pack_roots(candidates)
         bad, cols = solver._verify(pack, keep=True, limit=None)
         yield solver, candidates, pack, cols, bad
@@ -848,16 +851,15 @@ def test_packed_width_covers_every_field(n, r):
         for table, table_p in pair_classes(n, r):
             ref = Reference(table_p, q0)
             for solver, candidates, pack, cols, _ in packed_rounds(table, table_p, q0):
-                root, S, _, W, d = pack
-                assert d == len(candidates) and S == math.lcm(
-                    *(v.denominator for y in candidates for v in y))
+                root, scales, _, W, d = pack
+                assert d == len(candidates) and list(scales) == [L for L, _ in candidates]
                 fields = [[_unpack(v, W, d) for v in u] for u in cols]
                 largest = 0
-                for k, y in enumerate(candidates):
-                    scaled = [v * S for v in y]
-                    assert all(v.denominator == 1 for v in scaled)
-                    u0 = {rl: v.numerator for rl, v in enumerate(scaled) if v}
-                    ref_cols = ref.propagate(solver, (u0, S))
+                for k, (L, x) in enumerate(candidates):
+                    # x is integral, and L the least scale that makes it so
+                    assert all(type(v) is int for v in x) and L > 0
+                    assert L == math.lcm(*(Fraction(v, L).denominator for v in x))
+                    ref_cols = ref.propagate(solver, ref.clear((L, x)))
                     for c, (u, _) in ref_cols.items():
                         # the packed column holds candidate k's column as field k
                         assert [f[k] for f in fields[c]] == [u.get(rl, 0) for rl in range(solver.m)]
@@ -866,23 +868,19 @@ def test_packed_width_covers_every_field(n, r):
 
 
 class SymbolicReference(Reference):
-    """The replaced Q(q) path: each candidate propagated on its own, as it
-    is (no denominators cleared), in sparse columns of RationalFunction
-    values at a = q and b = 1, and every event checked over Q(q)."""
+    """The Q(q) path without packing: each candidate propagated on its own
+    in sparse columns of integer polynomials at a = q and b = 1, and every
+    event checked over Z[q], which holds it exactly when Q(q) does."""
 
     def __init__(self, table_p):
-        super().__init__(table_p, _RF_Q)
-
-    @staticmethod
-    def clear(y):
-        return {rl: v for rl, v in enumerate(y) if v}, _RF_ONE
+        super().__init__(table_p, Q)
 
     def largest(self, solver, cols):
         """The largest |coefficient| in any column and on either side of any
         event; the multipliers are powers of q, which leave coefficients as
         they are."""
         def size(u):
-            return max((abs(x) for v in u.values() for _, x in v.num.terms), default=0)
+            return max((abs(x) for v in u.values() for _, x in v.terms), default=0)
 
         out = max(size(u) for u, _ in cols.values())
         for i, c, c2, case in solver.events:
@@ -895,7 +893,7 @@ def test_packed_check_over_q_of_q_matches_sparse_reference(n, r):
     failing = 0
     for table, table_p in pair_classes(n, r):
         ref = SymbolicReference(table_p)
-        for solver, candidates, pack, _, bad in packed_rounds(table, table_p, _RF_Q):
+        for solver, candidates, pack, _, bad in packed_rounds(table, table_p, Q):
             failing += bool(bad)
             flagged = set()
             for y in candidates:
@@ -915,20 +913,20 @@ def test_packed_check_over_q_of_q_matches_sparse_reference(n, r):
 def test_packed_width_over_q_of_q_covers_every_coefficient(n, r):
     for table, table_p in pair_classes(n, r):
         ref = SymbolicReference(table_p)
-        for solver, candidates, pack, cols, _ in packed_rounds(table, table_p, _RF_Q):
-            root, S, (a, b), W, d = pack
+        for solver, candidates, pack, cols, _ in packed_rounds(table, table_p, Q):
+            root, scales, (a, b), W, d = pack
             K = a.bit_length() - 1
             assert (a, b) == (1 << K, 1) and d == len(candidates)
-            S = RationalFunction(S)
+            assert list(scales) == [L for L, _ in candidates]
             ref_int = Reference(table_p, Fraction(a))
             fields = [[_unpack(v, W, d) for v in u] for u in cols]
             largest = largest_int = 0
-            for k, y in enumerate(candidates):
-                # S(q) y_k has its entries in Z[q]
-                P = {rl: S * v for rl, v in enumerate(y) if v}
-                assert all(v.den == ONE and all(type(x) is int for _, x in v.num.terms)
-                           for v in P.values())
-                ref_cols = ref.propagate(solver, (P, _RF_ONE))
+            for k, (L, x) in enumerate(candidates):
+                # x_k has its entries in Z[q], L_k too
+                assert all(lo >= 0 and den == 1 for lo, _, den in
+                           (v.integer_form() for v in [L, *x] if v))
+                P, _ = ref.clear((L, x))
+                ref_cols = ref.propagate(solver, (P, ONE))
                 for c, (u, _) in ref_cols.items():
                     for rl in range(solver.m):
                         # field k of the packed column is the polynomial
@@ -936,13 +934,47 @@ def test_packed_width_over_q_of_q_covers_every_coefficient(n, r):
                         # are that entry's coefficients
                         f = fields[c][rl][k]
                         digits = _unpack(f, K, f.bit_length() // K + 2)
-                        assert LaurentPoly(enumerate(digits)) == u.get(rl, _RF_ONE - _RF_ONE).num
+                        assert LaurentPoly(enumerate(digits)) == u.get(rl, ZERO)
                 largest = max(largest, ref.largest(solver, ref_cols))
                 # and the integer fields stay within the width W at q = 2^K
-                u0 = {rl: sum(x << (K * e) for e, x in v.num.terms) for rl, v in P.items()}
+                u0 = {rl: sum(c << (K * e) for e, c in v.terms) for rl, v in P.items()}
                 largest_int = max(largest_int, ref_int.largest(solver, ref_int.propagate(solver, (u0, 1))))
             assert largest < 2 ** (K - 1)
             assert largest_int < 2 ** (W - 1)
+
+
+@pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
+def test_symbolic_echelon_matches_field_elimination(n, r, monkeypatch):
+    # every row the Z[q] solve feeds goes to pivot-one elimination over Q(q)
+    # as well: same pivots, and each kernel the solve reads is the field's
+    # nullspace once divided by its scales
+    echelons = []
+
+    def field(v):
+        return RationalFunction.from_laurent(v)
+
+    class Checked(Echelon):
+        def __init__(self, width, one):
+            super().__init__(width, one)
+            self.field = FieldEchelon(width, RF_ONE)
+            echelons.append(self)
+
+        def add(self, row, tag=None):
+            p = super().add(row)
+            assert p == self.field.add({c: field(v) for c, v in row.items()})
+            return p
+
+        def kernel(self):
+            kernel = super().kernel()
+            assert [[field(v) / field(L) for v in x] for L, x in kernel] == self.field.nullspace()
+            assert all(primitive(row, p) for p, row in self._rows.items())
+            return kernel
+
+    monkeypatch.setattr(centralizer, 'Echelon', Checked)
+    report = commutant_basis(n, r, symbolic=True)
+    assert report.dim == qpartition_dim(n, r)
+    assert len(echelons) == report.pair_classes
+    assert all(ech.one == ONE and ech.rank == len(ech.field.rows) for ech in echelons)
 
 
 def test_verification_rejects_a_perturbed_root():
@@ -955,13 +987,13 @@ def test_verification_rejects_a_perturbed_root():
     C, Cp = _components(n, r, gens)
     table_p = _table(Cp, idxs, gid_map, gens)
     solver = _PairSolver(_table(C, idxs, gid_map, gens), table_p,
-                         Fraction(-3, 2), Fraction(1), random.Random(0), (C[0], Cp[0]))
+                         Fraction(-3, 2), random.Random(0), (C[0], Cp[0]))
     ref = Reference(table_p, Fraction(-3, 2))
-    ech = Echelon(solver.m, Fraction(1))
+    ech = Echelon(solver.m, solver.one)
     for ev in solver.events:
         for row in solver._event_rows(ev):
             ech.add(row)
-    candidates = ech.nullspace()
+    candidates = ech.kernel()
     assert 1 < len(candidates) < solver.m
 
     def packed_violations(ys):
@@ -972,8 +1004,11 @@ def test_verification_rejects_a_perturbed_root():
     assert packed_violations(candidates) == []
     for k in range(len(candidates)):
         for delta in (1, Fraction(-1, 3)):
+            # the root x / L with delta added at row 0, as an integral pair
+            L, x = candidates[k]
+            m, n = Fraction(delta).denominator, Fraction(delta).numerator
             perturbed = list(candidates)
-            perturbed[k] = [perturbed[k][0] + delta] + perturbed[k][1:]
+            perturbed[k] = m * L, [m * x[0] + n * L] + [m * v for v in x[1:]]
             alone = ref.violations(solver, ref.propagate(solver, ref.clear(perturbed[k])),
                                    limit=None)
             assert alone
@@ -1006,10 +1041,16 @@ def test_a_dropped_two_cycle_is_caught(monkeypatch):
 
 
 def reference_solve(solver, with_basis):
-    """The replaced solve: candidate by candidate on the reference path."""
-    ref = Reference(solver.table_p, Fraction(solver.a, solver.b))
-    ech = Echelon(solver.m, solver.field_one)
+    """The replaced solve: candidate by candidate on the reference path,
+    over Z[q] in the symbolic mode."""
+    ref = Reference(solver.table_p, Fraction(solver.a, solver.b) if solver.over_q else Q)
+    ech = Echelon(solver.m, solver.one)
     chosen = set()
+
+    def quotient(v, s):
+        if solver.over_q:
+            return Fraction(v, s)
+        return RationalFunction.from_laurent(v) / RationalFunction.from_laurent(s)
 
     def feed(pos):
         if pos not in chosen:
@@ -1024,7 +1065,7 @@ def reference_solve(solver, with_basis):
         for pos in solver.rng.sample(range(len(solver.events)), min(3, len(solver.events))):
             feed(pos)
     while True:
-        candidates = ech.nullspace()
+        candidates = ech.kernel()
         if not candidates:
             return 0, []
         all_cols = [ref.propagate(solver, ref.clear(y)) for y in candidates]
@@ -1033,7 +1074,7 @@ def reference_solve(solver, with_basis):
             bad.update(ref.violations(solver, cols))
         if not bad:
             return len(candidates), [
-                {(rl, c): Fraction(v, s) for c, (u, s) in cols.items() for rl, v in u.items()}
+                {(rl, c): quotient(v, s) for c, (u, s) in cols.items() for rl, v in u.items()}
                 for cols in all_cols] if with_basis else []
         for pos in sorted(bad):
             feed(pos)
@@ -1056,3 +1097,15 @@ def test_unpacked_basis_equals_reference_basis(n, r, q0, monkeypatch):
     for X, Y in zip(packed, reference):
         assert X == Y
         assert all(type(v) is Fraction for v in X.values())
+
+
+@pytest.mark.parametrize('n,r', [(3, 3), (4, 2), (2, 4)])
+def test_unpacked_symbolic_basis_equals_reference_basis(n, r, monkeypatch):
+    # the Z[q] kernel and the base-2^K unpacking against per-candidate
+    # propagation over Z[q], divided out in Q(q)
+    packed = commutant_basis(n, r, symbolic=True, with_basis=True).basis
+    monkeypatch.setattr(_PairSolver, 'solve', reference_solve)
+    reference = commutant_basis(n, r, symbolic=True, with_basis=True).basis
+    assert len(packed) == len(reference) == qpartition_dim(n, r)
+    assert packed == reference
+    assert all(type(v) is RationalFunction for X in packed for v in X.values())

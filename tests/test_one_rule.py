@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from qpartition import qperm
-from qpartition.centralizer import _RF_ONE, _RF_Q, _apply, _scaled_generator, _shifted
+from qpartition.centralizer import _apply, _scaled_generator, _shifted
 from qpartition.coeff import ONE, Q, LaurentPoly
 from qpartition.hecke import (
     HeckeElement,
@@ -236,8 +236,8 @@ def test_shifted_map_over_q_of_q_matches_the_earlier_build():
     gid = {j: t for t, j in enumerate(idxs)}
     for i in range(1, n):
         entries = [(case, gid[j2]) for case, j2 in (_classify(i, j) for j in idxs)]
-        op = _scaled_generator(entries, _RF_Q, _RF_ONE)
-        assert (op, _shifted(op, _RF_Q - _RF_ONE)) == ref_pair_images(entries, _RF_Q, _RF_ONE)
+        op = _scaled_generator(entries, Q, ONE)
+        assert (op, _shifted(op, Q - ONE)) == ref_pair_images(entries, Q, ONE)
 
 
 # ---------------------------------------------------------------------------

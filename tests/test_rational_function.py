@@ -283,4 +283,3 @@ def test_zero_denominator_raises():
 
 def test_one_class_importable_from_every_module():
     assert qpartition.RationalFunction is centralizer.RationalFunction is RationalFunction
-    assert centralizer._RF_ONE == 1 and str(centralizer._RF_Q) == 'q'
