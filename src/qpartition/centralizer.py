@@ -990,22 +990,38 @@ def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> Stru
     Closure of the table (every product expands) confirms the computed
     space really is an algebra, not just a vector space of matrices.
     The products are formed over the integers, from each basis element
-    X_t scaled by the lcm s_t of its denominators; a coordinate c of
-    s_a X_a s_b X_b on s_t X_t is c s_t / (s_a s_b) on X_t.
+    X_t scaled by the lcm s_t of its denominators.  Every s_t X_t owns an
+    entry where no other basis element is nonzero: the solver's candidate
+    t is free row f of its pair's kernel, on the root column, where x_t[f]
+    = L_t and every other candidate is 0, and the relabelling carries that
+    entry to each member pair.  So a product P can only be the sum of c_t
+    s_t X_t with c_t = P[own_t] / (s_t X_t)[own_t], and P expands exactly
+    when m P - sum (m c_t) s_t X_t is zero, m the lcm of the denominators
+    of the c_t: a check in integers.  A coordinate c of s_a X_a s_b X_b on
+    s_t X_t is c s_t / (s_a s_b) on X_t.  An element without an entry of
+    its own raises SolverInvariantError.
     """
     q0 = Fraction(_exact(q0, 'q values'))
     report = commutant_basis(n, r, (q0,), with_basis=True, limit=limit)
-    N = n ** r
     scaled = [_integral(X) for X in report.basis]
-    basis = [X for X, _ in scaled]
 
-    ech = Echelon(N * N, Fraction(1))
-    for tag, X in enumerate(basis):
-        ech.add({rg * N + cg: v for (rg, cg), v in X.items()}, tag=tag)
+    owner: dict[tuple[int, int], int | None] = {}
+    for t, (X, _) in enumerate(scaled):
+        for key in X:
+            owner[key] = None if key in owner else t
+    own_of = {}
+    for t, (X, _) in enumerate(scaled):
+        key = next((key for key in X if owner[key] == t), None)
+        if key is None:
+            comp = {g: C[0] for Cs in _component_classes(n, r, range(1, n)).values()
+                    for C in Cs for g in C}
+            pair = next(((comp[rg], comp[cg]) for rg, cg in X), None)
+            raise SolverInvariantError(f'commutant element {t} has no entry of its own', pair)
+        own_of[key] = t
 
     indexed = []
-    for X in basis:
-        by_col: dict[int, list[tuple[int, object]]] = {}
+    for X, _ in scaled:
+        by_col: dict[int, list[tuple[int, int]]] = {}
         for (rg, cg), v in X.items():
             by_col.setdefault(cg, []).append((rg, v))
         indexed.append(by_col)
@@ -1015,17 +1031,23 @@ def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> Stru
     for a, (A, sa) in enumerate(scaled):
         a_by_col = indexed[a]
         for b, (B, sb) in enumerate(scaled):
-            prod: dict[int, int] = {}
+            prod: dict[tuple[int, int], int] = {}
             for (mg, cg), v in B.items():
                 for rg, w in a_by_col.get(mg, ()):
-                    key = rg * N + cg
-                    cur = prod.get(key, 0) + w * v
+                    prod[rg, cg] = prod.get((rg, cg), 0) + w * v
+            coords = {own_of[key]: Fraction(v, scaled[own_of[key]][0][key])
+                      for key, v in prod.items() if v and key in own_of}
+            m = lcm(*(c.denominator for c in coords.values()))
+            rest = {key: m * v for key, v in prod.items() if v}
+            for t, c in coords.items():
+                f = c.numerator * (m // c.denominator)
+                for key, v in scaled[t][0].items():
+                    cur = rest.get(key, 0) - f * v
                     if cur:
-                        prod[key] = cur
+                        rest[key] = cur
                     else:
-                        prod.pop(key, None)
-            coords = ech.coordinates(prod)
-            if coords is None:
+                        del rest[key]
+            if rest:
                 closed = False
                 coords = {}
             table[(a, b)] = {t: c * scaled[t][1] / (sa * sb) for t, c in coords.items()}

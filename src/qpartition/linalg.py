@@ -1,17 +1,19 @@
 """Exact fraction-free Gaussian elimination over Z or over Z[q].
 
 The Echelon class keeps a reduced row echelon form incrementally, which
-is what the constraint-streaming commutant solver wants: feed rows as
-they are generated, watch the rank, pull a nullspace basis at the end.
+is what the constraint-streaming solvers want: add rows as they are
+generated (add returns None for a row already in the span, and then
+stores nothing), watch the rank, read the kernel at the end.
 
 The ring is Z when one is an int or a fractions.Fraction (a row is cleared
-of denominators on entry; rows, reduce, coordinates and nullspace answer
-over Q), and Z[q] when one is a coeff.LaurentPoly and the rows hold integer
-Laurent polynomials (add, rank and kernel only).  As in Bareiss (1968), a
-stored row is primitive and stands for (row / d_p), d_p its pivot entry:
-over Z its entries have gcd 1 and d_p > 0; over Z[q] its coefficients have
-gcd 1, its lowest power of q is q^0 and d_p leads positive.  A factor of
-higher degree stays, since it only scales the row:
+of denominators on entry; the rows view and nullspace, the kernel divided
+by its scales, answer over Q), and Z[q] when one is a coeff.LaurentPoly
+and the rows hold integer Laurent polynomials.  Any other entry raises
+TypeError.  As in Bareiss (1968), a stored row is primitive and stands for
+(row / d_p), d_p its pivot entry: over Z its entries have gcd 1 and d_p > 0;
+over Z[q] its coefficients have gcd 1, its lowest power of q is q^0 and d_p
+leads positive.  A factor of higher degree stays, since it only scales the
+row:
 
 >>> from qpartition.coeff import ONE, Q
 >>> ech = Echelon(2, ONE)
@@ -22,8 +24,8 @@ higher degree stays, since it only scales the row:
 
 Eliminating column p from a row res is the step res = d_p res - res[p]
 row_p (over Z, d_p and res[p] first divided by their gcd), then res loses
-its content; the same step keeps the stored rows fully reduced and carries
-the tag combinations.  Nothing is rounded anywhere.
+its content; the same step keeps the stored rows fully reduced.  Nothing
+is rounded anywhere.
 """
 
 from __future__ import annotations
@@ -46,10 +48,7 @@ class Echelon:
         self.zero = one - one
         self._poly = isinstance(one, LaurentPoly)  # Z[q], else Z
         self._rzero = self.zero if self._poly else 0  # zero of the stored rows
-        # pivot column -> primitive stored row, and the combination of
-        # tagged input rows equal to it
-        self._rows: dict[int, dict[int, object]] = {}
-        self._tags: dict[int, dict[object, object]] = {}
+        self._rows: dict[int, dict[int, object]] = {}  # pivot column -> primitive row
 
     @property
     def rank(self) -> int:
@@ -61,26 +60,26 @@ class Echelon:
         return {p: {c: Fraction(v, row[p]) for c, v in row.items()}
                 for p, row in self._rows.items()}
 
-    def _enter(self, row: Mapping[int, object], tag_row: Mapping | None):
-        """row and tag_row as stored-row values, and the factor m applied:
-        over Z both are multiplied by the lcm m of their denominators."""
+    def _enter(self, row: Mapping[int, object]) -> dict:
+        """row as stored-row values: over Z times the lcm of its denominators."""
         res = {c: v for c, v in row.items() if v}
-        combo = {t: v for t, v in tag_row.items() if v} if tag_row else {}
-        if self._poly or all(type(v) is int for v in res.values()) and \
-                all(type(v) is int for v in combo.values()):
-            return res, combo, 1
-        m = lcm(*(v.denominator for v in res.values()),
-                *(v.denominator for v in combo.values()))
-        res = {c: v.numerator * (m // v.denominator) for c, v in res.items()}
-        combo = {t: v.numerator * (m // v.denominator) for t, v in combo.items()}
-        return res, combo, m
+        if self._poly:
+            if not all(isinstance(v, LaurentPoly) for v in res.values()):
+                raise TypeError('rows over Z[q] hold LaurentPoly entries')
+            return res
+        if all(type(v) is int for v in res.values()):
+            return res
+        if not all(isinstance(v, (int, Fraction)) for v in res.values()):
+            raise TypeError('rows over Z hold int or Fraction entries')
+        m = lcm(*(v.denominator for v in res.values()))
+        return {c: v.numerator * (m // v.denominator) for c, v in res.items()}
 
-    def _step(self, res: dict, combo: dict, p: int):
+    def _step(self, res: dict, p: int):
         """Eliminate column p from res with the stored row of pivot p.
 
-        In place: res = d res - f row_p and combo likewise, with f = res[p]
-        and d = d_p, over Z first divided by their gcd; returns the
-        multiplier d (1 whenever d_p divides res[p] over Z).
+        In place: res = d res - f row_p, with f = res[p] and d = d_p, over Z
+        first divided by their gcd; returns the multiplier d (1 whenever d_p
+        divides res[p] over Z).
         """
         row = self._rows[p]
         f, d = res[p], row[p]
@@ -91,8 +90,6 @@ class Echelon:
             if d != 1:
                 for c in res:
                     res[c] *= d
-                for t in combo:
-                    combo[t] *= d
         zero = self._rzero
         for c, v in row.items():
             nv = res.get(c, zero) - f * v
@@ -100,19 +97,13 @@ class Echelon:
                 res[c] = nv
             else:
                 del res[c]
-        for t, v in self._tags[p].items():
-            nv = combo.get(t, zero) - f * v
-            if nv:
-                combo[t] = nv
-            else:
-                del combo[t]
         return d
 
-    def _content(self, res: dict, combo: dict):
-        """Divide res and combo by the content of all their entries (over
-        Z[q] signed to make res lead positive at its smallest column); returns it."""
+    def _content(self, res: dict):
+        """Divide res by the content of its entries (over Z[q] signed to make
+        res lead positive at its smallest column)."""
         if self._poly:
-            forms = [v.integer_form() for v in (*res.values(), *combo.values())]
+            forms = [v.integer_form() for v in res.values()]
             if any(den != 1 for _, _, den in forms):
                 raise ValueError('rows over Z[q] hold integer polynomials')
             g = gcd(*(x for _, cs, _ in forms for x in cs))
@@ -120,72 +111,33 @@ class Echelon:
             k = min(lo for lo, _, _ in forms)
             if g != 1 or k:
                 scale = lp(Fraction(1, g), -k)
-                for entries in (res, combo):
-                    entries.update({key: v * scale for key, v in entries.items()})
-            return lp(g, k)
-        g = gcd(*res.values(), *combo.values())
+                res.update({c: v * scale for c, v in res.items()})
+            return
+        g = gcd(*res.values())
         if g > 1:
             for c in res:
                 res[c] //= g
-            for t in combo:
-                combo[t] //= g
-        return g
 
-    def _reduce(self, res: dict, combo: dict):
-        """Eliminate every pivot column from res, in place.
-
-        Returns (num, den): the true residual is res * den / num.
-        """
-        num = den = 1
+    def add(self, row: Mapping[int, object]) -> int | None:
+        """Insert a row; returns the new pivot column or None if dependent
+        (then nothing is stored)."""
+        res = self._enter(row)
         for p in sorted(res.keys() & self._rows.keys()):
-            d = self._step(res, combo, p)
-            if d != 1:
-                num *= d
-                if res:
-                    den *= self._content(res, combo)
-        return num, den
-
-    def reduce(self, row: Mapping[int, object], tag_row: Mapping | None = None):
-        """Residual of row modulo the current row space (also combination)."""
-        res, combo, m = self._enter(row, tag_row)
-        num, den = self._reduce(res, combo)
-        scale = Fraction(den, num * m)
-        return ({c: v * scale for c, v in res.items()},
-                {t: v * scale for t, v in combo.items()})
-
-    def add(self, row: Mapping[int, object], tag=None) -> int | None:
-        """Insert a row; returns the new pivot column or None if dependent."""
-        res, combo, _ = self._enter(row, {tag: self.one} if tag is not None else None)
-        self._reduce(res, combo)
+            if self._step(res, p) != 1 and res:
+                self._content(res)
         if not res:
             return None
         p = min(res)
-        self._content(res, combo)  # over Z[q] this also fixes the sign of res[p]
+        self._content(res)  # over Z[q] this also fixes the sign of res[p]
         if not self._poly and res[p] < 0:
             res = {c: -v for c, v in res.items()}
-            combo = {t: -v for t, v in combo.items()}
         # keep the form fully reduced: clear column p from the other rows
-        self._rows[p], self._tags[p] = res, combo
+        self._rows[p] = res
         for p2, row2 in self._rows.items():
             if p2 != p and p in row2:
-                tags2 = self._tags[p2]
-                self._step(row2, tags2, p)
-                self._content(row2, tags2)
+                self._step(row2, p)
+                self._content(row2)
         return p
-
-    def nullspace(self) -> list[list]:
-        """Dense basis of the solution space of (this matrix) x = 0."""
-        pivots = set(self._rows)
-        free = [c for c in range(self.width) if c not in pivots]
-        basis = []
-        for f in free:
-            vec = [self.zero] * self.width
-            vec[f] = self.one
-            for p, row in self._rows.items():
-                if f in row:
-                    vec[p] = Fraction(-row[f], row[p])
-            basis.append(vec)
-        return basis
 
     def kernel(self) -> list[tuple[object, list]]:
         """The nullspace in the ring: per free column f, in order, (L, x), x dense
@@ -204,15 +156,9 @@ class Echelon:
             out.append((L, [L if c == f else x.get(c, self._rzero) for c in range(self.width)]))
         return out
 
-    def coordinates(self, row: Mapping[int, object]):
-        """Combination of inserted tagged rows equal to row, or None.
-
-        Only meaningful if every add() call carried a tag.
-        """
-        res, combo = self.reduce(row, {})
-        if res:
-            return None
-        return {t: self.zero - v for t, v in combo.items()}
+    def nullspace(self) -> list[list]:
+        """Dense basis of the solution space of (this matrix) x = 0, over Q."""
+        return [[Fraction(v, L) if v else self.zero for v in x] for L, x in self.kernel()]
 
 
 def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

@@ -121,10 +121,11 @@ def test_05_induction_restriction_multiplicities():
 def test_06_commutant_dimension_identity():
     """The brute-force commutant dimension equals the double-coset
     dimension formula on the whole n^r <= 256 grid, cross-checked at
-    three rational values of q."""
+    three generic rational values of q and at the non-generic q = 1 and
+    q = -1."""
     assert len(DEFAULT_Q_VALUES) >= 3
     for n, r in COMMUTANT_GRID:
-        report = commutant_basis(n, r)
+        report = commutant_basis(n, r, DEFAULT_Q_VALUES + (1, -1))
         assert report.agree, (n, r, report.dims)
         assert report.dim == qpartition_dim(n, r), (n, r, report.dim)
     pinned = commutant_basis(4, 2)

@@ -123,7 +123,7 @@ def reference_counts(comps, basis, images):
     for vec in vectors:
         img.add(vec)
     bic_ech, dim, fed = reference_bicommutant(comps, basis)
-    contained = all(not bic_ech.reduce(vec)[0] for vec in vectors)
+    contained = all(bic_ech.add(vec) is None for vec in vectors)  # stops at an outsider
     return img.rank, dim, contained, fed
 
 

@@ -292,24 +292,93 @@ def test_double_centralizer_small(q0):
         assert report.image_contained
 
 
-def test_structure_constants_closed():
-    sc = structure_constants(2, 2, Fraction(2))
+def _matmul(A, B):
+    rows_of = {}
+    for (k, j), w in B.items():
+        rows_of.setdefault(k, []).append((j, w))
+    out = {}
+    for (i, k), v in A.items():
+        for j, w in rows_of.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + v * w
+    return {key: v for key, v in out.items() if v}
+
+
+def reference_table(basis):
+    """(table, closed) by tagged elimination over Q: every product of the
+    integral elements s_t X_t reduced on a FieldEchelon that holds them,
+    its coordinates read off the tags."""
+    scaled = [centralizer._integral(X) for X in basis]
+    ref = FieldEchelon(None, Fraction(1))  # add and reduce never read the width
+    for t, (X, _) in enumerate(scaled):
+        assert ref.add(X, tag=t) is not None
+    table, closed = {}, True
+    for (a, (A, sa)), (b, (B, sb)) in itertools.product(enumerate(scaled), repeat=2):
+        res, combo = ref.reduce(_matmul(A, B), {})
+        closed = closed and not res
+        table[a, b] = {} if res else {t: -c * scaled[t][1] / (sa * sb) for t, c in combo.items()}
+    return table, closed
+
+
+def associative(table, dim):
+    """(e_a e_b) e_c == e_a (e_b e_c) for all a, b, c, summed sparsely: for
+    each (a, b), over the c with some nonzero term on either side.  Both
+    sides are quadratic in the table, so it is scaled to integers first."""
+    D = math.lcm(*(v.denominator for coords in table.values() for v in coords.values()))
+    rows = [{c: {t: v.numerator * (D // v.denominator) for t, v in table[a, c].items()}
+             for c in range(dim) if table[a, c]} for a in range(dim)]
+    for a, b in itertools.product(range(dim), repeat=2):
+        left, right = {}, {}
+        row_a = rows[a]
+        for m, x in row_a.get(b, {}).items():
+            for c, coords in rows[m].items():
+                for t, y in coords.items():
+                    left[c, t] = left.get((c, t), 0) + x * y
+        for c, coords in rows[b].items():
+            for m, x in coords.items():
+                for t, y in row_a.get(m, {}).items():
+                    right[c, t] = right.get((c, t), 0) + x * y
+        if {k: v for k, v in left.items() if v} != {k: v for k, v in right.items() if v}:
+            return False
+    return True
+
+
+@pytest.mark.parametrize('q0', [Fraction(7, 5), Fraction(1), Fraction(-1)], ids=str)
+@pytest.mark.parametrize('n, r', [(2, 2), (3, 2), (2, 3), (4, 2), (2, 4)])
+def test_structure_constants_closed(n, r, q0):
+    sc = structure_constants(n, r, q0)
     assert sc.closed
-    assert sc.dim == 8
-    # associativity of the recovered table
-    dim = sc.dim
-    for a, b, c in itertools.product(range(dim), repeat=3):
-        left = {}
-        for m, coeff in sc.table[(a, b)].items():
-            for t, coeff2 in sc.table[(m, c)].items():
-                left[t] = left.get(t, Fraction(0)) + coeff * coeff2
-        right = {}
-        for m, coeff in sc.table[(b, c)].items():
-            for t, coeff2 in sc.table[(a, m)].items():
-                right[t] = right.get(t, Fraction(0)) + coeff * coeff2
-        left = {k: v for k, v in left.items() if v}
-        right = {k: v for k, v in right.items() if v}
-        assert left == right, (a, b, c)
+    assert sc.dim == qpartition_dim(n, r)
+    assert (sc.table, sc.closed) == reference_table(commutant_basis(n, r, (q0,), with_basis=True).basis)
+    assert associative(sc.table, sc.dim)
+
+
+def _patched_basis(monkeypatch, change):
+    real = centralizer.commutant_basis
+
+    def patched(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.basis = change(report.basis)
+        return report
+    monkeypatch.setattr(centralizer, 'commutant_basis', patched)
+
+
+def test_structure_constants_refuse_an_element_without_its_own_entry(monkeypatch):
+    _patched_basis(monkeypatch, lambda basis: basis + [dict(basis[0])])
+    with pytest.raises(SolverInvariantError, match='no entry of its own'):
+        structure_constants(2, 2, Fraction(7, 5))
+
+
+def test_structure_constants_see_a_product_outside_the_span(monkeypatch):
+    def perturb(basis):
+        # one entry of X_0 that X_0 shares with another element, plus one
+        shared = {key for X in basis[1:] for key in X}
+        key = next(key for key in basis[0] if key in shared)
+        return [{**basis[0], key: basis[0][key] + 1}] + basis[1:]
+    _patched_basis(monkeypatch, perturb)
+    sc = structure_constants(2, 2, Fraction(7, 5))
+    assert sc.closed is False
+    assert (sc.table, sc.closed) == reference_table(centralizer.commutant_basis(
+        2, 2, (Fraction(7, 5),), with_basis=True).basis)
 
 
 # ---------------------------------------------------------------------------

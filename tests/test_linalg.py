@@ -1,4 +1,4 @@
-"""Incremental exact row reduction: rank, nullspace, coordinates."""
+"""Incremental exact row reduction: add, rank, kernel and nullspace."""
 
 import os
 import random
@@ -59,40 +59,15 @@ def test_nullspace_vectors_independent(case):
 
 
 def test_reduce_residual_is_zero_for_members():
+    # add returns None exactly when the residual is zero
     ech = Echelon(4, ONE)
     ech.add(sparse([1, 2, 0, 1]))
     ech.add(sparse([0, 1, 1, 0]))
-    member = [2, 5, 1, 2]  # first + 2 * (first row) etc, any combination
-    res, _ = ech.reduce(sparse(member), None)
-    assert not res
-    res, _ = ech.reduce(sparse([0, 0, 0, 1]), None)
-    assert res
-
-
-def test_coordinates_recover_combination():
-    rng = random.Random(7)
-    width = 6
-    rows = [[Fraction(rng.randint(-4, 4)) for _ in range(width)] for _ in range(4)]
-    ech = Echelon(width, ONE)
-    tags = []
-    for t, row in enumerate(rows):
-        if ech.add(sparse(row), tag=t) is not None:
-            tags.append(t)
-    coeffs = {t: Fraction(rng.randint(-3, 3)) for t in tags}
-    target = [sum(coeffs[t] * rows[t][c] for t in tags) for c in range(width)]
-    combo = ech.coordinates(sparse(target))
-    assert combo is not None
-    rebuilt = [Fraction(0)] * width
-    for t, c in combo.items():
-        for col in range(width):
-            rebuilt[col] += c * rows[t][col]
-    assert rebuilt == target
-
-
-def test_coordinates_rejects_outsiders():
-    ech = Echelon(3, ONE)
-    ech.add(sparse([1, 1, 0]), tag='a')
-    assert ech.coordinates(sparse([0, 0, 1])) is None
+    member = [2, 5, 1, 2]  # 2 * first + second
+    assert ech.add(sparse(member)) is None
+    assert ech.rank == 2
+    assert ech.add(sparse([0, 0, 0, 1])) is not None
+    assert ech.rank == 3
 
 
 def test_duplicate_rows_do_not_raise_rank():
@@ -208,28 +183,32 @@ def differential_cases(draw):
     return width, draw(st.permutations(rows)), probes
 
 
+def is_member(rows, width, probe):
+    """Whether add on a fresh Echelon holding rows refuses probe."""
+    ech = Echelon(width, ONE)
+    for row in rows:
+        ech.add(sparse(row))
+    return ech.add(sparse(probe)) is None
+
+
 @given(differential_cases())
 @settings(max_examples=100, deadline=None)
 def test_fraction_free_echelon_matches_field_elimination(case):
     width, rows, probes = case
     ech, ref = Echelon(width, ONE), FieldEchelon(width, ONE)
-    for tag, row in enumerate(rows):
-        assert ech.add(sparse(row), tag=tag) == ref.add(sparse(row), tag=tag)
+    for row in rows:
+        assert ech.add(sparse(row)) == ref.add(sparse(row))
     assert ech.rank == len(ref.rows)
     assert ech.rows == ref.rows
     assert ech.nullspace() == ref.nullspace()
     for probe in probes:
-        assert ech.reduce(sparse(probe)) == ref.reduce(sparse(probe))
-        assert ech.reduce(sparse(probe), {'x': ONE}) == ref.reduce(sparse(probe), {'x': ONE})
-        res, combo = ref.reduce(sparse(probe), {})
-        want = None if res else {t: -v for t, v in combo.items()}
-        assert ech.coordinates(sparse(probe)) == want
+        assert is_member(rows, width, probe) == (not ref.reduce(sparse(probe))[0])
 
 
 @given(differential_cases())
 @settings(max_examples=60, deadline=None)
 def test_fraction_free_echelon_untagged_matches_field_elimination(case):
-    # the path the solvers take: no tags, integer or fractional rows
+    # the path the solvers take: integer or fractional rows
     width, rows, probes = case
     ech, ref = Echelon(width, ONE), FieldEchelon(width, ONE)
     for row in rows:
@@ -237,7 +216,7 @@ def test_fraction_free_echelon_untagged_matches_field_elimination(case):
     assert ech.rows == ref.rows
     assert nullspace(rows, width, ONE) == ref.nullspace()
     for probe in probes:
-        assert ech.reduce(sparse(probe))[0] == ref.reduce(sparse(probe))[0]
+        assert is_member(rows, width, probe) == (not ref.reduce(sparse(probe))[0])
 
 
 def test_stored_rows_are_primitive_integers():
@@ -363,6 +342,18 @@ def test_polynomial_rows_keep_a_common_factor():
 def test_polynomial_rows_must_be_integral():
     with pytest.raises(ValueError):
         Echelon(1, coeff.ONE).add({0: coeff.lp(Fraction(1, 2))})
+
+
+def test_entries_outside_the_ring_raise_type_error():
+    with pytest.raises(TypeError):
+        rank([[0.5, 1]], 2, ONE)  # a float over Z
+    with pytest.raises(TypeError):
+        rank([{0: 2}], 1, coeff.ONE)  # an int over Z[q]
+    with pytest.raises(TypeError):
+        rank([{0: coeff.Q, 1: 1}], 2, ONE)  # a LaurentPoly over Z
+    # bools are ints and stay accepted, with or without Fractions beside them
+    assert rank([[True, 2], [Fraction(1, 2), False]], 2, ONE) == 2
+    assert rank([[True, False], [2, 0]], 2, ONE) == 1
 
 
 def test_exact_quotient_raises_on_a_remainder():
