@@ -23,10 +23,10 @@ whose row is zero where T_i fixes the row and whose rows on a 2-cycle
 {rl, t} are a(-1, 1) and b(1, -1).  With a and b nonzero the loop holds
 exactly when x_c[rl] = x_c[t] on every 2-cycle, and that equality is
 what is checked and pulled back (see _PairSolver._cycles).
-Constraints are streamed lazily: solve with a subset, then verify every
-raw equation on the candidate basis and feed back any violated equation.
-The final basis therefore satisfies all equations exactly; no identity
-from the module theory enters anywhere.
+Constraints are streamed lazily: solve with the loops at the root alone,
+then verify every raw equation on the candidate basis and feed back any
+violated equation.  The final basis therefore satisfies all equations
+exactly; no identity from the module theory enters anywhere.
 
 Propagation and verification run on integers, fraction-free in the
 manner of Bareiss.  With q = a/b in lowest terms, b A_i has integer
@@ -34,9 +34,9 @@ entries (a on the diagonal in case 1, b in case 2, a and a - b in case
 3).  The event rows are integer too: a functional f on column c is
 pulled back to the root through the same maps acting from the right
 (f b A_i, less (a - b) f on case 3), its scale multiplied by b or a
-along each tree edge, and the two halves of an event are
-cross-multiplied by each other's scale where their paths join and
-pulled on from there as one (a loop joins at once).  The echelon that
+along each tree edge, and the two sides of an event are pulled on their
+own and cross-multiplied by each other's scale (a loop is one
+functional per 2-cycle, pulled once).  The echelon that
 collects them is fraction-free (see linalg); its kernel gives candidate
 k as an integer root x_k with its own scale L_k.  All d candidates of a
 round pass together, packed by Kronecker substitution (Schonhage 1982;
@@ -46,13 +46,14 @@ priori to hold every value (see _width).  A column is a dense list of
 these ints, since the d supports together fill it, and a map is applied
 by C-level list operations.  Field k is x_c L_k s_c, where the scale
 s_c = a^ea b^eb is the product of the factors along the tree path of c
-(b on a case 2 edge, a on case 3).  Each event therefore gets two
-coprime integer multipliers once per pair, and it holds for every
-candidate exactly when ml image(u_c) == mr u_c2 as lists of packed
-ints; most events need no multiplication at all.  Fractions are formed
-only when a basis is materialized, by unpacking the fields.  Over Q(q)
-the same code runs with a = q and b = 1, so the maps' entries are q, 1
-and q - 1 and the event rows, the echelon and its kernel are over Z[q].
+(b on a case 2 edge, a on case 3).  Each event other than a loop
+therefore gets two coprime integer multipliers once per pair, and it
+holds for every candidate exactly when ml image(u_c) == mr u_c2 as lists
+of packed ints; most events need no multiplication at all.  Fractions
+are formed only when a basis is materialized, by unpacking the fields.
+Over Q(q) the same code runs with a = q and b = 1, so the maps' entries
+are q, 1 and q - 1 and the event rows, the echelon and its kernel are
+over Z[q].
 The checks then run one level of Kronecker substitution down, at
 a = 2^K and b = 1: K is proved a priori to exceed every coefficient a
 column or an event side can reach, so a polynomial is fixed by its
@@ -80,7 +81,6 @@ cross-checks the dimensions; a fully symbolic mode over the field Q(q)
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -299,8 +299,10 @@ def _width(bound: int, reach: int) -> int:
     are bounded: a map with kappa = max |coef[rl]| + |diag[rl]| grows the
     largest |entry| at most kappa-fold, so column c is within
     bound G_c (G_c the product of kappa along its tree path) and the
-    event sides within bound G_c kappa_i |ml| and bound G_c2 |mr|; reach
-    is the largest of these factors, so every field is below
+    sides of a non-loop event within bound G_c kappa_i |ml| and
+    bound G_c2 |mr|.  A loop compares two entries of one column, already
+    within bound G_c, and reach starts at the largest G_c.  reach is
+    the largest of these factors, so every field is below
     2^(W-2) <= 2^(W-1).  Two packs whose fields are all below 2^(W-1)
     in size are equal only if every field is: their difference has
     fields g_k with |g_k| < 2^W, and sum g_k 2^(kW) = 0 forces
@@ -339,9 +341,8 @@ class _PairSolver:
     pair in errors.
     """
 
-    def __init__(self, table, table_p, qf, rng: random.Random, pair: tuple[int, int]):
+    def __init__(self, table, table_p, qf, pair: tuple[int, int]):
         self.table, self.table_p, self.pair = table, table_p, pair
-        self.rng = rng
         self.m = len(table_p)
         # q = a/b in lowest terms with b > 0; over Q(q) (qf is coeff.Q), a = q
         # and b = 1 for the event rows, while the checks run on integers (see
@@ -404,18 +405,17 @@ class _PairSolver:
 
     # -- functional pullback along the tree, over the ring -----------------
 
-    def _up(self, f: dict[int, object], s, c: int) -> tuple[dict[int, object], object, int]:
-        """One tree edge up: f x_c = g y / s becomes f' x_p = g y / s' with
-        (f', s', p).  With x_c = image(x_p) / factor, f' is f's coimage and
-        s' is s times the factor (b on case 2, a on case 3)."""
-        p, i, case = self.par[c]
-        return _apply(self.coimages[case == 3][i], f), self.factor[case] * s, p
-
     def _pull(self, f: dict[int, object], c: int) -> tuple[dict[int, object], object]:
-        """Functional f on column c as (g, s) on the root: f x_c = g y / s."""
+        """Functional f on column c as (g, s) on the root: f x_c = g y / s.
+
+        Each tree edge up, from c to its parent p, has x_c = image(x_p) /
+        factor, so f x_c = f' x_p / factor with f' the coimage of f, and the
+        factor (b on case 2, a on case 3) goes into s; the walk stops early
+        once f is zero."""
         s = self.one
         while c and f:  # up to the root, vertex 0
-            f, s, c = self._up(f, s, c)
+            p, i, case = self.par[c]
+            f, s, c = _apply(self.coimages[case == 3][i], f), self.factor[case] * s, p
         return f, s
 
     def _event_rows(self, ev) -> list[dict[int, object]]:
@@ -431,12 +431,10 @@ class _PairSolver:
         a(-1, 1) and b(1, -1), both multiples of x_c[rl] - x_c[t].  That one
         functional per 2-cycle is pulled to the root, and the rows span what
         the m rows of the loop span.
-        Otherwise the halves climb, (h1, s1) from c and (h2, s2) from c2, the
-        later found first (labels are breadth-first), until they meet where
-        their paths join; factor_case s1 h2 - s2 h1 is then pulled once to
-        the root.  That is factor_case s1 g2 - s2 g1 for the halves pulled on
-        their own, divided by the scale of the shared path, which the
-        echelon's normalised rows do not see.
+        Otherwise row rl is e_rl N pulled from c, (g1, s1), against e_rl
+        pulled from c2, (g2, s2): factor_case s1 g2 - s2 g1.  Only the loops
+        at the root seed a solve; other events are fed only when
+        verification flags them.
         """
         i, c, c2, case = ev
         if case == 1:
@@ -444,22 +442,16 @@ class _PairSolver:
         coimage, k = self.coimages[case == 3][i], self.factor[case]
         out = []
         for rl in range(self.m):
-            h1, s1, v1 = _apply(coimage, {rl: self.one}), self.one, c
-            h2, s2, v2 = {rl: self.one}, self.one, c2
-            while v1 != v2:
-                if v1 > v2:
-                    h1, s1, v1 = self._up(h1, s1, v1)
-                else:
-                    h2, s2, v2 = self._up(h2, s2, v2)
+            g1, s1 = self._pull(_apply(coimage, {rl: self.one}), c)
+            g2, s2 = self._pull({rl: self.one}, c2)
             k1 = k * s1
-            f = {cl: k1 * v for cl, v in h2.items()}
-            for cl, v in h1.items():
-                cur = f.get(cl, self.zero) - s2 * v
+            row = {cl: k1 * v for cl, v in g2.items()}
+            for cl, v in g1.items():
+                cur = row.get(cl, self.zero) - s2 * v
                 if cur:
-                    f[cl] = cur
+                    row[cl] = cur
                 else:
-                    del f[cl]
-            row, _ = self._pull(f, v1)
+                    del row[cl]
             if row:
                 out.append(row)
         return out
@@ -480,8 +472,8 @@ class _PairSolver:
         u_c[rl] == u_c[t] on every 2-cycle (rl, t) of T_i instead (see
         _event_rows), as the check (pos, None, c, c, ends_rl, ends_t) with
         the two gathers of those ends, and not at all when T_i moves no row;
-        its sides still count in reach, so W is that of the full check.  The
-        steps are _schedule's.
+        it compares two entries of one column, so it needs no multipliers
+        and leaves reach as it is.  The steps are _schedule's.
         """
         if (a, b) in self._checks_at:
             return self._checks_at[a, b]
@@ -494,8 +486,15 @@ class _PairSolver:
             gain[c] = gain[p] * edges[c][1][3]
         checks, reach, multipliers, ends = [], max(gain), {}, {}
         for pos, (i, c, c2, case) in enumerate(self.events):
+            if case == 1:
+                if i not in ends:
+                    cycles = self._cycles(i)
+                    ends[i] = cycles and tuple(itemgetter(*side) for side in zip(*cycles))
+                if ends[i]:
+                    checks.append((pos, None, c, c, *ends[i]))
+                continue
             # s_c2 / (factor s_c) = a^ea b^eb, and (ml, mr) per (ea, eb)
-            key = ea, eb = (self.exps[c2][0] - self.exps[c][0] - (case != 2),
+            key = ea, eb = (self.exps[c2][0] - self.exps[c][0] - (case == 3),
                             self.exps[c2][1] - self.exps[c][1] - (case == 2))
             if key not in multipliers:
                 multipliers[key] = (a ** max(ea, 0) * b ** max(eb, 0),
@@ -503,14 +502,7 @@ class _PairSolver:
             ml, mr = multipliers[key]
             op = images[case == 3][i]
             reach = max(reach, gain[c] * op[3] * abs(ml), gain[c2] * abs(mr))
-            if case != 1:
-                checks.append((pos, op, c, c2, None if ml == 1 else ml, None if mr == 1 else mr))
-                continue
-            if i not in ends:
-                cycles = self._cycles(i)
-                ends[i] = cycles and tuple(itemgetter(*side) for side in zip(*cycles))
-            if ends[i]:
-                checks.append((pos, None, c, c, *ends[i]))
+            checks.append((pos, op, c, c2, None if ml == 1 else ml, None if mr == 1 else mr))
         self._checks_at[a, b] = out = reach, self._schedule(edges, checks)
         return out
 
@@ -640,23 +632,19 @@ class _PairSolver:
         return blocks
 
     def solve(self, with_basis: bool):
+        """Seed the echelon with the loops at the root, then verify each
+        round's candidates and feed back the events they break.  An event
+        fed once holds for every later candidate, so verification flags it
+        no more; were it fed again, its rows would be dependent and the
+        rank check below would raise."""
         ech = Echelon(self.m, self.one)
-        chosen: set[int] = set()
 
-        def feed(pos: int):
-            if pos in chosen:
-                return
-            chosen.add(pos)
-            for row in self._event_rows(self.events[pos]):
-                ech.add(row)
+        def feed(positions):
+            for pos in positions:
+                for row in self._event_rows(self.events[pos]):
+                    ech.add(row)
 
-        for pos, (_, c, c2, _) in enumerate(self.events):
-            if c == c2 == 0:  # the loops at the root
-                feed(pos)
-        if self.events:
-            for pos in self.rng.sample(range(len(self.events)), min(3, len(self.events))):
-                feed(pos)
-
+        feed(pos for pos, (_, c, c2, _) in enumerate(self.events) if c == c2 == 0)
         while True:
             candidates = ech.kernel()
             if not candidates:
@@ -666,8 +654,7 @@ class _PairSolver:
             if not bad:
                 return len(candidates), self._basis(pack, cols) if with_basis else []
             before = ech.rank
-            for pos in sorted(bad):
-                feed(pos)
+            feed(sorted(bad))
             if ech.rank <= before:
                 raise SolverInvariantError(
                     'violated equation did not cut the space', self.pair,
@@ -773,10 +760,9 @@ def _total_dim(classes: dict[tuple, list[list[int]]], qf, materialize: bool):
     """
     total = 0
     basis = [] if materialize else None
-    rng = random.Random(20259)
     for table, comps in classes.items():
         for table_p, comps_p in classes.items():
-            solver = _PairSolver(table, table_p, qf, rng, (comps[0][0], comps_p[0][0]))
+            solver = _PairSolver(table, table_p, qf, (comps[0][0], comps_p[0][0]))
             dim, blocks = solver.solve(with_basis=materialize)
             total += dim * len(comps) * len(comps_p)
             if materialize:

@@ -9,7 +9,6 @@ import functools
 import itertools
 import math
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -427,11 +426,10 @@ def unmemoised(n, r, q0, gens=None, with_basis=False):
     gid_map = {j: t for t, j in enumerate(idxs)}
     comps = _components(n, r, gens)
     tables = [_table(C, idxs, gid_map, gens) for C in comps]
-    rng = random.Random(1)
     total, basis = 0, []
     for C, table in zip(comps, tables):
         for Cp, table_p in zip(comps, tables):
-            solver = _PairSolver(table, table_p, Fraction(q0), rng, (C[0], Cp[0]))
+            solver = _PairSolver(table, table_p, Fraction(q0), (C[0], Cp[0]))
             dim, blocks = solver.solve(with_basis)
             total += dim
             basis.extend({(Cp[a], C[b]): v for (a, b), v in X.items()} for X in blocks)
@@ -543,68 +541,56 @@ def same_span(rows, ref, m, one):
     return linalg.rank(rows, m, one) == linalg.rank(ref, m, one) == both
 
 
-def edge_rows_reference(solver, ev):
-    """Rows factor_case s1 g2 - s2 g1, each half pulled to the root on its own."""
+def edge_rows_reference(solver, ev, ref):
+    """Rows of the raw equation factor_case x_c2 = N x_c on the root column,
+    found forwards: each unit root vector e_j is pushed through the
+    reference maps, so x_c = P_c y with column j of P_c being u_c / s_c,
+    and row rl of factor_case P_c2 - N P_c is taken times s_c s_c2."""
     i, c, c2, case = ev
-    coimage, k = solver.coimages[case == 3][i], solver.factor[case]
+    pushed = [ref.propagate(solver, ({j: solver.one}, solver.one)) for j in range(solver.m)]
+    k = ref.factor[case]
     out = []
     for rl in range(solver.m):
-        g2, s2 = solver._pull({rl: solver.one}, c2)
-        g1, s1 = solver._pull(_apply(coimage, {rl: solver.one}), c)
-        row = {cl: k * s1 * v for cl, v in g2.items()}
-        for cl, v in g1.items():
-            row[cl] = row.get(cl, solver.zero) - s2 * v
-        row = {cl: v for cl, v in row.items() if v}
+        row = {}
+        for j, cols in enumerate(pushed):
+            (u, s), (u2, s2) = cols[c], cols[c2]
+            v = k * s * u2.get(rl, solver.zero) - s2 * ref.image(i, case, u).get(rl, solver.zero)
+            if v:
+                row[j] = v
         if row:
             out.append(row)
     return out
-
-
-def path_to_root(solver, v):
-    path = [v]
-    while v:
-        v = solver.par[v][0]
-        path.append(v)
-    return path
 
 
 @pytest.mark.parametrize('field', ['7/5', 'Q(q)'])
 @pytest.mark.parametrize('n,r', [(3, 2), (4, 2), (2, 3)])
 def test_event_rows_match_the_two_pull_and_loop_references(n, r, field):
     # over Q(q) the rows are built over Z[q], with a = q and b = 1
-    if field == 'Q(q)':
-        qf, a, b = Q, Q, ONE
-    else:
-        qf, a, b = Fraction(7, 5), 7, 5
+    qf, a = (Q, Q) if field == 'Q(q)' else (Fraction(7, 5), 7)
     classes = _component_classes(n, r, tuple(range(1, n)))
-    loops = 0
+    loops = edges = 0
     for table in classes:
         for table_p in classes:
-            solver = _PairSolver(table, table_p, qf, random.Random(0), (0, 0))
+            solver = _PairSolver(table, table_p, qf, (0, 0))
+            ref = Reference(table_p, qf)
             for ev in solver.events:
                 i, c, c2, case = ev
                 assert (case == 1) == (c2 == c)
                 rows = solver._event_rows(ev)
-                # the halves meet where the paths of c and c2 join; the
-                # rows are the reference rows divided by that vertex's scale
-                above_c = set(path_to_root(solver, c))
-                meet = next(v for v in path_to_root(solver, c2) if v in above_c)
-                s = solver.one
-                for v in path_to_root(solver, meet)[:-1]:
-                    s = (b if solver.par[v][2] == 2 else a) * s
                 if case != 1:
-                    assert [{cl: s * x for cl, x in row.items()} for row in rows] == \
-                        edge_rows_reference(solver, ev)
+                    # the two pulls span what the forward maps give
+                    edges += 1
+                    assert same_span(rows, edge_rows_reference(solver, ev, ref),
+                                     solver.m, solver.one)
                 else:  # one row per 2-cycle (rl, t), a multiple of the loop formula's row rl
                     loops += 1
-                    assert meet == c
                     reference = loop_rows_reference(solver, ev, a)
                     cycles = solver._cycles(i)
                     assert len(rows) == len(cycles) and len(reference) == 2 * len(cycles)
                     assert all(is_multiple(row, reference[rl]) for row, (rl, _) in zip(rows, cycles))
                     assert same_span(rows, reference.values(), solver.m, solver.one)
     # at n = 2 every letter is 1 or 2, so T_1 moves every tensor: no loops
-    assert loops or n == 2
+    assert edges and (loops or n == 2)
 
 
 def test_pair_counts_reported():
@@ -630,7 +616,7 @@ def test_disconnected_component_raises():
     # two vertices, one generator acting diagonally on both: no edge joins them
     table = (((1, 0),), ((1, 1),))
     with pytest.raises(SolverInvariantError) as info:
-        _PairSolver(table, table, Fraction(2), random.Random(0), (0, 0))
+        _PairSolver(table, table, Fraction(2), (0, 0))
     assert info.value.pair == (0, 0)
 
 
@@ -646,7 +632,7 @@ MALFORMED_ROW_TABLES = [(((2, 1),), ((2, 0),)),
 def test_malformed_two_cycle_raises(table_p):
     # a one-vertex column component fixed by T_1: its loop is the first
     # event fed, and its rows read the 2-cycles of the row table
-    solver = _PairSolver((((1, 0),),), table_p, Fraction(2), random.Random(0), (0, 3))
+    solver = _PairSolver((((1, 0),),), table_p, Fraction(2), (0, 3))
     with pytest.raises(SolverInvariantError) as info:
         solver.solve(with_basis=False)
     assert info.value.pair == (0, 3)
@@ -654,7 +640,6 @@ def test_malformed_two_cycle_raises(table_p):
 
 
 OPTIMISED_CHECKS = """
-import random
 from fractions import Fraction
 import qpartition
 from qpartition import centralizer, linalg
@@ -663,13 +648,12 @@ if __debug__:
     raise SystemExit('not running under python -O')
 table = (((1, 0),), ((1, 1),))
 try:
-    _PairSolver(table, table, Fraction(2), random.Random(0), (0, 0))
+    _PairSolver(table, table, Fraction(2), (0, 0))
 except SolverInvariantError:
     print('disconnected table raised')
 moving_on = (((2, 1),), ((2, 0),))
 try:
-    _PairSolver((((1, 0),),), moving_on, Fraction(2), random.Random(0),
-                (0, 0)).solve(with_basis=False)
+    _PairSolver((((1, 0),),), moving_on, Fraction(2), (0, 0)).solve(with_basis=False)
 except SolverInvariantError as exc:
     print('malformed 2-cycle raised:', 'generator position 0' in str(exc))
 linalg.Echelon.add = lambda self, row, tag=None: None
@@ -869,7 +853,7 @@ def packed_rounds(table, table_p, q0):
     starts from no equation at all, so the early candidates break events
     and every round feeds back the flagged ones.  q0 is a Fraction, or
     coeff.Q for the symbolic mode."""
-    solver = _PairSolver(table, table_p, q0, random.Random(0), (0, 0))
+    solver = _PairSolver(table, table_p, q0, (0, 0))
     ech = Echelon(solver.m, solver.one)
     while candidates := ech.kernel():
         pack = solver._pack_roots(candidates)
@@ -1056,7 +1040,7 @@ def test_verification_rejects_a_perturbed_root():
     C, Cp = _components(n, r, gens)
     table_p = _table(Cp, idxs, gid_map, gens)
     solver = _PairSolver(_table(C, idxs, gid_map, gens), table_p,
-                         Fraction(-3, 2), random.Random(0), (C[0], Cp[0]))
+                         Fraction(-3, 2), (C[0], Cp[0]))
     ref = Reference(table_p, Fraction(-3, 2))
     ech = Echelon(solver.m, solver.one)
     for ev in solver.events:
@@ -1130,9 +1114,6 @@ def reference_solve(solver, with_basis):
     for pos, (_, c, c2, _) in enumerate(solver.events):
         if c == c2 == 0:
             feed(pos)
-    if solver.events:
-        for pos in solver.rng.sample(range(len(solver.events)), min(3, len(solver.events))):
-            feed(pos)
     while True:
         candidates = ech.kernel()
         if not candidates:
@@ -1178,3 +1159,82 @@ def test_unpacked_symbolic_basis_equals_reference_basis(n, r, monkeypatch):
     assert len(packed) == len(reference) == qpartition_dim(n, r)
     assert packed == reference
     assert all(type(v) is RationalFunction for X in packed for v in X.values())
+
+
+# ---------------------------------------------------------------------------
+# the seed: the loops at the root alone, then the retry loop
+
+def test_solve_survives_a_failing_round(monkeypatch):
+    # a mutant whose seed gives the root loops no rows starts from the whole
+    # root space: verification must flag those loops, the retry must feed
+    # them, and the solve must end where the unpatched one does
+    cells = [(3, 2, Fraction(7, 5)), (4, 2, Fraction(-3, 2)), (3, 3, Fraction(2)),
+             (3, 2, None), (4, 2, None)]
+
+    def run(n, r, q0):
+        if q0 is None:
+            return commutant_basis(n, r, symbolic=True, with_basis=True)
+        return commutant_basis(n, r, (q0,), with_basis=True)
+
+    expected = [run(*cell) for cell in cells]
+    event_rows, verify = _PairSolver._event_rows, _PairSolver._verify
+    refed, failed = [], []
+
+    def seed_without_root_loops(self, ev):
+        withheld = vars(self).setdefault('withheld', set())
+        if ev[1] == ev[2] == 0 and ev not in withheld:
+            withheld.add(ev)
+            return []
+        rows = event_rows(self, ev)
+        if ev in withheld and rows:
+            refed.append(ev)
+        return rows
+
+    def counted(self, pack, *args, **kwargs):
+        bad, cols = verify(self, pack, *args, **kwargs)
+        failed.append(bool(bad))
+        return bad, cols
+
+    monkeypatch.setattr(_PairSolver, '_event_rows', seed_without_root_loops)
+    monkeypatch.setattr(_PairSolver, '_verify', counted)
+    for cell, want in zip(cells, expected):
+        refed.clear()
+        failed.clear()
+        got = run(*cell)
+        assert any(failed) and refed, cell
+        assert (got.dims, got.basis) == (want.dims, want.basis), cell
+
+
+def verify_rounds(monkeypatch):
+    """Patch _PairSolver._verify to record, per call, whether it flagged an
+    event; solve verifies again only after a flagged round."""
+    verify = _PairSolver._verify
+    flagged = []
+
+    def counted(self, pack, *args, **kwargs):
+        bad, cols = verify(self, pack, *args, **kwargs)
+        flagged.append(bool(bad))
+        return bad, cols
+
+    monkeypatch.setattr(_PairSolver, '_verify', counted)
+    return flagged
+
+
+@pytest.mark.parametrize('n,r', SMALL_GRID)
+def test_every_pair_class_passes_in_one_round(n, r, monkeypatch):
+    # the loops at the root already give the final kernel: no pair class
+    # of the grid needs a second round, so one verify per solve at most
+    flagged = verify_rounds(monkeypatch)
+    for q0 in DEFAULT_Q_VALUES + (Fraction(1), Fraction(-1)):
+        flagged.clear()
+        report = commutant_basis(n, r, (q0,))
+        assert report.dim == qpartition_dim(n, r)
+        assert not any(flagged) and 0 < len(flagged) <= report.pair_classes, q0
+
+
+@pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
+def test_every_symbolic_pair_class_passes_in_one_round(n, r, monkeypatch):
+    flagged = verify_rounds(monkeypatch)
+    report = commutant_basis(n, r, symbolic=True)
+    assert report.dim == qpartition_dim(n, r)
+    assert not any(flagged) and 0 < len(flagged) <= report.pair_classes
