@@ -14,52 +14,47 @@ generator equation either pins a column of X to an image of another
 column or is a genuine linear constraint.  Columns propagate along a
 spanning tree from a root column y; every other equation is an event
 (i, c, c2, case), generator position i from column c to column c2 (a
-loop, where T_i fixes the basis vector, is case 1 with c2 = c), and
-becomes linear constraints on y, collected into an exact echelon.
+loop, where T_i fixes the basis vector, is case 1 with c2 = c).
 A loop asks less than its m rows.  On the row component T_i fixes a
 row (case 1) or moves it in a 2-cycle, rl to t in case 2 and t back to
 rl in case 3; taken times b, the loop is (b A_i - a) x_c = 0, a matrix
 whose row is zero where T_i fixes the row and whose rows on a 2-cycle
 {rl, t} are a(-1, 1) and b(1, -1).  With a and b nonzero the loop holds
-exactly when x_c[rl] = x_c[t] on every 2-cycle, and that equality is
-what is checked and pulled back (see _PairSolver._cycles).
-Constraints are streamed lazily: solve with the loops at the root alone,
-then verify every raw equation on the candidate basis and feed back any
-violated equation.  The final basis therefore satisfies all equations
-exactly; no identity from the module theory enters anywhere.
+exactly when x_c[rl] = x_c[t] on every 2-cycle (see _PairSolver._cycles).
+The loops at the root therefore say that y is constant on the classes
+of rows joined by their 2-cycles, and the solve takes one 0/1 root per
+class, then verifies every raw equation on these roots.  The answer is
+exact without any module theory: the root loops are raw equations, so
+the solution space lies inside the span of the class roots, and the
+verification puts that span inside the solution space.  The theory only
+predicts that the verification never fails: C is cyclic on its root
+vector and induced from the generators that fix it, so by Frobenius
+reciprocity for q-permutation modules (Dipper and James 1986, over any
+commutative ring) a block is fixed by its root column, which only has
+to satisfy T_i y = q y for those generators.  Should an event break,
+SolverInvariantError names the pair and the event.
 
 Propagation and verification run on integers, fraction-free in the
 manner of Bareiss.  With q = a/b in lowest terms, b A_i has integer
 entries (a on the diagonal in case 1, b in case 2, a and a - b in case
-3).  The event rows are integer too: a functional f on column c is
-pulled back to the root through the same maps acting from the right
-(f b A_i, less (a - b) f on case 3), its scale multiplied by b or a
-along each tree edge, and the two sides of an event are pulled on their
-own and cross-multiplied by each other's scale (a loop is one
-functional per 2-cycle, pulled once).  The echelon that
-collects them is fraction-free (see linalg); its kernel gives candidate
-k as an integer root x_k with its own scale L_k.  All d candidates of a
-round pass together, packed by Kronecker substitution (Schonhage 1982;
-Harvey 2009): entry rl of column c is the one int sum of
-u_c^(k)[rl] 2^(kW) over k, with balanced fields of a width W proved a
-priori to hold every value (see _width).  A column is a dense list of
-these ints, since the d supports together fill it, and a map is applied
-by C-level list operations.  Field k is x_c L_k s_c, where the scale
-s_c = a^ea b^eb is the product of the factors along the tree path of c
-(b on a case 2 edge, a on case 3).  Each event other than a loop
-therefore gets two coprime integer multipliers once per pair, and it
-holds for every candidate exactly when ml image(u_c) == mr u_c2 as lists
+3).  All d roots of a pair are checked together, packed by Kronecker
+substitution (Schonhage 1982; Harvey 2009): entry rl of column c is the
+one int sum of u_c^(k)[rl] 2^(kW) over k, with balanced fields of a
+width W proved a priori to hold every value (see _width).  A column is
+a dense list of these ints, since the d supports together fill it, and
+a map is applied by C-level list operations.  Field k is x_c s_c, where
+the scale s_c = a^ea b^eb is the product of the factors along the tree
+path of c (b on a case 2 edge, a on case 3).  Each event other than a
+loop therefore gets two coprime integer multipliers once per pair, and
+it holds for every root exactly when ml image(u_c) == mr u_c2 as lists
 of packed ints; most events need no multiplication at all.  Fractions
 are formed only when a basis is materialized, by unpacking the fields.
-Over Q(q) the same code runs with a = q and b = 1, so the maps' entries
-are q, 1 and q - 1 and the event rows, the echelon and its kernel are
-over Z[q].
-The checks then run one level of Kronecker substitution down, at
-a = 2^K and b = 1: K is proved a priori to exceed every coefficient a
-column or an event side can reach, so a polynomial is fixed by its
-value at q = 2^K and a basis entry, the only RationalFunction built, is
-read off the balanced base-2^K digits of its field (see
-_PairSolver._pack_roots).
+Over Q(q) the roots are the same, and the checks run one level of
+Kronecker substitution down, at a = 2^K and b = 1: K is proved a priori
+to exceed every coefficient a column or an event side can reach, so a
+polynomial is fixed by its value at q = 2^K and a basis entry, the only
+RationalFunction built, is read off the balanced base-2^K digits of its
+field (see _PairSolver._pack_roots).
 
 Many pairs repeat one solve.  One breadth-first walk per component,
 from its smallest basis index and taking the generators in their given
@@ -88,7 +83,7 @@ from operator import add, itemgetter, mul
 from typing import Sequence
 
 from ._record import Record
-from .coeff import ONE, Q, ZERO, LaurentPoly, RationalFunction, ZeroSpecialization, _exact
+from .coeff import Q, RationalFunction, ZeroSpecialization, _exact, _normal
 from .hecke import act_by_words
 from .limits import DimensionLimitExceeded, _check_limit
 from .linalg import Echelon
@@ -112,7 +107,7 @@ __all__ = [
 
 DEFAULT_Q_VALUES = (Fraction(2), Fraction(3), Fraction(7, 5))
 # largest n^r of symbolic mode: on a shared 2-CPU host (64,1) takes about
-# 0.07 s and (81,1) about 0.14 s (best of 5, counting only); a larger limit
+# 0.03 s and (81,1) about 0.07 s (best of 5, counting only); a larger limit
 # would change which inputs the CLI refuses as over a resource limit
 SYMBOLIC_LIMIT = 64
 
@@ -287,40 +282,38 @@ def _unpack(packed: int, width: int, d: int) -> list[int]:
     return fields
 
 
-def _width(bound: int, reach: int) -> int:
-    """Field width W of a root pack (_PairSolver._pack_roots) whose fields
-    are at most bound in size, when reach bounds their growth.
+def _width(reach: int) -> int:
+    """Field width W of a root pack (_PairSolver._pack_roots), whose fields
+    start at 0 or 1, when reach bounds their growth.
 
     Proof that W suffices.  Packing (_pack) is Z-linear, and so is every
     step after it: a map multiplies entries by integer coefficients and
     adds them, an event side is multiplied by the integer ml or mr.  So
-    each packed entry is exactly the pack of the d candidates' own
-    values, the numbers the per-candidate computation would give.  Those
-    are bounded: a map with kappa = max |coef[rl]| + |diag[rl]| grows the
-    largest |entry| at most kappa-fold, so column c is within
-    bound G_c (G_c the product of kappa along its tree path) and the
-    sides of a non-loop event within bound G_c kappa_i |ml| and
-    bound G_c2 |mr|.  A loop compares two entries of one column, already
-    within bound G_c, and reach starts at the largest G_c.  reach is
-    the largest of these factors, so every field is below
-    2^(W-2) <= 2^(W-1).  Two packs whose fields are all below 2^(W-1)
-    in size are equal only if every field is: their difference has
-    fields g_k with |g_k| < 2^W, and sum g_k 2^(kW) = 0 forces
+    each packed entry is exactly the pack of the d roots' own values, the
+    numbers the per-root computation would give.  Those are bounded: a
+    map with kappa = max |coef[rl]| + |diag[rl]| grows the largest
+    |entry| at most kappa-fold, so column c is within G_c (G_c the
+    product of kappa along its tree path) and the sides of a non-loop
+    event within G_c kappa_i |ml| and G_c2 |mr|.  A loop compares two
+    entries of one column, already within G_c, and reach starts at the
+    largest G_c.  reach is the largest of these factors, so every field
+    is below 2^(W-2) <= 2^(W-1).  Two packs whose fields are all below
+    2^(W-1) in size are equal only if every field is: their difference
+    has fields g_k with |g_k| < 2^W, and sum g_k 2^(kW) = 0 forces
     g_0 = 0 mod 2^W, so g_0 = 0, and so on upwards.  Hence the packed
-    comparison of an event holds if and only if it holds for every
-    candidate, and _unpack recovers every column entry.  An overflowing
-    field would not be visible in the packed int, which is why the bound
-    is proved a priori rather than checked.
+    comparison of an event holds if and only if it holds for every root,
+    and _unpack recovers every column entry.  An overflowing field would
+    not be visible in the packed int, which is why the bound is proved a
+    priori rather than checked.
     """
-    return (bound * reach).bit_length() + 2
+    return reach.bit_length() + 2
 
 
 def _coimages(table_p, a, b) -> tuple[list, list]:
-    """The maps of every generator position on the row component, at q = a/b,
-    acting on functionals (row vectors) from the right: f -> f b A_i (index
-    0) and f -> f (b A_i - (a - b)) (index 1, which a case 3 tree edge
-    applies), each as the sparse monomial-plus-diagonal coimage (src, coef,
-    diag) of _apply; _dense turns one into the map on columns."""
+    """The maps of every generator position on the row component, at q = a/b:
+    b A_i (index 0) and b A_i - (a - b) (index 1, which a case 3 tree edge
+    applies), each in gather form (src, coef, diag), entry rl of the image
+    of u being coef[rl] u[src[rl]] plus diag[rl] u[rl] (see _dense)."""
     coimages = [], []
     for k in range(len(table_p[0])):
         op = _scaled_generator([entries[k] for entries in table_p], a, b)
@@ -344,21 +337,19 @@ class _PairSolver:
     def __init__(self, table, table_p, qf, pair: tuple[int, int]):
         self.table, self.table_p, self.pair = table, table_p, pair
         self.m = len(table_p)
-        # q = a/b in lowest terms with b > 0; over Q(q) (qf is coeff.Q), a = q
-        # and b = 1 for the event rows, while the checks run on integers (see
-        # _pack_roots); one and zero are those of the event rows' ring
-        self.over_q = isinstance(qf, Fraction)
-        if self.over_q:
-            self.a, self.b, self.one, self.zero = qf.numerator, qf.denominator, 1, 0
-        else:
-            self.a, self.b, self.one, self.zero = qf, ONE, ONE, ZERO
-        # scale carried by the image of a column: b on case 2, else a
-        self.factor = {1: self.a, 2: self.b, 3: self.a}
-        self.coimages = _coimages(table_p, self.a, self.b)
-        self._checks_at: dict[tuple[int, int], tuple] = {}  # see _checks
+        self._checks_at = None  # see _checks
         self._cycles_of: dict[int, list[tuple[int, int]]] = {}  # see _cycles
         self._build_tree()
         self._collect_events()
+        # the checks run at the integer point q = a/b, in lowest terms with
+        # b > 0; over Q(q) (qf is coeff.Q) at a = 2^K and b = 1, with K
+        # proved in _pack_roots to exceed every coefficient
+        self.over_q = isinstance(qf, Fraction)
+        if self.over_q:
+            self.a, self.b = qf.numerator, qf.denominator
+        else:
+            self.K = (3 ** (max(map(sum, self.exps)) + 1)).bit_length() + 2
+            self.a, self.b = 1 << self.K, 1
 
     def _build_tree(self):
         self.order, self.par = _bfs(self.table)
@@ -388,7 +379,7 @@ class _PairSolver:
 
         Every row must be fixed (case 1, its target itself) or have a
         partner that the generator sends back to it in the other moving
-        case; the loops' equalities (see _event_rows and _verify) rest on
+        case; the loops' equalities (see _classes and _verify) rest on
         this shape, so a table without it is refused.
         """
         if i in self._cycles_of:
@@ -403,82 +394,56 @@ class _PairSolver:
                                        if case == 2]
         return cycles
 
-    # -- functional pullback along the tree, over the ring -----------------
+    def _classes(self) -> list[int]:
+        """The class of each row of C', the rows joined by the 2-cycles of
+        every loop at the root, classes numbered by their largest row.
 
-    def _pull(self, f: dict[int, object], c: int) -> tuple[dict[int, object], object]:
-        """Functional f on column c as (g, s) on the root: f x_c = g y / s.
-
-        Each tree edge up, from c to its parent p, has x_c = image(x_p) /
-        factor, so f x_c = f' x_p / factor with f' the coimage of f, and the
-        factor (b on case 2, a on case 3) goes into s; the walk stops early
-        once f is zero."""
-        s = self.one
-        while c and f:  # up to the root, vertex 0
-            p, i, case = self.par[c]
-            f, s, c = _apply(self.coimages[case == 3][i], f), self.factor[case] * s, p
-        return f, s
-
-    def _event_rows(self, ev) -> list[dict[int, object]]:
-        """Rows on the root column y of one raw equation: one per 2-cycle of
-        T_i on C' for a loop, else one per row of C'.
-
-        With q = a/b the equations are taken times b: the event (i, c, c2,
-        case) is factor_case x_c2 = N x_c, with N = b A_i (case 2) or
-        b A_i - (a - b) (case 3).  A loop (case 1, c2 = c) is
-        (b A_i - a) x_c = 0.  Its row rl is zero where T_i fixes rl; on a
-        2-cycle (rl, t) of T_i (see _cycles), b A_i has row rl = (0, a) and
-        row t = (b, a - b) on {rl, t}, so the two rows of b A_i - a are
-        a(-1, 1) and b(1, -1), both multiples of x_c[rl] - x_c[t].  That one
-        functional per 2-cycle is pulled to the root, and the rows span what
-        the m rows of the loop span.
-        Otherwise row rl is e_rl N pulled from c, (g1, s1), against e_rl
-        pulled from c2, (g2, s2): factor_case s1 g2 - s2 g1.  Only the loops
-        at the root seed a solve; other events are fed only when
-        verification flags them.
+        The loops at the root hold exactly when the root column is
+        constant on each class (see the module docstring), so the 0/1
+        roots of the classes span their solutions.  A union-find keeps
+        each class under its largest row: a 2-cycle hangs the smaller of
+        its two classes' tops under the larger.
         """
-        i, c, c2, case = ev
-        if case == 1:
-            return [self._pull({rl: self.one, t: -self.one}, c)[0] for rl, t in self._cycles(i)]
-        coimage, k = self.coimages[case == 3][i], self.factor[case]
-        out = []
-        for rl in range(self.m):
-            g1, s1 = self._pull(_apply(coimage, {rl: self.one}), c)
-            g2, s2 = self._pull({rl: self.one}, c2)
-            k1 = k * s1
-            row = {cl: k1 * v for cl, v in g2.items()}
-            for cl, v in g1.items():
-                cur = row.get(cl, self.zero) - s2 * v
-                if cur:
-                    row[cl] = cur
-                else:
-                    del row[cl]
-            if row:
-                out.append(row)
-        return out
+        up = list(range(self.m))
+
+        def top(rl: int) -> int:
+            while up[rl] != rl:
+                up[rl] = up[up[rl]]
+                rl = up[rl]
+            return rl
+
+        for i, c, c2, _ in self.events:
+            if c == c2 == 0:
+                for rl, t in self._cycles(i):
+                    r1, r2 = top(rl), top(t)
+                    up[min(r1, r2)] = max(r1, r2)
+        number = {rl: k for k, rl in enumerate(rl for rl in range(self.m) if up[rl] == rl)}
+        return [number[top(rl)] for rl in range(self.m)]
 
     # -- packed propagation and raw verification on integers ---------------
 
-    def _checks(self, a: int, b: int) -> tuple[int, list[tuple]]:
+    def _checks(self) -> tuple[int, list[tuple]]:
         """The raw checks at the integer point q = a/b as (reach, steps),
-        built on first use and kept per (a, b).
+        built on first use and kept.
 
-        Field k of column c is x_c L_k s_c, L_k the scale of candidate k and
-        s_c = a^ea b^eb (see _build_tree).  The event (i, c, c2, case) states
-        N u_c s_c2 = factor_case s_c u_c2; dividing out the common part of
-        the two monomials leaves ml N u_c = mr u_c2 with coprime
+        Field k of column c is x_c s_c, with s_c = a^ea b^eb (see
+        _build_tree).  The event (i, c, c2, case) states N u_c s_c2 =
+        factor_case s_c u_c2, factor_case being b on case 2 and a on case 3
+        and N the map b A_i or b A_i - (a - b); dividing out the common part
+        of the two monomials leaves ml N u_c = mr u_c2 with coprime
         multipliers ml and mr, None where they are one.  The maps N act on
         columns in dense form (_dense), and reach bounds the growth of every
         column and event side (see _width).  A loop (case 1) is checked as
-        u_c[rl] == u_c[t] on every 2-cycle (rl, t) of T_i instead (see
-        _event_rows), as the check (pos, None, c, c, ends_rl, ends_t) with
-        the two gathers of those ends, and not at all when T_i moves no row;
-        it compares two entries of one column, so it needs no multipliers
-        and leaves reach as it is.  The steps are _schedule's.
+        u_c[rl] == u_c[t] on every 2-cycle (rl, t) of T_i instead (see the
+        module docstring), as the check (pos, None, c, c, ends_rl, ends_t)
+        with the two gathers of those ends, and not at all when T_i moves no
+        row; it compares two entries of one column, so it needs no
+        multipliers and leaves reach as it is.  The steps are _schedule's.
         """
-        if (a, b) in self._checks_at:
-            return self._checks_at[a, b]
-        coimages = self.coimages if self.over_q else _coimages(self.table_p, a, b)
-        images = [list(map(_dense, maps)) for maps in coimages]
+        if self._checks_at is not None:
+            return self._checks_at
+        a, b = self.a, self.b
+        images = [list(map(_dense, maps)) for maps in _coimages(self.table_p, a, b)]
         edges, gain = {}, [1] * len(self.table)
         for c in self.order[1:]:
             p, i, case = self.par[c]
@@ -503,7 +468,7 @@ class _PairSolver:
             op = images[case == 3][i]
             reach = max(reach, gain[c] * op[3] * abs(ml), gain[c2] * abs(mr))
             checks.append((pos, op, c, c2, None if ml == 1 else ml, None if mr == 1 else mr))
-        self._checks_at[a, b] = out = reach, self._schedule(edges, checks)
+        self._checks_at = out = reach, self._schedule(edges, checks)
         return out
 
     def _schedule(self, edges: dict, checks: list) -> list[tuple]:
@@ -526,12 +491,13 @@ class _PairSolver:
             done[last[t]].append(c)
         return [(c, edges.get(c), due[t], done[t]) for t, c in enumerate(self.order)]
 
-    def _pack_roots(self, candidates: list) -> tuple:
-        """The kernel vectors (L_k, x_k) (Echelon.kernel) as one pack (root,
-        scales, (a, b), W, d), checked at the integer point q = a/b: the d
-        roots y_k = x_k / L_k, the x_k packed at width W as a dense list of
-        ints, and scales the L_k.  Over Q(q), where the x_k are over Z[q],
-        each entry is taken at q = 2^K, so a = 2^K and b = 1.
+    def _pack_roots(self, classes: list[int]) -> tuple:
+        """The 0/1 roots of a partition of the rows as one pack (root, W, d),
+        checked at the integer point q = a/b: classes[rl] is the class of
+        row rl, numbered from 0 to d - 1, and root k is 1 on class k and 0
+        elsewhere, so entry rl of the packed root, a dense list of ints, is
+        the one field 2^(W classes[rl]).  Over Q(q) the same roots are
+        checked at q = 2^K, so a = 2^K and b = 1.
 
         Proof that K suffices.  Taking q to 2^K is a ring map Z[q] -> Z, so
         every integer column and event side is the value at 2^K of the
@@ -540,30 +506,21 @@ class _PairSolver:
         or 1 and at most one more, q - 1 or 1 - q, so its coefficient
         1-norms sum to at most 3, and a map grows the largest |coefficient|
         at most 3-fold; the multipliers ml and mr are powers of q, which
-        leave the coefficients as they are.  With B0 the largest kernel
-        |coefficient| and h the tree height (the largest ea + eb), every
-        column and event side therefore has its coefficients within
-        B0 3^(h+1) < 2^(K-2), for K = bit_length(B0 3^(h+1)) + 2.  Two
-        polynomials whose coefficients are all below 2^(K-1) in size are
-        equal if and only if their values at 2^K are, by the argument of
-        _width with the coefficients as fields.  So an event holds over
-        Q(q) exactly when it holds at q = 2^K, and the balanced base-2^K
-        digits of an entry (_unpack) are its coefficients.
+        leave the coefficients as they are.  The roots are 0/1, so with h
+        the tree height (the largest ea + eb) every column and event side
+        has its coefficients within 3^(h+1) < 2^(K-2), for
+        K = bit_length(3^(h+1)) + 2.  Two polynomials whose coefficients
+        are all below 2^(K-1) in size are equal if and only if their values
+        at 2^K are, by the argument of _width with the coefficients as
+        fields.  So an event holds over Q(q) exactly when it holds at
+        q = 2^K, and the balanced base-2^K digits of an entry (_unpack) are
+        its coefficients.
         """
-        scales, fields = zip(*candidates)
-        if self.over_q:
-            a, b = self.a, self.b
-        else:
-            forms = [[v.integer_form() for v in x] for x in fields]
-            B0 = max(max(map(abs, cs)) for y in forms for _, cs, _ in y if cs)
-            K = (B0 * 3 ** (max(map(sum, self.exps)) + 1)).bit_length() + 2
-            fields = [[_pack(cs, K) << (K * lo) for lo, cs, _ in y] for y in forms]
-            a, b = 1 << K, 1
-        reach, _ = self._checks(a, b)
-        W = _width(max(max(map(abs, f)) for f in fields), reach)
-        return [_pack(entry, W) for entry in zip(*fields)], scales, (a, b), W, len(scales)
+        reach, _ = self._checks()
+        W = _width(reach)
+        return [1 << (W * k) for k in classes], W, max(classes) + 1
 
-    def _verify(self, pack: tuple, keep: bool = False, limit: int | None = 8) -> tuple[list[int], list]:
+    def _verify(self, pack: tuple, keep: bool = False, limit: int | None = 1) -> tuple[list[int], list]:
         """Propagate a pack from its root column and check every event on it.
 
         A tree edge maps x_p to A x_p (case 2) or (A - (q - 1)) x_p / q
@@ -576,16 +533,16 @@ class _PairSolver:
         at the case 2 ends of the 2-cycles of T_i against those at their
         case 3 ends, with no map and no multiplier: since a and b are
         nonzero (over Q(q), a = 2^K and b = 1), the loop holds exactly when
-        x_c[rl] = x_c[t] on each 2-cycle (see _event_rows), that is when the
-        fields of u_c[rl] and u_c[t] agree, and two packed entries of one
-        column are equal exactly when their fields are (see _width).  A
-        packed event holds if and only if it holds for every candidate of the
+        x_c[rl] = x_c[t] on each 2-cycle (see the module docstring), that is
+        when the fields of u_c[rl] and u_c[t] agree, and two packed entries
+        of one column are equal exactly when their fields are (see _width).
+        A packed event holds if and only if it holds for every root of the
         pack (see _width), over Q(q) too (see _pack_roots).
 
         Returns the positions of the first limit (None: all) events broken,
         in the order checked, and the columns (None where dropped).
         """
-        _, steps = self._checks(*pack[2])
+        _, steps = self._checks()
         cols = [None] * len(self.table)
         bad = []
         for c, edge, checks, done in steps:
@@ -610,55 +567,43 @@ class _PairSolver:
 
     def _basis(self, pack: tuple, cols: list) -> list[dict]:
         """The d basis blocks {(rl, c): x_c[rl]} of a checked pack, field k of
-        u_c being x_c L_k s_c; over Q(q) that is P(2^K) for P = L_k(q) q^ea x_c,
-        whose coefficients are its balanced base-2^K digits (see _pack_roots)."""
-        _, scales, (a, _), W, d = pack
-        dens = [[L * self.a ** ea * self.b ** eb for L in scales] for ea, eb in self.exps]
+        u_c being x_c s_c.  Over Q(q), s_c = 2^(K ea) stands for q^ea: field
+        k is P(2^K) for P = q^ea x_c, whose coefficients are its balanced
+        base-2^K digits (see _pack_roots), so x_c[rl] is a Laurent
+        polynomial, P shifted down by ea, and its denominator in Q(q) is a
+        power of q, which needs no gcd (RationalFunction.from_laurent)."""
+        _, W, d = pack
         if self.over_q:
+            s_of = [self.a ** ea * self.b ** eb for ea, eb in self.exps]
             value = Fraction
         else:
-            K = a.bit_length() - 1
+            K = self.K
+            s_of = [ea for ea, _ in self.exps]
 
-            def value(v: int, den: LaurentPoly) -> RationalFunction:
+            def value(v: int, ea: int) -> RationalFunction:
                 digits = _unpack(v, K, v.bit_length() // K + 2)
-                return RationalFunction._reduced(LaurentPoly(enumerate(digits)), den)
+                return RationalFunction.from_laurent(_normal(-ea, digits, 1))
         blocks = [{} for _ in range(d)]
-        for c, (u, ds) in enumerate(zip(cols, dens)):
+        for c, (u, s) in enumerate(zip(cols, s_of)):
             for rl, val in enumerate(u):
                 if val:
-                    for X, v, s in zip(blocks, _unpack(val, W, d), ds):
+                    for X, v in zip(blocks, _unpack(val, W, d)):
                         if v:
                             X[(rl, c)] = value(v, s)
         return blocks
 
     def solve(self, with_basis: bool):
-        """Seed the echelon with the loops at the root, then verify each
-        round's candidates and feed back the events they break.  An event
-        fed once holds for every later candidate, so verification flags it
-        no more; were it fed again, its rows would be dependent and the
-        rank check below would raise."""
-        ech = Echelon(self.m, self.one)
-
-        def feed(positions):
-            for pos in positions:
-                for row in self._event_rows(self.events[pos]):
-                    ech.add(row)
-
-        feed(pos for pos, (_, c, c2, _) in enumerate(self.events) if c == c2 == 0)
-        while True:
-            candidates = ech.kernel()
-            if not candidates:
-                return 0, []
-            pack = self._pack_roots(candidates)
-            bad, cols = self._verify(pack, keep=with_basis)
-            if not bad:
-                return len(candidates), self._basis(pack, cols) if with_basis else []
-            before = ech.rank
-            feed(sorted(bad))
-            if ech.rank <= before:
-                raise SolverInvariantError(
-                    'violated equation did not cut the space', self.pair,
-                    tuple(self.events[pos] for pos in sorted(bad)))
+        """(dimension, basis blocks) of the pair, the blocks only if
+        with_basis: the 0/1 roots of the root-loop classes (_classes),
+        certified by verifying every raw equation on them in one packed pass
+        (see the module docstring for why that is exact).  An event that
+        breaks raises SolverInvariantError naming it."""
+        pack = self._pack_roots(self._classes())
+        bad, cols = self._verify(pack, keep=with_basis)
+        if bad:
+            raise SolverInvariantError('the root-loop classes break an equation',
+                                       self.pair, self.events[bad[0]])
+        return pack[2], self._basis(pack, cols) if with_basis else []
 
 
 # ---------------------------------------------------------------------------
@@ -977,11 +922,11 @@ def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> Stru
     space really is an algebra, not just a vector space of matrices.
     The products are formed over the integers, from each basis element
     X_t scaled by the lcm s_t of its denominators.  Every s_t X_t owns an
-    entry where no other basis element is nonzero: the solver's candidate
-    t is free row f of its pair's kernel, on the root column, where x_t[f]
-    = L_t and every other candidate is 0, and the relabelling carries that
-    entry to each member pair.  So a product P can only be the sum of c_t
-    s_t X_t with c_t = P[own_t] / (s_t X_t)[own_t], and P expands exactly
+    entry where no other basis element is nonzero: the solver's root t is
+    1 on its class of rows of the root column, where every other root of
+    the pair is 0, and the relabelling carries that entry to each member
+    pair.  So a product P can only be the sum of c_t s_t X_t with
+    c_t = P[own_t] / (s_t X_t)[own_t], and P expands exactly
     when m P - sum (m c_t) s_t X_t is zero, m the lcm of the denominators
     of the c_t: a check in integers.  A coordinate c of s_a X_a s_b X_b on
     s_t X_t is c s_t / (s_a s_b) on X_t.  An element without an entry of

@@ -1,20 +1,14 @@
 """Incremental exact row reduction: add, rank, kernel and nullspace."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd, lcm
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qpartition
 from qpartition import coeff
-from qpartition.centralizer import RationalFunction
-from qpartition.linalg import Echelon, _exact_quotient, nullspace, rank
+from qpartition.linalg import Echelon, nullspace, rank
 
 ONE = Fraction(1)
 
@@ -230,28 +224,6 @@ def test_stored_rows_are_primitive_integers():
                         1: {1: 1, 2: Fraction(5, 3)}}
 
 
-def test_rational_function_matrix_rank():
-    # the matrix over Z[q]: rank and pivots as over Q(q), pivots left as they are
-    q, one, zero = coeff.Q, coeff.ONE, coeff.ZERO
-    rows = [{0: one, 1: q, 2: q * q},
-            {0: q, 1: q * q, 2: q * q * q},  # q times the first row
-            {0: one, 1: one, 2: one},
-            {0: q - one, 1: q * q - one, 2: q * q * q - q * q + q - one}]
-    ech = Echelon(3, one)
-    pivots = [ech.add(row) for row in rows]
-    assert pivots == [0, None, 1, 2]
-    assert ech.rank == 3 and ech.kernel() == []
-    ech = Echelon(3, one)
-    for row in rows[:3]:
-        ech.add(row)
-    assert ech.rank == 2
-    assert all(primitive(row, p) for p, row in ech._rows.items())
-    ((L, x),) = ech.kernel()
-    assert x[2] == L
-    for row in rows[:3]:
-        assert not sum((row.get(c, zero) * x[c] for c in range(3)), zero)
-
-
 # ---------------------------------------------------------------------------
 # the kernel: integral vectors with their scales
 
@@ -270,118 +242,11 @@ def test_kernel_is_the_nullspace_up_to_scale(case):
         assert L == lcm(*(Fraction(v, L).denominator for v in x))
 
 
-def primitive(row, p):
-    """A stored Z[q] row: content one (coefficient gcd 1, lowest power q^0)
-    and a positive leading coefficient at its pivot p."""
-    forms = [v.integer_form() for v in row.values()]
-    return (all(den == 1 for _, _, den in forms)
-            and gcd(*(c for _, cs, _ in forms for c in cs)) == 1
-            and min(lo for lo, _, _ in forms) == 0
-            and row[p].integer_form()[1][-1] > 0)
-
-
-def to_field(v):
-    return RationalFunction.from_laurent(v)
-
-
-RF_ONE = RationalFunction((1,))
-polys = st.builds(
-    lambda cs, shift: coeff.LaurentPoly({e + shift: c for e, c in enumerate(cs)}),
-    st.lists(st.integers(-3, 3), min_size=1, max_size=3), st.integers(-1, 2))
-factors = st.sampled_from([coeff.ONE, coeff.Q + 1, coeff.Q ** 2, coeff.Q ** -1,
-                           2 * coeff.Q + 2, -coeff.ONE, 3 * coeff.ONE])
-
-
-@st.composite
-def polynomial_cases(draw):
-    """An integer Laurent polynomial matrix whose rows often carry a factor
-    (q + 1, a power of q, an integer), with copies and sums of rows."""
-    width = draw(st.integers(1, 5))
-    rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(['new', 'new', 'copy', 'sum']))
-        if kind == 'new' or not rows:
-            row = {c: draw(polys) for c in range(width) if draw(st.booleans())}
-        elif kind == 'copy':
-            row = dict(draw(st.sampled_from(rows)))
-        else:
-            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            row = {c: r1.get(c, coeff.ZERO) + r2.get(c, coeff.ZERO) for c in range(width)}
-        factor = draw(factors)
-        rows.append({c: factor * v for c, v in row.items() if v})
-    return width, rows
-
-
-@given(polynomial_cases())
-@settings(max_examples=80, deadline=None)
-def test_polynomial_echelon_matches_field_elimination(case):
-    # Z[q] against pivot-one elimination over Q(q): same pivots and rank,
-    # and each kernel vector x / L is the field's nullspace vector
-    width, rows = case
-    ech, ref = Echelon(width, coeff.ONE), FieldEchelon(width, RF_ONE)
-    for row in rows:
-        assert ech.add(row) == ref.add({c: to_field(v) for c, v in row.items()})
-    assert ech.rank == len(ref.rows)
-    assert all(primitive(row, p) for p, row in ech._rows.items())
-    kernel = ech.kernel()
-    assert [[to_field(v) / to_field(L) for v in x] for L, x in kernel] == ref.nullspace()
-    for L, x in kernel:
-        assert all(den == 1 for _, _, den in map(coeff.LaurentPoly.integer_form, [L, *x]))
-
-
-def test_polynomial_rows_keep_a_common_factor():
-    # content is the coefficient gcd times the lowest power of q, so the
-    # factor q + 1 of both entries stays in the stored row
-    q = coeff.Q
-    ech = Echelon(2, coeff.ONE)
-    assert ech.add({0: -6 * q * (q + 1), 1: 4 * q ** 3 * (q + 1)}) == 0
-    assert ech._rows == {0: {0: 3 * (q + 1), 1: -2 * q * q * (q + 1)}}
-    assert ech.kernel() == [(3 * (q + 1), [2 * q * q * (q + 1), 3 * (q + 1)])]
-
-
-def test_polynomial_rows_must_be_integral():
-    with pytest.raises(ValueError):
-        Echelon(1, coeff.ONE).add({0: coeff.lp(Fraction(1, 2))})
-
-
 def test_entries_outside_the_ring_raise_type_error():
     with pytest.raises(TypeError):
         rank([[0.5, 1]], 2, ONE)  # a float over Z
-    with pytest.raises(TypeError):
-        rank([{0: 2}], 1, coeff.ONE)  # an int over Z[q]
     with pytest.raises(TypeError):
         rank([{0: coeff.Q, 1: 1}], 2, ONE)  # a LaurentPoly over Z
     # bools are ints and stay accepted, with or without Fractions beside them
     assert rank([[True, 2], [Fraction(1, 2), False]], 2, ONE) == 2
     assert rank([[True, False], [2, 0]], 2, ONE) == 1
-
-
-def test_exact_quotient_raises_on_a_remainder():
-    q = coeff.Q
-    assert _exact_quotient(q * q - 1, q + 1) == q - 1
-    with pytest.raises(ArithmeticError):
-        _exact_quotient(q * q + 1, q + 1)  # remainder 2
-    with pytest.raises(ArithmeticError):
-        _exact_quotient(q + 1, 2 * q + 2)  # 1/2, not in Z[q]
-
-
-OPTIMISED_QUOTIENT = """
-from qpartition.coeff import Q
-from qpartition.linalg import _exact_quotient
-if __debug__:
-    raise SystemExit('not running under python -O')
-try:
-    _exact_quotient(Q * Q + 1, Q + 1)
-    print('accepted')
-except ArithmeticError:
-    print('ArithmeticError')
-"""
-
-
-def test_exact_quotient_raises_under_python_O():
-    src = str(Path(qpartition.__file__).resolve().parents[1])
-    env = {**os.environ, 'PYTHONPATH': src + os.pathsep + os.environ.get('PYTHONPATH', '')}
-    proc = subprocess.run([sys.executable, '-O', '-c', OPTIMISED_QUOTIENT],
-                          capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ['ArithmeticError']
