@@ -23,15 +23,32 @@ whose row is zero where T_i fixes the row and whose rows on a 2-cycle
 exactly when x_c[rl] = x_c[t] on every 2-cycle (see _PairSolver._cycles).
 The loops at the root therefore say that y is constant on the classes
 of rows joined by their 2-cycles, and the solve takes one 0/1 root per
-class, then verifies every raw equation on these roots.  The answer is
-exact without any module theory: the root loops are raw equations, so
-the solution space lies inside the span of the class roots, and the
-verification puts that span inside the solution space.  The theory only
-predicts that the verification never fails: C is cyclic on its root
-vector and induced from the generators that fix it, so by Frobenius
-reciprocity for q-permutation modules (Dipper and James 1986, over any
-commutative ring) a block is fixed by its root column, which only has
-to satisfy T_i y = q y for those generators.  Should an event break,
+class, then verifies the raw equations on these roots: every loop, and
+one equation per 2-cycle of T_i on C that holds no tree edge.
+
+One equation per 2-cycle suffices by the quadratic relation alone.  On
+the rows, A = A_i is q on a fixed row, and on a 2-cycle it sends e_rl
+to e_t and e_t to q e_rl + (q - 1) e_t, so A^2 = (q - 1) A + q.  On a
+2-cycle {c, c2} of T_i on C, c in case 2, the equation at c is
+x_c2 = A x_c and the one at c2 is (A - (q - 1)) x_c2 = q x_c.  The first
+gives A x_c2 = A^2 x_c = (q - 1) x_c2 + q x_c, the second; applying A to
+the second gives q x_c2 = A^2 x_c2 - (q - 1) A x_c2 = q A x_c, the first
+once divided by the unit q.  So the solve checks the case 2 equation of
+each 2-cycle and not its partner, and none of a 2-cycle whose tree edge
+(in either direction) holds by construction.  This needs only the
+2-cycle shape of both tables, checked from the raw tables: a column or
+row that a generator neither fixes nor moves in a 2-cycle raises
+SolverInvariantError (see _PairSolver._collect_events and _cycles).
+
+The answer is exact without any module theory: the root loops are raw
+equations, so the solution space lies inside the span of the class
+roots, and the verification, with the implied partners, puts that span
+inside the solution space.  The theory only predicts that the
+verification never fails: C is cyclic on its root vector and induced
+from the generators that fix it, so by Frobenius reciprocity for
+q-permutation modules (Dipper and James 1986, over any commutative ring)
+a block is fixed by its root column, which only has to satisfy
+T_i y = q y for those generators.  Should an event break,
 SolverInvariantError names the pair and the event.
 
 Propagation and verification run on integers, fraction-free in the
@@ -45,9 +62,10 @@ a dense list of these ints, since the d supports together fill it, and
 a map is applied by C-level list operations.  Field k is x_c s_c, where
 the scale s_c = a^ea b^eb is the product of the factors along the tree
 path of c (b on a case 2 edge, a on case 3).  Each event other than a
-loop therefore gets two coprime integer multipliers once per pair, and
-it holds for every root exactly when ml image(u_c) == mr u_c2 as lists
-of packed ints; most events need no multiplication at all.  Fractions
+loop, all of them case 2, therefore gets two coprime integer
+multipliers once per pair, and it holds for every root exactly when
+ml image(u_c) == mr u_c2 as lists of packed ints; most events need no
+multiplication at all.  Fractions
 are formed only when a basis is materialized, by unpacking the fields.
 Over Q(q) the roots are the same, and the checks run one level of
 Kronecker substitution down, at a = 2^K and b = 1: K is proved a priori
@@ -107,7 +125,7 @@ __all__ = [
 
 DEFAULT_Q_VALUES = (Fraction(2), Fraction(3), Fraction(7, 5))
 # largest n^r of symbolic mode: on a shared 2-CPU host (64,1) takes about
-# 0.03 s and (81,1) about 0.07 s (best of 5, counting only); a larger limit
+# 0.02 s and (81,1) about 0.04 s (best of 5, counting only); a larger limit
 # would change which inputs the CLI refuses as over a resource limit
 SYMBOLIC_LIMIT = 64
 
@@ -213,7 +231,9 @@ def _scaled_generator(entries, a, b):
 
 def _shifted(op, d):
     """The monomial-plus-diagonal map op - d (d times the identity); a column
-    whose target is itself (case 1) holds its diagonal entry in coef."""
+    whose target is itself (case 1) holds its diagonal entry in coef.  The
+    same steps shift the gather form (src, coef, diag) of a map (see
+    _coimage), where a fixed row is one with src[rl] == rl."""
     to, coef, diag = op
     coef, shifted = list(coef), {}
     for cl, t in enumerate(to):
@@ -249,28 +269,16 @@ def _apply_dense(op, u: list) -> list:
     return out
 
 
-def _pack(fields: Sequence[int], width: int) -> int:
-    """Fields f_0, ..., f_(d-1) as the one int sum of f_k 2^(k width).
+def _unpack(packed: int, width: int, d: int) -> list[int]:
+    """The d balanced fields f_k of packed = sum f_k 2^(k width), each in
+    [-2^(width-1), 2^(width-1)), lowest first; zero and negative fields
+    come back too:
 
-    The pack is linear in the fields, and _unpack recovers every field f
-    with -2^(width-1) <= f < 2^(width-1), zero and negative ones too:
-
-    >>> _pack([3, -1, 0, -4], 4)
-    -16397
-    >>> _unpack(-16397, 4, 4)
+    >>> _unpack(3 - (1 << 4) - (4 << 12), 4, 4)
     [3, -1, 0, -4]
-    >>> _unpack(_pack([0, -8, 7, 0], 4), 4, 4)
+    >>> _unpack(sum(f << (4 * k) for k, f in enumerate([0, -8, 7, 0])), 4, 4)
     [0, -8, 7, 0]
     """
-    packed = 0
-    for f in reversed(fields):
-        packed = (packed << width) + f
-    return packed
-
-
-def _unpack(packed: int, width: int, d: int) -> list[int]:
-    """The d balanced fields of a _pack of that width, each in
-    [-2^(width-1), 2^(width-1)), lowest first."""
     mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
     fields = []
     for _ in range(d):
@@ -286,17 +294,19 @@ def _width(reach: int) -> int:
     """Field width W of a root pack (_PairSolver._pack_roots), whose fields
     start at 0 or 1, when reach bounds their growth.
 
-    Proof that W suffices.  Packing (_pack) is Z-linear, and so is every
-    step after it: a map multiplies entries by integer coefficients and
-    adds them, an event side is multiplied by the integer ml or mr.  So
-    each packed entry is exactly the pack of the d roots' own values, the
-    numbers the per-root computation would give.  Those are bounded: a
-    map with kappa = max |coef[rl]| + |diag[rl]| grows the largest
-    |entry| at most kappa-fold, so column c is within G_c (G_c the
-    product of kappa along its tree path) and the sides of a non-loop
-    event within G_c kappa_i |ml| and G_c2 |mr|.  A loop compares two
-    entries of one column, already within G_c, and reach starts at the
-    largest G_c.  reach is the largest of these factors, so every field
+    Proof that W suffices.  Packing, fields f_k to the one int sum of
+    f_k 2^(kW), is Z-linear, and so is every step after it: a map
+    multiplies entries by integer coefficients and adds them, an event
+    side is multiplied by the integer ml or mr.  So each packed entry is
+    exactly the pack of the d roots' own values, the numbers the per-root
+    computation would give.  Those are bounded: a map with
+    kappa = max |coef[rl]| + |diag[rl]| grows the largest |entry| at most
+    kappa-fold, so column c is within G_c (G_c the product of kappa along
+    its tree path) and the sides of a kept case 2 event within
+    G_c kappa_i |ml| and G_c2 |mr|.  A loop compares two entries of one
+    column, already within G_c, so no image of a loop is ever formed, and
+    reach starts at the largest G_c.  reach is the largest of these
+    factors, so every field
     is below 2^(W-2) <= 2^(W-1).  Two packs whose fields are all below
     2^(W-1) in size are equal only if every field is: their difference
     has fields g_k with |g_k| < 2^W, and sum g_k 2^(kW) = 0 forces
@@ -309,19 +319,15 @@ def _width(reach: int) -> int:
     return reach.bit_length() + 2
 
 
-def _coimages(table_p, a, b) -> tuple[list, list]:
-    """The maps of every generator position on the row component, at q = a/b:
-    b A_i (index 0) and b A_i - (a - b) (index 1, which a case 3 tree edge
-    applies), each in gather form (src, coef, diag), entry rl of the image
-    of u being coef[rl] u[src[rl]] plus diag[rl] u[rl] (see _dense)."""
-    coimages = [], []
-    for k in range(len(table_p[0])):
-        op = _scaled_generator([entries[k] for entries in table_p], a, b)
-        # op's target map permutes the rows; src is its inverse
-        src = sorted(range(len(table_p)), key=op[0].__getitem__)
-        for which, (_, coef, diag) in enumerate((op, _shifted(op, a - b))):
-            coimages[which].append((src, [coef[cl] for cl in src], diag))
-    return coimages
+def _coimage(table_p, i: int, a, b) -> tuple:
+    """The map b A_i of generator position i on the row component, at
+    q = a/b, in gather form (src, coef, diag), entry rl of the image of u
+    being coef[rl] u[src[rl]] plus diag[rl] u[rl] (see _dense).  _shifted
+    takes it to b A_i - (a - b), which a case 3 tree edge applies."""
+    to, coef, diag = _scaled_generator([entries[i] for entries in table_p], a, b)
+    # the target map permutes the rows; src is its inverse
+    src = sorted(range(len(to)), key=to.__getitem__)
+    return src, [coef[cl] for cl in src], diag
 
 
 class _PairSolver:
@@ -364,14 +370,30 @@ class _PairSolver:
             exps[c] = (ea, eb + 1) if case == 2 else (ea + 1, eb)
 
     def _collect_events(self):
-        """Events (i, c, c2, case): generator position i on column c, with
-        target c2 (c itself on a loop, case 1); tree edges hold by
-        construction and are left out."""
-        tree_children = {(k, p): c for c, (p, k, _) in self.par.items()}
-        self.events = [(k, c, c2, case)
-                       for c, entries in enumerate(self.table)
-                       for k, (case, c2) in enumerate(entries)
-                       if tree_children.get((k, c)) != c2]
+        """The events to verify, (i, c, c2, case), generator position i on
+        column c with target c2: every loop (case 1, c2 = c), and the case 2
+        end of each 2-cycle {c, c2} of T_i on C that holds no tree edge; the
+        partner follows by the quadratic relation (see the module
+        docstring).  That rests on the 2-cycle shape of both tables: a
+        column that a generator neither fixes nor moves in a 2-cycle is
+        refused here, and so is the row table of every generator position
+        that moves a column (_cycles)."""
+        table, tree = self.table, {(k, p) for p, k, _ in self.par.values()}
+        self.events, moving = [], set()
+        for c, entries in enumerate(table):
+            for k, (case, c2) in enumerate(entries):
+                if case == 1 and c2 == c:
+                    self.events.append((k, c, c, 1))
+                elif case in (2, 3) and table[c2][k] == (5 - case, c):
+                    moving.add(k)
+                    if case == 2 and (k, c) not in tree and (k, c2) not in tree:
+                        self.events.append((k, c, c2, 2))
+                else:
+                    raise SolverInvariantError(
+                        f'generator position {k} neither fixes column {c} nor moves it '
+                        f'in a 2-cycle', self.pair, (k, c, (case, c2)))
+        for k in moving:
+            self._cycles(k)
 
     def _cycles(self, i: int) -> list[tuple[int, int]]:
         """The 2-cycles (rl, t) of generator position i on the row component,
@@ -379,8 +401,10 @@ class _PairSolver:
 
         Every row must be fixed (case 1, its target itself) or have a
         partner that the generator sends back to it in the other moving
-        case; the loops' equalities (see _classes and _verify) rest on
-        this shape, so a table without it is refused.
+        case; the loops' equalities (see _classes and _verify) and the
+        quadratic relation that drops an event's partner (see
+        _collect_events) rest on this shape, so a table without it is
+        refused.
         """
         if i in self._cycles_of:
             return self._cycles_of[i]
@@ -427,27 +451,39 @@ class _PairSolver:
         built on first use and kept.
 
         Field k of column c is x_c s_c, with s_c = a^ea b^eb (see
-        _build_tree).  The event (i, c, c2, case) states N u_c s_c2 =
-        factor_case s_c u_c2, factor_case being b on case 2 and a on case 3
-        and N the map b A_i or b A_i - (a - b); dividing out the common part
-        of the two monomials leaves ml N u_c = mr u_c2 with coprime
-        multipliers ml and mr, None where they are one.  The maps N act on
-        columns in dense form (_dense), and reach bounds the growth of every
-        column and event side (see _width).  A loop (case 1) is checked as
-        u_c[rl] == u_c[t] on every 2-cycle (rl, t) of T_i instead (see the
-        module docstring), as the check (pos, None, c, c, ends_rl, ends_t)
-        with the two gathers of those ends, and not at all when T_i moves no
-        row; it compares two entries of one column, so it needs no
-        multipliers and leaves reach as it is.  The steps are _schedule's.
+        _build_tree).  An event other than a loop is a case 2 incidence
+        (see _collect_events), and (i, c, c2, 2) states N u_c s_c2 =
+        b s_c u_c2, N the map b A_i; dividing out the common part of the
+        two monomials leaves ml N u_c = mr u_c2 with coprime multipliers ml
+        and mr, None where they are one.  The maps act on columns in dense
+        form (_dense), each built only for a (position, case) that a tree
+        edge or such an event applies: b A_i for case 2, and b A_i - (a - b)
+        for case 3, which only tree edges apply.  reach bounds the growth
+        of every column and event side (see _width).  A loop (case 1) is
+        checked as u_c[rl] == u_c[t] on every 2-cycle (rl, t) of T_i instead
+        (see the module docstring), as the check (pos, None, c, c, ends_rl,
+        ends_t) with the two gathers of those ends, and not at all when T_i
+        moves no row; it compares two entries of one column, so it needs no
+        map and no multipliers and leaves reach as it is.  The steps are
+        _schedule's.
         """
         if self._checks_at is not None:
             return self._checks_at
         a, b = self.a, self.b
-        images = [list(map(_dense, maps)) for maps in _coimages(self.table_p, a, b)]
+        coimages, images = {}, {}
+
+        def image(i: int, case: int) -> tuple:
+            key = i, case == 3
+            if key not in images:
+                if i not in coimages:
+                    coimages[i] = _coimage(self.table_p, i, a, b)
+                images[key] = _dense(_shifted(coimages[i], a - b) if key[1] else coimages[i])
+            return images[key]
+
         edges, gain = {}, [1] * len(self.table)
         for c in self.order[1:]:
             p, i, case = self.par[c]
-            edges[c] = p, images[case == 3][i]
+            edges[c] = p, image(i, case)
             gain[c] = gain[p] * edges[c][1][3]
         checks, reach, multipliers, ends = [], max(gain), {}, {}
         for pos, (i, c, c2, case) in enumerate(self.events):
@@ -458,14 +494,14 @@ class _PairSolver:
                 if ends[i]:
                     checks.append((pos, None, c, c, *ends[i]))
                 continue
-            # s_c2 / (factor s_c) = a^ea b^eb, and (ml, mr) per (ea, eb)
-            key = ea, eb = (self.exps[c2][0] - self.exps[c][0] - (case == 3),
-                            self.exps[c2][1] - self.exps[c][1] - (case == 2))
+            # s_c2 / (b s_c) = a^ea b^eb, and (ml, mr) per (ea, eb)
+            key = ea, eb = (self.exps[c2][0] - self.exps[c][0],
+                            self.exps[c2][1] - self.exps[c][1] - 1)
             if key not in multipliers:
                 multipliers[key] = (a ** max(ea, 0) * b ** max(eb, 0),
                                     a ** max(-ea, 0) * b ** max(-eb, 0))
             ml, mr = multipliers[key]
-            op = images[case == 3][i]
+            op = image(i, case)
             reach = max(reach, gain[c] * op[3] * abs(ml), gain[c2] * abs(mr))
             checks.append((pos, op, c, c2, None if ml == 1 else ml, None if mr == 1 else mr))
         self._checks_at = out = reach, self._schedule(edges, checks)
@@ -525,9 +561,10 @@ class _PairSolver:
 
         A tree edge maps x_p to A x_p (case 2) or (A - (q - 1)) x_p / q
         (case 3); with q = a/b that is u_c = the integer image of u_p, its
-        factor (b on case 2, a on case 3) going into s_c.  An event is
-        checked exactly, as ml image_i,case(u_c) == mr u_c2 (see _checks),
-        as soon as both its columns exist, and a column is dropped after its
+        factor (b on case 2, a on case 3) going into s_c.  A case 2 event,
+        which stands for its 2-cycle (see _collect_events), is checked
+        exactly, as ml image_i(u_c) == mr u_c2 (see _checks), as soon as
+        both its columns exist, and a column is dropped after its
         last use unless keep, so only a breadth-first frontier of columns is
         alive at a time.  A loop is one tuple comparison, the entries of u_c
         at the case 2 ends of the 2-cycles of T_i against those at their
@@ -595,9 +632,10 @@ class _PairSolver:
     def solve(self, with_basis: bool):
         """(dimension, basis blocks) of the pair, the blocks only if
         with_basis: the 0/1 roots of the root-loop classes (_classes),
-        certified by verifying every raw equation on them in one packed pass
-        (see the module docstring for why that is exact).  An event that
-        breaks raises SolverInvariantError naming it."""
+        certified by verifying every loop and one raw equation per 2-cycle
+        off the tree on them in one packed pass (see the module docstring
+        for why that is exact).  An event that breaks raises
+        SolverInvariantError naming it."""
         pack = self._pack_roots(self._classes())
         bad, cols = self._verify(pack, keep=with_basis)
         if bad:

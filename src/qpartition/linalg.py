@@ -7,9 +7,11 @@ stores nothing), watch the rank, read the kernel at the end.
 
 Rows hold ints or fractions.Fraction (a row is cleared of denominators on
 entry; the rows view and nullspace, the kernel divided by its scales,
-answer over Q); any other entry raises TypeError.  As in Bareiss (1968),
-a stored row is primitive and stands for (row / d_p), d_p its pivot
-entry: its entries have gcd 1 and d_p > 0.
+answer over Q); any other entry raises TypeError, and so does a one
+argument (it types the zeros of nullspace) that is not an int or
+Fraction.  As in Bareiss (1968), a stored row is primitive and stands
+for (row / d_p), d_p its pivot entry: its entries have gcd 1 and
+d_p > 0.
 
 >>> from fractions import Fraction
 >>> ech = Echelon(3, Fraction(1))
@@ -39,6 +41,8 @@ class Echelon:
     """Incremental reduced row echelon form with sparse dict rows."""
 
     def __init__(self, width: int, one):
+        if not isinstance(one, (int, Fraction)):
+            raise TypeError(f'Echelon works over Z: one is an int or Fraction, got {one!r}')
         self.width = width
         self.one = one
         self.zero = one - one

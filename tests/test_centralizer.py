@@ -577,6 +577,41 @@ def test_malformed_two_cycle_raises(table_p):
     assert 'generator position 0' in str(info.value)
 
 
+# column tables in which generator position 0 is not a product of 2-cycles,
+# each connected from vertex 0: a case 2 column sent to one that comes back
+# in case 2, one sent to a case 3 column that stays put, a case 1 column
+# with another target, and a three-cycle
+MALFORMED_COLUMN_TABLES = [(((2, 1),), ((2, 0),)),
+                           (((2, 1),), ((3, 1),)),
+                           (((2, 1),), ((1, 0),)),
+                           (((2, 1),), ((3, 2),), ((3, 0),))]
+TWO_CYCLE = (((2, 1),), ((3, 0),))
+
+
+@pytest.mark.parametrize('table', MALFORMED_COLUMN_TABLES)
+def test_malformed_column_two_cycle_raises(table):
+    # the quadratic relation that lets one equation of a 2-cycle stand for
+    # both needs the 2-cycle shape on the columns too
+    with pytest.raises(SolverInvariantError) as info:
+        _PairSolver(table, TWO_CYCLE, Fraction(2), (0, 3))
+    assert info.value.pair == (0, 3)
+    assert 'generator position 0 neither fixes column' in str(info.value)
+
+
+# T_1 fixes both columns and both rows; T_2 swaps the columns in a 2-cycle
+# and makes no loop, but swaps the rows in case 2 both ways
+MOVING_COLUMN_TABLE = (((1, 0), (2, 1)), ((1, 1), (3, 0)))
+ROW_TABLE_MALFORMED_AT_MOVING = (((1, 0), (2, 1)), ((1, 1), (2, 0)))
+
+
+def test_malformed_row_table_of_a_moving_generator_raises():
+    # no loop reads the 2-cycles of T_2, but the partner it drops does
+    with pytest.raises(SolverInvariantError) as info:
+        _PairSolver(MOVING_COLUMN_TABLE, ROW_TABLE_MALFORMED_AT_MOVING, Fraction(2), (0, 3))
+    assert info.value.pair == (0, 3)
+    assert 'generator position 1 neither fixes row' in str(info.value)
+
+
 OPTIMISED_CHECKS = """
 from fractions import Fraction
 import qpartition
@@ -593,6 +628,15 @@ try:
     _PairSolver((((1, 0),),), moving_on, Fraction(2), (0, 0)).solve(with_basis=False)
 except SolverInvariantError as exc:
     print('malformed 2-cycle raised:', 'generator position 0' in str(exc))
+try:
+    _PairSolver((((2, 1),), ((2, 0),)), (((2, 1),), ((3, 0),)), Fraction(2), (0, 0))
+except SolverInvariantError as exc:
+    print('malformed column raised:', 'neither fixes column' in str(exc))
+try:
+    _PairSolver((((1, 0), (2, 1)), ((1, 1), (3, 0))), (((1, 0), (2, 1)), ((1, 1), (2, 0))),
+                Fraction(2), (0, 0))
+except SolverInvariantError as exc:
+    print('malformed moving row raised:', 'generator position 1 neither fixes row' in str(exc))
 real_classes, real_cycles = _PairSolver._classes, _PairSolver._cycles
 
 
@@ -626,6 +670,8 @@ def test_solver_invariants_raise_under_python_O():
     # asserts vanish under -O; the invariants must not
     assert run_optimised(OPTIMISED_CHECKS) == ['disconnected table raised',
                                                'malformed 2-cycle raised: True',
+                                               'malformed column raised: True',
+                                               'malformed moving row raised: True',
                                                'broken event raised: (0, 0) (1, 0, 0, 1)']
 
 
@@ -778,26 +824,29 @@ class Reference:
         return cols
 
     def largest(self, solver, cols):
-        """The largest |value| in any column and on either side of any event,
-        the sides taken with the common part of their scales divided out:
-        ml N u_c and mr u_c2, ml = s_c2 / g and mr = factor s_c / g for
-        g = gcd(s_c2, factor s_c)."""
+        """The largest |value| in any column and on either side of any event
+        but a loop, the sides taken with the common part of their scales
+        divided out: ml N u_c and mr u_c2, ml = s_c2 / g and mr = factor s_c
+        / g for g = gcd(s_c2, factor s_c).  A loop compares two entries of
+        one column, so the pack forms no side of it."""
         def size(u):
             return max(map(abs, u.values()), default=0)
 
         out = max(size(u) for u, _ in cols.values())
         for i, c, c2, case in solver.events:
+            if case == 1:
+                continue
             (u, s), (u2, s2) = cols[c], cols[c2]
             g = math.gcd(s2, self.factor[case] * s)
             out = max(out, abs(s2 // g) * size(self.image(i, case, u)),
                       abs(self.factor[case] * s // g) * size(u2))
         return out
 
-    def violations(self, solver, cols):
-        """Every event that the columns break: image s_c2 == factor s_c u_c2,
-        checked exactly."""
+    def violations(self, solver, cols, events=None):
+        """The positions of every event (of solver.events, or of events) that
+        the columns break: image s_c2 == factor s_c u_c2, checked exactly."""
         bad = []
-        for pos, (i, c, c2, case) in enumerate(solver.events):
+        for pos, (i, c, c2, case) in enumerate(solver.events if events is None else events):
             (u, s), (u2, s2) = cols[c], cols[c2]
             lhs = {rl: v * s2 for rl, v in self.image(i, case, u).items()}
             if lhs != {rl: self.factor[case] * s * v for rl, v in u2.items()}:
@@ -897,14 +946,15 @@ class SymbolicReference(Reference):
 
     def largest(self, solver, cols):
         """The largest |coefficient| in any column and on either side of any
-        event; the multipliers are powers of q, which leave coefficients as
-        they are."""
+        event but a loop (see Reference.largest); the multipliers are powers
+        of q, which leave coefficients as they are."""
         def size(u):
             return max((abs(x) for v in u.values() for _, x in v.terms), default=0)
 
         out = max(size(u) for u, _ in cols.values())
         for i, c, c2, case in solver.events:
-            out = max(out, size(self.image(i, case, cols[c][0])), size(cols[c2][0]))
+            if case != 1:
+                out = max(out, size(self.image(i, case, cols[c][0])), size(cols[c2][0]))
         return out
 
 
@@ -1111,6 +1161,156 @@ def test_unpacked_symbolic_basis_equals_reference_basis(n, r, monkeypatch):
     assert len(packed) == len(reference) == qpartition_dim(n, r)
     assert packed == reference
     assert all(type(v) is RationalFunction for X in packed for v in X.values())
+
+
+# ---------------------------------------------------------------------------
+# one equation per 2-cycle: the partners that the quadratic relation implies
+
+def incidences(solver):
+    """Every incidence (i, c, c2, case) of the column table that is not a
+    tree edge: the loops, both ends of each 2-cycle off the tree, and the
+    partner end of each tree edge."""
+    tree = {(k, p): c for c, (p, k, _) in solver.par.items()}
+    return [(k, c, c2, case) for c, entries in enumerate(solver.table)
+            for k, (case, c2) in enumerate(entries) if tree.get((k, c)) != c2]
+
+
+def partner(incidence):
+    """The other end of an incidence's 2-cycle."""
+    i, c, c2, case = incidence
+    return i, c2, c, 5 - case
+
+
+def kept(full):
+    """Of the incidences full, the events a solve checks: every loop, and
+    the case 2 end of each 2-cycle whose partner is in full too, that is
+    whose 2-cycle holds no tree edge."""
+    present = set(full)
+    return [e for e in full if e[3] == 1 or e[3] == 2 and partner(e) in present]
+
+
+def two_cycle_breaks(solver, ref, classes):
+    """The 0/1 roots of a partition against every incidence, on the
+    reference path: (broken, unflagged), the incidences some root breaks
+    and those of them that the packed check, on the solver's events,
+    flags neither at themselves nor at their partner.  Per root, a
+    2-cycle's two ends must break together, and an end whose partner is a
+    tree edge must hold."""
+    full = incidences(solver)
+    broken = set()
+    for y in class_roots(classes):
+        cols = ref.propagate(solver, ref.clear(y))
+        now = {full[pos] for pos in ref.violations(solver, cols, full)}
+        assert all((e in now) == (partner(e) in now) for e in full if e[3] != 1)
+        broken |= now
+    bad = solver._verify(solver._pack_roots(classes), limit=None)[0]
+    flagged = {solver.events[pos] for pos in bad}
+    assert flagged <= broken
+    return broken, {e for e in broken if e not in flagged and partner(e) not in flagged}
+
+
+def check_one_equation_per_two_cycle(table, table_p, q0, ref):
+    # the root-loop classes break no incidence at all; the singletons span
+    # every root, but on the tables of one letter action they break loops
+    # only (see mismatched_pair_classes)
+    solver = _PairSolver(table, table_p, q0, (0, 0))
+    assert two_cycle_breaks(solver, ref, list(range(solver.m)))[1] == set()
+    assert two_cycle_breaks(solver, ref, solver._classes()) == (set(), set())
+
+
+@pytest.mark.parametrize('n,r', SMALL_GRID)
+def test_one_equation_per_two_cycle_stands_for_both(n, r):
+    for q0 in ROOT_Q:
+        for table, table_p in pair_classes(n, r):
+            check_one_equation_per_two_cycle(table, table_p, q0, Reference(table_p, q0))
+
+
+@pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
+def test_one_equation_per_two_cycle_stands_for_both_over_q_of_q(n, r):
+    for table, table_p in pair_classes(n, r):
+        check_one_equation_per_two_cycle(table, table_p, Q, SymbolicReference(table_p))
+
+
+def mismatched_pair_classes(n, r):
+    """Column tables of the generators 1, ..., n-1 against row tables of
+    2, 1, 3, ..., n-1, n >= 4: every table has the 2-cycle shape, but
+    position 1 braids with position 2 on the columns and commutes with it
+    on the rows, so the roots break 2-cycle equations, not just loops."""
+    gens_p = (2, 1) + tuple(range(3, n))
+    return [(table, table_p) for table in _component_classes(n, r, tuple(range(1, n)))
+            for table_p in _component_classes(n, r, gens_p)]
+
+
+MISMATCHED_GRID = [(n, 2) for n in range(4, 10)] + [(4, 3)]
+
+
+@pytest.mark.parametrize('n,r', MISMATCHED_GRID)
+def test_one_equation_per_two_cycle_stands_for_both_where_they_break(n, r):
+    broken = 0
+    for q0 in ROOT_Q:
+        for table, table_p in mismatched_pair_classes(n, r):
+            ref = Reference(table_p, q0)
+            solver = _PairSolver(table, table_p, q0, (0, 0))
+            for classes in (list(range(solver.m)), solver._classes()):
+                found, unflagged = two_cycle_breaks(solver, ref, classes)
+                assert unflagged == set()
+                broken += any(e[3] != 1 for e in found)
+    assert broken
+
+
+@pytest.mark.parametrize('n,r', SMALL_GRID)
+def test_one_event_per_two_cycle_off_the_tree(n, r):
+    # the work, pinned without timing: the loops, and one case 2 event for
+    # each 2-cycle of C but the |C| - 1 that hold a tree edge
+    for table, table_p in pair_classes(n, r):
+        solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
+        cases = [case for entries in table for case, _ in entries]
+        moving = [e for e in solver.events if e[3] != 1]
+        assert {e[3] for e in moving} <= {2}
+        assert len(moving) == cases.count(2) - (len(table) - 1)
+        assert len(solver.events) - len(moving) == cases.count(1)
+        assert solver.events == kept(incidences(solver))
+
+
+def unchecked_events(self):
+    """A mutant _PairSolver._collect_events: the same pruning, with neither
+    table's 2-cycle shape checked."""
+    self.events = kept(incidences(self))
+
+
+@pytest.mark.parametrize('table, table_p', [(MALFORMED_COLUMN_TABLES[0], TWO_CYCLE),
+                                            (MOVING_COLUMN_TABLE, ROW_TABLE_MALFORMED_AT_MOVING)],
+                         ids=['column', 'row'])
+def test_unchecked_shapes_certify_a_broken_equation(table, table_p, monkeypatch):
+    # without the shape checks a malformed table solves, and its root-loop
+    # classes break an incidence whose partner the pruning dropped
+    monkeypatch.setattr(_PairSolver, '_collect_events', unchecked_events)
+    q0 = Fraction(2)
+    solver = _PairSolver(table, table_p, q0, (0, 3))
+    assert solver.solve(with_basis=False)[0] == 2
+    ref = Reference(table_p, q0)
+    full = incidences(solver)
+    broken = {full[pos] for y in class_roots(solver._classes())
+              for pos in ref.violations(solver, ref.propagate(solver, ref.clear(y)), full)}
+    assert broken and not broken & set(solver.events)
+
+
+def test_dropped_two_cycle_events_are_caught(monkeypatch):
+    # a mutant that checks the loops alone leaves breaks unflagged
+    collect = _PairSolver._collect_events
+
+    def loops_only(self):
+        collect(self)
+        self.events = [e for e in self.events if e[3] == 1]
+
+    monkeypatch.setattr(_PairSolver, '_collect_events', loops_only)
+    q0 = Fraction(7, 5)
+    unflagged = 0
+    for table, table_p in mismatched_pair_classes(4, 2):
+        solver = _PairSolver(table, table_p, q0, (0, 0))
+        unflagged += bool(two_cycle_breaks(solver, Reference(table_p, q0),
+                                           list(range(solver.m)))[1])
+    assert unflagged
 
 
 # ---------------------------------------------------------------------------

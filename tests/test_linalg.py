@@ -250,3 +250,15 @@ def test_entries_outside_the_ring_raise_type_error():
     # bools are ints and stay accepted, with or without Fractions beside them
     assert rank([[True, 2], [Fraction(1, 2), False]], 2, ONE) == 2
     assert rank([[True, False], [2, 0]], 2, ONE) == 1
+
+
+@pytest.mark.parametrize('one', [coeff.ONE, 1.0, '1'], ids=['LaurentPoly', 'float', 'str'])
+def test_one_outside_the_ring_raises_type_error(one):
+    # one only types the zeros of nullspace; a LaurentPoly one was once
+    # taken for Z and mixed its zeros with Fraction entries
+    with pytest.raises(TypeError, match='one is an int or Fraction'):
+        Echelon(3, one)
+
+
+def test_int_and_fraction_ones_are_accepted():
+    assert Echelon(2, 1).nullspace() == Echelon(2, ONE).nullspace() == [[1, 0], [0, 1]]
