@@ -38,7 +38,7 @@ each 2-cycle and not its partner, and none of a 2-cycle whose tree edge
 (in either direction) holds by construction.  This needs only the
 2-cycle shape of both tables, checked from the raw tables: a column or
 row that a generator neither fixes nor moves in a 2-cycle raises
-SolverInvariantError (see _PairSolver._collect_events and _cycles).
+SolverInvariantError (see _ColumnPlan._collect_events, _PairSolver._cycles).
 
 The answer is exact without any module theory: the root loops are raw
 equations, so the solution space lies inside the span of the class
@@ -59,14 +59,12 @@ substitution (Schonhage 1982; Harvey 2009): entry rl of column c is the
 one int sum of u_c^(k)[rl] 2^(kW) over k, with balanced fields of a
 width W proved a priori to hold every value (see _width).  A column is
 a dense list of these ints, since the d supports together fill it, and
-a map is applied by C-level list operations.  Field k is x_c s_c, where
-the scale s_c = a^ea b^eb is the product of the factors along the tree
-path of c (b on a case 2 edge, a on case 3).  Each event other than a
-loop, all of them case 2, therefore gets two coprime integer
-multipliers once per pair, and it holds for every root exactly when
-ml image(u_c) == mr u_c2 as lists of packed ints; most events need no
-multiplication at all.  Fractions
-are formed only when a basis is materialized, by unpacking the fields.
+a map is applied by C-level list operations.  Field k is x_c s_c, the
+scale s_c = a^ea b^eb the product of the factors along the tree path
+of c (b on a case 2 edge, a on case 3), so an event other than a loop
+holds for every root exactly when ml image(u_c) == mr u_c2 as lists of
+packed ints, for two coprime integers ml and mr (see _PairSolver._checks).
+Fractions are formed only when a basis is materialized, by unpacking.
 Over Q(q) the roots are the same, and the checks run one level of
 Kronecker substitution down, at a = 2^K and b = 1: K is proved a priori
 to exceed every coefficient a column or an event side can reach, so a
@@ -74,18 +72,20 @@ polynomial is fixed by its value at q = 2^K and a basis entry, the only
 RationalFunction built, is read off the balanced base-2^K digits of its
 field (see _PairSolver._pack_roots).
 
-Many pairs repeat one solve.  One breadth-first walk per component,
-from its smallest basis index and taking the generators in their given
-order, labels its vertices in the order it finds them and records its
-table: for every local vertex and generator, the case of the T_i action
-and the local label of the target.  The pair solver reads nothing but
-the two tables, so pairs with equal tables (compared exactly, as tuples)
-have the same solution up to relabelling: each such class is solved
-once per q value and its basis is carried to the other pairs through
-their relabellings.  The module theory predicts which orbits are
-isomorphic (hook compositions, one per number of blocks) but is not
-consulted: classes come from the matrices alone, and two isomorphic
-orbits whose tables differ are simply solved twice.
+Many pairs repeat one solve.  One breadth-first walk per component
+records its generator table (see _component_classes), and the pair
+solver reads nothing but the two tables, so pairs with equal tables
+(compared exactly, as tuples) have the same solution up to relabelling:
+each such class is solved once per q value and its basis is carried to
+the other pairs through their relabellings.  The set-up is split by
+what it reads and built once per commutant_basis call: per column
+table a _ColumnPlan (tree, scales, events, order of the checks), per
+row table a _RowState (2-cycles, root-loop classes), holding the maps
+per (row table, q); a pair adds only its multipliers and checks.  The
+module theory predicts which orbits are isomorphic (hook compositions,
+one per number of blocks) but is not consulted: classes come from the
+matrices alone, and two isomorphic orbits whose tables differ are
+simply solved twice.
 
 Default arithmetic specializes q at several generic rational points and
 cross-checks the dimensions; a fully symbolic mode over the field Q(q)
@@ -108,20 +108,10 @@ from .linalg import Echelon
 from .symcomb import _ints, all_permutations
 from .tensoract import _classify, all_indices
 
-__all__ = [
-    'DimensionLimitExceeded',
-    'SolverInvariantError',
-    'RationalFunction',
-    'CommutantReport',
-    'commutant_basis',
-    'half_commutant_basis',
-    'DoubleCentralizerReport',
-    'double_centralizer_check',
-    'StructureConstants',
-    'structure_constants',
-    'DEFAULT_Q_VALUES',
-    'SYMBOLIC_LIMIT',
-]
+__all__ = ['DimensionLimitExceeded', 'SolverInvariantError', 'RationalFunction',
+           'CommutantReport', 'commutant_basis', 'half_commutant_basis',
+           'DoubleCentralizerReport', 'double_centralizer_check', 'StructureConstants',
+           'structure_constants', 'DEFAULT_Q_VALUES', 'SYMBOLIC_LIMIT']
 
 DEFAULT_Q_VALUES = (Fraction(2), Fraction(3), Fraction(7, 5))
 # largest n^r of symbolic mode: on a shared 2-CPU host (64,1) takes about
@@ -306,8 +296,7 @@ def _width(reach: int) -> int:
     G_c kappa_i |ml| and G_c2 |mr|.  A loop compares two entries of one
     column, already within G_c, so no image of a loop is ever formed, and
     reach starts at the largest G_c.  reach is the largest of these
-    factors, so every field
-    is below 2^(W-2) <= 2^(W-1).  Two packs whose fields are all below
+    factors, so every field is below 2^(W-2) <= 2^(W-1).  Two packs whose fields are all below
     2^(W-1) in size are equal only if every field is: their difference
     has fields g_k with |g_k| < 2^W, and sum g_k 2^(kW) = 0 forces
     g_0 = 0 mod 2^W, so g_0 = 0, and so on upwards.  Hence the packed
@@ -330,6 +319,85 @@ def _coimage(table_p, i: int, a, b) -> tuple:
     return src, [coef[cl] for cl in src], diag
 
 
+class _ColumnPlan:
+    """The set-up of a pair solve that reads the column table alone, shared
+    by every row table and q value: breadth-first order and tree, scales
+    exps and K (see _PairSolver._pack_roots), events, the positions that
+    move a column, root-loop generators roots, multiplier keys and steps
+    (see _PairSolver._checks).  pair names the pair that builds it."""
+
+    def __init__(self, table, pair: tuple[int, int]):
+        self.table, self.pair = table, pair
+        self.order, self.par = _bfs(table)
+        if len(self.order) != len(table):
+            raise SolverInvariantError('component not connected by its own edges', pair)
+        # s_c = a^ea b^eb, exps[c] = (ea, eb), the factors along c's tree path
+        self.exps = exps = [(0, 0)] * len(table)
+        for c in self.order[1:]:
+            p, _, case = self.par[c]
+            ea, eb = exps[p]
+            exps[c] = (ea, eb + 1) if case == 2 else (ea + 1, eb)
+        self.K = (3 ** (max(map(sum, exps)) + 1)).bit_length() + 2
+        self.events, self.moving = [], set()
+        self._collect_events()
+        self.roots = tuple(i for i, c, c2, _ in self.events if c == c2 == 0)
+        # the key (ea, eb) of an event but a loop: s_c2 / (b s_c) = a^ea b^eb
+        self.keys = [case != 1 and (exps[c2][0] - exps[c][0], exps[c2][1] - exps[c][1] - 1)
+                     for _, c, c2, case in self.events]
+        self._schedule()
+
+    def _collect_events(self):
+        """The events to verify, (i, c, c2, case), generator position i on
+        column c with target c2: every loop (case 1, c2 = c), and the case 2
+        end of each 2-cycle {c, c2} of T_i on C that holds no tree edge; the
+        partner follows by the quadratic relation (see the module
+        docstring).  A column that a generator neither fixes nor moves in a
+        2-cycle is refused here; every pair checks its row table at each
+        position in moving (_PairSolver._cycles)."""
+        table, tree = self.table, {(k, p) for p, k, _ in self.par.values()}
+        for c, entries in enumerate(table):
+            for k, (case, c2) in enumerate(entries):
+                if case == 1 and c2 == c:
+                    self.events.append((k, c, c, 1))
+                elif case in (2, 3) and table[c2][k] == (5 - case, c):
+                    self.moving.add(k)
+                    if case == 2 and (k, c) not in tree and (k, c2) not in tree:
+                        self.events.append((k, c, c2, 2))
+                else:
+                    raise SolverInvariantError(
+                        f'generator position {k} neither fixes column {c} nor moves it '
+                        f'in a 2-cycle', self.pair, (k, c, (case, c2)))
+
+    def _schedule(self):
+        """Per column c in breadth-first order, c, the positions of the events
+        due once c exists, and the columns used for the last time there."""
+        at = {c: t for t, c in enumerate(self.order)}
+        due = [[] for _ in self.order]
+        last = list(range(len(self.order)))
+        for c, (p, _, _) in self.par.items():
+            last[at[p]] = max(last[at[p]], at[c])
+        for pos, (_, c, c2, _) in enumerate(self.events):
+            t = max(at[c], at[c2])
+            due[t].append(pos)
+            for v in (c, c2):
+                last[at[v]] = max(last[at[v]], t)
+        done = [[] for _ in self.order]
+        for t, c in enumerate(self.order):
+            done[last[t]].append(c)
+        self.steps = [(c, due[t], done[t]) for t, c in enumerate(self.order)]
+
+
+class _RowState:
+    """The set-up of pair solves that reads one row table alone, filled on
+    first use and shared by every column table: the 2-cycles and loop end
+    gathers per generator position, the root-loop classes per root-loop
+    generators (all q), and the two dense maps per (a, b, position)."""
+
+    def __init__(self, table_p):
+        self.table_p = table_p
+        self.cycles, self.ends, self.classes, self.maps = {}, {}, {}, {}
+
+
 class _PairSolver:
     """Solve X A_i = A_i X restricted to one ordered component pair.
 
@@ -337,63 +405,22 @@ class _PairSolver:
     component C' (see _component_classes), and nothing else; every index
     is local, and the root column is vertex 0 of C.  Basis blocks come
     back as {(position in C', position in C): value}.  pair names the
-    pair in errors.
+    pair in errors.  The _ColumnPlan of C and _RowState of C' are built
+    here unless given as plan and rows, shared with other pairs.
     """
 
-    def __init__(self, table, table_p, qf, pair: tuple[int, int]):
-        self.table, self.table_p, self.pair = table, table_p, pair
-        self.m = len(table_p)
+    def __init__(self, table, table_p, qf, pair: tuple[int, int], plan=None, rows=None):
+        self.plan = plan = plan or _ColumnPlan(table, pair)
+        self.rows = rows or _RowState(table_p)
+        self.table, self.table_p, self.pair, self.m = table, table_p, pair, len(table_p)
+        self.order, self.par, self.events, self.exps = plan.order, plan.par, plan.events, plan.exps
         self._checks_at = None  # see _checks
-        self._cycles_of: dict[int, list[tuple[int, int]]] = {}  # see _cycles
-        self._build_tree()
-        self._collect_events()
-        # the checks run at the integer point q = a/b, in lowest terms with
-        # b > 0; over Q(q) (qf is coeff.Q) at a = 2^K and b = 1, with K
-        # proved in _pack_roots to exceed every coefficient
-        self.over_q = isinstance(qf, Fraction)
-        if self.over_q:
-            self.a, self.b = qf.numerator, qf.denominator
-        else:
-            self.K = (3 ** (max(map(sum, self.exps)) + 1)).bit_length() + 2
-            self.a, self.b = 1 << self.K, 1
-
-    def _build_tree(self):
-        self.order, self.par = _bfs(self.table)
-        if len(self.order) != len(self.table):
-            raise SolverInvariantError('component not connected by its own edges', self.pair)
-        # column c carries the scale s_c = a^ea b^eb, exps[c] = (ea, eb), the
-        # product of the factors along its tree path (see _checks)
-        self.exps = exps = [(0, 0)] * len(self.table)
-        for c in self.order[1:]:
-            p, _, case = self.par[c]
-            ea, eb = exps[p]
-            exps[c] = (ea, eb + 1) if case == 2 else (ea + 1, eb)
-
-    def _collect_events(self):
-        """The events to verify, (i, c, c2, case), generator position i on
-        column c with target c2: every loop (case 1, c2 = c), and the case 2
-        end of each 2-cycle {c, c2} of T_i on C that holds no tree edge; the
-        partner follows by the quadratic relation (see the module
-        docstring).  That rests on the 2-cycle shape of both tables: a
-        column that a generator neither fixes nor moves in a 2-cycle is
-        refused here, and so is the row table of every generator position
-        that moves a column (_cycles)."""
-        table, tree = self.table, {(k, p) for p, k, _ in self.par.values()}
-        self.events, moving = [], set()
-        for c, entries in enumerate(table):
-            for k, (case, c2) in enumerate(entries):
-                if case == 1 and c2 == c:
-                    self.events.append((k, c, c, 1))
-                elif case in (2, 3) and table[c2][k] == (5 - case, c):
-                    moving.add(k)
-                    if case == 2 and (k, c) not in tree and (k, c2) not in tree:
-                        self.events.append((k, c, c2, 2))
-                else:
-                    raise SolverInvariantError(
-                        f'generator position {k} neither fixes column {c} nor moves it '
-                        f'in a 2-cycle', self.pair, (k, c, (case, c2)))
-        for k in moving:
+        for k in plan.moving:
             self._cycles(k)
+        # the checks run at q = a/b in lowest terms, b > 0; over Q(q) (qf is
+        # coeff.Q) at a = 2^K and b = 1, K proved in _pack_roots
+        self.over_q, self.K = isinstance(qf, Fraction), plan.K
+        self.a, self.b = (qf.numerator, qf.denominator) if self.over_q else (1 << self.K, 1)
 
     def _cycles(self, i: int) -> list[tuple[int, int]]:
         """The 2-cycles (rl, t) of generator position i on the row component,
@@ -401,26 +428,24 @@ class _PairSolver:
 
         Every row must be fixed (case 1, its target itself) or have a
         partner that the generator sends back to it in the other moving
-        case; the loops' equalities (see _classes and _verify) and the
-        quadratic relation that drops an event's partner (see
-        _collect_events) rest on this shape, so a table without it is
-        refused.
+        case: the loops' equalities and the quadratic relation that drops
+        an event's partner rest on this shape (see the module docstring).
         """
-        if i in self._cycles_of:
-            return self._cycles_of[i]
+        if i in self.rows.cycles:
+            return self.rows.cycles[i]
         column = [entries[i] for entries in self.table_p]
         for rl, (case, t) in enumerate(column):
             if not (t == rl if case == 1 else case in (2, 3) and column[t] == (5 - case, rl)):
                 raise SolverInvariantError(
                     f'generator position {i} neither fixes row {rl} nor moves it '
                     f'in a 2-cycle', self.pair, (i, rl, (case, t)))
-        cycles = self._cycles_of[i] = [(rl, t) for rl, (case, t) in enumerate(column)
-                                       if case == 2]
-        return cycles
+        self.rows.cycles[i] = [(rl, t) for rl, (case, t) in enumerate(column) if case == 2]
+        return self.rows.cycles[i]
 
     def _classes(self) -> list[int]:
         """The class of each row of C', the rows joined by the 2-cycles of
-        every loop at the root, classes numbered by their largest row.
+        every loop at the root, classes numbered by their largest row;
+        built on first use per root-loop generators and kept.
 
         The loops at the root hold exactly when the root column is
         constant on each class (see the module docstring), so the 0/1
@@ -428,6 +453,9 @@ class _PairSolver:
         each class under its largest row: a 2-cycle hangs the smaller of
         its two classes' tops under the larger.
         """
+        roots = self.plan.roots
+        if roots in self.rows.classes:
+            return self.rows.classes[roots]
         up = list(range(self.m))
 
         def top(rl: int) -> int:
@@ -436,13 +464,13 @@ class _PairSolver:
                 rl = up[rl]
             return rl
 
-        for i, c, c2, _ in self.events:
-            if c == c2 == 0:
-                for rl, t in self._cycles(i):
-                    r1, r2 = top(rl), top(t)
-                    up[min(r1, r2)] = max(r1, r2)
+        for i in roots:
+            for rl, t in self._cycles(i):
+                r1, r2 = top(rl), top(t)
+                up[min(r1, r2)] = max(r1, r2)
         number = {rl: k for k, rl in enumerate(rl for rl in range(self.m) if up[rl] == rl)}
-        return [number[top(rl)] for rl in range(self.m)]
+        classes = self.rows.classes[roots] = [number[top(rl)] for rl in range(self.m)]
+        return classes
 
     # -- packed propagation and raw verification on integers ---------------
 
@@ -451,52 +479,46 @@ class _PairSolver:
         built on first use and kept.
 
         Field k of column c is x_c s_c, with s_c = a^ea b^eb (see
-        _build_tree).  An event other than a loop is a case 2 incidence
-        (see _collect_events), and (i, c, c2, 2) states N u_c s_c2 =
-        b s_c u_c2, N the map b A_i; dividing out the common part of the
-        two monomials leaves ml N u_c = mr u_c2 with coprime multipliers ml
-        and mr, None where they are one.  The maps act on columns in dense
-        form (_dense), each built only for a (position, case) that a tree
-        edge or such an event applies: b A_i for case 2, and b A_i - (a - b)
-        for case 3, which only tree edges apply.  reach bounds the growth
-        of every column and event side (see _width).  A loop (case 1) is
-        checked as u_c[rl] == u_c[t] on every 2-cycle (rl, t) of T_i instead
-        (see the module docstring), as the check (pos, None, c, c, ends_rl,
-        ends_t) with the two gathers of those ends, and not at all when T_i
-        moves no row; it compares two entries of one column, so it needs no
-        map and no multipliers and leaves reach as it is.  The steps are
-        _schedule's.
+        _ColumnPlan).  An event other than a loop, (i, c, c2, 2), states
+        N u_c s_c2 = b s_c u_c2, N the map b A_i; dividing out the common
+        part of the two monomials, a^ea b^eb for (ea, eb) the event's key,
+        leaves ml N u_c = mr u_c2 with coprime multipliers ml and mr, None
+        where they are one.  The dense maps (_dense), b A_i for case 2 and
+        b A_i - (a - b) for case 3, are built once per row table and q.
+        reach bounds the growth of every column and event side (see
+        _width).  A loop (case 1) is the check (pos, None, c, c, ends_rl,
+        ends_t), ends the gathers of the two ends of the 2-cycles of T_i,
+        compared as u_c[rl] == u_c[t] (see the module docstring), and none
+        when T_i moves no row; it needs no map and no multipliers and
+        leaves reach as it is.  The steps are the plan's, per column c its
+        tree edge (parent, map), None at the root, its checks and the
+        columns done there.
         """
         if self._checks_at is not None:
             return self._checks_at
-        a, b = self.a, self.b
-        coimages, images = {}, {}
+        plan, a, b = self.plan, self.a, self.b
+        maps, ends = self.rows.maps, self.rows.ends
 
         def image(i: int, case: int) -> tuple:
-            key = i, case == 3
-            if key not in images:
-                if i not in coimages:
-                    coimages[i] = _coimage(self.table_p, i, a, b)
-                images[key] = _dense(_shifted(coimages[i], a - b) if key[1] else coimages[i])
-            return images[key]
+            if (a, b, i) not in maps:
+                coimage = _coimage(self.table_p, i, a, b)
+                maps[a, b, i] = _dense(coimage), _dense(_shifted(coimage, a - b))
+            return maps[a, b, i][case == 3]
 
         edges, gain = {}, [1] * len(self.table)
         for c in self.order[1:]:
             p, i, case = self.par[c]
             edges[c] = p, image(i, case)
             gain[c] = gain[p] * edges[c][1][3]
-        checks, reach, multipliers, ends = [], max(gain), {}, {}
+        checks, reach, multipliers = [], max(gain), {}
         for pos, (i, c, c2, case) in enumerate(self.events):
             if case == 1:
                 if i not in ends:
                     cycles = self._cycles(i)
                     ends[i] = cycles and tuple(itemgetter(*side) for side in zip(*cycles))
-                if ends[i]:
-                    checks.append((pos, None, c, c, *ends[i]))
+                checks.append(ends[i] and (pos, None, c, c, *ends[i]))
                 continue
-            # s_c2 / (b s_c) = a^ea b^eb, and (ml, mr) per (ea, eb)
-            key = ea, eb = (self.exps[c2][0] - self.exps[c][0],
-                            self.exps[c2][1] - self.exps[c][1] - 1)
+            key = ea, eb = plan.keys[pos]
             if key not in multipliers:
                 multipliers[key] = (a ** max(ea, 0) * b ** max(eb, 0),
                                     a ** max(-ea, 0) * b ** max(-eb, 0))
@@ -504,28 +526,10 @@ class _PairSolver:
             op = image(i, case)
             reach = max(reach, gain[c] * op[3] * abs(ml), gain[c2] * abs(mr))
             checks.append((pos, op, c, c2, None if ml == 1 else ml, None if mr == 1 else mr))
-        self._checks_at = out = reach, self._schedule(edges, checks)
+        steps = [(c, edges.get(c), [checks[pos] for pos in due if checks[pos]], done)
+                 for c, due, done in plan.steps]
+        self._checks_at = out = reach, steps
         return out
-
-    def _schedule(self, edges: dict, checks: list) -> list[tuple]:
-        """The steps of _verify: per column c in breadth-first order, its
-        tree edge (parent, map), None at the root, the checks of _checks
-        whose two columns exist once c does, and the columns
-        used for the last time there."""
-        at = {c: t for t, c in enumerate(self.order)}
-        due = [[] for _ in self.order]
-        last = list(range(len(self.order)))
-        for c, (p, _, _) in self.par.items():
-            last[at[p]] = max(last[at[p]], at[c])
-        for check in checks:
-            t = max(at[check[2]], at[check[3]])
-            due[t].append(check)
-            for v in check[2:4]:
-                last[at[v]] = max(last[at[v]], t)
-        done = [[] for _ in self.order]
-        for t, c in enumerate(self.order):
-            done[last[t]].append(c)
-        return [(c, edges.get(c), due[t], done[t]) for t, c in enumerate(self.order)]
 
     def _pack_roots(self, classes: list[int]) -> tuple:
         """The 0/1 roots of a partition of the rows as one pack (root, W, d),
@@ -561,20 +565,13 @@ class _PairSolver:
 
         A tree edge maps x_p to A x_p (case 2) or (A - (q - 1)) x_p / q
         (case 3); with q = a/b that is u_c = the integer image of u_p, its
-        factor (b on case 2, a on case 3) going into s_c.  A case 2 event,
-        which stands for its 2-cycle (see _collect_events), is checked
-        exactly, as ml image_i(u_c) == mr u_c2 (see _checks), as soon as
-        both its columns exist, and a column is dropped after its
-        last use unless keep, so only a breadth-first frontier of columns is
-        alive at a time.  A loop is one tuple comparison, the entries of u_c
-        at the case 2 ends of the 2-cycles of T_i against those at their
-        case 3 ends, with no map and no multiplier: since a and b are
-        nonzero (over Q(q), a = 2^K and b = 1), the loop holds exactly when
-        x_c[rl] = x_c[t] on each 2-cycle (see the module docstring), that is
-        when the fields of u_c[rl] and u_c[t] agree, and two packed entries
-        of one column are equal exactly when their fields are (see _width).
-        A packed event holds if and only if it holds for every root of the
-        pack (see _width), over Q(q) too (see _pack_roots).
+        factor (b on case 2, a on case 3) going into s_c.  Each check of
+        _checks runs as soon as its columns exist, and a column is dropped
+        after its last use unless keep.  A loop holds exactly when the
+        fields of the two ends of each 2-cycle agree, as a and b are nonzero
+        (over Q(q), a = 2^K and b = 1).  A packed event holds if and only if
+        it holds for every root of the pack (see _width), over Q(q) too
+        (see _pack_roots).
 
         Returns the positions of the first limit (None: all) events broken,
         in the order checked, and the columns (None where dropped).
@@ -651,7 +648,9 @@ class CommutantReport(Record):
     """Dimensions of End over the subalgebra generated by the given T_i.
 
     pairs counts the ordered component pairs, components ** 2, and
-    pair_classes the pairs with distinct tables: the solves run per q value.
+    pair_classes the pairs with distinct tables, each solved once per q
+    value on set-up built once per call: per column table, per row table
+    and per (row table, q) (see _total_dim).
     """
 
     __slots__ = ('n', 'r', 'mode', 'generators', 'q_values', 'dims', 'agree',
@@ -715,37 +714,35 @@ def commutant_basis(
     components = sum(map(len, classes.values()))
     counts = {'components': components, 'pairs': components ** 2,
               'pair_classes': len(classes) ** 2}
-
-    if symbolic:
-        dim, mats = _total_dim(classes, Q, with_basis)
-        return CommutantReport(
-            n, r, 'symbolic', gens, (), (dim,), True, **counts, basis=mats)
-
-    dims = []
-    basis = None
-    for which, q0 in enumerate(q_values):
-        want = with_basis and which == 0
-        dim, mats = _total_dim(classes, q0, want)
-        dims.append(dim)
-        if want:
-            basis = mats
-    return CommutantReport(
-        n, r, 'specialized', gens, q_values, tuple(dims),
-        len(set(dims)) == 1, **counts, basis=basis)
+    shared = [None] * len(classes), [None] * len(classes)  # see _total_dim
+    # one run over Q(q), or one per q value; the basis, if any, of the first
+    runs = [_total_dim(classes, qf, with_basis and not k, *shared)
+            for k, qf in enumerate((Q,) if symbolic else q_values)]
+    dims = tuple(dim for dim, _ in runs)
+    return CommutantReport(n, r, 'symbolic' if symbolic else 'specialized', gens,
+                           () if symbolic else q_values, dims, len(set(dims)) == 1,
+                           **counts, basis=runs[0][1])
 
 
-def _total_dim(classes: dict[tuple, list[list[int]]], qf, materialize: bool):
+def _total_dim(classes: dict[tuple, list[list[int]]], qf, materialize: bool,
+               plans: list, rows: list):
     """Dimension, and the basis if materialize, summed over all component pairs.
 
     Each pair of classes is solved once per call, that is per q value;
     its dimension counts once per member pair, and its basis is carried
-    to every member pair through the two relabellings.
+    to every member pair through the two relabellings.  plans[x] is the
+    _ColumnPlan of the x-th table of classes, built in the first pair
+    that needs it (None until then) and shared by every later pair and
+    call given the same list; rows[y], the _RowState of the y-th table,
+    likewise, but its maps are dropped at the end of the call.
     """
     total = 0
     basis = [] if materialize else None
-    for table, comps in classes.items():
-        for table_p, comps_p in classes.items():
-            solver = _PairSolver(table, table_p, qf, (comps[0][0], comps_p[0][0]))
+    for x, (table, comps) in enumerate(classes.items()):
+        for y, (table_p, comps_p) in enumerate(classes.items()):
+            solver = _PairSolver(table, table_p, qf, (comps[0][0], comps_p[0][0]),
+                                 plans[x], rows[y])
+            plans[x], rows[y] = solver.plan, solver.rows
             dim, blocks = solver.solve(with_basis=materialize)
             total += dim * len(comps) * len(comps_p)
             if materialize:
@@ -753,6 +750,8 @@ def _total_dim(classes: dict[tuple, list[list[int]]], qf, materialize: bool):
                     for Cp in comps_p:
                         basis.extend({(Cp[a], C[b]): v for (a, b), v in X.items()}
                                      for X in blocks)
+    for state in rows:  # the maps of one q are not used again
+        state.maps.clear()
     return total, basis
 
 
@@ -845,13 +844,9 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
 
     basis = [_integral(X)[0] for X in report.basis]
     dim_bicommutant, contained, _ = _bicommutant(comps, list(gens.values()), basis, img.rank)
-    return DoubleCentralizerReport(
-        n=n, r=r, q0=q0,
-        dim_commutant=report.dim,
-        dim_image=img.rank,
-        dim_bicommutant=dim_bicommutant,
-        image_contained=contained,
-    )
+    return DoubleCentralizerReport(n=n, r=r, q0=q0, dim_commutant=report.dim,
+                                   dim_image=img.rank, dim_bicommutant=dim_bicommutant,
+                                   image_contained=contained)
 
 
 def _commutes(op, src: list[int], X: dict) -> bool:
@@ -968,11 +963,15 @@ def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> Stru
     when m P - sum (m c_t) s_t X_t is zero, m the lcm of the denominators
     of the c_t: a check in integers.  A coordinate c of s_a X_a s_b X_b on
     s_t X_t is c s_t / (s_a s_b) on X_t.  An element without an entry of
-    its own raises SolverInvariantError.
+    its own raises SolverInvariantError.  A product A B is zero, and not
+    formed, unless a column component of A is a row component of B.
     """
     q0 = Fraction(_exact(q0, 'q values'))
     report = commutant_basis(n, r, (q0,), with_basis=True, limit=limit)
     scaled = [_integral(X) for X in report.basis]
+    comp = {g: C[0] for Cs in _component_classes(n, r, range(1, n)).values()
+            for C in Cs for g in C}
+    sides = [({comp[rg] for rg, _ in X}, {comp[cg] for _, cg in X}) for X, _ in scaled]
 
     owner: dict[tuple[int, int], int | None] = {}
     for t, (X, _) in enumerate(scaled):
@@ -982,8 +981,6 @@ def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> Stru
     for t, (X, _) in enumerate(scaled):
         key = next((key for key in X if owner[key] == t), None)
         if key is None:
-            comp = {g: C[0] for Cs in _component_classes(n, r, range(1, n)).values()
-                    for C in Cs for g in C}
             pair = next(((comp[rg], comp[cg]) for rg, cg in X), None)
             raise SolverInvariantError(f'commutant element {t} has no entry of its own', pair)
         own_of[key] = t
@@ -1000,6 +997,9 @@ def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> Stru
     for a, (A, sa) in enumerate(scaled):
         a_by_col = indexed[a]
         for b, (B, sb) in enumerate(scaled):
+            if sides[a][1].isdisjoint(sides[b][0]):
+                table[(a, b)] = {}
+                continue
             prod: dict[tuple[int, int], int] = {}
             for (mg, cg), v in B.items():
                 for rg, w in a_by_col.get(mg, ()):

@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes are stable: 0 all checks pass, 1 a check failed, 2 a resource
 limit was exceeded, 64 usage error (bad arguments, or an --out file that
-cannot be written).
+cannot be written), 141 (128 + SIGPIPE) stdout closed before the output
+was written.
 """
 
 # Each subcommand imports the modules it runs inside its own function, so
@@ -20,6 +21,7 @@ cannot be written).
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from math import comb, factorial
@@ -32,6 +34,7 @@ EX_OK = 0
 EX_FAIL = 1
 EX_LIMIT = 2
 EX_USAGE = 64
+EX_PIPE = 141
 
 DEFAULT_LIMIT = 4096
 # work bounds of dims and glq-dims in the units of _dims_work and
@@ -568,7 +571,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_PIPE
     except DimensionLimitExceeded as exc:
         print(f'qpartition: resource limit: {exc}', file=sys.stderr)
         return EX_LIMIT

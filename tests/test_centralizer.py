@@ -25,12 +25,15 @@ from qpartition.centralizer import (
     RationalFunction,
     SYMBOLIC_LIMIT,
     SolverInvariantError,
+    _ColumnPlan,
     _PairSolver,
+    _RowState,
     _apply,
     _bfs,
     _component_classes,
     _scaled_generator,
     _shifted,
+    _total_dim,
     _unpack,
     commutant_basis,
     double_centralizer_check,
@@ -420,8 +423,10 @@ def _table(C, idxs, gid_map, gens):
 
 
 def unmemoised(n, r, q0, gens=None, with_basis=False):
-    """Sum over every ordered component pair, each solved in sorted-index labels."""
+    """Sum over every ordered component pair, each solved in sorted-index
+    labels by a solver of its own; q0 is a rational, or coeff.Q."""
     gens = tuple(range(1, n)) if gens is None else tuple(gens)
+    q0 = q0 if q0 is Q else Fraction(q0)
     idxs = all_indices(n, r)
     gid_map = {j: t for t, j in enumerate(idxs)}
     comps = _components(n, r, gens)
@@ -429,7 +434,7 @@ def unmemoised(n, r, q0, gens=None, with_basis=False):
     total, basis = 0, []
     for C, table in zip(comps, tables):
         for Cp, table_p in zip(comps, tables):
-            solver = _PairSolver(table, table_p, Fraction(q0), (C[0], Cp[0]))
+            solver = _PairSolver(table, table_p, q0, (C[0], Cp[0]))
             dim, blocks = solver.solve(with_basis)
             total += dim
             basis.extend({(Cp[a], C[b]): v for (a, b), v in X.items()} for X in blocks)
@@ -471,6 +476,50 @@ def test_memo_matches_unmemoised_on_generator_subsets(case):
     q0 = Fraction(3)
     report = commutant_basis(n, r, (q0,), generators=gens)
     assert report.dim == unmemoised(n, r, q0, gens)[0]
+
+
+def canonical(basis):
+    """A basis as a sorted list of the reprs of its sorted elements."""
+    return sorted(repr(sorted(X.items())) for X in basis)
+
+
+@pytest.mark.parametrize('n,r', SMALL_GRID)
+def test_shared_plans_and_row_states_leak_nothing(n, r):
+    # one set of plans and row states across three q values, and Q(q), in
+    # that order: every basis equals that of fresh solvers, pair by pair
+    classes = _component_classes(n, r, tuple(range(1, n)))
+    shared = [None] * len(classes), [None] * len(classes)
+    symbolic = (Q,) if n ** r <= SYMBOLIC_LIMIT else ()
+    for q0 in (Fraction(7, 5), Fraction(-1), Fraction(1)) + symbolic:
+        dim, basis = _total_dim(classes, q0, True, *shared)
+        want, reference = unmemoised(n, r, q0, with_basis=True)
+        assert dim == want == len(basis)
+        assert canonical(basis) == canonical(reference)
+    assert None not in shared[0] + shared[1]
+
+
+def count_built(monkeypatch):
+    """Patch _ColumnPlan and _RowState to record the table each is built on."""
+    built = {_ColumnPlan: [], _RowState: []}
+    for cls, tables in built.items():
+        def counted(self, table, *args, init=cls.__init__, tables=tables):
+            tables.append(table)
+            init(self, table, *args)
+        monkeypatch.setattr(cls, '__init__', counted)
+    return built
+
+
+@pytest.mark.parametrize('n,r,members', [(5, 3, [1, 3, 1]), (3, 4, [1, 7, 6])])
+def test_one_plan_per_column_table_and_one_row_state_per_row_table(n, r, members,
+                                                                   monkeypatch):
+    # within one call, across all three q values: each table gets one plan
+    # and one row state, in the order of the classes
+    classes = _component_classes(n, r, tuple(range(1, n)))
+    assert [len(Cs) for Cs in classes.values()] == members
+    built = count_built(monkeypatch)
+    report = commutant_basis(n, r, DEFAULT_Q_VALUES)
+    assert report.agree and report.dim == qpartition_dim(n, r)
+    assert built[_ColumnPlan] == built[_RowState] == list(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -1273,7 +1322,7 @@ def test_one_event_per_two_cycle_off_the_tree(n, r):
 
 
 def unchecked_events(self):
-    """A mutant _PairSolver._collect_events: the same pruning, with neither
+    """A mutant _ColumnPlan._collect_events: the same pruning, with neither
     table's 2-cycle shape checked."""
     self.events = kept(incidences(self))
 
@@ -1284,7 +1333,7 @@ def unchecked_events(self):
 def test_unchecked_shapes_certify_a_broken_equation(table, table_p, monkeypatch):
     # without the shape checks a malformed table solves, and its root-loop
     # classes break an incidence whose partner the pruning dropped
-    monkeypatch.setattr(_PairSolver, '_collect_events', unchecked_events)
+    monkeypatch.setattr(_ColumnPlan, '_collect_events', unchecked_events)
     q0 = Fraction(2)
     solver = _PairSolver(table, table_p, q0, (0, 3))
     assert solver.solve(with_basis=False)[0] == 2
@@ -1297,13 +1346,13 @@ def test_unchecked_shapes_certify_a_broken_equation(table, table_p, monkeypatch)
 
 def test_dropped_two_cycle_events_are_caught(monkeypatch):
     # a mutant that checks the loops alone leaves breaks unflagged
-    collect = _PairSolver._collect_events
+    collect = _ColumnPlan._collect_events
 
     def loops_only(self):
         collect(self)
         self.events = [e for e in self.events if e[3] == 1]
 
-    monkeypatch.setattr(_PairSolver, '_collect_events', loops_only)
+    monkeypatch.setattr(_ColumnPlan, '_collect_events', loops_only)
     q0 = Fraction(7, 5)
     unflagged = 0
     for table, table_p in mismatched_pair_classes(4, 2):

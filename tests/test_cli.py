@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpartition.cli import EX_FAIL, EX_LIMIT, EX_OK, EX_USAGE, _dims_work, main
+from qpartition.cli import EX_FAIL, EX_LIMIT, EX_OK, EX_PIPE, EX_USAGE, _dims_work, main
 from qpartition.coeff import LaurentPoly
 from qpartition.qperm import qpartition_dim
 
@@ -285,6 +286,32 @@ def test_work_guard_has_no_traceback():
     assert proc.returncode == EX_LIMIT and not proc.stdout
     assert proc.stderr.startswith('qpartition: resource limit:')
     assert proc.stderr.count('\n') == 1 and 'Traceback' not in proc.stderr
+
+
+# one run of each subcommand with output on stdout
+PIPED = [
+    ('verify', '--n', '3', '--r', '2'),
+    ('dims', '--n', '16', '--r', '8'),
+    ('act', '--n', '3', '--r', '2', '--gen', '1', '--index', '2,1'),
+    ('commutant', '--n', '3', '--r', '2', '--with-basis', '--format', 'json'),
+    ('glq-dims', '--n', '3', '--r', '2'),
+    ('export', '--what', 'hom', '--mu', '2,1', '--lam', '1,2'),
+]
+
+
+@pytest.mark.parametrize('argv', PIPED, ids=lambda argv: argv[0])
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # the read end is closed before the child starts, as when a reader
+    # such as head -1 has already gone: the first write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, '-m', 'qpartition.cli', *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == EX_PIPE == 141
+    assert proc.stderr == ''
 
 
 def test_dims_work_closed_form():
