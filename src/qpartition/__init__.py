@@ -6,8 +6,7 @@ q-deformed letter permutations, the decomposition of that action into
 q-permutation modules for hook compositions, and the centralizer
 algebra with its dimension combinatorics (Stirling numbers, double
 cosets, Bell numbers).  All arithmetic is exact: Laurent polynomials
-over Q, rational functions in Q(q), or specializations at nonzero
-rationals.
+over Q, or specializations at nonzero rationals.
 
 A bare ``import qpartition`` loads no submodule.  Each name of __all__
 is imported from its module on first access (PEP 562) and then kept
@@ -20,7 +19,7 @@ from importlib import import_module as _import_module
 __version__ = '0.1.0'
 
 _EXPORTS = {
-    'coeff': ('LaurentPoly', 'Q', 'ONE', 'ZERO', 'RationalFunction', 'ZeroSpecialization', 'lp'),
+    'coeff': ('LaurentPoly', 'Q', 'ONE', 'ZERO', 'ZeroSpecialization', 'lp'),
     'symcomb': (
         'Composition',
         'NotDistinguished',

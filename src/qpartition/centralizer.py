@@ -68,9 +68,9 @@ Fractions are formed only when a basis is materialized, by unpacking.
 Over Q(q) the roots are the same, and the checks run one level of
 Kronecker substitution down, at a = 2^K and b = 1: K is proved a priori
 to exceed every coefficient a column or an event side can reach, so a
-polynomial is fixed by its value at q = 2^K and a basis entry, the only
-RationalFunction built, is read off the balanced base-2^K digits of its
-field (see _PairSolver._pack_roots).
+polynomial is fixed by its value at q = 2^K and a basis entry, a
+Laurent polynomial over Z[q, q^-1], is read off the balanced base-2^K
+digits of its field (see _PairSolver._pack_roots).
 
 Many pairs repeat one solve.  One breadth-first walk per component
 records its generator table (see _component_classes), and the pair
@@ -88,8 +88,12 @@ matrices alone, and two isomorphic orbits whose tables differ are
 simply solved twice.
 
 Default arithmetic specializes q at several generic rational points and
-cross-checks the dimensions; a fully symbolic mode over the field Q(q)
-(coeff.RationalFunction) is available for small sizes.
+cross-checks the dimensions; a fully symbolic mode, exact over Q(q), is
+available for small sizes.  Its basis is integral: every entry is a
+coeff.LaurentPoly with integer coefficients.  A block is its root column
+propagated, and that column's values on the class roots are its
+coordinates, so this basis spans, over Z[q, q^-1], every commuting
+matrix with entries in that ring.
 """
 
 from __future__ import annotations
@@ -101,17 +105,17 @@ from operator import add, itemgetter, mul
 from typing import Sequence
 
 from ._record import Record
-from .coeff import Q, RationalFunction, ZeroSpecialization, _exact, _normal
+from .coeff import Q, LaurentPoly, ZeroSpecialization, _exact, _normal
 from .hecke import act_by_words
 from .limits import DimensionLimitExceeded, _check_limit
 from .linalg import Echelon
 from .symcomb import _ints, all_permutations
 from .tensoract import _classify, all_indices
 
-__all__ = ['DimensionLimitExceeded', 'SolverInvariantError', 'RationalFunction',
-           'CommutantReport', 'commutant_basis', 'half_commutant_basis',
-           'DoubleCentralizerReport', 'double_centralizer_check', 'StructureConstants',
-           'structure_constants', 'DEFAULT_Q_VALUES', 'SYMBOLIC_LIMIT']
+__all__ = ['DimensionLimitExceeded', 'SolverInvariantError', 'CommutantReport',
+           'commutant_basis', 'half_commutant_basis', 'DoubleCentralizerReport',
+           'double_centralizer_check', 'StructureConstants', 'structure_constants',
+           'DEFAULT_Q_VALUES', 'SYMBOLIC_LIMIT']
 
 DEFAULT_Q_VALUES = (Fraction(2), Fraction(3), Fraction(7, 5))
 # largest n^r of symbolic mode: on a shared 2-CPU host (64,1) takes about
@@ -603,9 +607,8 @@ class _PairSolver:
         """The d basis blocks {(rl, c): x_c[rl]} of a checked pack, field k of
         u_c being x_c s_c.  Over Q(q), s_c = 2^(K ea) stands for q^ea: field
         k is P(2^K) for P = q^ea x_c, whose coefficients are its balanced
-        base-2^K digits (see _pack_roots), so x_c[rl] is a Laurent
-        polynomial, P shifted down by ea, and its denominator in Q(q) is a
-        power of q, which needs no gcd (RationalFunction.from_laurent)."""
+        base-2^K digits (see _pack_roots), so x_c[rl] is P shifted down by
+        ea, a Laurent polynomial with integer coefficients."""
         _, W, d = pack
         if self.over_q:
             s_of = [self.a ** ea * self.b ** eb for ea, eb in self.exps]
@@ -614,9 +617,8 @@ class _PairSolver:
             K = self.K
             s_of = [ea for ea, _ in self.exps]
 
-            def value(v: int, ea: int) -> RationalFunction:
-                digits = _unpack(v, K, v.bit_length() // K + 2)
-                return RationalFunction.from_laurent(_normal(-ea, digits, 1))
+            def value(v: int, ea: int) -> LaurentPoly:
+                return _normal(-ea, _unpack(v, K, v.bit_length() // K + 2), 1)
         blocks = [{} for _ in range(d)]
         for c, (u, s) in enumerate(zip(cols, s_of)):
             for rl, val in enumerate(u):
@@ -693,8 +695,9 @@ def commutant_basis(
     limit; symbolic mode works over Q(q) directly (q_values are checked
     all the same, not used) and refuses n^r above SYMBOLIC_LIMIT too.  The
     basis, if requested, is materialized as sparse matrices
-    {(row index, column index): value} at the first q value, or over
-    Q(q) in symbolic mode.
+    {(row index, column index): value} at the first q value, with Fraction
+    values, or in symbolic mode with LaurentPoly values that have integer
+    coefficients: a basis over Z[q, q^-1] of the commutant's integral form.
     """
     if n < 1 or r < 1:
         raise ValueError('need n >= 1 and r >= 1')

@@ -336,10 +336,27 @@ def cmd_act(ns) -> int:
 # ---------------------------------------------------------------------------
 # commutant
 
+def _q_fraction(p: LaurentPoly) -> str:
+    """p as the element of Q(q) it is: its terms from the highest down,
+    over q^k for k the order of its pole at 0, as in '(-q + 1)/q'."""
+    from .coeff import _terms_str
+
+    k = max(0, -p.min_exponent())
+    top = _terms_str([(e + k, c) for e, c in reversed(p.terms)])
+    if not k:
+        return top
+    return (f'({top})' if ' ' in top else top) + ('/q' if k == 1 else f'/q^{k}')
+
+
 def _basis_json(basis) -> list:
+    from .coeff import LaurentPoly
+
+    def text(val) -> str:
+        return _q_fraction(val) if isinstance(val, LaurentPoly) else str(val)
+
     out = []
     for mat in basis:
-        out.append([[row, col, str(val)] for (row, col), val in sorted(mat.items())])
+        out.append([[row, col, text(val)] for (row, col), val in sorted(mat.items())])
     return out
 
 

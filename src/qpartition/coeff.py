@@ -1,4 +1,4 @@
-"""Exact Laurent polynomials in one variable q over the rationals, and Q(q).
+"""Exact Laurent polynomials in one variable q over the rationals.
 
 Everything downstream works over Z[q, q^-1] tensored with Q, so the
 coefficient type has to support negative exponents (q is a unit) and
@@ -14,11 +14,6 @@ so memory and time grow with the span of the exponents, not with the
 number of terms.  Floats are refused.  The public view, terms, is
 built on demand: sorted (exponent, coefficient) pairs, a coefficient an
 `int` when integral and a `fractions.Fraction` otherwise.
-
-The same type, with no negative exponents, holds the polynomials in q:
-division with remainder and the gcd are written once here, and
-RationalFunction, the field Q(q) of the symbolic commutant, is a
-reduced fraction of two of them.
 
 >>> p = Q + 1
 >>> p * p
@@ -43,7 +38,6 @@ __all__ = [
     'ONE',
     'ZERO',
     'lp',
-    'RationalFunction',
 ]
 
 Scalar = Union[int, Fraction]
@@ -378,168 +372,3 @@ def _terms_str(terms: Iterable[tuple[int, Scalar]]) -> str:
         parts.append(str(c) if e == 0 else var if c == 1 else f'-{var}' if c == -1 else f'{c}*{var}')
     return ' + '.join(parts).replace('+ -', '- ') if parts else '0'
 
-
-# ---------------------------------------------------------------------------
-# polynomials in q (no negative exponents) and the field Q(q)
-
-def _divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Quotient and remainder of polynomials in q: a = quo b + rem, deg rem < deg b.
-
-    Long division on the int coefficients: when the leading coefficient m
-    of b does not divide the next top coefficient, the remainder and the
-    quotient so far are scaled by |m| into a common denominator D, so that
-    a = (quo b + rem) / D holds throughout.
-    """
-    if not b._c:
-        raise ZeroDivisionError('polynomial division by zero')
-    if not a._c:
-        return ZERO, ZERO
-    if len(b._c) == 1 and not b._lo:
-        return a * Fraction(b._den, b._c[0]), ZERO
-    base = min(a._lo, b._lo)
-    rem = [0] * (a._lo - base) + list(a._c)
-    B, off = b._c, b._lo - base
-    steps = len(rem) - (off + len(B)) + 1
-    if steps <= 0:
-        return ZERO, a
-    lead, m = B[-1], abs(B[-1])
-    quo = [0] * steps
-    D = 1
-    for s in range(steps - 1, -1, -1):
-        t = rem[s + off + len(B) - 1]
-        if t:
-            if t % lead:
-                rem = [x * m for x in rem]
-                quo = [x * m for x in quo]
-                D *= m
-                t *= m
-            k = quo[s] = t // lead
-            for j, y in enumerate(B, s + off):
-                rem[j] -= k * y
-    # a = q^base (quo B' + rem) / (D da), B' = q^off B = db q^-base b
-    return (_normal(0, [x * b._den for x in quo], D * a._den),
-            _normal(base, rem[:off + len(B) - 1], D * a._den))
-
-
-def _monic(p: LaurentPoly) -> LaurentPoly:
-    """p divided by its leading coefficient c_k / den, for p nonzero."""
-    lead = p._c[-1]
-    c = p._c if lead > 0 else [-x for x in p._c]
-    return _normal(p._lo, c, abs(lead))
-
-
-def _gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """The monic gcd of polynomials in q, zero if both are zero (Euclid's
-    algorithm; Knuth, TAOCP vol. 2, 4.6.1)."""
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    return _monic(a) if a else a
-
-
-class RationalFunction:
-    """An element of Q(q): num/den for polynomials num and den in q with no
-    common factor and den monic, so equal elements have equal (num, den).
-
-    The constructor takes coefficients, constant term first:
-    RationalFunction((-1, 0, 1), (-1, 1)) is (q^2 - 1)/(q - 1) = q + 1.
-    """
-
-    __slots__ = ('num', 'den')
-
-    def __init__(self, num: Iterable[Scalar], den: Iterable[Scalar] = (1,)):
-        f = self._reduced(LaurentPoly(enumerate(num)), LaurentPoly(enumerate(den)))
-        self.num, self.den = f.num, f.den
-
-    @classmethod
-    def _make(cls, num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
-        """Wrap num/den that is already in lowest terms with den monic."""
-        f = object.__new__(cls)
-        f.num, f.den = num, den
-        return f
-
-    @classmethod
-    def _reduced(cls, num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
-        """num/den for polynomials num and den in q, brought to lowest terms."""
-        if not den:
-            raise ZeroDivisionError('zero denominator in Q(q)')
-        if not num:
-            return cls._make(ZERO, ONE)
-        if den.max_exponent():  # else den is a unit and num/den is reduced
-            g = _gcd(num, den)
-            if g.max_exponent():
-                num, den = _divmod(num, g)[0], _divmod(den, g)[0]
-        lead, d = den._c[-1], den._den
-        if lead != d:  # den is not monic: divide both by lead / d
-            num, den = num * Fraction(d, lead), _monic(den)
-        return cls._make(num, den)
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> RationalFunction:
-        """p as num/q^k, k the order of its pole at 0 (so q does not divide num)."""
-        if p._lo >= 0:
-            return cls._make(p, ONE)
-        return cls._make(_make(0, p._c, p._den), _make(-p._lo, (1,), 1))
-
-    @classmethod
-    def constant(cls, c: Scalar) -> RationalFunction:
-        return cls((c,))
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return self.den == ONE and self.num == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __add__(self, other: RationalFunction | Scalar) -> RationalFunction:
-        other = self._coerce(other)
-        return self._reduced(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RationalFunction:
-        return self._make(-self.num, self.den)
-
-    def __sub__(self, other: RationalFunction | Scalar) -> RationalFunction:
-        return self + -self._coerce(other)
-
-    def __rsub__(self, other: Scalar) -> RationalFunction:
-        return self._coerce(other) - self
-
-    def __mul__(self, other: RationalFunction | Scalar) -> RationalFunction:
-        other = self._coerce(other)
-        return self._reduced(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RationalFunction | Scalar) -> RationalFunction:
-        other = self._coerce(other)
-        return self._reduced(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other: Scalar) -> RationalFunction:
-        return self._coerce(other) / self
-
-    @staticmethod
-    def _coerce(x) -> RationalFunction:
-        """x as an element of Q(q); a scalar that is not int or Fraction raises TypeError."""
-        return x if isinstance(x, RationalFunction) else RationalFunction.constant(x)
-
-    def __str__(self) -> str:
-        top = _terms_str(reversed(self.num.terms))
-        if self.den == ONE:
-            return top
-        bot = _terms_str(reversed(self.den.terms))
-        if ' ' in top:
-            top = f'({top})'
-        if ' ' in bot or '/' in bot:
-            bot = f'({bot})'
-        return f'{top}/{bot}'
-
-    def __repr__(self) -> str:
-        return f'RationalFunction({self})'

@@ -1,6 +1,7 @@
 """The command line surface: exit codes, output schemas, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,9 +13,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpartition.cli import EX_FAIL, EX_LIMIT, EX_OK, EX_PIPE, EX_USAGE, _dims_work, main
+from qpartition.centralizer import commutant_basis
+from qpartition.cli import EX_FAIL, EX_LIMIT, EX_OK, EX_PIPE, EX_USAGE, _dims_work, _q_fraction, main
 from qpartition.coeff import LaurentPoly
 from qpartition.qperm import qpartition_dim
+from test_rational_function import Ref
 
 
 def run(capsys, *argv):
@@ -224,6 +227,35 @@ def test_commutant_symbolic(capsys):
                     '--format', 'json')
     assert data['mode'] == 'symbolic'
     assert data['dim'] == 8
+
+
+# sha256 of the stdout of `commutant --symbolic --with-basis --format json`,
+# recorded when each entry was printed as an element of Q(q) ("1/q",
+# "(-q + 1)/q"); the Laurent-polynomial entries must print the same bytes
+SYMBOLIC_BASIS_JSON_SHA256 = {
+    (2, 2): '67870a9e685570bf94b681693efbb5d28dc98f32e7c1392c932945dee4832ce9',
+    (3, 2): 'b5f81ff7d7b3a05873c0b136ba18dfdb0d8e05e4ce00caeebbaf46eae42e8464',
+    (2, 3): 'd1254b3f226d83b4675040b14ac02f1b272b224d3314ff625440c07a439220b1',
+    (4, 3): '635d1ca70a8c29f9dd524f658df3d1ae27493c904cc4dfae49ca9f9857335fd5',
+}
+
+
+@pytest.mark.parametrize('n,r', sorted(SYMBOLIC_BASIS_JSON_SHA256))
+def test_symbolic_basis_json_is_pinned(capsys, n, r):
+    code, out, _ = run(capsys, 'commutant', '--n', str(n), '--r', str(r), '--symbolic',
+                       '--with-basis', '--format', 'json')
+    assert code == EX_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMBOLIC_BASIS_JSON_SHA256[n, r]
+
+
+@pytest.mark.parametrize('n,r', sorted(SYMBOLIC_BASIS_JSON_SHA256))
+def test_symbolic_basis_text_matches_reference_field(n, r):
+    # each entry's text is that of the same element in the reference Q(q)
+    basis = commutant_basis(n, r, symbolic=True, with_basis=True).basis
+    entries = [v for X in basis for v in X.values()]
+    assert entries and all(type(v) is LaurentPoly for v in entries)
+    for v in entries:
+        assert _q_fraction(v) == str(Ref.from_laurent(v))
 
 
 def test_commutant_symbolic_with_q_is_usage_error(capsys):
