@@ -9,6 +9,7 @@ import functools
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,6 +30,7 @@ from qpartition.centralizer import (
     _RowState,
     _apply,
     _bfs,
+    _commuting,
     _component_classes,
     _scaled_generator,
     _shifted,
@@ -42,7 +44,13 @@ from qpartition.centralizer import (
 from qpartition.coeff import ONE, Q, ZERO, LaurentPoly, ZeroSpecialization, lp
 from qpartition.linalg import Echelon
 from qpartition.qperm import half_qpartition_dim, qpartition_dim
-from qpartition.tensoract import _classify, _swap_letters, all_indices, generator_matrix
+from qpartition.tensoract import (
+    _classify,
+    _compose_columns,
+    _swap_letters,
+    all_indices,
+    generator_matrix,
+)
 from test_linalg import FieldEchelon
 from test_rational_function import Ref
 
@@ -355,13 +363,13 @@ def test_structure_constants_closed(n, r, q0):
 
 
 def _patched_basis(monkeypatch, change):
-    real = centralizer.commutant_basis
+    real = centralizer._commutant
 
     def patched(*args, **kwargs):
-        report = real(*args, **kwargs)
+        report, comps = real(*args, **kwargs)
         report.basis = change(report.basis)
-        return report
-    monkeypatch.setattr(centralizer, 'commutant_basis', patched)
+        return report, comps
+    monkeypatch.setattr(centralizer, '_commutant', patched)
 
 
 def test_structure_constants_refuse_an_element_without_its_own_entry(monkeypatch):
@@ -664,7 +672,8 @@ def test_malformed_row_table_of_a_moving_generator_raises():
 OPTIMISED_CHECKS = """
 from fractions import Fraction
 import qpartition
-from qpartition.centralizer import SolverInvariantError, _PairSolver, commutant_basis
+from qpartition.centralizer import (SolverInvariantError, _PairSolver, _component_classes,
+                                   commutant_basis)
 if __debug__:
     raise SystemExit('not running under python -O')
 table = (((1, 0),), ((1, 1),))
@@ -686,6 +695,18 @@ try:
                 Fraction(2), (0, 0))
 except SolverInvariantError as exc:
     print('malformed moving row raised:', 'generator position 1 neither fixes row' in str(exc))
+# a loop that a commuting square drops, made a case 2 entry to itself
+big = max(_component_classes(4, 2, (1, 2, 3)), key=len)
+events = _PairSolver(big, big, Fraction(2), (0, 0)).events
+k, c = next((k, c) for c, entries in enumerate(big) for k, entry in enumerate(entries)
+            if entry == (1, c) and (k, c, c, 1) not in events)
+bad = tuple(tuple((2, c) if (w, i) == (c, k) else e for i, e in enumerate(entries))
+            for w, entries in enumerate(big))
+for table, table_p in ((bad, big), (big, bad)):
+    try:
+        _PairSolver(table, table_p, Fraction(2), (0, 0)).solve(with_basis=False)
+    except SolverInvariantError as exc:
+        print('malformed table under squares raised:', 'neither fixes' in str(exc))
 real_classes, real_cycles = _PairSolver._classes, _PairSolver._cycles
 
 
@@ -721,6 +742,8 @@ def test_solver_invariants_raise_under_python_O():
                                                'malformed 2-cycle raised: True',
                                                'malformed column raised: True',
                                                'malformed moving row raised: True',
+                                               'malformed table under squares raised: True',
+                                               'malformed table under squares raised: True',
                                                'broken event raised: (0, 0) (1, 0, 0, 1)']
 
 
@@ -891,16 +914,22 @@ class Reference:
                       abs(self.factor[case] * s // g) * size(u2))
         return out
 
+    def residuals(self, solver, cols, events=None):
+        """Per event (of solver.events, or of events), its two sides on the
+        columns, image s_c2 - factor s_c u_c2, exactly, zeros left out."""
+        out = []
+        for i, c, c2, case in solver.events if events is None else events:
+            (u, s), (u2, s2) = cols[c], cols[c2]
+            res = {rl: v * s2 for rl, v in self.image(i, case, u).items()}
+            for rl, v in u2.items():
+                res[rl] = res.get(rl, 0) - self.factor[case] * s * v
+            out.append({rl: v for rl, v in res.items() if v})
+        return out
+
     def violations(self, solver, cols, events=None):
         """The positions of every event (of solver.events, or of events) that
-        the columns break: image s_c2 == factor s_c u_c2, checked exactly."""
-        bad = []
-        for pos, (i, c, c2, case) in enumerate(solver.events if events is None else events):
-            (u, s), (u2, s2) = cols[c], cols[c2]
-            lhs = {rl: v * s2 for rl, v in self.image(i, case, u).items()}
-            if lhs != {rl: self.factor[case] * s * v for rl, v in u2.items()}:
-                bad.append(pos)
-        return bad
+        the columns break."""
+        return [pos for pos, res in enumerate(self.residuals(solver, cols, events)) if res]
 
 
 def class_roots(classes):
@@ -928,11 +957,12 @@ def pair_classes(n, r, gens=None):
     return [(table, table_p) for table in classes for table_p in classes]
 
 
-def flagged_by_reference(ref, solver, roots):
-    """The events that some root breaks on the reference path."""
+def flagged_by_reference(ref, solver, roots, events=None):
+    """The events (of solver.events, or of events) that some root breaks
+    on the reference path."""
     flagged = set()
     for y in roots:
-        flagged.update(ref.violations(solver, ref.propagate(solver, ref.clear(y))))
+        flagged.update(ref.violations(solver, ref.propagate(solver, ref.clear(y)), events))
     return flagged
 
 
@@ -941,18 +971,22 @@ PACK_Q = DEFAULT_Q_VALUES + HARD_Q
 
 def check_packed_against_reference(n, r, q0, ref_class):
     """The pack of each partition fails an event exactly when some root
-    does on the reference path; solve, which stops at the first, is handed
-    the first in the order checked.  Returns how many packs failed."""
+    does on the reference path, and fails one whenever some root breaks
+    any incidence, an equation the solve leaves out included; solve, which
+    stops at the first, is handed the first in the order checked.  Returns
+    how many packs failed."""
     failing = 0
     for table, table_p in pair_classes(n, r):
         ref = ref_class(table_p, q0)
         for solver, roots, pack, _, bad in packed_partitions(table, table_p, q0):
             failing += bool(bad)
-            flagged = flagged_by_reference(ref, solver, roots)
-            assert sorted(bad) == sorted(flagged)
+            full = incidences(solver)
+            broken = {full[pos] for pos in flagged_by_reference(ref, solver, roots, full)}
+            assert sorted(bad) == [pos for pos, e in enumerate(solver.events) if e in broken]
+            assert bool(bad) == bool(broken)
             first, left = solver._verify(pack)
             assert first == bad[:1]
-            if not flagged:  # a full pass drops each column after its last use
+            if not bad:  # a full pass drops each column after its last use
                 assert left == [None] * len(left)
         assert not bad  # the root-loop classes, checked last, break nothing
     return failing
@@ -1216,12 +1250,13 @@ def test_unpacked_symbolic_basis_equals_reference_basis(n, r, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one equation per 2-cycle: the partners that the quadratic relation implies
+# one equation per 2-cycle off the tree, and none that a commuting square
+# implies: the equations a solve leaves out, against every incidence
 
 def incidences(solver):
     """Every incidence (i, c, c2, case) of the column table that is not a
     tree edge: the loops, both ends of each 2-cycle off the tree, and the
-    partner end of each tree edge."""
+    partner end of each tree edge.  solver may be a _ColumnPlan too."""
     tree = {(k, p): c for c, (p, k, _) in solver.par.items()}
     return [(k, c, c2, case) for c, entries in enumerate(solver.table)
             for k, (case, c2) in enumerate(entries) if tree.get((k, c)) != c2]
@@ -1233,61 +1268,164 @@ def partner(incidence):
     return i, c2, c, 5 - case
 
 
-def kept(full):
-    """Of the incidences full, the events a solve checks: every loop, and
-    the case 2 end of each 2-cycle whose partner is in full too, that is
-    whose 2-cycle holds no tree edge."""
+def candidates(full):
+    """Of the incidences full, those that one equation per 2-cycle leaves:
+    every loop, and the case 2 end of each 2-cycle whose partner is in
+    full too, that is whose 2-cycle holds no tree edge."""
     present = set(full)
     return [e for e in full if e[3] == 1 or e[3] == 2 and partner(e) in present]
 
 
-def two_cycle_breaks(solver, ref, classes):
-    """The 0/1 roots of a partition against every incidence, on the
-    reference path: (broken, unflagged), the incidences some root breaks
-    and those of them that the packed check, on the solver's events,
-    flags neither at themselves nor at their partner.  Per root, a
-    2-cycle's two ends must break together, and an end whose partner is a
-    tree edge must hold."""
+def commuting_pairs(table):
+    """Reference for _commuting, vertex by vertex: the pairs {k, l} of
+    distinct positions with s_k s_l v == s_l s_k v at every vertex v, and
+    the case of each position the same at v and at the other's target."""
+    def holds(k, l):
+        for entries in table:
+            (case_k, tk), (case_l, tl) = entries[k], entries[l]
+            if (table[tl][k][1] != table[tk][l][1] or table[tl][k][0] != case_k
+                    or table[tk][l][0] != case_l):
+                return False
+        return True
+    return {frozenset(kl) for kl in itertools.combinations(range(len(table[0])), 2) if holds(*kl)}
+
+
+def as_pairs(masks):
+    """The pairs {k, l} of a tuple of commuting bitmasks (see _commuting)."""
+    return {frozenset((k, l)) for l, mask in enumerate(masks)
+            for k in range(len(masks)) if mask >> k & 1}
+
+
+def square_deduction(plan, both, premises=(0, 1, 2)):
+    """Reference for the events of a solve, on sets of equations: walk the
+    candidates in order and drop E(l, c), unless it is a loop at the root,
+    when a position k that moves c, with {k, l} in both, has the premises
+    E(l, p), E(k, p) and E(k, s_l p) known, p = s_k c; known are the tree
+    edges, the candidates walked, and the other end of the 2-cycle of each.
+    premises picks the premises asked for, by their place in that list."""
+    table = plan.table
+    known = set()
+
+    def learn(k, c):
+        known.update({(k, c), (k, table[c][k][1])})
+
+    for p, k, _ in plan.par.values():
+        learn(k, p)
+    events = []
+    for l, c, c2, case in candidates(incidences(plan)):
+        implied = (c or case != 1) and any(
+            all(((l, p), (k, p), (k, table[p][l][1]))[x] in known for x in premises)
+            for k, (case_k, p) in enumerate(table[c])
+            if case_k != 1 and frozenset((k, l)) in both)
+        if not implied:
+            events.append((l, c, c2, case))
+        learn(l, c)
+    return events
+
+
+def both_tables(solver):
+    return commuting_pairs(solver.table) & commuting_pairs(solver.table_p)
+
+
+def single_root_packs(solver, classes):
+    """Each 0/1 root of a partition as a pack of its own, at the width of
+    the partition's pack (the width depends on the pair alone)."""
+    _, W, d = solver._pack_roots(classes)
+    return [([int(k == j) for k in classes], W, 1) for j in range(d)]
+
+
+def unflagged_breaks(solver, ref, classes):
+    """The 0/1 roots of a partition, one at a time, against every
+    incidence on the reference path: (broken, unflagged), the incidences
+    some root breaks, and the roots that break one while the packed check
+    of that root alone flags no event.  Per root, a 2-cycle's two ends
+    break together, an end whose partner is a tree edge holds, and each
+    event flagged is an incidence that the root breaks."""
     full = incidences(solver)
-    broken = set()
-    for y in class_roots(classes):
+    broken, unflagged = set(), []
+    for j, (y, pack) in enumerate(zip(class_roots(classes), single_root_packs(solver, classes))):
         cols = ref.propagate(solver, ref.clear(y))
         now = {full[pos] for pos in ref.violations(solver, cols, full)}
         assert all((e in now) == (partner(e) in now) for e in full if e[3] != 1)
+        flagged = {solver.events[pos] for pos in solver._verify(pack, limit=None)[0]}
+        assert flagged <= now
         broken |= now
-    bad = solver._verify(solver._pack_roots(classes), limit=None)[0]
-    flagged = {solver.events[pos] for pos in bad}
-    assert flagged <= broken
-    return broken, {e for e in broken if e not in flagged and partner(e) not in flagged}
+        if now and not flagged:
+            unflagged.append(j)
+    return broken, unflagged
 
 
-def check_one_equation_per_two_cycle(table, table_p, q0, ref):
-    # the root-loop classes break no incidence at all; the singletons span
-    # every root, but on the tables of one letter action they break loops
-    # only (see mismatched_pair_classes)
-    solver = _PairSolver(table, table_p, q0, (0, 0))
-    assert two_cycle_breaks(solver, ref, list(range(solver.m)))[1] == set()
-    assert two_cycle_breaks(solver, ref, solver._classes()) == (set(), set())
+def escaped_breaks(solver, ref):
+    """The incidences broken by some root that satisfies every event the
+    solve checks: a kernel vector of the events, as linear forms in the
+    root read off the unit roots on the reference path.  Empty exactly
+    when the events cut out the solutions of every incidence, over Q."""
+    m, forms = solver.m, {}
+    for j in range(m):
+        cols = ref.propagate(solver, ref.clear([int(k == j) for k in range(m)]))
+        for pos, res in enumerate(ref.residuals(solver, cols)):
+            for rl, v in res.items():
+                forms.setdefault((pos, rl), {})[j] = v
+    ech = Echelon(m, Fraction(1))
+    for form in forms.values():
+        ech.add(form)
+    full = incidences(solver)
+    return {full[pos] for _, y in ech.kernel()
+            for pos in ref.violations(solver, ref.propagate(solver, ref.clear(y)), full)}
+
+
+def kept_events_stand_for_all(solver, ref):
+    """For the singleton partition, which spans every root, and for the
+    root-loop classes: each root that breaks any incidence breaks a kept
+    event; over Q, no root that the events leave breaks one either.
+    Returns the incidences each partition breaks."""
+    found = []
+    for classes in (list(range(solver.m)), solver._classes()):
+        broken, unflagged = unflagged_breaks(solver, ref, classes)
+        assert unflagged == []
+        found.append(broken)
+    if solver.over_q:
+        assert escaped_breaks(solver, ref) == set()
+    return found
 
 
 @pytest.mark.parametrize('n,r', SMALL_GRID)
 def test_one_equation_per_two_cycle_stands_for_both(n, r):
+    # a dropped partner and an equation a commuting square implies are
+    # broken only by roots that break a kept event; the root-loop classes
+    # break nothing
     for q0 in ROOT_Q:
         for table, table_p in pair_classes(n, r):
-            check_one_equation_per_two_cycle(table, table_p, q0, Reference(table_p, q0))
+            solver = _PairSolver(table, table_p, q0, (0, 0))
+            assert kept_events_stand_for_all(solver, Reference(table_p, q0))[1] == set()
 
 
 @pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
 def test_one_equation_per_two_cycle_stands_for_both_over_q_of_q(n, r):
     for table, table_p in pair_classes(n, r):
-        check_one_equation_per_two_cycle(table, table_p, Q, SymbolicReference(table_p))
+        solver = _PairSolver(table, table_p, Q, (0, 0))
+        assert kept_events_stand_for_all(solver, SymbolicReference(table_p))[1] == set()
+
+
+@pytest.mark.parametrize('n', [2, 3, 4])
+def test_one_equation_per_square_stands_for_all_on_generator_subsets(n):
+    # every ordered generator subset, the repeated generator (1, 1) among
+    # them, whose equal positions fail the commuting criterion
+    for gens in generator_subsets(n):
+        for r in itertools.takewhile(lambda r: n ** r <= 64, itertools.count(1)):
+            for table, table_p in pair_classes(n, r, gens):
+                for q0 in (Fraction(7, 5), Fraction(-1)):
+                    solver = _PairSolver(table, table_p, q0, (0, 0))
+                    assert kept_events_stand_for_all(solver, Reference(table_p, q0))[1] == set()
 
 
 def mismatched_pair_classes(n, r):
     """Column tables of the generators 1, ..., n-1 against row tables of
     2, 1, 3, ..., n-1, n >= 4: every table has the 2-cycle shape, but
-    position 1 braids with position 2 on the columns and commutes with it
-    on the rows, so the roots break 2-cycle equations, not just loops."""
+    positions 1 and 2 braid on the columns and commute on the rows, and
+    positions 0 and 2 commute on the columns and braid on the rows, so
+    the roots break 2-cycle equations, not just loops, and the squares of
+    0 and 2 imply nothing."""
     gens_p = (2, 1) + tuple(range(3, n))
     return [(table, table_p) for table in _component_classes(n, r, tuple(range(1, n)))
             for table_p in _component_classes(n, r, gens_p)]
@@ -1298,36 +1436,116 @@ MISMATCHED_GRID = [(n, 2) for n in range(4, 10)] + [(4, 3)]
 
 @pytest.mark.parametrize('n,r', MISMATCHED_GRID)
 def test_one_equation_per_two_cycle_stands_for_both_where_they_break(n, r):
-    broken = 0
+    broken = unused = 0
     for q0 in ROOT_Q:
         for table, table_p in mismatched_pair_classes(n, r):
-            ref = Reference(table_p, q0)
             solver = _PairSolver(table, table_p, q0, (0, 0))
-            for classes in (list(range(solver.m)), solver._classes()):
-                found, unflagged = two_cycle_breaks(solver, ref, classes)
-                assert unflagged == set()
-                broken += any(e[3] != 1 for e in found)
-    assert broken
+            found = kept_events_stand_for_all(solver, Reference(table_p, q0))
+            broken += any(e[3] != 1 for e in found[0] | found[1])
+            unused += frozenset((0, 2)) in commuting_pairs(table) - both_tables(solver)
+    assert broken and unused
 
 
 @pytest.mark.parametrize('n,r', SMALL_GRID)
 def test_one_event_per_two_cycle_off_the_tree(n, r):
-    # the work, pinned without timing: the loops, and one case 2 event for
-    # each 2-cycle of C but the |C| - 1 that hold a tree edge
+    # the candidates: the loops, and one case 2 event for each 2-cycle of C
+    # but the |C| - 1 that hold a tree edge; the events: those the
+    # reference deduction keeps of them, every loop at the root among them
     for table, table_p in pair_classes(n, r):
         solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
         cases = [case for entries in table for case, _ in entries]
-        moving = [e for e in solver.events if e[3] != 1]
+        full = candidates(incidences(solver))
+        moving = [e for e in full if e[3] != 1]
         assert {e[3] for e in moving} <= {2}
         assert len(moving) == cases.count(2) - (len(table) - 1)
-        assert len(solver.events) - len(moving) == cases.count(1)
-        assert solver.events == kept(incidences(solver))
+        assert len(full) - len(moving) == cases.count(1)
+        assert solver.events == square_deduction(solver.plan, both_tables(solver))
+        assert {(i, 0, 0, 1) for i in solver.plan.roots} <= set(solver.events)
 
 
-def unchecked_events(self):
-    """A mutant _ColumnPlan._collect_events: the same pruning, with neither
-    table's 2-cycle shape checked."""
-    self.events = kept(incidences(self))
+@pytest.mark.parametrize('n,r', MISMATCHED_GRID)
+def test_events_match_the_reference_deduction_where_the_tables_differ(n, r):
+    for table, table_p in mismatched_pair_classes(n, r):
+        solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
+        assert solver.events == square_deduction(solver.plan, both_tables(solver))
+
+
+@pytest.mark.parametrize('n', [2, 3, 4])
+def test_events_match_the_reference_deduction_on_generator_subsets(n):
+    for gens in generator_subsets(n):
+        for r in itertools.takewhile(lambda r: n ** r <= 81, itertools.count(1)):
+            for table, table_p in pair_classes(n, r, gens):
+                solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
+                assert solver.events == square_deduction(solver.plan, both_tables(solver))
+
+
+# per column table of the cell, in the order of the classes, against itself
+# as the row table: (|C|, candidates, events kept, columns propagated when
+# counting); the work, pinned without timing
+KEPT_EVENTS = {
+    (4, 2): [(4, 6, 4, 4), (12, 10, 6, 12)],
+    (4, 3): [(4, 6, 4, 4), (12, 10, 6, 12), (24, 13, 7, 24)],
+    (6, 2): [(6, 20, 8, 6), (30, 76, 16, 24)],
+    (10, 2): [(10, 72, 16, 10), (90, 568, 36, 48)],
+    (12, 2): [(12, 110, 20, 12), (132, 1090, 46, 60)],
+    (5, 3): [(5, 12, 6, 5), (20, 33, 11, 18), (60, 73, 24, 57)],
+}
+
+
+@pytest.mark.parametrize('n,r', list(KEPT_EVENTS))
+def test_kept_events_are_pinned(n, r):
+    got = []
+    for table in _component_classes(n, r, tuple(range(1, n))):
+        solver = _PairSolver(table, table, Fraction(7, 5), (0, 0))
+        got.append((len(table), len(candidates(incidences(solver))), len(solver.events),
+                    len(solver.steps)))
+    assert got == KEPT_EVENTS[n, r]
+
+
+def schedule_faults(solver):
+    """What the counting pass gets wrong: a step whose parent is not
+    propagated before it, a check that reads a column not yet propagated,
+    an event due twice or never, and a step that no check needs (neither
+    read by a check nor an ancestor of a column that is)."""
+    faults, propagated, ran = [], set(), []
+    for c, due, _ in solver.steps:
+        if c and solver.par[c][0] not in propagated:
+            faults.append(('parent', c))
+        propagated.add(c)
+        for pos in due:
+            ran.append(pos)
+            faults += [('read', pos, v) for v in solver.events[pos][1:3] if v not in propagated]
+    if sorted(ran) != list(range(len(solver.events))):
+        faults.append(('due', sorted(ran)))
+    needed = {0} | {v for _, c, c2, _ in solver.events for v in (c, c2)}
+    for c in reversed(solver.order[1:]):
+        if c in needed:
+            needed.add(solver.par[c][0])
+    faults += [('extra', c) for c in propagated - needed]
+    if solver.rest != [c for c in solver.order if c not in propagated]:
+        faults.append(('rest', solver.rest))
+    return faults
+
+
+@pytest.mark.parametrize('n,r', SMALL_GRID + [(10, 2), (12, 2), (5, 3)])
+def test_counting_propagates_only_the_columns_a_check_reads(n, r):
+    # counting propagates the columns the kept checks read and their tree
+    # ancestors, and drops each after its last use; with the basis every
+    # column is propagated
+    for table, table_p in pair_classes(n, r):
+        solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
+        assert schedule_faults(solver) == []
+        pack = solver._pack_roots(solver._classes())
+        assert solver._verify(pack) == ([], [None] * len(table))
+        bad, cols = solver._verify(pack, keep=True)
+        assert bad == [] and None not in cols
+
+
+def unchecked_events(self, commuting):
+    """A mutant _ColumnPlan._collect_events: the candidates, with neither
+    table's 2-cycle shape checked and no square used."""
+    self.moving = set()
+    return candidates(incidences(self))
 
 
 @pytest.mark.parametrize('table, table_p', [(MALFORMED_COLUMN_TABLES[0], TWO_CYCLE),
@@ -1347,22 +1565,181 @@ def test_unchecked_shapes_certify_a_broken_equation(table, table_p, monkeypatch)
     assert broken and not broken & set(solver.events)
 
 
-def test_dropped_two_cycle_events_are_caught(monkeypatch):
-    # a mutant that checks the loops alone leaves breaks unflagged
-    collect = _ColumnPlan._collect_events
+def corrupted(table, v, k, entry):
+    """table with entry [v][k] replaced."""
+    return tuple(tuple(entry if (w, i) == (v, k) else e for i, e in enumerate(entries))
+                 for w, entries in enumerate(table))
 
-    def loops_only(self):
-        collect(self)
-        self.events = [e for e in self.events if e[3] == 1]
 
-    monkeypatch.setattr(_ColumnPlan, '_collect_events', loops_only)
-    q0 = Fraction(7, 5)
-    unflagged = 0
-    for table, table_p in mismatched_pair_classes(4, 2):
+def test_malformed_tables_raise_with_the_squares_in_use():
+    # the big table of (4, 2), where positions 0 and 2 commute: each
+    # equation that a square drops, its entry made malformed on the
+    # columns or on the rows, still raises
+    table = max(_component_classes(4, 2, (1, 2, 3)), key=len)
+    solver = _PairSolver(table, table, Fraction(2), (0, 3))
+    dropped = [e for e in candidates(incidences(solver)) if e not in solver.events]
+    assert solver.plan.commuting[0] == 1 << 2 and dropped
+    for k, c, c2, case in dropped:
+        bad = corrupted(table, c, k, (2, c2)) if case == 1 else corrupted(table, c2, k, (2, c))
+        with pytest.raises(SolverInvariantError, match='neither fixes column'):
+            _PairSolver(bad, table, Fraction(2), (0, 3))
+        with pytest.raises(SolverInvariantError, match='neither fixes row'):
+            _PairSolver(table, bad, Fraction(2), (0, 3)).solve(with_basis=False)
+
+
+# small tables of the 2-cycle shape, far from any letter action: there the
+# module theory does not make every equation but the root loops redundant,
+# so an event dropped without a proof lets roots through
+
+@functools.cache
+def small_table_pairs(count=2000, seed=0):
+    """count seeded pairs (table, table_p) of tables with two or three
+    positions, each position a 2-cycle-shaped column (two_cycle_columns):
+    a connected column table on three to five vertices, a row table on two
+    to four."""
+    rng = random.Random(seed)
+    columns = {m: list(two_cycle_columns(m)) for m in range(2, 6)}
+    pairs = []
+    while len(pairs) < count:
+        k, m, m_p = rng.randint(2, 3), rng.randint(3, 5), rng.randint(2, 4)
+        table = tuple(zip(*(rng.choice(columns[m]) for _ in range(k))))
+        if len(_bfs(table)[0]) == m:
+            pairs.append((table, tuple(zip(*(rng.choice(columns[m_p]) for _ in range(k))))))
+    return pairs
+
+
+@pytest.mark.parametrize('q0', [Fraction(7, 5), Fraction(-1), Fraction(1)], ids=str)
+def test_kept_events_cut_out_the_solutions_on_small_tables(q0):
+    for table, table_p in small_table_pairs():
         solver = _PairSolver(table, table_p, q0, (0, 0))
-        unflagged += bool(two_cycle_breaks(solver, Reference(table_p, q0),
-                                           list(range(solver.m)))[1])
-    assert unflagged
+        assert solver.events == square_deduction(solver.plan, both_tables(solver))
+        kept_events_stand_for_all(solver, Reference(table_p, q0))
+
+
+def count_escaped(q0=Fraction(7, 5)):
+    """How many small table pairs have a root that satisfies every event
+    the solve checks and breaks some incidence."""
+    return sum(bool(escaped_breaks(_PairSolver(table, table_p, q0, (0, 0)),
+                                   Reference(table_p, q0)))
+               for table, table_p in small_table_pairs())
+
+
+# mutants of the reduction, each caught by the checks above
+
+def test_dropped_two_cycle_events_are_caught(monkeypatch):
+    # a mutant that checks the loops alone lets roots through
+    collect = _ColumnPlan._collect_events
+    monkeypatch.setattr(_ColumnPlan, '_collect_events', lambda self, commuting: [
+        e for e in collect(self, commuting) if e[3] == 1])
+    assert count_escaped()
+
+
+def test_ignoring_the_row_tables_squares_is_caught(monkeypatch):
+    # a mutant that takes the squares of the column table alone
+    init = _RowState.__init__
+
+    def all_commute(self, table_p):
+        init(self, table_p)
+        self.commuting = (-1,) * len(self.commuting)
+    monkeypatch.setattr(_RowState, '__init__', all_commute)
+    assert count_escaped()
+
+
+def test_a_dropped_square_premise_is_caught(monkeypatch):
+    # a mutant that does not ask for E(k, s_l p)
+    monkeypatch.setattr(_ColumnPlan, '_collect_events', lambda self, commuting: square_deduction(
+        self, as_pairs(commuting), premises=(0, 1)))
+    assert count_escaped()
+
+
+def test_a_dropped_root_loop_is_caught(monkeypatch):
+    collect = _ColumnPlan._collect_events
+    monkeypatch.setattr(_ColumnPlan, '_collect_events', lambda self, commuting: [
+        e for e in collect(self, commuting) if e[1:] != (0, 0, 1)])
+    assert count_escaped()
+
+
+def test_a_skipped_column_is_caught(monkeypatch):
+    # a mutant schedule that propagates only the first column of each check
+    schedule = _ColumnPlan._schedule
+    monkeypatch.setattr(_ColumnPlan, '_schedule', lambda self, events: schedule(
+        self, [(i, c, c, case) for i, c, _, case in events]))
+    faults = []
+    for table, table_p in pair_classes(4, 2):
+        faults += schedule_faults(_PairSolver(table, table_p, Fraction(7, 5), (0, 0)))
+    assert any(fault[0] == 'read' for fault in faults)
+
+
+# ---------------------------------------------------------------------------
+# the commuting criterion against the matrices
+
+def table_matrix(table, k):
+    """The matrix of position k of a table over Z[q, q^-1], as sparse
+    columns v -> {row: coefficient}: q e_v in case 1, e_t in case 2, and
+    q e_t + (q - 1) e_v in case 3."""
+    cols = {}
+    for v, entries in enumerate(table):
+        case, t = entries[k]
+        cols[v] = {v: Q} if case == 1 else {t: ONE} if case == 2 else {t: Q, v: Q - ONE}
+    return cols
+
+
+def two_cycle_columns(m):
+    """Every generator column of the 2-cycle shape on m vertices: each
+    matching, each of its 2-cycles either way round."""
+    def matchings(vs):
+        if not vs:
+            yield []
+            return
+        v, rest = vs[0], vs[1:]
+        yield from matchings(rest)
+        for t in rest:
+            for more in matchings([w for w in rest if w != t]):
+                yield [(v, t)] + more
+    for matching in matchings(list(range(m))):
+        for turns in itertools.product((False, True), repeat=len(matching)):
+            column = [(1, v) for v in range(m)]
+            for (v, t), turn in zip(matching, turns):
+                v, t = (t, v) if turn else (v, t)
+                column[v], column[t] = (2, t), (3, v)
+            yield tuple(column)
+
+
+def test_commuting_criterion_implies_commuting_matrices_on_every_small_table():
+    # every two-position table of the 2-cycle shape on up to five vertices
+    found = 0
+    for m in range(1, 6):
+        columns = list(two_cycle_columns(m))
+        for first, second in itertools.product(columns, repeat=2):
+            table = tuple(zip(first, second))
+            masks = _commuting(table)
+            assert as_pairs(masks) == commuting_pairs(table)
+            if masks[0]:
+                found += 1
+                A, B = table_matrix(table, 0), table_matrix(table, 1)
+                assert _compose_columns(A, B) == _compose_columns(B, A)
+    assert found
+
+
+@pytest.mark.parametrize('n,r', [(n, r) for n in range(2, 6) for r in range(1, 4)
+                                 if n ** r <= 125])
+def test_commuting_criterion_against_generator_products(n, r):
+    # a pair the criterion finds commutes on the component as the products
+    # of the generator matrices over Z[q, q^-1] say; every pair of
+    # generators two or more apart is found
+    gens = tuple(range(1, n))
+    idxs = all_indices(n, r)
+    mats = [generator_matrix(n, r, i) for i in gens]
+    for table, comps in _component_classes(n, r, gens).items():
+        pairs = commuting_pairs(table)
+        assert as_pairs(_commuting(table)) == pairs
+        C = [idxs[g] for g in comps[0]]
+        for k, l in itertools.combinations(range(len(gens)), 2):
+            if gens[l] - gens[k] >= 2:
+                assert frozenset((k, l)) in pairs
+            if frozenset((k, l)) in pairs:
+                assert (_compose_columns(mats[k], {j: mats[l][j] for j in C})
+                        == _compose_columns(mats[l], {j: mats[k][j] for j in C}))
 
 
 # ---------------------------------------------------------------------------
