@@ -278,8 +278,9 @@ def half_qpartition_dim(n: int, r: int) -> int:
     if n < 2 or r < 1:
         raise ValueError('need n >= 2 and r >= 1')
     mults = restrict_multiplicities(tensor_multiplicities(n, r), n)
+    hooks = {k: _drop_last_singleton(n, k) for k in mults}
     total = 0
     for k, mk in mults.items():
         for l, ml in mults.items():
-            total += mk * ml * half_hom_dim(n, k, l)
+            total += mk * ml * hom_dim(hooks[k], hooks[l])
     return total

@@ -394,19 +394,34 @@ def count_double_cosets(mu: Composition, lam: Composition) -> int:
     Double cosets Y_mu d Y_lambda biject with nonnegative integer
     matrices whose row sums are mu and column sums are lam (entry (i,j)
     records |d^{-1}(mu-block i) meet lambda-block j|), so the count is a
-    contingency-table count.  Rows are filled smallest first; the state
-    keeps the remaining column sums sorted, which collapses the many
-    interchangeable singleton columns of hook shapes.
+    contingency-table count.  The middle rows, of size at least 2 but
+    not the largest, are filled smallest first; the state keeps the
+    remaining column sums rem sorted, which collapses the many
+    interchangeable singleton columns of hook shapes.  The k singleton
+    rows then go in at once: putting a_j of them in column j, with
+    a_j <= rem_j, can be done in k! / prod a_j! ways, and the sum of
+    that over all such a is k! [x^k] prod_j sum_{a <= rem_j} x^a / a!.
+    The largest row is last and takes whatever remains, which adds up
+    to its size because the margins agree.  If every row is a
+    singleton, one of them plays the largest.  A hook pair has no
+    middle rows, so its count is a single pass over the columns.
 
     >>> count_double_cosets(Composition((3, 1)), Composition((2, 1, 1)))
     3
     >>> count_double_cosets(Composition((2, 1, 1)), Composition((2, 1, 1)))
     7
+    >>> count_double_cosets(Composition.hook(16, 8), Composition.hook(16, 8))
+    1441729
     """
     if mu.n != lam.n:
         raise ValueError('compositions of different n')
     rows = tuple(sorted(p for p in mu.parts if p))
     cols = tuple(sorted(p for p in lam.parts if p))
+    if not rows:
+        return 1 if not cols else 0
+    # the largest row is left out: the leaf below forces it
+    middle = tuple(p for p in rows[:-1] if p > 1)
+    k = len(rows) - 1 - len(middle)
 
     def fills(target: int, caps: tuple[int, ...]):
         if not caps:
@@ -417,17 +432,29 @@ def count_double_cosets(mu: Composition, lam: Composition) -> int:
             for rest in fills(target - x, caps[1:]):
                 yield (x,) + rest
 
+    def singletons(rem: tuple[int, ...]) -> int:
+        # ways[s]: placements of s labelled singleton rows in the columns so far
+        ways = [1] + [0] * k
+        for r in rem:
+            new = ways[:]
+            for s, w in enumerate(ways):
+                if w:
+                    for a in range(1, min(r, k - s) + 1):
+                        new[s + a] += w * comb(s + a, a)
+            ways = new
+        return ways[k]
+
+    if not middle:  # hook pairs: no memo to build
+        return singletons(cols)
+
     @cache
     def count(i: int, rem: tuple[int, ...]) -> int:
-        if i == len(rows) - 1:
-            # last row is forced to absorb whatever remains
-            return 1 if sum(rem) == rows[i] else 0
+        if i == len(middle):
+            return singletons(rem)
         return sum(
             count(i + 1, tuple(sorted(r - x for r, x in zip(rem, fill))))
-            for fill in fills(rows[i], rem))
+            for fill in fills(middle[i], rem))
 
-    if not rows:
-        return 1 if not cols else 0
     return count(0, cols)
 
 

@@ -311,6 +311,31 @@ def test_work_guard_admits_default_sizes_and_honours_limit(capsys, argv):
     assert code == EX_LIMIT
 
 
+@pytest.mark.parametrize('half', [(), ('--half',)], ids=['full', 'half'])
+def test_dims_default_limit_admits_24_12_and_refuses_25_12(capsys, half):
+    # the README promises the default admits --n 24 --r 12 (work 94846)
+    code, out, _ = run(capsys, 'dims', '--n', '24', '--r', '12', *half)
+    assert code == EX_OK and out
+    code, out, err = run(capsys, 'dims', '--n', '25', '--r', '12', *half)
+    assert code == EX_LIMIT and not out
+    assert 'dims work 101074 exceeds limit 100000' in err
+
+
+# sha256 of the stdout of `dims --format json`, recorded while every
+# double coset count still filled its singleton rows one column at a time
+DIMS_JSON_SHA256 = {
+    (16, 8): 'b8f6b39285fc0b6912817f1c1a10473e843ab488eb44701de7e29ce2e3f3f184',
+    (24, 12): 'e4d5b0b6f04e7822c8482246a2b09c32f4c9f940f261c6a11f8a8bd55dd8312b',
+}
+
+
+@pytest.mark.parametrize('n,r', sorted(DIMS_JSON_SHA256))
+def test_dims_json_is_pinned(capsys, n, r):
+    code, out, _ = run(capsys, 'dims', '--n', str(n), '--r', str(r), '--format', 'json')
+    assert code == EX_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == DIMS_JSON_SHA256[n, r]
+
+
 def test_work_guard_has_no_traceback():
     proc = subprocess.run(
         [sys.executable, '-m', 'qpartition.cli', 'glq-dims', '--n', '60', '--r', '25'],

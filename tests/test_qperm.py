@@ -20,6 +20,7 @@ from qpartition.qperm import (
     apply,
     apply_generator,
     apply_generator_to_basis,
+    half_hom_dim,
     half_qpartition_dim,
     hom_basis,
     hom_dim,
@@ -287,6 +288,15 @@ def test_half_qpartition_dim_stabilizes_at_odd_bell():
     for r in (1, 2, 3):
         values = [half_qpartition_dim(n, r) for n in range(2, 2 * r + 4)]
         assert values[-1] == values[-2] == bell(2 * r + 1)
+
+
+def test_half_qpartition_dim_is_the_sum_of_half_hom_dims():
+    for n in range(2, 10):
+        for r in range(1, 5):
+            mults = restrict_multiplicities(tensor_multiplicities(n, r), n)
+            assert half_qpartition_dim(n, r) == sum(
+                mk * ml * half_hom_dim(n, k, l)
+                for k, mk in mults.items() for l, ml in mults.items())
 
 
 def test_dim_rejects_bad_arguments():

@@ -6,7 +6,8 @@ checked against the enumeration it replaces.
 """
 
 import itertools
-from math import factorial
+from functools import cache
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -214,6 +215,125 @@ def test_count_double_cosets_matches_margin_matrices():
                 sum(mat[i][j] for i in range(len(rows))) == b for j, b in enumerate(cols)):
             count += 1
     assert count_double_cosets(mu, lam) == count
+
+
+def column_by_column_count(mu, lam):
+    """The contingency-table count that filled every row column by column.
+
+    Rows smallest first, each enumerating its fills one column at a
+    time, the largest forced last; this is the count that the one-pass
+    treatment of the singleton rows replaced, kept as the reference.
+    """
+    rows = tuple(sorted(p for p in mu.parts if p))
+    cols = tuple(sorted(p for p in lam.parts if p))
+
+    def fills(target, caps):
+        if not caps:
+            if target == 0:
+                yield ()
+            return
+        for x in range(min(target, caps[0]) + 1):
+            for rest in fills(target - x, caps[1:]):
+                yield (x,) + rest
+
+    @cache
+    def count(i, rem):
+        if i == len(rows) - 1:
+            # last row is forced to absorb whatever remains
+            return 1 if sum(rem) == rows[i] else 0
+        return sum(
+            count(i + 1, tuple(sorted(r - x for r, x in zip(rem, fill))))
+            for fill in fills(rows[i], rem))
+
+    if not rows:
+        return 1 if not cols else 0
+    return count(0, cols)
+
+
+@cache
+def reference_count(rows, cols):
+    """column_by_column_count on sorted nonzero parts, once per pair of them."""
+    return column_by_column_count(Composition(rows), Composition(cols))
+
+
+def check_against_reference(mu, lam):
+    key = tuple(sorted(p for p in mu.parts if p)), tuple(sorted(p for p in lam.parts if p))
+    assert count_double_cosets(mu, lam) == reference_count(*key), (mu, lam)
+
+
+def with_one_zero_part(parts):
+    """The composition itself and each way of putting one zero part into it."""
+    return [parts] + [parts[:i] + (0,) + parts[i:] for i in range(len(parts) + 1)]
+
+
+def partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, largest), 0, -1):
+        for rest in partitions(n - p, p):
+            yield (p,) + rest
+
+
+@pytest.mark.parametrize('n', range(0, 7))
+def test_count_double_cosets_matches_reference_with_zero_parts(n):
+    shapes = [Composition(parts) for lam in compositions(n)
+              for parts in with_one_zero_part(lam.parts)]
+    for mu, lam in itertools.product(shapes, repeat=2):
+        check_against_reference(mu, lam)
+
+
+@pytest.mark.parametrize('n', range(0, 11))
+def test_count_double_cosets_matches_reference_on_partitions(n):
+    shapes = [Composition(parts) for parts in partitions(n)]
+    for mu, lam in itertools.product(shapes, repeat=2):
+        check_against_reference(mu, lam)
+
+
+weak_composition_pairs = st.integers(0, 12).flatmap(lambda n: st.tuples(*(
+    st.lists(st.integers(0, n), max_size=n + 2).map(
+        lambda cuts, n=n: tuple(b - a for a, b in zip([0] + sorted(cuts), sorted(cuts) + [n])))
+    for _ in range(2))))
+
+
+@given(weak_composition_pairs)
+def test_count_double_cosets_matches_reference_on_random_compositions(pair):
+    mu, lam = map(Composition, pair)
+    assert mu.n == lam.n
+    assert count_double_cosets(mu, lam) == column_by_column_count(mu, lam)
+
+
+def test_hook_pairs_match_the_closed_form():
+    # |D_{hook k, hook l}|: j singleton rows meet singleton columns, matched
+    # in C(k, j) C(l, j) j! ways; the hook arms take the rest, which needs
+    # k - j + l - j <= n - j letters outside the matching
+    for n in range(25):
+        for k in range(min(n, 12) + 1):
+            for l in range(min(n, 12) + 1):
+                closed = sum(comb(k, j) * comb(l, j) * factorial(j)
+                             for j in range(max(0, k + l - n), min(k, l) + 1))
+                assert count_double_cosets(Composition.hook(n, k), Composition.hook(n, l)) == closed
+
+
+def test_count_double_cosets_edge_cases():
+    empty = Composition(())
+    assert count_double_cosets(empty, empty) == 1
+    assert count_double_cosets(Composition((0, 0)), empty) == 1
+    for n in range(1, 7):
+        # first part 0: every row a singleton, one of them forced last
+        full = Composition.hook(n, n)
+        assert full.parts[0] == 0
+        assert count_double_cosets(full, full) == factorial(n)
+        for lam in compositions(n):
+            ways = factorial(n)
+            for p in lam.parts:
+                ways //= factorial(p)
+            # all-singleton mu: one double coset per coset of Y_lam
+            assert count_double_cosets(full, lam) == count_double_cosets(lam, full) == ways
+            assert count_double_cosets(Composition((1,) * n), lam) == ways
+    with pytest.raises(ValueError):
+        count_double_cosets(Composition((2,)), Composition((1,)))
 
 
 def test_hook_double_coset_count_is_k_plus_one():
