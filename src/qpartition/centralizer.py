@@ -816,9 +816,12 @@ def commutant_basis(
 
 
 def _commutant(n: int, r: int, q_values: Sequence[Fraction], symbolic: bool, with_basis: bool,
-               limit: int, generators: Sequence[int] | None) -> tuple[CommutantReport, list]:
-    """commutant_basis, and the orbit components it walked, each in walk
-    order (see _component_classes)."""
+               limit: int, generators: Sequence[int] | None,
+               representatives: bool = False) -> tuple[CommutantReport, dict]:
+    """commutant_basis, and the orbit components it walked, grouped by
+    their table (see _component_classes).  With representatives, the basis
+    carries each class pair's blocks only to the pair of the two classes'
+    first components."""
     if n < 1 or r < 1:
         raise ValueError('need n >= 1 and r >= 1')
     _check_limit(n, r, limit)
@@ -839,22 +842,23 @@ def _commutant(n: int, r: int, q_values: Sequence[Fraction], symbolic: bool, wit
               'pair_classes': len(classes) ** 2}
     shared = [None] * len(classes), [None] * len(classes)  # see _total_dim
     # one run over Q(q), or one per q value; the basis, if any, of the first
-    runs = [_total_dim(classes, qf, with_basis and not k, *shared)
+    runs = [_total_dim(classes, qf, with_basis and not k, *shared, representatives)
             for k, qf in enumerate((Q,) if symbolic else q_values)]
     dims = tuple(dim for dim, _ in runs)
     report = CommutantReport(n, r, 'symbolic' if symbolic else 'specialized', gens,
                              () if symbolic else q_values, dims, len(set(dims)) == 1,
                              **counts, basis=runs[0][1])
-    return report, [C for Cs in classes.values() for C in Cs]
+    return report, classes
 
 
 def _total_dim(classes: dict[tuple, list[list[int]]], qf, materialize: bool,
-               plans: list, rows: list):
+               plans: list, rows: list, representatives: bool = False):
     """Dimension, and the basis if materialize, summed over all component pairs.
 
     Each pair of classes is solved once per call, that is per q value;
     its dimension counts once per member pair, and its basis is carried
-    to every member pair through the two relabellings.  plans[x] is the
+    to every member pair through the two relabellings (with
+    representatives, to the pair of first members only).  plans[x] is the
     _ColumnPlan of the x-th table of classes, built in the first pair
     that needs it (None until then) and shared by every later pair and
     call given the same list; rows[y], the _RowState of the y-th table,
@@ -873,8 +877,8 @@ def _total_dim(classes: dict[tuple, list[list[int]]], qf, materialize: bool,
             dim, blocks = solver.solve(with_basis=materialize)
             total += dim * len(comps) * len(comps_p)
             if materialize:
-                for C in comps:
-                    for Cp in comps_p:
+                for C in comps[:1] if representatives else comps:
+                    for Cp in comps_p[:1] if representatives else comps_p:
                         basis.extend({(Cp[a], C[b]): v for (a, b), v in X.items()}
                                      for X in blocks)
     for state in rows:  # the maps of one q are not used again
@@ -930,6 +934,25 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
     diagonal), so the ansatz for B can be taken block diagonal without
     loss; width is the number of its unknowns.
 
+    The image, containment and B are all computed on one representative
+    component per table class, its first (see _component_classes), and
+    that is exact:
+    - Image.  Components with equal tables carry the same T_i up to the
+      relabelling P between them, so T_w on C' is P T_w|_C P^-1.  An
+      element of I that vanishes on the representatives vanishes
+      everywhere, so dim I is the rank of the T_w on their columns, and
+      containment on the representative pairs gives it on every pair.
+    - Bicommutant.  P_{C,C'}, a block on the pair (C', C), lies in the
+      span of the carried basis exactly when the identity lies in the span
+      of the blocks of the class with itself.  For every class with two
+      members or more the check asks for more, the identity on C as one
+      of those blocks (SolverInvariantError names (C[0], C[0]) if not).
+      It always is: the root loops fix the root row, so it is a class of
+      its own, whose 0/1 root propagates to the identity.  Then every Y
+      in B commutes with P, so Y_C' = P Y_C P^-1, and every equation of
+      another pair is a relabelled representative one: B is the system
+      on the representatives, of width the sum over classes of |C|^2.
+
     Both systems are homogeneous, so they are built over the integers:
     each commutant basis element X is scaled by the lcm of its
     denominators, and each T_w by b^l(w) with q0 = a/b, which leaves
@@ -949,13 +972,15 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
     rank of the whole system.
     """
     q0 = Fraction(_exact(q0, 'q values'))
-    report, comps = _commutant(n, r, (q0,), False, True, limit, None)
+    report, classes = _commutant(n, r, (q0,), False, True, limit, None, representatives=True)
+    reps = [Cs[0] for Cs in classes.values()]
     idxs = all_indices(n, r)
     N = len(idxs)
     gid_map = {j: t for t, j in enumerate(idxs)}
     a, b = q0.numerator, q0.denominator
 
-    # image of the algebra: span of all T_w matrices, here b^l(w) T_w
+    # image of the algebra: span of all T_w matrices, here b^l(w) T_w, on
+    # the representatives' columns
     img = Echelon(N * N, Fraction(1))
     gens = {i: _scaled_generator([(case, gid_map[j2]) for case, j2 in
                                   (_classify(i, j) for j in idxs)], a, b)
@@ -964,12 +989,16 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
     def times_gen(i: int, cols: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
         return {c0: _apply(gens[i], col) for c0, col in cols.items()}
 
-    identity = {t: {t: 1} for t in range(N)}
+    identity = {t: {t: 1} for C in reps for t in C}
     for cols in act_by_words(all_permutations(n), identity, times_gen).values():
         img.add({rg * N + c0: v for c0, col in cols.items() for rg, v in col.items()})
 
     basis = [_integral(X)[0] for X in report.basis]
-    dim_bicommutant, contained, _ = _bicommutant(comps, list(gens.values()), basis, img.rank)
+    dim_bicommutant, contained, _ = _bicommutant(reps, list(gens.values()), basis, img.rank)
+    for Cs in classes.values():  # the premise of the relabellings
+        if len(Cs) > 1 and {(g, g): 1 for g in Cs[0]} not in basis:
+            raise SolverInvariantError('the identity is not a block of its class',
+                                       (Cs[0][0], Cs[0][0]))
     return DoubleCentralizerReport(n=n, r=r, q0=q0, dim_commutant=report.dim,
                                    dim_image=img.rank, dim_bicommutant=dim_bicommutant,
                                    image_contained=contained)
@@ -1093,7 +1122,8 @@ def structure_constants(n: int, r: int, q0: Fraction, limit: int = 4096) -> Stru
     formed, unless a column component of A is a row component of B.
     """
     q0 = Fraction(_exact(q0, 'q values'))
-    report, comps = _commutant(n, r, (q0,), False, True, limit, None)
+    report, classes = _commutant(n, r, (q0,), False, True, limit, None)
+    comps = [C for Cs in classes.values() for C in Cs]
     scaled = [_integral(X) for X in report.basis]
     comp = {g: C[0] for C in comps for g in C}
     sides = [({comp[rg] for rg, _ in X}, {comp[cg] for _, cg in X}) for X, _ in scaled]

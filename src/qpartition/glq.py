@@ -14,8 +14,9 @@ collapses to n^r, which the acceptance tests check.
 from __future__ import annotations
 
 from functools import cache
+from operator import add
 
-from .coeff import LaurentPoly, ONE, Q
+from .coeff import LaurentPoly, ONE, Q, _normal
 from .symcomb import Composition, stirling2
 
 __all__ = ['gaussian_binomial', 'gaussian_multinomial', 'tq_dimension']
@@ -25,14 +26,29 @@ __all__ = ['gaussian_binomial', 'gaussian_multinomial', 'tq_dimension']
 def gaussian_binomial(m: int, k: int) -> LaurentPoly:
     """The q-binomial coefficient [m choose k]_q.
 
+    Built Pascal row by row, [j choose i] = [j-1 choose i-1] + q^i [j-1
+    choose i], on integer coefficient lists, keeping of row j only the i
+    that row m still needs, so the work is O(m k) list additions and no
+    recursion depth grows with m.
+
     >>> print(gaussian_binomial(4, 2))
     1 + q + 2*q^2 + q^3 + q^4
     """
     if k < 0 or k > m:
         return LaurentPoly()
-    if k == 0 or k == m:
-        return ONE
-    return gaussian_binomial(m - 1, k - 1) + LaurentPoly({k: 1}) * gaussian_binomial(m - 1, k)
+    k = min(k, m - k)  # [m choose k] = [m choose m-k]
+    low, row = 0, [[1]]  # row j holds [j choose i] for i = low .. min(j, k)
+    for j in range(1, m + 1):
+        new_low = max(0, j - (m - k))
+        new = []
+        for i in range(new_low, min(j, k) + 1):
+            left = row[i - 1 - low] if i > low else []  # [j-1 choose i-1]
+            right = row[i - low] if i < j else []  # [j-1 choose i]
+            out = left + [0] * (i + len(right) - len(left))
+            out[i:i + len(right)] = map(add, out[i:i + len(right)], right)
+            new.append(out)
+        low, row = new_low, new
+    return _normal(0, row[-1], 1)
 
 
 def gaussian_multinomial(lam: Composition) -> LaurentPoly:

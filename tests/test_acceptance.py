@@ -152,7 +152,7 @@ def test_07_classical_limit_bell_numbers():
 def test_08_double_centralizer():
     """The span of the T_w action matrices is exactly the commutant of
     the commutant, at q = 1, 2, 7/5 and -1."""
-    for n, r in [(2, 2), (3, 2), (4, 2), (3, 3), (5, 2)]:
+    for n, r in [(2, 2), (3, 2), (4, 2), (3, 3), (5, 2), (2, 6), (2, 7), (2, 8), (3, 4)]:
         for q0 in (Fraction(1), Fraction(2), Fraction(7, 5), Fraction(-1)):
             report = double_centralizer_check(n, r, q0)
             assert report.holds, (n, r, q0, report)

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import qpartition
+from qpartition import centralizer
 from qpartition.centralizer import (
     DoubleCentralizerReport,
     SolverInvariantError,
@@ -145,6 +146,51 @@ def test_report_equals_full_feed_reference(n, r, q0):
     assert got.holds
 
 
+# cells whose table classes have many members, where the check runs on
+# far fewer components than the reference
+MANY_MEMBERS = [(3, 4), (2, 7), (2, 8)]
+
+
+@pytest.mark.parametrize('q0', [Fraction(7, 5), Fraction(-1)], ids=str)
+@pytest.mark.parametrize('n,r', MANY_MEMBERS)
+def test_representatives_equal_full_feed_reference(n, r, q0):
+    classes = _component_classes(n, r, range(1, n))
+    assert max(map(len, classes.values())) >= 6
+    got = double_centralizer_check(n, r, q0)
+    want = reference_check(n, r, q0)
+    assert repr(got) == repr(want)
+    assert got.holds
+
+
+def _multi_member_pair(n, r):
+    """(C[0], C[0]) for the first component C of the first table class
+    with more than one member."""
+    Cs = next(Cs for Cs in _component_classes(n, r, range(1, n)).values() if len(Cs) > 1)
+    return Cs[0][0], Cs[0][0]
+
+
+def _lossy_solve(pair):
+    """_PairSolver.solve, except that the pair solve of pair loses the
+    block holding its root entry (0, 0): the identity block."""
+    solve = centralizer._PairSolver.solve
+
+    def lossy(self, with_basis):
+        dim, blocks = solve(self, with_basis)
+        if self.pair == pair:
+            blocks = [X for X in blocks if (0, 0) not in X]
+        return dim, blocks
+    return lossy
+
+
+def test_a_lost_identity_block_raises(monkeypatch):
+    pair = _multi_member_pair(3, 3)
+    monkeypatch.setattr(centralizer._PairSolver, 'solve', _lossy_solve(pair))
+    with pytest.raises(SolverInvariantError) as info:
+        double_centralizer_check(3, 3, Fraction(7, 5))
+    assert 'identity' in str(info.value)
+    assert info.value.pair == pair
+
+
 def _inputs(n, r, q0):
     report = commutant_basis(n, r, (q0,), with_basis=True)
     comps, gens, images = setup(n, r, q0)
@@ -212,6 +258,19 @@ try:
     print('accepted')
 except SolverInvariantError as exc:
     print('raised:', 'outside one component pair' in str(exc))
+
+# the premise of the relabellings, on a solve that loses an identity block
+from fractions import Fraction
+from test_bicommutant import _lossy_solve, _multi_member_pair
+from qpartition import centralizer
+pair = _multi_member_pair(3, 3)
+centralizer._PairSolver.solve = _lossy_solve(pair)
+try:
+    centralizer.double_centralizer_check(3, 3, Fraction(7, 5))
+    raise SystemExit('a lost identity block was accepted')
+except SolverInvariantError as exc:
+    if exc.pair != pair or 'identity' not in str(exc):
+        raise SystemExit('a lost identity block raised ' + str(exc))
 """
 
 

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpartition.centralizer import commutant_basis
-from qpartition.cli import EX_FAIL, EX_LIMIT, EX_OK, EX_PIPE, EX_USAGE, _dims_work, _q_fraction, main
+from qpartition.cli import (EX_FAIL, EX_LIMIT, EX_OK, EX_PIPE, EX_USAGE, GLQ_LIMIT, _dims_work,
+                            _glq_work, _q_fraction, main)
 from qpartition.coeff import LaurentPoly
 from qpartition.qperm import qpartition_dim
 from test_rational_function import Ref
@@ -402,6 +403,18 @@ def test_glq_dims_bad_at_is_usage_error_without_traceback(at):
     assert proc.returncode == EX_USAGE and not proc.stdout
     assert proc.stderr.startswith('qpartition: error: bad --at value')
     assert proc.stderr.count('\n') == 1 and 'Traceback' not in proc.stderr
+
+
+def test_glq_dims_longest_table_the_limit_admits():
+    # [1999 choose 1]_q is 1999 Pascal rows deep; building it must not
+    # recurse once per row
+    assert _glq_work(1999, 1) <= GLQ_LIMIT < _glq_work(2000, 1)
+    proc = subprocess.run(
+        [sys.executable, '-m', 'qpartition.cli', 'glq-dims', '--n', '1999', '--r', '1',
+         '--at', '1', '--format', 'json'],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EX_OK, proc.stderr
+    assert json.loads(proc.stdout)['value'] == '1999'
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,22 @@ def test_coefficients_are_nonnegative_integers():
                 assert c.denominator == 1 and c >= 0
 
 
+def test_binomials_satisfy_the_other_pascal_rule():
+    # [m choose k] = q^(m-k) [m-1 choose k-1] + [m-1 choose k], the mirror
+    # of the rule the rows are built by
+    for m in range(1, 16):
+        for k in range(0, m + 1):
+            want = LaurentPoly({m - k: 1}) * gaussian_binomial(m - 1, k - 1) + \
+                gaussian_binomial(m - 1, k)
+            assert gaussian_binomial(m, k) == want, (m, k)
+
+
+def test_deep_binomial_is_built_without_recursion():
+    assert gaussian_binomial(1999, 1) == LaurentPoly({e: 1 for e in range(1999)})
+    assert gaussian_binomial(1999, 1998) == gaussian_binomial(1999, 1)
+    assert gaussian_binomial(60, 3).evaluate(Fraction(1)) == comb(60, 3)
+
+
 def test_multinomial_of_two_parts_is_binomial():
     assert gaussian_multinomial(Composition((3, 2))) == gaussian_binomial(5, 3)
 
