@@ -8,94 +8,83 @@ breadth-first walk along the letter rule, not from any classification),
 and the commutant splits into independent blocks X restricted to ordered
 component pairs.
 
-Within a pair (C, C') the system is solved cyclically: every column of
-A_i restricted to C touches at most one other basis vector, so each
-generator equation either pins a column of X to an image of another
-column or is a genuine linear constraint.  Columns propagate along a
-spanning tree from a root column y; every other equation is an event
-(i, c, c2, case), generator position i from column c to column c2 (a
-loop, where T_i fixes the basis vector, is case 1 with c2 = c).
-A loop asks less than its m rows.  On the row component T_i fixes a
-row (case 1) or moves it in a 2-cycle, rl to t in case 2 and t back to
-rl in case 3; taken times b, the loop is (b A_i - a) x_c = 0, a matrix
-whose row is zero where T_i fixes the row and whose rows on a 2-cycle
-{rl, t} are a(-1, 1) and b(1, -1).  With a and b nonzero the loop holds
-exactly when x_c[rl] = x_c[t] on every 2-cycle (see _PairSolver._cycles).
+Within a pair (C, C') the system is solved cyclically.  Write A_k for
+the matrix of generator position k on C, A'_k on C', E(k, c) for the
+equation X A_k e_c = A'_k X e_c and R_k for X A_k - A'_k X.  Every
+column of A_k touches at most one other basis vector, so E(k, c) either
+pins a column of X to an image of another column or is a genuine linear
+constraint.  Columns propagate along a spanning tree from a root column
+y; every other equation is an event (k, c, c2, case), position k from
+column c to column c2 (a loop, where T_k fixes the basis vector, is case
+1 with c2 = c).  A loop asks less than its m rows.  On the row component
+T_k fixes a row (case 1) or moves it in a 2-cycle, rl to t in case 2 and
+t back to rl in case 3; taken times b, the loop is (b A'_k - a) x_c = 0,
+q = a/b, a matrix whose row is zero where T_k fixes the row and whose
+rows on a 2-cycle {rl, t} are a(-1, 1) and b(1, -1).  With a and b
+nonzero the loop holds exactly when x_c[rl] = x_c[t] on every 2-cycle.
 The loops at the root therefore say that y is constant on the classes
 of rows joined by their 2-cycles, and the solve takes one 0/1 root per
-class, then verifies on these roots the raw equations that no other
-implies: of the loops and of one equation per 2-cycle of T_i on C that
-holds no tree edge, those that no commuting square implies.
+class.  So every solution lies in the span of the class roots, and the
+rest of this docstring shows, from the two tables alone, that every
+other equation holds on that span.
 
 One equation per 2-cycle suffices by the quadratic relation alone.  On
-the rows, A = A_i is q on a fixed row, and on a 2-cycle it sends e_rl
+the rows, A = A'_k is q on a fixed row, and on a 2-cycle it sends e_rl
 to e_t and e_t to q e_rl + (q - 1) e_t, so A^2 = (q - 1) A + q.  On a
-2-cycle {c, c2} of T_i on C, c in case 2, the equation at c is
+2-cycle {c, c2} of T_k on C, c in case 2, the equation at c is
 x_c2 = A x_c and the one at c2 is (A - (q - 1)) x_c2 = q x_c.  The first
 gives A x_c2 = A^2 x_c = (q - 1) x_c2 + q x_c, the second; applying A to
 the second gives q x_c2 = A^2 x_c2 - (q - 1) A x_c2 = q A x_c, the first
-once divided by the unit q.  So the solve checks the case 2 equation of
-each 2-cycle and not its partner, and none of a 2-cycle whose tree edge
-(in either direction) holds by construction.  This needs only the
-2-cycle shape of both tables, checked from the raw tables: a column or
-row that a generator neither fixes nor moves in a 2-cycle raises
-SolverInvariantError (see _ColumnPlan._collect_events, _PairSolver._cycles).
+once divided by the unit q.  This needs the 2-cycle shape of both
+tables, checked from the raw tables: a column or row that a generator
+neither fixes nor moves in a 2-cycle raises SolverInvariantError (see
+_two_cycles).
 
-One equation per commuting square suffices too, by the deduction step of
-coset enumeration (Todd and Coxeter 1936) with T_k T_l = T_l T_k as the
-relator.  Write E(k, c) for the equation X A_k e_c = A'_k X e_c, A_k the
-matrix of position k on the columns and A'_k on the rows, and R_k for
-X A_k - A'_k X.  If A_k and A_l commute and so do A'_k and A'_l, then
-expanding X A_k A_l - A'_k A'_l X in two ways gives
-R_k A_l + A'_k R_l = R_l A_k + A'_l R_k.  Apply it to e_p: A_l e_p lies in
-the span of e_p and e_(s_l p), s_l the target map of position l, and
+The other equations follow from the relations of the Hecke algebra, by
+the deduction step of coset enumeration (Todd and Coxeter 1936).  If
+A_k A_l = A_l A_k and A'_k A'_l = A'_l A'_k, expanding
+X A_k A_l - A'_k A'_l X in two ways gives the square
+R_k A_l + A'_k R_l = R_l A_k + A'_l R_k.  Apply it to e_p: A_l e_p lies
+in the span of e_p and e_(s_l p), s_l the target map of position l, and
 A_k e_p = alpha e_(s_k p) + beta e_p with alpha 1 or q.  So if E(l, p),
 E(k, p) and E(k, s_l p) hold, alpha R_l e_(s_k p) = 0, and E(l, s_k p)
-holds once divided by the unit alpha.  The solve walks the equations in
-order and drops each that such a square implies, from tree edges,
-equations kept, equations dropped before it, and the partners of all of
-these, which makes the argument well-founded; the loops at the root are
-always kept, as the classes rest on them.  Whether two positions commute
-is read off each raw table: s_k s_l v == s_l s_k v at every vertex v, and
-each position's case invariant under the other's target map (proof in
-_commuting).  The criterion is only sufficient, and a pair counts only
-when it holds on both tables, so a pair it misses costs checks, never
-exactness.  On the one-orbit tables of (10,2), (12,2) and (5,3) the solve
-checks 36 of 568, 46 of 1090 and 24 of 73 equations; counting without a
-basis then propagates only the columns that these read and their tree
-ancestors.
+holds.  If A_k A_l A_k = A_l A_k A_l on both tables, the same expansion
+gives the hexagon R_k A_l A_k + A'_k R_l A_k + A'_k A'_l R_k =
+R_l A_k A_l + A'_l R_k A_l + A'_l A'_k R_l.  Applied to e_p, it is a sum
+of terms c A'_w R_j e_v with c in Z[q], w a word of at most two
+positions; sum the c of equal (w, j, v).  If every term but one is
+known to vanish and that one has c = +-q^e, then R_j e_v = 0, as q and
+every A'_w are units (A'^-1 = (A' - (q - 1))/q).  The solve walks the
+equations in order and drops each that a square or a hexagon implies,
+from tree edges, loops at the root, loops of a position that fixes every
+row (they read q x_c = q x_c), equations walked before it, and the
+partners of all of these, which makes the argument well-founded.  Both
+relations are read off each raw table (see _commuting and _braids), and
+a pair uses one only when it holds on both tables.  So the closure is
+shared by every q value and by Q(q), and on every table the library
+builds it leaves no equation: a pair's dimension is its number of
+classes, read off the tables without propagating a column.  An equation
+it leaves, which only synthetic tables have, is checked exactly on the
+basis blocks, and one that breaks raises SolverInvariantError naming it,
+as does a root-loop 2-cycle that the classes split.  No module theory is
+consulted; it only predicts the outcome, as C is cyclic on its root
+vector and induced from the generators that fix it (Frobenius
+reciprocity for q-permutation modules, Dipper and James 1986).
 
-The answer is exact without any module theory: the root loops are raw
-equations, so the solution space lies inside the span of the class
-roots, and the verification, with the partners and the squares it
-implies, puts that span inside the solution space.  The theory only
-predicts that the verification never fails: C is cyclic on its root
-vector and induced from the generators that fix it, so by Frobenius
-reciprocity for q-permutation modules (Dipper and James 1986, over any
-commutative ring) a block is fixed by its root column, which only has to
-satisfy T_i y = q y for those generators.  Should an event break,
-SolverInvariantError names the pair and the event.
-
-Propagation and verification run on integers, fraction-free in the
-manner of Bareiss.  With q = a/b in lowest terms, b A_i has integer
-entries (a on the diagonal in case 1, b in case 2, a and a - b in case
-3).  All d roots of a pair are checked together, packed by Kronecker
+A basis is materialised on integers, fraction-free in the manner of
+Bareiss.  With q = a/b in lowest terms, b A'_k has integer entries (a on
+the diagonal in case 1, b in case 2, a and a - b in case 3).  All d
+roots of a pair are propagated together, packed by Kronecker
 substitution (Schonhage 1982; Harvey 2009): entry rl of column c is the
 one int sum of u_c^(k)[rl] 2^(kW) over k, with balanced fields of a
-width W proved a priori to hold every value (see _width).  A column is
-a dense list of these ints, since the d supports together fill it, and
-a map is applied by C-level list operations.  Field k is x_c s_c, the
-scale s_c = a^ea b^eb the product of the factors along the tree path
-of c (b on a case 2 edge, a on case 3), so an event other than a loop
-holds for every root exactly when ml image(u_c) == mr u_c2 as lists of
-packed ints, for two coprime integers ml and mr (see _PairSolver._checks).
-Fractions are formed only when a basis is materialized, by unpacking.
-Over Q(q) the roots are the same, and the checks run one level of
-Kronecker substitution down, at a = 2^K and b = 1: K is proved a priori
-to exceed every coefficient a column or an event side can reach, so a
-polynomial is fixed by its value at q = 2^K and a basis entry, a
-Laurent polynomial over Z[q, q^-1], is read off the balanced base-2^K
-digits of its field (see _PairSolver._pack_roots).
+width W proved a priori to hold every value (see _width).  Field k is
+x_c s_c, the scale s_c = a^ea b^eb the product of the factors along the
+tree path of c (b on a case 2 edge, a on case 3), and unpacking gives
+the Fractions of the basis.  Over Q(q) the roots are the same, and the
+propagation runs one level of Kronecker substitution down, at a = 2^K
+and b = 1, K proved a priori to exceed every coefficient of a column, so
+a basis entry, a Laurent polynomial over Z[q, q^-1], is read off the
+balanced base-2^K digits of its field (see _PairSolver._basis).
 
 Many pairs repeat one solve.  One breadth-first walk per component
 records its generator table (see _component_classes), and the pair
@@ -104,14 +93,13 @@ solver reads nothing but the two tables, so pairs with equal tables
 each such class is solved once per q value and its basis is carried to
 the other pairs through their relabellings.  The set-up is split by
 what it reads and built once per commutant_basis call: per column
-table a _ColumnPlan (tree, scales, and per set of positions commuting
-on both tables the events and order of the checks), per row table a
-_RowState (commuting positions, 2-cycles, root-loop classes), holding
-the maps per (row table, q); a pair adds only its multipliers and
-checks.  The module theory predicts which orbits are isomorphic (hook
-compositions, one per number of blocks) but is not consulted: classes
-come from the matrices alone, and two isomorphic orbits whose tables
-differ are simply solved twice.
+table a _ColumnPlan (tree, scales, and per set of relations on both
+tables the equations left), per row table a _RowState (relations,
+2-cycles, root-loop classes), holding the maps per (row table, q).  The
+module theory predicts which orbits are isomorphic (hook compositions,
+one per number of blocks) but is not consulted: classes come from the
+matrices alone, and two isomorphic orbits whose tables differ are simply
+solved twice.
 
 Default arithmetic specializes q at several generic rational points and
 cross-checks the dimensions; a fully symbolic mode, exact over Q(q), is
@@ -125,13 +113,13 @@ matrix with entries in that ring.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from functools import lru_cache
 from math import lcm
-from operator import add, and_, itemgetter, mul
+from operator import and_, itemgetter
 from typing import Sequence
 
 from ._record import Record
-from .coeff import Q, LaurentPoly, ZeroSpecialization, _exact, _normal
+from .coeff import ONE, Q, LaurentPoly, ZeroSpecialization, _exact, _normal
 from .hecke import act_by_words
 from .limits import DimensionLimitExceeded, _check_limit
 from .linalg import Echelon
@@ -251,9 +239,7 @@ def _scaled_generator(entries, a, b):
 
 def _shifted(op, d):
     """The monomial-plus-diagonal map op - d (d times the identity); a column
-    whose target is itself (case 1) holds its diagonal entry in coef.  The
-    same steps shift the gather form (src, coef, diag) of a map (see
-    _coimage), where a fixed row is one with src[rl] == rl."""
+    whose target is itself (case 1) holds its diagonal entry in coef."""
     to, coef, diag = op
     coef, shifted = list(coef), {}
     for cl, t in enumerate(to):
@@ -264,29 +250,6 @@ def _shifted(op, d):
             if v:
                 shifted[cl] = v
     return to, coef, shifted
-
-
-def _dense(coimage):
-    """The image map whose coimage is (src, coef, diag), in dense form
-    (gather, coef, diag, kappa) for _apply_dense: entry rl of the image of
-    u is coef[rl] u[src[rl]] + diag[rl] u[rl], diag None when it is zero;
-    kappa = max over rl of |coef[rl]| + |diag[rl]| bounds how much the
-    map can grow the largest |entry| (see _width)."""
-    src, coef, diag = coimage
-    gather = itemgetter(*src) if len(src) > 1 else tuple
-    if not diag:
-        return gather, coef, None, max(map(abs, coef))
-    diag = [diag.get(rl, 0) for rl in range(len(src))]
-    return gather, coef, diag, max(map(add, map(abs, coef), map(abs, diag)))
-
-
-def _apply_dense(op, u: list) -> list:
-    """A dense map (see _dense) applied to the dense column u."""
-    gather, coef, diag, _ = op
-    out = list(map(mul, coef, gather(u)))
-    if diag is not None:
-        out = list(map(add, out, map(mul, diag, u)))
-    return out
 
 
 def _unpack(packed: int, width: int, d: int) -> list[int]:
@@ -311,42 +274,37 @@ def _unpack(packed: int, width: int, d: int) -> list[int]:
 
 
 def _width(reach: int) -> int:
-    """Field width W of a root pack (_PairSolver._pack_roots), whose fields
-    start at 0 or 1, when reach bounds their growth.
+    """Field width W of packed 0/1 roots (_PairSolver._columns) when reach
+    bounds the growth of every column.
 
     Proof that W suffices.  Packing, fields f_k to the one int sum of
-    f_k 2^(kW), is Z-linear, and so is every step after it: a map
-    multiplies entries by integer coefficients and adds them, an event
-    side is multiplied by the integer ml or mr.  So each packed entry is
-    exactly the pack of the d roots' own values, the numbers the per-root
-    computation would give.  Those are bounded: a map with
-    kappa = max |coef[rl]| + |diag[rl]| grows the largest |entry| at most
-    kappa-fold, so column c is within G_c (G_c the product of kappa along
-    its tree path) and the sides of a kept case 2 event within
-    G_c kappa_i |ml| and G_c2 |mr|.  A loop compares two entries of one
-    column, already within G_c, so no image of a loop is ever formed, and
-    reach starts at the largest G_c.  reach is the largest of these
-    factors, so every field is below 2^(W-2) <= 2^(W-1).  Two packs whose fields are all below
-    2^(W-1) in size are equal only if every field is: their difference
-    has fields g_k with |g_k| < 2^W, and sum g_k 2^(kW) = 0 forces
-    g_0 = 0 mod 2^W, so g_0 = 0, and so on upwards.  Hence the packed
-    comparison of an event holds if and only if it holds for every root,
-    and _unpack recovers every column entry.  An overflowing field would
-    not be visible in the packed int, which is why the bound is proved a
-    priori rather than checked.
+    f_k 2^(kW), is Z-linear, and so is every map, which multiplies
+    entries by integer coefficients and adds them.  So each packed entry
+    is exactly the pack of the d roots' own values.  A map with
+    kappa = the largest sum of |coefficient| over a row grows the largest
+    |entry| at most kappa-fold, so column c is within G_c, the product of
+    kappa along its tree path, and reach is the largest G_c.  Every field
+    is then below 2^(W-2), and _unpack recovers it: a sum of g_k 2^(kW)
+    with every |g_k| < 2^(W-1) fixes g_0 mod 2^W, so g_0, and so on
+    upwards.  An overflowing field would not be visible in the packed
+    int, which is why the bound is proved a priori rather than checked.
     """
     return reach.bit_length() + 2
 
 
-def _coimage(table_p, i: int, a, b) -> tuple:
-    """The map b A_i of generator position i on the row component, at
-    q = a/b, in gather form (src, coef, diag), entry rl of the image of u
-    being coef[rl] u[src[rl]] plus diag[rl] u[rl] (see _dense).  _shifted
-    takes it to b A_i - (a - b), which a case 3 tree edge applies."""
-    to, coef, diag = _scaled_generator([entries[i] for entries in table_p], a, b)
-    # the target map permutes the rows; src is its inverse
-    src = sorted(range(len(to)), key=to.__getitem__)
-    return src, [coef[cl] for cl in src], diag
+def _two_cycles(column, i: int, pair: tuple[int, int], what: str) -> list[tuple[int, int]]:
+    """The 2-cycles (v, t) of generator position i on one table, column[v]
+    its (case, target) at vertex v, v in case 2 and t in case 3.  Every
+    vertex must be fixed (case 1, its target itself) or have a partner
+    that the generator sends back to it in the other moving case, or
+    SolverInvariantError names the entry: the loops' equalities and the
+    quadratic relation rest on this shape (see the module docstring)."""
+    for v, (case, t) in enumerate(column):
+        if not (t == v if case == 1 else case in (2, 3) and column[t] == (5 - case, v)):
+            raise SolverInvariantError(
+                f'generator position {i} neither fixes {what} {v} nor moves it '
+                f'in a 2-cycle', pair, (i, v, (case, t)))
+    return [(v, t) for v, (case, t) in enumerate(column) if case == 2]
 
 
 def _commuting(table) -> tuple[int, ...]:
@@ -374,76 +332,148 @@ def _commuting(table) -> tuple[int, ...]:
     return tuple(masks)
 
 
+# q of the braid reader and the hexagons: the words there have degree at
+# most 3 in q and coefficients below 2^7 in size, so their value at 2^8
+# (balanced base-2^8 digits) is exact
+_AT = 1 << 8
+
+
+def _orbit(table, k: int, l: int, v: int) -> tuple[list[int], tuple]:
+    """The orbit of vertex v under the target maps of positions k and l, as
+    (vertices, orbit table): the vertices in the order a walk from the
+    smallest finds them, the orbit table the two positions' (case,
+    target) in that labelling.  A_k and A_l preserve the span of each."""
+    label, verts = {v: 0}, [v]
+    for u in verts:
+        for j in (k, l):
+            t = table[u][j][1]
+            if t not in label:
+                label[t] = len(verts)
+                verts.append(t)
+    if v != min(verts):
+        return _orbit(table, k, l, min(verts))
+    return verts, tuple([((table[u][k][0], label[table[u][k][1]]),
+                          (table[u][l][0], label[table[u][l][1]])) for u in verts])
+
+
+def _maps_at(orbit) -> list:
+    """The two positions of an orbit table as maps at q = _AT (see _apply)."""
+    return [_scaled_generator([row[j] for row in orbit], _AT, 1) for j in (0, 1)]
+
+
+@lru_cache(maxsize=1 << 12)
+def _orbit_braids(orbit) -> bool:
+    """Whether positions 0 and 1 of an orbit table braid, at q = _AT."""
+    A = _maps_at(orbit)
+    return all(_apply(A[0], _apply(A[1], _apply(A[0], {u: 1})))
+               == _apply(A[1], _apply(A[0], _apply(A[1], {u: 1}))) for u in range(len(orbit)))
+
+
+def _braids(table, memo: dict, k: int, l: int) -> bool:
+    """Whether A_k A_l A_k == A_l A_k A_l on a table, k < l, exactly over
+    Z[q]: checked on each distinct orbit table (_orbit) once, at q = _AT,
+    and kept in memo per position pair."""
+    if (k, l) not in memo:
+        seen, memo[k, l] = set(), True
+        for v, entries in enumerate(table):
+            if v in seen or entries[k] == entries[l] == (1, v):  # q^3 e_v either way
+                continue
+            verts, orbit = _orbit(table, k, l, v)
+            seen.update(verts)
+            if not _orbit_braids(orbit):
+                memo[k, l] = False
+                break
+    return memo[k, l]
+
+
+@lru_cache(maxsize=1 << 12)
+def _hexagon(orbit, p: int) -> tuple:
+    """The terms (w, j, v, c) of the hexagon of an orbit table's positions
+    0 and 1 at vertex p (see the module docstring): c A'_w R_j e_v, the
+    word w and j in local positions, v in local labels, c its value at
+    q = _AT, terms with equal (w, j, v) summed and zeros dropped."""
+    A, e, terms = _maps_at(orbit), {p: 1}, {}
+    for sign, x, y in ((1, 0, 1), (-1, 1, 0)):  # R_x A_y A_x + A'_x R_y A_x + A'_x A'_y R_x
+        ax = _apply(A[x], e)
+        for w, j, u in (((), x, _apply(A[y], ax)), ((x,), y, ax), ((x, y), x, e)):
+            for v, c in u.items():
+                terms[w, j, v] = terms.get((w, j, v), 0) + sign * c
+    return tuple((w, j, v, c) for (w, j, v), c in terms.items() if c)
+
+
+def _unit(c: int) -> bool:
+    """Whether c, a value at q = _AT, is +-q^e for some e >= 0."""
+    c = abs(c)
+    return c & (c - 1) == 0 and (c.bit_length() - 1) % 8 == 0
+
+
 class _ColumnPlan:
     """The set-up of a pair solve that reads the column table alone, shared
     by every row table and q value: breadth-first order and tree, scales
-    exps and K (see _PairSolver._pack_roots), the positions that move a
+    exps and K (see _PairSolver._basis), the positions that move a
     column, root-loop generators roots, the commuting positions (see
-    _commuting), and per commuting set the schedule: the events, the
-    steps of the checks and the columns they skip (see
-    _PairSolver._checks).  pair names the pair that builds it;
-    commuting, if given, is _commuting(table)."""
+    _commuting), the braid memo (see _braids), and per set of relations
+    on both tables the equations left (see _collect_events).  pair names
+    the pair that builds it; rows, if given, is the _RowState of the same
+    table, whose commuting positions and braid memo the plan shares."""
 
-    def __init__(self, table, pair: tuple[int, int], commuting: tuple[int, ...] | None = None):
+    def __init__(self, table, pair: tuple[int, int], rows: _RowState | None = None):
         self.table, self.pair = table, pair
         self.order, self.par = _bfs(table)
         if len(self.order) != len(table):
             raise SolverInvariantError('component not connected by its own edges', pair)
+        for k, column in enumerate(zip(*table)):
+            _two_cycles(column, k, pair, 'column')
         # s_c = a^ea b^eb, exps[c] = (ea, eb), the factors along c's tree path
         self.exps = exps = [(0, 0)] * len(table)
         for c in self.order[1:]:
             p, _, case = self.par[c]
             ea, eb = exps[p]
             exps[c] = (ea, eb + 1) if case == 2 else (ea + 1, eb)
-        self.K = (3 ** (max(map(sum, exps)) + 1)).bit_length() + 2
+        self.K = (3 ** max(map(sum, exps))).bit_length() + 2
         self.moving = {k for entries in table for k, (case, _) in enumerate(entries) if case != 1}
         self.roots = tuple(k for k, entry in enumerate(table[0]) if entry == (1, 0))
-        self.commuting = _commuting(table) if commuting is None else commuting
-        self.schedules = {}
+        self.commuting, self.braids = (rows.commuting, rows.braids) if rows else (_commuting(table), {})
+        self.closures = {}
 
-    def schedule(self, commuting: tuple[int, ...]) -> tuple:
-        """(events, steps, rest) for the positions that commute on both
-        tables, commuting[l] the bitmask of those that commute with l;
-        built on first use per commuting set and kept."""
-        if commuting not in self.schedules:
-            events = self._collect_events(commuting)
-            self.schedules[commuting] = events, *self._schedule(events)
-        return self.schedules[commuting]
+    def events(self, commuting: tuple[int, ...], braiding: tuple[int, ...], fixed: int) -> list:
+        """_collect_events, built on first use per set of relations and kept."""
+        key = commuting, braiding, fixed
+        if key not in self.closures:
+            self.closures[key] = self._collect_events(commuting, braiding, fixed)
+        return self.closures[key]
 
-    def _collect_events(self, commuting: tuple[int, ...]) -> list[tuple]:
-        """The events to verify, (l, c, c2, case), generator position l on
-        column c with target c2, in walk order: of the loops (case 1,
-        c2 = c) and the case 2 ends of the 2-cycles of T_l on C that hold no
-        tree edge, those that no commuting square implies.  The partner end
-        of a 2-cycle follows by the quadratic relation, and an event
-        E(l, s_k p) by the commuting square of k and l at p (see the module
-        docstring): it is dropped when E(l, p), E(k, p) and E(k, s_l p) are
-        known, that is tree edges, events kept or dropped before it, or
-        their partners.  Every loop at the root is kept: the root-loop
-        classes rest on them.  A column that a generator neither fixes nor
-        moves in a 2-cycle is refused here; every pair checks its row table
-        at each position in moving (_PairSolver._cycles)."""
+    def _collect_events(self, commuting: tuple[int, ...], braiding: tuple[int, ...],
+                        fixed: int) -> list[tuple]:
+        """The events (l, c, c2, case), position l on column c with target
+        c2, that no relation implies, in walk order.  commuting[l] and
+        braiding[l] are the bitmasks of the positions that commute and that
+        braid with l on both tables, fixed that of the positions that fix
+        every row.  The candidates are the loops and the case 2 ends of the
+        2-cycles off the tree; one is dropped when a square or a hexagon at
+        some vertex of its orbit has it, or its partner, as its only unknown
+        term, with a coefficient +-q^e (see the module docstring).  Known
+        are the tree edges, the loops at the root, the loops of the
+        positions in fixed, the candidates walked before it and the
+        partners of all of these."""
         table = self.table
         known = [0] * len(table)  # bit k of known[c]: E(k, c) holds
         for c, (p, k, _) in self.par.items():
             known[c] |= 1 << k
             known[p] |= 1 << k
+        known[0] |= sum(1 << k for k in self.roots)
+        if fixed:
+            for c, entries in enumerate(table):
+                known[c] |= sum(1 << k for k, entry in enumerate(entries)
+                                if entry == (1, c) and fixed >> k & 1)
         events = []
         for c, entries in enumerate(table):
-            movers = 0
-            for k, (case, c2) in enumerate(entries):
-                if case in (2, 3) and table[c2][k] == (5 - case, c):
-                    movers |= 1 << k
-                elif case != 1 or c2 != c:
-                    raise SolverInvariantError(
-                        f'generator position {k} neither fixes column {c} nor moves it '
-                        f'in a 2-cycle', self.pair, (k, c, (case, c2)))
+            movers = sum(1 << k for k, (case, _) in enumerate(entries) if case != 1)
             for l, (case, c2) in enumerate(entries):
                 bit = 1 << l
-                if case == 3 or known[c] & bit:  # a partner end, or a tree edge
+                if case == 3 or known[c] & bit:  # a partner end, or known
                     continue
-                # no square is tried for a loop at the root
-                squares = movers & commuting[l] & known[c] if c or case == 2 else 0
+                squares = movers & commuting[l] & known[c]
                 while squares:  # each k that moves c and commutes with l
                     low = squares & -squares
                     p = entries[low.bit_length() - 1][1]
@@ -451,53 +481,43 @@ class _ColumnPlan:
                         break
                     squares ^= low
                 else:
-                    events.append((l, c, c2, case))
+                    if not self._hexagon_implies(l, c, c2, braiding[l], known):
+                        events.append((l, c, c2, case))
                 known[c] |= bit
                 known[c2] |= bit
         return events
 
-    def _schedule(self, events: list[tuple]) -> tuple[list, list]:
-        """(steps, rest): per column c that a check reads, or a tree ancestor
-        of one, in breadth-first order, c, the positions of the events due
-        once c exists, and the columns used for the last time there; rest,
-        the other columns in breadth-first order."""
-        at = {c: t for t, c in enumerate(self.order)}
-        read = [False] * len(self.order)
-        read[0] = True
-        for _, c, c2, _ in events:
-            read[at[c]] = read[at[c2]] = True
-        for t in range(len(self.order) - 1, 0, -1):
-            if read[t]:
-                read[at[self.par[self.order[t]][0]]] = True
-        due = [[] for _ in self.order]
-        last = list(range(len(self.order)))
-        for c, (p, _, _) in self.par.items():
-            if read[at[c]]:
-                last[at[p]] = max(last[at[p]], at[c])
-        for pos, (_, c, c2, _) in enumerate(events):
-            t = max(at[c], at[c2])
-            due[t].append(pos)
-            for v in (c, c2):
-                last[at[v]] = max(last[at[v]], t)
-        done = [[] for _ in self.order]
-        for t, c in enumerate(self.order):
-            if read[t]:
-                done[last[t]].append(c)
-        steps = [(c, due[t], done[t]) for t, c in enumerate(self.order) if read[t]]
-        return steps, [c for t, c in enumerate(self.order) if not read[t]]
+    def _hexagon_implies(self, l: int, c: int, c2: int, braids: int, known: list[int]) -> bool:
+        """Whether a hexagon of l and a position in braids, at a vertex of
+        the orbit of c, has E(l, c) or E(l, c2) as its only unknown term,
+        with a unit coefficient (see _collect_events)."""
+        while braids:
+            low = braids & -braids
+            braids ^= low
+            pos = tuple(sorted((low.bit_length() - 1, l)))
+            verts, orbit = _orbit(self.table, *pos, c)
+            for p in range(len(verts)):
+                unknown = [(pos[j], verts[v], coef) for _, j, v, coef in _hexagon(orbit, p)
+                           if not known[verts[v]] >> pos[j] & 1]
+                if len(unknown) == 1 and unknown[0][:2] in ((l, c), (l, c2)) and _unit(unknown[0][2]):
+                    return True
+        return False
 
 
 class _RowState:
     """The set-up of pair solves that reads one row table alone, filled on
     first use and shared by every column table: the commuting positions
-    (see _commuting), the 2-cycles and loop end gathers per generator
+    (see _commuting), the bitmask fixed of the positions that fix every
+    row, the braid memo (see _braids), the 2-cycles per generator
     position, the root-loop classes per root-loop generators (all q), and
-    the two dense maps per (a, b, position)."""
+    the two maps with their growth per (a, b, position) (see _columns)."""
 
     def __init__(self, table_p):
         self.table_p = table_p
         self.commuting = _commuting(table_p)
-        self.cycles, self.ends, self.classes, self.maps = {}, {}, {}, {}
+        self.fixed = sum(1 << k for k, column in enumerate(zip(*table_p))
+                         if all(entry == (1, v) for v, entry in enumerate(column)))
+        self.braids, self.cycles, self.classes, self.maps = {}, {}, {}, {}
 
 
 class _PairSolver:
@@ -516,36 +536,39 @@ class _PairSolver:
         self.rows = rows = rows or _RowState(table_p)
         self.table, self.table_p, self.pair, self.m = table, table_p, pair, len(table_p)
         self.order, self.par, self.exps = plan.order, plan.par, plan.exps
-        # the events and their schedule, per positions commuting on both tables
-        self.events, self.steps, self.rest = plan.schedule(
-            tuple(map(and_, plan.commuting, rows.commuting)))
-        self._checks_at = None  # see _checks
         for k in plan.moving:
             self._cycles(k)
-        # the checks run at q = a/b in lowest terms, b > 0; over Q(q) (qf is
-        # coeff.Q) at a = 2^K and b = 1, K proved in _pack_roots
+        # the positions that braid on both tables, of those that do not commute
+        both = tuple(map(and_, plan.commuting, rows.commuting))
+        braiding = [0] * len(both)
+        for l in range(len(both)):
+            for k in range(l):
+                if not both[l] >> k & 1 and self._braids(k, l):
+                    braiding[k] |= 1 << l
+                    braiding[l] |= 1 << k
+        self.events = plan.events(both, tuple(braiding), rows.fixed)
+        # a basis is built at q = a/b in lowest terms, b > 0; over Q(q) (qf
+        # is coeff.Q) at a = 2^K and b = 1, K proved in _basis
         self.over_q, self.K = isinstance(qf, Fraction), plan.K
         self.a, self.b = (qf.numerator, qf.denominator) if self.over_q else (1 << self.K, 1)
 
     def _cycles(self, i: int) -> list[tuple[int, int]]:
         """The 2-cycles (rl, t) of generator position i on the row component,
-        rl in case 2 and t in case 3, built on first use and kept.
-
-        Every row must be fixed (case 1, its target itself) or have a
-        partner that the generator sends back to it in the other moving
-        case: the loops' equalities and the quadratic relation that drops
-        an event's partner rest on this shape (see the module docstring).
-        """
-        if i in self.rows.cycles:
-            return self.rows.cycles[i]
-        column = [entries[i] for entries in self.table_p]
-        for rl, (case, t) in enumerate(column):
-            if not (t == rl if case == 1 else case in (2, 3) and column[t] == (5 - case, rl)):
-                raise SolverInvariantError(
-                    f'generator position {i} neither fixes row {rl} nor moves it '
-                    f'in a 2-cycle', self.pair, (i, rl, (case, t)))
-        self.rows.cycles[i] = [(rl, t) for rl, (case, t) in enumerate(column) if case == 2]
+        rl in case 2 and t in case 3 (see _two_cycles), built on first use
+        and kept."""
+        if i not in self.rows.cycles:
+            self.rows.cycles[i] = _two_cycles([entries[i] for entries in self.table_p], i,
+                                              self.pair, 'row')
         return self.rows.cycles[i]
+
+    def _braids(self, k: int, l: int) -> bool:
+        """Whether positions k < l braid on both tables (see _braids); the
+        row table's 2-cycle shape at both is checked first, as the hexagon
+        inverts A'_k and A'_l."""
+        self._cycles(k)
+        self._cycles(l)
+        return (_braids(self.table_p, self.rows.braids, k, l)
+                and _braids(self.table, self.plan.braids, k, l))
 
     def _classes(self) -> list[int]:
         """The class of each row of C', the rows joined by the 2-cycles of
@@ -577,151 +600,50 @@ class _PairSolver:
         classes = self.rows.classes[roots] = [number[top(rl)] for rl in range(self.m)]
         return classes
 
-    # -- packed propagation and raw verification on integers ---------------
-
-    def _checks(self) -> tuple[int, list[tuple], list[tuple]]:
-        """The raw checks at the integer point q = a/b as (reach, steps,
-        rest), built on first use and kept.
-
-        Field k of column c is x_c s_c, with s_c = a^ea b^eb (see
-        _ColumnPlan).  An event other than a loop, (i, c, c2, 2), states
-        N u_c s_c2 = b s_c u_c2, N the map b A_i; dividing out the common
-        part of the two monomials, a^ea b^eb for (ea, eb) the event's key,
-        leaves ml N u_c = mr u_c2 with coprime multipliers ml and mr, None
-        where they are one.  The dense maps (_dense), b A_i for case 2 and
-        b A_i - (a - b) for case 3, are built once per row table and q.
-        reach bounds the growth of every column, including those no check
-        reads, and of every event side (see _width).  A loop (case 1) is
-        the check (pos, None, c, c, ends_rl, ends_t), ends the gathers of
-        the two ends of the 2-cycles of T_i, compared as u_c[rl] == u_c[t]
-        (see the module docstring), and none when T_i moves no row; it
-        needs no map and no multipliers and leaves reach as it is.  The
-        steps are the schedule's, per column c its tree edge (parent, map),
-        None at the root, its checks and the columns done there; rest
-        holds (c, tree edge) for the columns the steps skip.
-        """
-        if self._checks_at is not None:
-            return self._checks_at
-        a, b = self.a, self.b
-        maps, ends = self.rows.maps, self.rows.ends
-
-        def image(i: int, case: int) -> tuple:
-            if (a, b, i) not in maps:
-                coimage = _coimage(self.table_p, i, a, b)
-                maps[a, b, i] = _dense(coimage), _dense(_shifted(coimage, a - b))
-            return maps[a, b, i][case == 3]
-
-        edges, gain = {}, [1] * len(self.table)
+    def _columns(self, classes: list[int]) -> tuple[int, list[dict]]:
+        """(W, columns): the 0/1 roots of a partition of the rows, packed at
+        the integer point q = a/b and propagated to every column.
+        classes[rl] is the class of row rl, numbered from 0, and root k is
+        1 on class k and 0 elsewhere, so entry rl of the packed root is
+        the one field 2^(W classes[rl]).  A tree edge maps x_p to A' x_p
+        (case 2) or (A' - (q - 1)) x_p / q (case 3), that is u_c = the
+        integer image of u_p by b A' or b A' - (a - b), its factor (b or
+        a) going into s_c; the maps are built once per row table and q.
+        Columns are sparse {rl: packed int}, W from _width."""
+        a, b, maps = self.a, self.b, self.rows.maps
+        edges, gain = [None] * len(self.table), [1] * len(self.table)
         for c in self.order[1:]:
             p, i, case = self.par[c]
-            edges[c] = p, image(i, case)
-            gain[c] = gain[p] * edges[c][1][3]
-        reach, multipliers, steps = max(gain), {}, []
-        for c, due, done in self.steps:
-            checks = []
-            for pos in due:
-                i, c1, c2, case = self.events[pos]
-                if case == 1:
-                    if i not in ends:
-                        cycles = self._cycles(i)
-                        ends[i] = cycles and tuple(itemgetter(*side) for side in zip(*cycles))
-                    if ends[i]:
-                        checks.append((pos, None, c1, c1, *ends[i]))
-                    continue
-                # s_c2 / (b s_c) = a^ea b^eb
-                key = ea, eb = (self.exps[c2][0] - self.exps[c1][0],
-                                self.exps[c2][1] - self.exps[c1][1] - 1)
-                if key not in multipliers:
-                    multipliers[key] = (a ** max(ea, 0) * b ** max(eb, 0),
-                                        a ** max(-ea, 0) * b ** max(-eb, 0))
-                ml, mr = multipliers[key]
-                op = image(i, case)
-                reach = max(reach, gain[c1] * op[3] * abs(ml), gain[c2] * abs(mr))
-                checks.append((pos, op, c1, c2, None if ml == 1 else ml, None if mr == 1 else mr))
-            steps.append((c, edges.get(c), checks, done))
-        self._checks_at = out = reach, steps, [(c, edges[c]) for c in self.rest]
-        return out
+            if (a, b, i) not in maps:
+                op = _scaled_generator([entries[i] for entries in self.table_p], a, b)
+                maps[a, b, i] = [(m, max(abs(x) + abs(m[2].get(t, 0)) for t, x in zip(*m[:2])))
+                                 for m in (op, _shifted(op, a - b))]
+            edges[c], kappa = maps[a, b, i][case == 3]
+            gain[c] = gain[p] * kappa
+        W = _width(max(gain))
+        cols = [{rl: 1 << (W * k) for rl, k in enumerate(classes)}] + [None] * (len(self.table) - 1)
+        for c in self.order[1:]:
+            cols[c] = _apply(edges[c], cols[self.par[c][0]])
+        return W, cols
 
-    def _pack_roots(self, classes: list[int]) -> tuple:
-        """The 0/1 roots of a partition of the rows as one pack (root, W, d),
-        checked at the integer point q = a/b: classes[rl] is the class of
-        row rl, numbered from 0 to d - 1, and root k is 1 on class k and 0
-        elsewhere, so entry rl of the packed root, a dense list of ints, is
-        the one field 2^(W classes[rl]).  Over Q(q) the same roots are
-        checked at q = 2^K, so a = 2^K and b = 1.
+    def _basis(self, classes: list[int]) -> list[dict]:
+        """The basis blocks {(rl, c): x_c[rl]} of the class roots, field k of
+        u_c being x_c s_c (see _columns).  Over Q(q), s_c = 2^(K ea) stands
+        for q^ea, and field k is P(2^K) for P = q^ea x_c.
 
         Proof that K suffices.  Taking q to 2^K is a ring map Z[q] -> Z, so
-        every integer column and event side is the value at 2^K of the
-        polynomial that the same steps give over Z[q] with a = q and b = 1.
-        There each row of the maps b A_i and b A_i - (a - b) has one entry q
-        or 1 and at most one more, q - 1 or 1 - q, so its coefficient
-        1-norms sum to at most 3, and a map grows the largest |coefficient|
-        at most 3-fold; the multipliers ml and mr are powers of q, which
-        leave the coefficients as they are.  The roots are 0/1, so with h
-        the tree height (the largest ea + eb) every column and event side
-        has its coefficients within 3^(h+1) < 2^(K-2), for
-        K = bit_length(3^(h+1)) + 2.  Two polynomials whose coefficients
-        are all below 2^(K-1) in size are equal if and only if their values
-        at 2^K are, by the argument of _width with the coefficients as
-        fields.  So an event holds over Q(q) exactly when it holds at
-        q = 2^K, and the balanced base-2^K digits of an entry (_unpack) are
-        its coefficients.
-        """
-        W = _width(self._checks()[0])
-        return [1 << (W * k) for k in classes], W, max(classes) + 1
-
-    def _verify(self, pack: tuple, keep: bool = False, limit: int | None = 1) -> tuple[list[int], list]:
-        """Propagate a pack from its root column and check every event on it.
-
-        A tree edge maps x_p to A x_p (case 2) or (A - (q - 1)) x_p / q
-        (case 3); with q = a/b that is u_c = the integer image of u_p, its
-        factor (b on case 2, a on case 3) going into s_c.  Only the columns
-        that a check reads, and their tree ancestors, are propagated; each
-        check of _checks runs as soon as its columns exist, and a column is
-        dropped after its last use unless keep, which propagates the other
-        columns too once every check has run.  A loop holds exactly when
-        the fields of the two ends of each 2-cycle agree, as a and b are
-        nonzero (over Q(q), a = 2^K and b = 1).  A packed event holds if and
-        only if it holds for every root of the pack (see _width), over Q(q)
-        too (see _pack_roots).
-
-        Returns the positions of the first limit (None: all) events broken,
-        in the order checked, and the columns (None where dropped or not
-        propagated).
-        """
-        _, steps, rest = self._checks()
-        cols = [None] * len(self.table)
-        bad = []
-        for c, edge, checks, done in steps:
-            cols[c] = pack[0] if edge is None else _apply_dense(edge[1], cols[edge[0]])
-            for pos, op, c1, c2, ml, mr in checks:
-                if op is None:  # a loop: ml and mr gather the ends of the 2-cycles
-                    lhs, rhs = ml(cols[c1]), mr(cols[c1])
-                else:
-                    lhs, rhs = _apply_dense(op, cols[c1]), cols[c2]
-                    if ml is not None:
-                        lhs = list(map(mul, repeat(ml), lhs))
-                    if mr is not None:
-                        rhs = list(map(mul, repeat(mr), rhs))
-                if lhs != rhs:
-                    bad.append(pos)
-                    if len(bad) == limit:
-                        return bad, cols
-            if not keep:
-                for v in done:
-                    cols[v] = None
-        if keep:
-            for c, (p, op) in rest:
-                cols[c] = _apply_dense(op, cols[p])
-        return bad, cols
-
-    def _basis(self, pack: tuple, cols: list) -> list[dict]:
-        """The d basis blocks {(rl, c): x_c[rl]} of a checked pack, field k of
-        u_c being x_c s_c.  Over Q(q), s_c = 2^(K ea) stands for q^ea: field
-        k is P(2^K) for P = q^ea x_c, whose coefficients are its balanced
-        base-2^K digits (see _pack_roots), so x_c[rl] is P shifted down by
-        ea, a Laurent polynomial with integer coefficients."""
-        _, W, d = pack
+        every integer column is the value at 2^K of the polynomial column
+        that the same steps give over Z[q] with a = q and b = 1.  There
+        each row of the maps b A' and b A' - (a - b) has one entry q or 1
+        and at most one more, q - 1 or 1 - q, so its coefficient 1-norms
+        sum to at most 3, and a map grows the largest |coefficient| at most
+        3-fold.  The roots are 0/1, so with h the tree height (the largest
+        ea + eb) every column has its coefficients within 3^h < 2^(K-2),
+        for K = bit_length(3^h) + 2, and the balanced base-2^K digits of
+        a field (_unpack) are the coefficients of P: x_c[rl] is P shifted
+        down by ea, a Laurent polynomial with integer coefficients."""
+        W, cols = self._columns(classes)
+        d = max(classes) + 1
         if self.over_q:
             s_of = [self.a ** ea * self.b ** eb for ea, eb in self.exps]
             value = Fraction
@@ -733,27 +655,48 @@ class _PairSolver:
                 return _normal(-ea, _unpack(v, K, v.bit_length() // K + 2), 1)
         blocks = [{} for _ in range(d)]
         for c, (u, s) in enumerate(zip(cols, s_of)):
-            for rl, val in enumerate(u):
-                if val:
-                    for X, v in zip(blocks, _unpack(val, W, d)):
-                        if v:
-                            X[(rl, c)] = value(v, s)
+            for rl in sorted(u):
+                for X, v in zip(blocks, _unpack(u[rl], W, d)):
+                    if v:
+                        X[(rl, c)] = value(v, s)
         return blocks
+
+    def _check(self, blocks: list[dict]) -> None:
+        """Check every event left on every block, exactly in its own ring:
+        event (l, c, c2, case) is _commutes of the map of position l on the
+        rows and columns together (columns after the m rows) with each
+        block cut to columns c and c2.  A_l preserves their span and its
+        complement, so the cut commutes exactly when E(l, c) and E(l, c2)
+        hold, which the quadratic relation makes one equation."""
+        m = self.m
+        a, b = (self.a, self.b) if self.over_q else (Q, ONE)
+        for l, c, c2, case in self.events:
+            op = _scaled_generator([entries[l] for entries in self.table_p]
+                                   + [(cs, t + m) for cs, t in (entries[l] for entries in self.table)],
+                                   a, b)
+            src = sorted(range(len(op[0])), key=op[0].__getitem__)
+            for X in blocks:
+                if not _commutes(op, src, {(rl, v + m): x for (rl, v), x in X.items() if v in (c, c2)}):
+                    raise SolverInvariantError('the root-loop classes break an equation',
+                                               self.pair, (l, c, c2, case))
 
     def solve(self, with_basis: bool):
         """(dimension, basis blocks) of the pair, the blocks only if
-        with_basis: the 0/1 roots of the root-loop classes (_classes),
-        certified by verifying on them, in one packed pass, the events:
-        the loops and the one raw equation per 2-cycle off the tree that
-        no commuting square implies (see the module docstring for why that
-        is exact).  An event that breaks raises SolverInvariantError
-        naming it."""
-        pack = self._pack_roots(self._classes())
-        bad, cols = self._verify(pack, keep=with_basis)
-        if bad:
-            raise SolverInvariantError('the root-loop classes break an equation',
-                                       self.pair, self.events[bad[0]])
-        return pack[2], self._basis(pack, cols) if with_basis else []
+        with_basis: the 0/1 roots of the root-loop classes (_classes).
+        Each 2-cycle of a loop at the root must join rows of one class,
+        and the events that the relations leave are checked on the blocks
+        (_check); either failure raises SolverInvariantError naming the
+        equation.  With no event left, counting propagates nothing."""
+        classes = self._classes()
+        for i in self.plan.roots:
+            if any(classes[rl] != classes[t] for rl, t in self._cycles(i)):
+                raise SolverInvariantError('the root-loop classes break an equation',
+                                           self.pair, (i, 0, 0, 1))
+        if not (with_basis or self.events):
+            return max(classes) + 1, []
+        blocks = self._basis(classes)
+        self._check(blocks)
+        return len(blocks), blocks if with_basis else []
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +805,9 @@ def _total_dim(classes: dict[tuple, list[list[int]]], qf, materialize: bool,
     _ColumnPlan of the x-th table of classes, built in the first pair
     that needs it (None until then) and shared by every later pair and
     call given the same list; rows[y], the _RowState of the y-th table,
-    likewise, but its maps are dropped at the end of the call.
+    likewise, but its maps are dropped at the end of the call.  A pair
+    whose solve returns fewer or more blocks than its dimension raises
+    SolverInvariantError.
     """
     total = 0
     basis = [] if materialize else None
@@ -871,12 +816,15 @@ def _total_dim(classes: dict[tuple, list[list[int]]], qf, materialize: bool,
             pair = comps[0][0], comps_p[0][0]
             rows[y] = rows[y] or _RowState(table_p)
             # the first row of pairs builds every row state, so rows[x] exists
-            # and lends the plan the commuting set of their common table
-            plans[x] = plans[x] or _ColumnPlan(table, pair, rows[x].commuting)
+            # and lends the plan the relations of their common table
+            plans[x] = plans[x] or _ColumnPlan(table, pair, rows[x])
             solver = _PairSolver(table, table_p, qf, pair, plans[x], rows[y])
             dim, blocks = solver.solve(with_basis=materialize)
             total += dim * len(comps) * len(comps_p)
             if materialize:
+                if len(blocks) != dim:
+                    raise SolverInvariantError(
+                        f'{len(blocks)} basis blocks for dimension {dim}', pair)
                 for C in comps[:1] if representatives else comps:
                     for Cp in comps_p[:1] if representatives else comps_p:
                         basis.extend({(Cp[a], C[b]): v for (a, b), v in X.items()}

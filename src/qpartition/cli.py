@@ -38,10 +38,15 @@ EX_PIPE = 141
 
 DEFAULT_LIMIT = 4096
 # work bounds of dims and glq-dims in the units of _dims_work and
-# _glq_work; on a 2-CPU machine with Python 3.11, dims --n 24 --r 12
-# and glq-dims --n 20 --r 20 take about 0.2 s each, and the longest
-# table the dims bound admits (--n 49999 --r 1) about 1.4 s
+# _glq_work; on a 2-CPU machine with Python 3.11, dims --n 24 --r 12,
+# the longest table the dims bound admits (--n 5555 --r 1) and
+# glq-dims --n 20 --r 20 take about 0.2 s each
 DIMS_LIMIT = 100_000
+# work units charged per dims table row (n', r'): its qpartition_dim
+# call, Bell number and row dict take about as long as 16 units of the
+# hook-pair weight (--n 49999 --r 1 took 1.2 s against 0.15 s for
+# --n 24 --r 12, timed as child processes)
+DIMS_ROW = 16
 GLQ_LIMIT = 4_000_000
 
 
@@ -255,9 +260,11 @@ def _dims_work(n: int, r: int) -> int:
     tracks the cost of their double coset counts: a hook pair has no
     middle rows, so its count is one pass of the singleton-row table
     over the l + 1 columns with at most k states.  That is
-    C(m + 1, 2)^2 per row, summed here in closed form."""
+    C(m + 1, 2)^2 per row, summed here in closed form, plus DIMS_ROW for
+    each of the n r rows of the output table."""
     m = min(n, r)
-    return m * (m + 1) * (m + 2) * (3 * m * m + 6 * m + 1) // 60 + (n - m) * comb(m + 1, 2) ** 2
+    return (m * (m + 1) * (m + 2) * (3 * m * m + 6 * m + 1) // 60
+            + (n - m) * comb(m + 1, 2) ** 2 + DIMS_ROW * n * r)
 
 
 def _check_work(what: str, work: int, limit: int) -> None:

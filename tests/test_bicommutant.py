@@ -182,9 +182,39 @@ def _lossy_solve(pair):
     return lossy
 
 
-def test_a_lost_identity_block_raises(monkeypatch):
+def _shifted_identity_solve(pair):
+    """_PairSolver.solve, except that the pair solve of pair replaces the
+    identity block, the one holding (0, 0), by its sum with another block
+    of the pair: the span and the count stay, but the identity is no
+    longer one of the blocks."""
+    solve = centralizer._PairSolver.solve
+
+    def shifted(self, with_basis):
+        dim, blocks = solve(self, with_basis)
+        if self.pair == pair:
+            t = next(t for t, X in enumerate(blocks) if (0, 0) in X)
+            other = blocks[t - 1]
+            X = dict(blocks[t])
+            for key, v in other.items():
+                X[key] = X.get(key, 0) + v
+            blocks = blocks[:t] + [X] + blocks[t + 1:]
+        return dim, blocks
+    return shifted
+
+
+def test_a_lost_block_raises(monkeypatch):
+    # a solve that returns fewer blocks than its dimension
     pair = _multi_member_pair(3, 3)
     monkeypatch.setattr(centralizer._PairSolver, 'solve', _lossy_solve(pair))
+    with pytest.raises(SolverInvariantError) as info:
+        double_centralizer_check(3, 3, Fraction(7, 5))
+    assert 'basis blocks for dimension' in str(info.value)
+    assert info.value.pair == pair
+
+
+def test_a_lost_identity_block_raises(monkeypatch):
+    pair = _multi_member_pair(3, 3)
+    monkeypatch.setattr(centralizer._PairSolver, 'solve', _shifted_identity_solve(pair))
     with pytest.raises(SolverInvariantError) as info:
         double_centralizer_check(3, 3, Fraction(7, 5))
     assert 'identity' in str(info.value)
@@ -259,18 +289,23 @@ try:
 except SolverInvariantError as exc:
     print('raised:', 'outside one component pair' in str(exc))
 
-# the premise of the relabellings, on a solve that loses an identity block
+# the block count and the premise of the relabellings, on two mutant solves
 from fractions import Fraction
-from test_bicommutant import _lossy_solve, _multi_member_pair
+from test_bicommutant import _lossy_solve, _multi_member_pair, _shifted_identity_solve
 from qpartition import centralizer
 pair = _multi_member_pair(3, 3)
-centralizer._PairSolver.solve = _lossy_solve(pair)
-try:
-    centralizer.double_centralizer_check(3, 3, Fraction(7, 5))
-    raise SystemExit('a lost identity block was accepted')
-except SolverInvariantError as exc:
-    if exc.pair != pair or 'identity' not in str(exc):
-        raise SystemExit('a lost identity block raised ' + str(exc))
+solve = centralizer._PairSolver.solve
+for mutant, words in ((_lossy_solve, 'basis blocks for dimension'),
+                      (_shifted_identity_solve, 'identity')):
+    centralizer._PairSolver.solve = mutant(pair)
+    try:
+        centralizer.double_centralizer_check(3, 3, Fraction(7, 5))
+        raise SystemExit('a mutant solve was accepted')
+    except SolverInvariantError as exc:
+        if exc.pair != pair or words not in str(exc):
+            raise SystemExit('a mutant solve raised ' + str(exc))
+    print('raised:', words)
+    centralizer._PairSolver.solve = solve
 """
 
 
@@ -281,4 +316,5 @@ def test_element_across_two_pairs_raises_under_python_O():
     proc = subprocess.run([sys.executable, '-O', '-c', code],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ['raised: True']
+    assert proc.stdout.splitlines() == ['raised: True', 'raised: basis blocks for dimension',
+                                        'raised: identity']

@@ -30,6 +30,7 @@ from qpartition.centralizer import (
     _RowState,
     _apply,
     _bfs,
+    _braids,
     _commuting,
     _component_classes,
     _scaled_generator,
@@ -695,18 +696,31 @@ try:
                 Fraction(2), (0, 0))
 except SolverInvariantError as exc:
     print('malformed moving row raised:', 'generator position 1 neither fixes row' in str(exc))
-# a loop that a commuting square drops, made a case 2 entry to itself
+# a loop off the root, which the relations drop, made a case 2 entry to itself
 big = max(_component_classes(4, 2, (1, 2, 3)), key=len)
-events = _PairSolver(big, big, Fraction(2), (0, 0)).events
 k, c = next((k, c) for c, entries in enumerate(big) for k, entry in enumerate(entries)
-            if entry == (1, c) and (k, c, c, 1) not in events)
+            if entry == (1, c) and c)
 bad = tuple(tuple((2, c) if (w, i) == (c, k) else e for i, e in enumerate(entries))
             for w, entries in enumerate(big))
 for table, table_p in ((bad, big), (big, bad)):
     try:
         _PairSolver(table, table_p, Fraction(2), (0, 0)).solve(with_basis=False)
     except SolverInvariantError as exc:
-        print('malformed table under squares raised:', 'neither fixes' in str(exc))
+        print('malformed table under the relations raised:', 'neither fixes' in str(exc))
+# a row table malformed at a position that moves no column, read by the
+# braid reader as that position fails to commute with the other
+try:
+    _PairSolver((((2, 1), (1, 0)), ((3, 0), (1, 1))), (((2, 1), (2, 1)), ((3, 0), (2, 0))),
+                Fraction(2), (0, 0))
+except SolverInvariantError as exc:
+    print('malformed table at the braid reader raised:', 'position 1 neither fixes row' in str(exc))
+# a column table of the generators 1, 2, 3 against a row table of 2, 1, 3:
+# the relations leave equations, and the classes break the first
+mismatched = [tuple(_component_classes(4, 2, gens))[0] for gens in ((1, 2, 3), (2, 1, 3))]
+try:
+    _PairSolver(*mismatched, Fraction(2), (0, 0)).solve(with_basis=False)
+except SolverInvariantError as exc:
+    print('broken leftover raised:', exc.pair, exc.event)
 real_classes, real_cycles = _PairSolver._classes, _PairSolver._cycles
 
 
@@ -722,7 +736,7 @@ _PairSolver._classes = drop_root_cycles
 try:
     commutant_basis(3, 2, (Fraction(2),))
 except SolverInvariantError as exc:
-    print('broken event raised:', exc.pair, exc.event)
+    print('broken root-loop class raised:', exc.pair, exc.event)
 """
 
 
@@ -742,9 +756,11 @@ def test_solver_invariants_raise_under_python_O():
                                                'malformed 2-cycle raised: True',
                                                'malformed column raised: True',
                                                'malformed moving row raised: True',
-                                               'malformed table under squares raised: True',
-                                               'malformed table under squares raised: True',
-                                               'broken event raised: (0, 0) (1, 0, 0, 1)']
+                                               'malformed table under the relations raised: True',
+                                               'malformed table under the relations raised: True',
+                                               'malformed table at the braid reader raised: True',
+                                               'broken leftover raised: (0, 0) (2, 1, 1, 1)',
+                                               'broken root-loop class raised: (0, 0) (1, 0, 0, 1)']
 
 
 BOUNDARY_CHECKS = """
@@ -844,11 +860,11 @@ def test_symbolic_matches_specialised_at_random_q(a, b, negative, cell):
 
 
 # ---------------------------------------------------------------------------
-# the packed check against the per-root path it replaced
+# the solve's checks and packed propagation against the per-root path
 
 class Reference:
-    """The per-root verification over Q: each root a column of its own,
-    propagated in sparse dict columns with their own scales, every event
+    """The per-root path over Q: each root a column of its own, propagated
+    in sparse dict columns with their own scales, every equation
     cross-multiplied by the scales of its two columns.  The maps are built
     from the row table afresh, not taken from the solver.  Given q0 =
     coeff.Q rather than a Fraction, it runs over Z[q] at a = q and b = 1
@@ -895,30 +911,15 @@ class Reference:
             cols[c] = self.image(i, case, u), self.factor[case] * s
         return cols
 
-    def largest(self, solver, cols):
-        """The largest |value| in any column and on either side of any event
-        but a loop, the sides taken with the common part of their scales
-        divided out: ml N u_c and mr u_c2, ml = s_c2 / g and mr = factor s_c
-        / g for g = gcd(s_c2, factor s_c).  A loop compares two entries of
-        one column, so the pack forms no side of it."""
-        def size(u):
-            return max(map(abs, u.values()), default=0)
+    def largest(self, cols):
+        """The largest |value| in any column."""
+        return max(max(map(abs, u.values()), default=0) for u, _ in cols.values())
 
-        out = max(size(u) for u, _ in cols.values())
-        for i, c, c2, case in solver.events:
-            if case == 1:
-                continue
-            (u, s), (u2, s2) = cols[c], cols[c2]
-            g = math.gcd(s2, self.factor[case] * s)
-            out = max(out, abs(s2 // g) * size(self.image(i, case, u)),
-                      abs(self.factor[case] * s // g) * size(u2))
-        return out
-
-    def residuals(self, solver, cols, events=None):
-        """Per event (of solver.events, or of events), its two sides on the
-        columns, image s_c2 - factor s_c u_c2, exactly, zeros left out."""
+    def residuals(self, solver, cols, events):
+        """Per equation of events, its two sides on the columns, image s_c2 -
+        factor s_c u_c2, exactly, zeros left out."""
         out = []
-        for i, c, c2, case in solver.events if events is None else events:
+        for i, c, c2, case in events:
             (u, s), (u2, s2) = cols[c], cols[c2]
             res = {rl: v * s2 for rl, v in self.image(i, case, u).items()}
             for rl, v in u2.items():
@@ -926,10 +927,20 @@ class Reference:
             out.append({rl: v for rl, v in res.items() if v})
         return out
 
-    def violations(self, solver, cols, events=None):
-        """The positions of every event (of solver.events, or of events) that
-        the columns break."""
+    def violations(self, solver, cols, events):
+        """The positions of every equation of events that the columns break."""
         return [pos for pos, res in enumerate(self.residuals(solver, cols, events)) if res]
+
+
+def root_loops(solver):
+    """The loops at the root, which the root-loop classes hold."""
+    return [(i, 0, 0, 1) for i in solver.plan.roots]
+
+
+def checked(solver):
+    """The equations a solve checks: the root loops, on the classes, and
+    the events that the relations leave."""
+    return root_loops(solver) + solver.events
 
 
 def class_roots(classes):
@@ -937,58 +948,49 @@ def class_roots(classes):
     return [[int(k == cls) for cls in classes] for k in range(max(classes) + 1)]
 
 
-def packed_partitions(table, table_p, q0):
-    """Check the 0/1 roots of two partitions of the rows of one pair as solve
-    checks its root-loop classes: per partition, yield the solver, the
-    roots, their pack, its columns and every event it breaks.  The
-    singleton partition spans the whole root space, which breaks a loop
-    at the root wherever that loop moves a row; the root-loop classes come
-    second and break nothing.  q0 is a Fraction, or coeff.Q for the
-    symbolic mode."""
-    solver = _PairSolver(table, table_p, q0, (0, 0))
-    for classes in (list(range(solver.m)), solver._classes()):
-        pack = solver._pack_roots(classes)
-        bad, cols = solver._verify(pack, keep=True, limit=None)
-        yield solver, class_roots(classes), pack, cols, bad
-
-
 def pair_classes(n, r, gens=None):
     classes = _component_classes(n, r, tuple(range(1, n)) if gens is None else gens)
     return [(table, table_p) for table in classes for table_p in classes]
 
 
-def flagged_by_reference(ref, solver, roots, events=None):
-    """The events (of solver.events, or of events) that some root breaks
-    on the reference path."""
-    flagged = set()
-    for y in roots:
-        flagged.update(ref.violations(solver, ref.propagate(solver, ref.clear(y)), events))
-    return flagged
+def broken_by_reference(ref, solver, roots):
+    """The incidences that some root breaks on the reference path."""
+    full = incidences(solver)
+    return {full[pos] for y in roots
+            for pos in ref.violations(solver, ref.propagate(solver, ref.clear(y)), full)}
+
+
+def solve_on(solver, classes, with_basis=False):
+    """solve with its root-loop classes replaced by a partition of the rows:
+    the event it raises, or None with the blocks."""
+    solver._classes = lambda: classes
+    try:
+        return None, solver.solve(with_basis)[1]
+    except SolverInvariantError as exc:
+        return exc.event, None
+    finally:
+        del solver._classes
 
 
 PACK_Q = DEFAULT_Q_VALUES + HARD_Q
 
 
 def check_packed_against_reference(n, r, q0, ref_class):
-    """The pack of each partition fails an event exactly when some root
-    does on the reference path, and fails one whenever some root breaks
-    any incidence, an equation the solve leaves out included; solve, which
-    stops at the first, is handed the first in the order checked.  Returns
-    how many packs failed."""
+    """On the singleton partition, which spans every root, and on the
+    root-loop classes, the solve's checks fail exactly when some root of
+    the partition breaks an incidence on the reference path, and the
+    event they name is one of those; the classes break nothing.  Returns
+    how many partitions failed."""
     failing = 0
     for table, table_p in pair_classes(n, r):
         ref = ref_class(table_p, q0)
-        for solver, roots, pack, _, bad in packed_partitions(table, table_p, q0):
-            failing += bool(bad)
-            full = incidences(solver)
-            broken = {full[pos] for pos in flagged_by_reference(ref, solver, roots, full)}
-            assert sorted(bad) == [pos for pos, e in enumerate(solver.events) if e in broken]
-            assert bool(bad) == bool(broken)
-            first, left = solver._verify(pack)
-            assert first == bad[:1]
-            if not bad:  # a full pass drops each column after its last use
-                assert left == [None] * len(left)
-        assert not bad  # the root-loop classes, checked last, break nothing
+        solver = _PairSolver(table, table_p, q0, (0, 0))
+        for classes in (list(range(solver.m)), solver._classes()):
+            broken = broken_by_reference(ref, solver, class_roots(classes))
+            raised, _ = solve_on(solver, classes, with_basis=True)
+            assert (raised is None) != bool(broken) and raised in broken | {None}
+            failing += raised is not None
+        assert not broken  # the root-loop classes, checked last
     return failing
 
 
@@ -1000,51 +1002,50 @@ def test_packed_check_matches_per_candidate_reference(n, r):
     assert failing or n <= 2
 
 
+def packed_fields(solver, classes):
+    """The packed columns of a partition's roots, unpacked: fields[c][rl]
+    lists the d roots' entries; and the width W."""
+    W, cols = solver._columns(classes)
+    d = max(classes) + 1
+    return [[_unpack(u.get(rl, 0), W, d) for rl in range(solver.m)] for u in cols], W
+
+
 @pytest.mark.parametrize('n,r', SMALL_GRID)
 def test_packed_width_covers_every_field(n, r):
     for q0 in PACK_Q:
         for table, table_p in pair_classes(n, r):
             ref = Reference(table_p, q0)
-            for solver, roots, pack, cols, _ in packed_partitions(table, table_p, q0):
-                _, W, d = pack
-                assert d == len(roots)
-                fields = [[_unpack(v, W, d) for v in u] for u in cols]
+            solver = _PairSolver(table, table_p, q0, (0, 0))
+            for classes in (list(range(solver.m)), solver._classes()):
+                fields, W = packed_fields(solver, classes)
                 largest = 0
-                for k, y in enumerate(roots):
+                for k, y in enumerate(class_roots(classes)):
                     ref_cols = ref.propagate(solver, ref.clear(y))
                     for c, (u, _) in ref_cols.items():
                         # the packed column holds root k's column as field k
                         assert [f[k] for f in fields[c]] == [u.get(rl, 0) for rl in range(solver.m)]
-                    largest = max(largest, ref.largest(solver, ref_cols))
+                    largest = max(largest, ref.largest(ref_cols))
                 assert largest < 2 ** (W - 1)
 
 
 class SymbolicReference(Reference):
     """The Q(q) path without packing: each root propagated on its own in
     sparse columns of integer polynomials at a = q and b = 1, and every
-    event checked over Z[q], which holds it exactly when Q(q) does."""
+    equation checked over Z[q], which holds it exactly when Q(q) does."""
 
     def __init__(self, table_p, q0=Q):
         super().__init__(table_p, q0)
 
-    def largest(self, solver, cols):
-        """The largest |coefficient| in any column and on either side of any
-        event but a loop (see Reference.largest); the multipliers are powers
-        of q, which leave coefficients as they are."""
-        def size(u):
-            return max((abs(x) for v in u.values() for _, x in v.terms), default=0)
-
-        out = max(size(u) for u, _ in cols.values())
-        for i, c, c2, case in solver.events:
-            if case != 1:
-                out = max(out, size(self.image(i, case, cols[c][0])), size(cols[c2][0]))
-        return out
+    def largest(self, cols):
+        """The largest |coefficient| in any column."""
+        return max((abs(x) for u, _ in cols.values() for v in u.values() for _, x in v.terms),
+                   default=0)
 
 
 @pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
 def test_packed_check_over_q_of_q_matches_sparse_reference(n, r):
-    # the integer check at q = 2^K fails an event exactly when some root
-    # fails it over Q(q)
+    # the checks over Q(q) fail exactly when some root fails an incidence
+    # there, made in Z[q]
     assert check_packed_against_reference(n, r, Q, SymbolicReference) or n <= 2
 
 
@@ -1052,14 +1053,14 @@ def test_packed_check_over_q_of_q_matches_sparse_reference(n, r):
 def test_packed_width_over_q_of_q_covers_every_coefficient(n, r):
     for table, table_p in pair_classes(n, r):
         ref = SymbolicReference(table_p)
-        for solver, roots, pack, cols, _ in packed_partitions(table, table_p, Q):
-            _, W, d = pack
-            K = solver.K
-            assert (solver.a, solver.b) == (1 << K, 1) and d == len(roots)
-            ref_int = Reference(table_p, Fraction(solver.a))
-            fields = [[_unpack(v, W, d) for v in u] for u in cols]
+        solver = _PairSolver(table, table_p, Q, (0, 0))
+        K = solver.K
+        assert (solver.a, solver.b) == (1 << K, 1)
+        ref_int = Reference(table_p, Fraction(solver.a))
+        for classes in (list(range(solver.m)), solver._classes()):
+            fields, W = packed_fields(solver, classes)
             largest = largest_int = 0
-            for k, y in enumerate(roots):
+            for k, y in enumerate(class_roots(classes)):
                 ref_cols = ref.propagate(solver, ref.clear(y))
                 for c, (u, _) in ref_cols.items():
                     for rl in range(solver.m):
@@ -1069,10 +1070,10 @@ def test_packed_width_over_q_of_q_covers_every_coefficient(n, r):
                         f = fields[c][rl][k]
                         digits = _unpack(f, K, f.bit_length() // K + 2)
                         assert LaurentPoly(enumerate(digits)) == u.get(rl, ZERO)
-                largest = max(largest, ref.largest(solver, ref_cols))
+                largest = max(largest, ref.largest(ref_cols))
                 # and the integer fields stay within the width W at q = 2^K
                 ref_int_cols = ref_int.propagate(solver, ref_int.clear(y))
-                largest_int = max(largest_int, ref_int.largest(solver, ref_int_cols))
+                largest_int = max(largest_int, ref_int.largest(ref_int_cols))
             assert largest < 2 ** (K - 1)
             assert largest_int < 2 ** (W - 1)
 
@@ -1084,7 +1085,7 @@ def root_loop_elimination(solver, ref):
     """Pivot-one elimination of the m rows b A_i - a of every loop at the
     root, from ref's maps: (rows, nullspace) over Q by linalg.Echelon,
     over Q(q) by the test helper FieldEchelon on Ref."""
-    rows = [row for i, c, c2, _ in solver.events if c == c2 == 0 for row in ref.loop_rows(i)]
+    rows = [row for i, _, _, _ in root_loops(solver) for row in ref.loop_rows(i)]
     if isinstance(ref, SymbolicReference):
         field = FieldEchelon(solver.m, REF_ONE)
         for row in rows:
@@ -1145,8 +1146,9 @@ def test_symbolic_echelon_matches_field_elimination(n, r):
 
 def test_verification_rejects_a_perturbed_root():
     # a row split off its class into a class of its own leaves two roots
-    # outside the solutions: the pack flags exactly the events the
-    # per-root reference flags for them, while merged classes still pass
+    # outside the solutions: the solve's checks reject exactly the
+    # partitions whose roots the reference finds breaking an incidence,
+    # while merged classes still pass
     # (3, 2): columns on the orbit of e_11, rows on the orbit of e_12,
     # where the solution space is a proper subspace of the root columns
     n, r, gens = 3, 2, (1, 2)
@@ -1160,38 +1162,33 @@ def test_verification_rejects_a_perturbed_root():
         classes = solver._classes()
         d = max(classes) + 1
         assert 1 < d < solver.m
-
-        def packed_violations(partition):
-            pack = solver._pack_roots(partition)
-            assert pack[2] == max(partition) + 1
-            return sorted(solver._verify(pack, limit=None)[0])
-
-        assert packed_violations(classes) == []
-        assert packed_violations([min(k, d - 2) for k in classes]) == []
+        assert solve_on(solver, classes)[0] is None
+        assert solve_on(solver, [min(k, d - 2) for k in classes])[0] is None
         split = 0
         for rl, k in enumerate(classes):
             if classes.count(k) > 1:
                 perturbed = classes[:rl] + [d] + classes[rl + 1:]
-                alone = flagged_by_reference(ref, solver, class_roots(perturbed))
-                assert alone
-                assert packed_violations(perturbed) == sorted(alone)
+                broken = broken_by_reference(ref, solver, class_roots(perturbed))
+                assert broken and solve_on(solver, perturbed)[0] in broken
                 split += 1
         assert split
 
 
 def test_a_dropped_two_cycle_is_caught(monkeypatch):
-    # a mutant that forgets one 2-cycle of each generator checks its loops
-    # on too few rows and joins too few rows into classes: the per-root
-    # reference flags events the packed check passes, and the classes no
-    # longer give the root loops' nullspace
+    # a mutant that forgets one 2-cycle of each generator checks the root
+    # loops on too few rows and joins too few rows into classes: the
+    # checks pass roots that the reference finds breaking an incidence,
+    # and the classes no longer give the root loops' nullspace
     cycles = _PairSolver._cycles
     monkeypatch.setattr(_PairSolver, '_cycles', lambda self, i: cycles(self, i)[1:])
     q0 = Fraction(7, 5)
     missed = widened = 0
     for table, table_p in pair_classes(4, 2):
         ref = Reference(table_p, q0)
-        for solver, roots, _, _, bad in packed_partitions(table, table_p, q0):
-            missed += sorted(bad) != sorted(flagged_by_reference(ref, solver, roots))
+        solver = _PairSolver(table, table_p, q0, (0, 0))
+        for classes in (list(range(solver.m)), solver._classes()):
+            broken = broken_by_reference(ref, solver, class_roots(classes))
+            missed += bool(broken) and solve_on(solver, classes)[0] is None
         widened += class_roots(solver._classes()) != root_loop_elimination(solver, ref)[1]
     assert missed and widened
 
@@ -1200,8 +1197,8 @@ def reference_solve(solver, with_basis):
     """A solve that shares no step with _PairSolver.solve: the nullspace of
     the root loops' full rows (root_loop_elimination), each vector
     propagated on its own on the reference path, which must break no
-    event; over Z[q] in the symbolic mode, where the scale s, a power of
-    q, is a unit of Z[q, q^-1] and is divided out as a shift."""
+    incidence; over Z[q] in the symbolic mode, where the scale s, a power
+    of q, is a unit of Z[q, q^-1] and is divided out as a shift."""
     if solver.over_q:
         ref = Reference(solver.table_p, Fraction(solver.a, solver.b))
         roots = root_loop_elimination(solver, ref)[1]
@@ -1217,7 +1214,7 @@ def reference_solve(solver, with_basis):
         def quotient(v, s):
             return v * s ** -1
     all_cols = [ref.propagate(solver, ref.clear(y)) for y in roots]
-    assert not any(ref.violations(solver, cols) for cols in all_cols)
+    assert not any(ref.violations(solver, cols, incidences(solver)) for cols in all_cols)
     return len(roots), [
         {(rl, c): quotient(v, s) for c, (u, s) in cols.items() for rl, v in u.items()}
         for cols in all_cols] if with_basis else []
@@ -1250,8 +1247,8 @@ def test_unpacked_symbolic_basis_equals_reference_basis(n, r, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one equation per 2-cycle off the tree, and none that a commuting square
-# implies: the equations a solve leaves out, against every incidence
+# one equation per 2-cycle off the tree, and none that a square or a
+# hexagon implies: the equations a solve leaves out, against every incidence
 
 def incidences(solver):
     """Every incidence (i, c, c2, case) of the column table that is not a
@@ -1291,32 +1288,114 @@ def commuting_pairs(table):
 
 
 def as_pairs(masks):
-    """The pairs {k, l} of a tuple of commuting bitmasks (see _commuting)."""
+    """The pairs {k, l} of a tuple of bitmasks (see _commuting)."""
     return {frozenset((k, l)) for l, mask in enumerate(masks)
             for k in range(len(masks)) if mask >> k & 1}
 
 
-def square_deduction(plan, both, premises=(0, 1, 2)):
+def table_matrix(table, k):
+    """The matrix of position k of a table over Z[q, q^-1], as sparse
+    columns v -> {row: coefficient}: q e_v in case 1, e_t in case 2, and
+    q e_t + (q - 1) e_v in case 3."""
+    cols = {}
+    for v, entries in enumerate(table):
+        case, t = entries[k]
+        cols[v] = {v: Q} if case == 1 else {t: ONE} if case == 2 else {t: Q, v: Q - ONE}
+    return cols
+
+
+def braid_holds(table, k, l):
+    """Reference for _braids: A_k A_l A_k == A_l A_k A_l as matrix products
+    over Z[q, q^-1]."""
+    A, B = table_matrix(table, k), table_matrix(table, l)
+    return (_compose_columns(A, _compose_columns(B, A))
+            == _compose_columns(B, _compose_columns(A, B)))
+
+
+def braiding_pairs(solver):
+    """The pairs {k, l} that do not commute on both tables (by the
+    criterion) and braid on both (by the matrices)."""
+    both = commuting_pairs(solver.table) & commuting_pairs(solver.table_p)
+    return {frozenset(kl) for kl in itertools.combinations(range(len(solver.table[0])), 2)
+            if frozenset(kl) not in both and braid_holds(solver.table, *kl)
+            and braid_holds(solver.table_p, *kl)}
+
+
+def hexagon_terms(table, k, l, p):
+    """Reference for the hexagon of positions k and l at vertex p: the
+    terms {(w, j, v): c} of c A'_w R_j e_v, from the matrices over
+    Z[q, q^-1], zeros dropped."""
+    mats = {k: table_matrix(table, k), l: table_matrix(table, l)}
+    terms = {}
+    for sign, x, y in ((1, k, l), (-1, l, k)):
+        ax = mats[x][p]
+        ayax = {}
+        for v, c in ax.items():
+            for t, c2 in mats[y][v].items():
+                ayax[t] = ayax.get(t, ZERO) + c * c2
+        for w, j, u in (((), x, ayax), ((x,), y, ax), ((x, y), x, {p: ONE})):
+            for v, c in u.items():
+                terms[w, j, v] = terms.get((w, j, v), ZERO) + c * sign
+    return {key: c for key, c in terms.items() if c}
+
+
+def orbit_of(table, k, l, c):
+    """The vertices that the target maps of positions k and l reach from c."""
+    seen = [c]
+    for v in seen:
+        seen += [t for t in (table[v][k][1], table[v][l][1]) if t not in seen]
+    return seen
+
+
+def relation_deduction(solver, square_premises=(0, 1, 2), hexagon_drops=lambda w: False):
     """Reference for the events of a solve, on sets of equations: walk the
-    candidates in order and drop E(l, c), unless it is a loop at the root,
-    when a position k that moves c, with {k, l} in both, has the premises
-    E(l, p), E(k, p) and E(k, s_l p) known, p = s_k c; known are the tree
-    edges, the candidates walked, and the other end of the 2-cycle of each.
-    premises picks the premises asked for, by their place in that list."""
-    table = plan.table
+    candidates in order and drop E(l, c) when a square of l and a position
+    k that moves c, with {k, l} commuting on both tables, has the premises
+    E(l, p), E(k, p) and E(k, s_l p) known, p = s_k c; or when a hexagon of
+    l and a position k braiding with it on both tables, at a vertex of the
+    orbit of c, has E(l, c) or its partner as its only unknown term, with
+    coefficient +-q^e.  Known are the tree edges, the loops at the root,
+    the loops of the positions that fix every row, the candidates walked,
+    and the other end of the 2-cycle of each.  square_premises picks the
+    square's premises asked for, by their place in that list;
+    hexagon_drops(w) says whether hexagon terms of the word w count as
+    known."""
+    table, table_p = solver.table, solver.table_p
+    both = commuting_pairs(table) & commuting_pairs(table_p)
+    braid = braiding_pairs(solver)
     known = set()
 
     def learn(k, c):
         known.update({(k, c), (k, table[c][k][1])})
 
-    for p, k, _ in plan.par.values():
+    for p, k, _ in solver.par.values():
         learn(k, p)
+    for k in range(len(table[0])):
+        if all(entries[k] == (1, v) for v, entries in enumerate(table_p)):
+            known.update((k, c) for c, entries in enumerate(table) if entries[k] == (1, c))
+        if table[0][k] == (1, 0):
+            learn(k, 0)
+
+    def hexagon(l, c, c2):
+        for k in range(len(table[0])):
+            if frozenset((k, l)) not in braid:
+                continue
+            for p in orbit_of(table, k, l, c):
+                unknown = [(j, v, coef) for (w, j, v), coef in hexagon_terms(table, k, l, p).items()
+                           if (j, v) not in known and not hexagon_drops(w)]
+                if (len(unknown) == 1 and unknown[0][:2] in ((l, c), (l, c2))
+                        and len(unknown[0][2].terms) == 1 and abs(unknown[0][2].terms[0][1]) == 1):
+                    return True
+        return False
+
     events = []
-    for l, c, c2, case in candidates(incidences(plan)):
-        implied = (c or case != 1) and any(
-            all(((l, p), (k, p), (k, table[p][l][1]))[x] in known for x in premises)
+    for l, c, c2, case in candidates(incidences(solver)):
+        if (l, c) in known:
+            continue
+        implied = any(
+            all(((l, p), (k, p), (k, table[p][l][1]))[x] in known for x in square_premises)
             for k, (case_k, p) in enumerate(table[c])
-            if case_k != 1 and frozenset((k, l)) in both)
+            if case_k != 1 and frozenset((k, l)) in both) or hexagon(l, c, c2)
         if not implied:
             events.append((l, c, c2, case))
         learn(l, c)
@@ -1327,28 +1406,19 @@ def both_tables(solver):
     return commuting_pairs(solver.table) & commuting_pairs(solver.table_p)
 
 
-def single_root_packs(solver, classes):
-    """Each 0/1 root of a partition as a pack of its own, at the width of
-    the partition's pack (the width depends on the pair alone)."""
-    _, W, d = solver._pack_roots(classes)
-    return [([int(k == j) for k in classes], W, 1) for j in range(d)]
-
-
 def unflagged_breaks(solver, ref, classes):
     """The 0/1 roots of a partition, one at a time, against every
     incidence on the reference path: (broken, unflagged), the incidences
-    some root breaks, and the roots that break one while the packed check
-    of that root alone flags no event.  Per root, a 2-cycle's two ends
-    break together, an end whose partner is a tree edge holds, and each
-    event flagged is an incidence that the root breaks."""
+    some root breaks, and the roots that break one while they break no
+    equation the solve checks (checked).  Per root, a 2-cycle's two ends
+    break together, and an end whose partner is a tree edge holds."""
     full = incidences(solver)
     broken, unflagged = set(), []
-    for j, (y, pack) in enumerate(zip(class_roots(classes), single_root_packs(solver, classes))):
+    for j, y in enumerate(class_roots(classes)):
         cols = ref.propagate(solver, ref.clear(y))
         now = {full[pos] for pos in ref.violations(solver, cols, full)}
         assert all((e in now) == (partner(e) in now) for e in full if e[3] != 1)
-        flagged = {solver.events[pos] for pos in solver._verify(pack, limit=None)[0]}
-        assert flagged <= now
+        flagged = ref.violations(solver, cols, checked(solver))
         broken |= now
         if now and not flagged:
             unflagged.append(j)
@@ -1356,14 +1426,14 @@ def unflagged_breaks(solver, ref, classes):
 
 
 def escaped_breaks(solver, ref):
-    """The incidences broken by some root that satisfies every event the
-    solve checks: a kernel vector of the events, as linear forms in the
-    root read off the unit roots on the reference path.  Empty exactly
-    when the events cut out the solutions of every incidence, over Q."""
+    """The incidences broken by some root that satisfies every equation the
+    solve checks: a kernel vector of those equations, as linear forms in
+    the root read off the unit roots on the reference path.  Empty exactly
+    when they cut out the solutions of every incidence, over Q."""
     m, forms = solver.m, {}
     for j in range(m):
         cols = ref.propagate(solver, ref.clear([int(k == j) for k in range(m)]))
-        for pos, res in enumerate(ref.residuals(solver, cols)):
+        for pos, res in enumerate(ref.residuals(solver, cols, checked(solver))):
             for rl, v in res.items():
                 forms.setdefault((pos, rl), {})[j] = v
     ech = Echelon(m, Fraction(1))
@@ -1376,9 +1446,10 @@ def escaped_breaks(solver, ref):
 
 def kept_events_stand_for_all(solver, ref):
     """For the singleton partition, which spans every root, and for the
-    root-loop classes: each root that breaks any incidence breaks a kept
-    event; over Q, no root that the events leave breaks one either.
-    Returns the incidences each partition breaks."""
+    root-loop classes: each root that breaks any incidence breaks an
+    equation the solve checks; over Q, no root in the kernel of those
+    equations breaks one either.  Returns the incidences each partition
+    breaks."""
     found = []
     for classes in (list(range(solver.m)), solver._classes()):
         broken, unflagged = unflagged_breaks(solver, ref, classes)
@@ -1391,9 +1462,9 @@ def kept_events_stand_for_all(solver, ref):
 
 @pytest.mark.parametrize('n,r', SMALL_GRID)
 def test_one_equation_per_two_cycle_stands_for_both(n, r):
-    # a dropped partner and an equation a commuting square implies are
-    # broken only by roots that break a kept event; the root-loop classes
-    # break nothing
+    # a dropped partner and an equation that a square or a hexagon implies
+    # are broken only by roots that break a checked equation; the
+    # root-loop classes break nothing
     for q0 in ROOT_Q:
         for table, table_p in pair_classes(n, r):
             solver = _PairSolver(table, table_p, q0, (0, 0))
@@ -1450,7 +1521,8 @@ def test_one_equation_per_two_cycle_stands_for_both_where_they_break(n, r):
 def test_one_event_per_two_cycle_off_the_tree(n, r):
     # the candidates: the loops, and one case 2 event for each 2-cycle of C
     # but the |C| - 1 that hold a tree edge; the events: those the
-    # reference deduction keeps of them, every loop at the root among them
+    # reference deduction keeps of them, none on these tables, and never
+    # a loop at the root, which the classes hold
     for table, table_p in pair_classes(n, r):
         solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
         cases = [case for entries in table for case, _ in entries]
@@ -1459,15 +1531,15 @@ def test_one_event_per_two_cycle_off_the_tree(n, r):
         assert {e[3] for e in moving} <= {2}
         assert len(moving) == cases.count(2) - (len(table) - 1)
         assert len(full) - len(moving) == cases.count(1)
-        assert solver.events == square_deduction(solver.plan, both_tables(solver))
-        assert {(i, 0, 0, 1) for i in solver.plan.roots} <= set(solver.events)
+        assert solver.events == relation_deduction(solver) == []
+        assert set(root_loops(solver)) <= set(full)
 
 
 @pytest.mark.parametrize('n,r', MISMATCHED_GRID)
 def test_events_match_the_reference_deduction_where_the_tables_differ(n, r):
     for table, table_p in mismatched_pair_classes(n, r):
         solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
-        assert solver.events == square_deduction(solver.plan, both_tables(solver))
+        assert solver.events == relation_deduction(solver)
 
 
 @pytest.mark.parametrize('n', [2, 3, 4])
@@ -1476,19 +1548,23 @@ def test_events_match_the_reference_deduction_on_generator_subsets(n):
         for r in itertools.takewhile(lambda r: n ** r <= 81, itertools.count(1)):
             for table, table_p in pair_classes(n, r, gens):
                 solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
-                assert solver.events == square_deduction(solver.plan, both_tables(solver))
+                assert solver.events == relation_deduction(solver)
+                # an ordered subset leaves no equation; the repeated (1, 1) may
+                assert not solver.events or gens == (1, 1)
 
 
 # per column table of the cell, in the order of the classes, against itself
-# as the row table: (|C|, candidates, events kept, columns propagated when
-# counting); the work, pinned without timing
+# as the row table: (|C|, candidates, events kept); the relations leave no
+# equation, so counting propagates no column
 KEPT_EVENTS = {
-    (4, 2): [(4, 6, 4, 4), (12, 10, 6, 12)],
-    (4, 3): [(4, 6, 4, 4), (12, 10, 6, 12), (24, 13, 7, 24)],
-    (6, 2): [(6, 20, 8, 6), (30, 76, 16, 24)],
-    (10, 2): [(10, 72, 16, 10), (90, 568, 36, 48)],
-    (12, 2): [(12, 110, 20, 12), (132, 1090, 46, 60)],
-    (5, 3): [(5, 12, 6, 5), (20, 33, 11, 18), (60, 73, 24, 57)],
+    (4, 2): [(4, 6, 0), (12, 10, 0)],
+    (4, 3): [(4, 6, 0), (12, 10, 0), (24, 13, 0)],
+    (6, 2): [(6, 20, 0), (30, 76, 0)],
+    (10, 2): [(10, 72, 0), (90, 568, 0)],
+    (12, 2): [(12, 110, 0), (132, 1090, 0)],
+    (5, 3): [(5, 12, 0), (20, 33, 0), (60, 73, 0)],
+    (8, 4): [(8, 42, 0), (56, 246, 0), (336, 1261, 0), (1680, 5461, 0)],
+    (16, 3): [(16, 210, 0), (240, 2926, 0), (3360, 38221, 0)],
 }
 
 
@@ -1497,55 +1573,30 @@ def test_kept_events_are_pinned(n, r):
     got = []
     for table in _component_classes(n, r, tuple(range(1, n))):
         solver = _PairSolver(table, table, Fraction(7, 5), (0, 0))
-        got.append((len(table), len(candidates(incidences(solver))), len(solver.events),
-                    len(solver.steps)))
+        got.append((len(table), len(candidates(incidences(solver))), len(solver.events)))
     assert got == KEPT_EVENTS[n, r]
 
 
-def schedule_faults(solver):
-    """What the counting pass gets wrong: a step whose parent is not
-    propagated before it, a check that reads a column not yet propagated,
-    an event due twice or never, and a step that no check needs (neither
-    read by a check nor an ancestor of a column that is)."""
-    faults, propagated, ran = [], set(), []
-    for c, due, _ in solver.steps:
-        if c and solver.par[c][0] not in propagated:
-            faults.append(('parent', c))
-        propagated.add(c)
-        for pos in due:
-            ran.append(pos)
-            faults += [('read', pos, v) for v in solver.events[pos][1:3] if v not in propagated]
-    if sorted(ran) != list(range(len(solver.events))):
-        faults.append(('due', sorted(ran)))
-    needed = {0} | {v for _, c, c2, _ in solver.events for v in (c, c2)}
-    for c in reversed(solver.order[1:]):
-        if c in needed:
-            needed.add(solver.par[c][0])
-    faults += [('extra', c) for c in propagated - needed]
-    if solver.rest != [c for c in solver.order if c not in propagated]:
-        faults.append(('rest', solver.rest))
-    return faults
-
-
 @pytest.mark.parametrize('n,r', SMALL_GRID + [(10, 2), (12, 2), (5, 3)])
-def test_counting_propagates_only_the_columns_a_check_reads(n, r):
-    # counting propagates the columns the kept checks read and their tree
-    # ancestors, and drops each after its last use; with the basis every
-    # column is propagated
+def test_counting_propagates_only_the_columns_a_check_reads(n, r, monkeypatch):
+    # no equation is left for a check to read, so counting propagates no
+    # column; with the basis every column is propagated
+    columns, calls = _PairSolver._columns, []
+    monkeypatch.setattr(_PairSolver, '_columns',
+                        lambda self, classes: calls.append(self.pair) or columns(self, classes))
     for table, table_p in pair_classes(n, r):
         solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
-        assert schedule_faults(solver) == []
-        pack = solver._pack_roots(solver._classes())
-        assert solver._verify(pack) == ([], [None] * len(table))
-        bad, cols = solver._verify(pack, keep=True)
-        assert bad == [] and None not in cols
+        assert solver.events == []
+        assert solver.solve(with_basis=False) == (max(solver._classes()) + 1, []) and calls == []
+        solver.solve(with_basis=True)
+        assert calls == [(0, 0)]
+        calls.clear()
+        assert None not in columns(solver, solver._classes())[1]
 
 
-def unchecked_events(self, commuting):
-    """A mutant _ColumnPlan._collect_events: the candidates, with neither
-    table's 2-cycle shape checked and no square used."""
-    self.moving = set()
-    return candidates(incidences(self))
+def unchecked_two_cycles(column, i, pair, what):
+    """A mutant _two_cycles: the case 2 entries, the shape unchecked."""
+    return [(v, t) for v, (case, t) in enumerate(column) if case == 2]
 
 
 @pytest.mark.parametrize('table, table_p', [(MALFORMED_COLUMN_TABLES[0], TWO_CYCLE),
@@ -1554,15 +1605,12 @@ def unchecked_events(self, commuting):
 def test_unchecked_shapes_certify_a_broken_equation(table, table_p, monkeypatch):
     # without the shape checks a malformed table solves, and its root-loop
     # classes break an incidence whose partner the pruning dropped
-    monkeypatch.setattr(_ColumnPlan, '_collect_events', unchecked_events)
+    monkeypatch.setattr(centralizer, '_two_cycles', unchecked_two_cycles)
     q0 = Fraction(2)
     solver = _PairSolver(table, table_p, q0, (0, 3))
     assert solver.solve(with_basis=False)[0] == 2
-    ref = Reference(table_p, q0)
-    full = incidences(solver)
-    broken = {full[pos] for y in class_roots(solver._classes())
-              for pos in ref.violations(solver, ref.propagate(solver, ref.clear(y)), full)}
-    assert broken and not broken & set(solver.events)
+    broken = broken_by_reference(Reference(table_p, q0), solver, class_roots(solver._classes()))
+    assert broken and not broken & set(checked(solver))
 
 
 def corrupted(table, v, k, entry):
@@ -1573,7 +1621,7 @@ def corrupted(table, v, k, entry):
 
 def test_malformed_tables_raise_with_the_squares_in_use():
     # the big table of (4, 2), where positions 0 and 2 commute: each
-    # equation that a square drops, its entry made malformed on the
+    # equation that the relations drop, its entry made malformed on the
     # columns or on the rows, still raises
     table = max(_component_classes(4, 2, (1, 2, 3)), key=len)
     solver = _PairSolver(table, table, Fraction(2), (0, 3))
@@ -1608,16 +1656,40 @@ def small_table_pairs(count=2000, seed=0):
     return pairs
 
 
-@pytest.mark.parametrize('q0', [Fraction(7, 5), Fraction(-1), Fraction(1)], ids=str)
-def test_kept_events_cut_out_the_solutions_on_small_tables(q0):
+def wrong_outcomes(q0=Fraction(7, 5)):
+    """How many small table pairs the solve gets wrong: it must raise
+    exactly when some root of the root-loop classes breaks an incidence on
+    the reference path, naming an equation that one breaks, and otherwise
+    give the reference basis of those roots."""
+    wrong = 0
     for table, table_p in small_table_pairs():
         solver = _PairSolver(table, table_p, q0, (0, 0))
-        assert solver.events == square_deduction(solver.plan, both_tables(solver))
+        ref, classes = Reference(table_p, q0), solver._classes()
+        broken = broken_by_reference(ref, solver, class_roots(classes))
+        raised, blocks = solve_on(solver, classes, with_basis=True)
+        if raised is None:
+            want = [{(rl, c): Fraction(v, s) for c, (u, s) in
+                     ref.propagate(solver, ref.clear(y)).items() for rl, v in u.items()}
+                    for y in class_roots(classes)]
+            wrong += bool(broken) or blocks != want
+        else:
+            wrong += raised not in broken
+    return wrong
+
+
+@pytest.mark.parametrize('q0', [Fraction(7, 5), Fraction(-1), Fraction(1)], ids=str)
+def test_kept_events_cut_out_the_solutions_on_small_tables(q0):
+    left = 0
+    for table, table_p in small_table_pairs():
+        solver = _PairSolver(table, table_p, q0, (0, 0))
+        assert solver.events == relation_deduction(solver)
         kept_events_stand_for_all(solver, Reference(table_p, q0))
+        left += bool(solver.events)
+    assert left and wrong_outcomes(q0) == 0
 
 
 def count_escaped(q0=Fraction(7, 5)):
-    """How many small table pairs have a root that satisfies every event
+    """How many small table pairs have a root that satisfies every equation
     the solve checks and breaks some incidence."""
     return sum(bool(escaped_breaks(_PairSolver(table, table_p, q0, (0, 0)),
                                    Reference(table_p, q0)))
@@ -1629,8 +1701,8 @@ def count_escaped(q0=Fraction(7, 5)):
 def test_dropped_two_cycle_events_are_caught(monkeypatch):
     # a mutant that checks the loops alone lets roots through
     collect = _ColumnPlan._collect_events
-    monkeypatch.setattr(_ColumnPlan, '_collect_events', lambda self, commuting: [
-        e for e in collect(self, commuting) if e[3] == 1])
+    monkeypatch.setattr(_ColumnPlan, '_collect_events', lambda self, *relations: [
+        e for e in collect(self, *relations) if e[3] == 1])
     assert count_escaped()
 
 
@@ -1645,44 +1717,73 @@ def test_ignoring_the_row_tables_squares_is_caught(monkeypatch):
     assert count_escaped()
 
 
+def test_ignoring_the_row_tables_braids_is_caught(monkeypatch):
+    # a mutant that takes the hexagons of the column table alone, applied
+    # where the rows do not braid
+    monkeypatch.setattr(_PairSolver, '_braids',
+                        lambda self, k, l: centralizer._braids(self.table, {}, k, l))
+    assert count_escaped()
+
+
+def mutant_events(monkeypatch, **kwargs):
+    """Patch _PairSolver to take its events from relation_deduction(**kwargs)."""
+    init = _PairSolver.__init__
+
+    def mutant(self, *args, **kw):
+        init(self, *args, **kw)
+        self.events = relation_deduction(self, **kwargs)
+    monkeypatch.setattr(_PairSolver, '__init__', mutant)
+
+
 def test_a_dropped_square_premise_is_caught(monkeypatch):
     # a mutant that does not ask for E(k, s_l p)
-    monkeypatch.setattr(_ColumnPlan, '_collect_events', lambda self, commuting: square_deduction(
-        self, as_pairs(commuting), premises=(0, 1)))
+    mutant_events(monkeypatch, square_premises=(0, 1))
+    assert count_escaped()
+
+
+def test_a_dropped_hexagon_premise_is_caught(monkeypatch):
+    # a mutant that counts the term A'_x A'_y R_x e_p of each side as known
+    mutant_events(monkeypatch, hexagon_drops=lambda w: len(w) == 2)
     assert count_escaped()
 
 
 def test_a_dropped_root_loop_is_caught(monkeypatch):
-    collect = _ColumnPlan._collect_events
-    monkeypatch.setattr(_ColumnPlan, '_collect_events', lambda self, commuting: [
-        e for e in collect(self, commuting) if e[1:] != (0, 0, 1)])
-    assert count_escaped()
+    # a mutant whose classes leave out the first loop at the root: the
+    # classes split a 2-cycle of that loop, and the solve names it
+    classes = _PairSolver._classes
+
+    def mutant(self):
+        roots = self.plan.roots
+        self.plan.roots = roots[1:]
+        try:
+            return classes(self)
+        finally:
+            self.plan.roots = roots
+    monkeypatch.setattr(_PairSolver, '_classes', mutant)
+    with pytest.raises(SolverInvariantError, match='root-loop classes') as info:
+        commutant_basis(3, 2, (Fraction(7, 5),))
+    assert info.value.event == (1, 0, 0, 1)
+
+
+def test_a_skipped_leftover_check_is_caught(monkeypatch):
+    # a mutant that never checks the events the relations leave
+    monkeypatch.setattr(_PairSolver, '_check', lambda self, blocks: None)
+    assert wrong_outcomes()
 
 
 def test_a_skipped_column_is_caught(monkeypatch):
-    # a mutant schedule that propagates only the first column of each check
-    schedule = _ColumnPlan._schedule
-    monkeypatch.setattr(_ColumnPlan, '_schedule', lambda self, events: schedule(
-        self, [(i, c, c, case) for i, c, _, case in events]))
-    faults = []
-    for table, table_p in pair_classes(4, 2):
-        faults += schedule_faults(_PairSolver(table, table_p, Fraction(7, 5), (0, 0)))
-    assert any(fault[0] == 'read' for fault in faults)
+    # a mutant propagation that leaves the last column of each pair empty
+    columns = _PairSolver._columns
+
+    def skipping(self, classes):
+        W, cols = columns(self, classes)
+        return W, cols[:-1] + [{}]
+    monkeypatch.setattr(_PairSolver, '_columns', skipping)
+    assert wrong_outcomes()
 
 
 # ---------------------------------------------------------------------------
-# the commuting criterion against the matrices
-
-def table_matrix(table, k):
-    """The matrix of position k of a table over Z[q, q^-1], as sparse
-    columns v -> {row: coefficient}: q e_v in case 1, e_t in case 2, and
-    q e_t + (q - 1) e_v in case 3."""
-    cols = {}
-    for v, entries in enumerate(table):
-        case, t = entries[k]
-        cols[v] = {v: Q} if case == 1 else {t: ONE} if case == 2 else {t: Q, v: Q - ONE}
-    return cols
-
+# the commuting and braid criteria against the matrices
 
 def two_cycle_columns(m):
     """Every generator column of the 2-cycle shape on m vertices: each
@@ -1721,6 +1822,22 @@ def test_commuting_criterion_implies_commuting_matrices_on_every_small_table():
     assert found
 
 
+def test_braid_reader_matches_the_matrices_on_every_small_table():
+    # every two-position table of the 2-cycle shape on up to five vertices:
+    # the reader says braid exactly when the matrices do
+    found = 0
+    memo = {}  # shared, so each orbit table is read once
+    for m in range(1, 6):
+        columns = list(two_cycle_columns(m))
+        for first, second in itertools.product(columns, repeat=2):
+            table = tuple(zip(first, second))
+            memo.pop((0, 1), None)
+            holds = _braids(table, memo, 0, 1)
+            assert holds == braid_holds(table, 0, 1)
+            found += holds and first != second
+    assert found
+
+
 @pytest.mark.parametrize('n,r', [(n, r) for n in range(2, 6) for r in range(1, 4)
                                  if n ** r <= 125])
 def test_commuting_criterion_against_generator_products(n, r):
@@ -1742,46 +1859,68 @@ def test_commuting_criterion_against_generator_products(n, r):
                         == _compose_columns(mats[l], {j: mats[k][j] for j in C}))
 
 
+@pytest.mark.parametrize('n,r', [(n, r) for n in range(2, 6) for r in range(1, 4)
+                                 if n ** r <= 125])
+def test_braid_reader_against_generator_products(n, r):
+    # the reader agrees with the products of the generator matrices over
+    # Z[q, q^-1] on each component, and finds every adjacent pair
+    gens = tuple(range(1, n))
+    idxs = all_indices(n, r)
+    mats = [generator_matrix(n, r, i) for i in gens]
+    for table, comps in _component_classes(n, r, gens).items():
+        C = [idxs[g] for g in comps[0]]
+        for k, l in itertools.combinations(range(len(gens)), 2):
+            A, B = ({j: M[j] for j in C} for M in (mats[k], mats[l]))
+            want = (_compose_columns(mats[k], _compose_columns(mats[l], A))
+                    == _compose_columns(mats[l], _compose_columns(mats[k], B)))
+            assert _braids(table, {}, k, l) == want
+            assert want or gens[l] - gens[k] != 1
+
+
 # ---------------------------------------------------------------------------
-# the traffic: one verify round per pair class, passing
+# the traffic: one solve per pair class, leaving no equation
 
-def verify_rounds(monkeypatch):
-    """Patch _PairSolver._verify to record, per call, whether it flagged an
-    event."""
-    verify = _PairSolver._verify
-    flagged = []
+def solve_counts(monkeypatch):
+    """Patch _PairSolver.solve to record, per call, the events left."""
+    solve = _PairSolver.solve
+    left = []
 
-    def counted(self, pack, *args, **kwargs):
-        bad, cols = verify(self, pack, *args, **kwargs)
-        flagged.append(bool(bad))
-        return bad, cols
+    def counted(self, with_basis):
+        left.append(len(self.events))
+        return solve(self, with_basis)
 
-    monkeypatch.setattr(_PairSolver, '_verify', counted)
-    return flagged
+    monkeypatch.setattr(_PairSolver, 'solve', counted)
+    return left
 
 
 @pytest.mark.parametrize('n,r', SMALL_GRID)
 def test_every_pair_class_passes_in_one_round(n, r, monkeypatch):
-    # each pair class is verified once per q value, and passes
-    flagged = verify_rounds(monkeypatch)
+    # each pair class is solved once per q value, and no pair class leaves
+    # an equation, full or half
+    left = solve_counts(monkeypatch)
     for q0 in DEFAULT_Q_VALUES + (Fraction(1), Fraction(-1)):
-        flagged.clear()
+        left.clear()
         report = commutant_basis(n, r, (q0,))
         assert report.dim == qpartition_dim(n, r)
-        assert flagged == [False] * report.pair_classes, q0
+        assert left == [0] * report.pair_classes, q0
+    if n >= 2:  # and the half commutant
+        left.clear()
+        report = half_commutant_basis(n, r, (Fraction(7, 5),))
+        assert report.dim == half_qpartition_dim(n, r)
+        assert left == [0] * report.pair_classes
 
 
 @pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
 def test_every_symbolic_pair_class_passes_in_one_round(n, r, monkeypatch):
-    flagged = verify_rounds(monkeypatch)
+    left = solve_counts(monkeypatch)
     report = commutant_basis(n, r, symbolic=True)
     assert report.dim == qpartition_dim(n, r)
-    assert flagged == [False] * report.pair_classes
+    assert left == [0] * report.pair_classes
 
 
 @pytest.mark.parametrize('n', [2, 3, 4])
 def test_every_generator_subset_certifies(n):
-    # solve raises if an event breaks on the root-loop classes; none does
+    # solve raises if an equation breaks on the root-loop classes; none does
     # on any ordered generator subset, specialised or over Q(q)
     for gens in generator_subsets(n):
         for r in itertools.takewhile(lambda r: n ** r <= 64, itertools.count(1)):

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpartition.centralizer import commutant_basis
-from qpartition.cli import (EX_FAIL, EX_LIMIT, EX_OK, EX_PIPE, EX_USAGE, GLQ_LIMIT, _dims_work,
-                            _glq_work, _q_fraction, main)
+from qpartition.cli import (DIMS_ROW, EX_FAIL, EX_LIMIT, EX_OK, EX_PIPE, EX_USAGE, GLQ_LIMIT,
+                            _dims_work, _glq_work, _q_fraction, main)
 from qpartition.coeff import LaurentPoly
 from qpartition.qperm import qpartition_dim
 from test_rational_function import Ref
@@ -314,12 +314,12 @@ def test_work_guard_admits_default_sizes_and_honours_limit(capsys, argv):
 
 @pytest.mark.parametrize('half', [(), ('--half',)], ids=['full', 'half'])
 def test_dims_default_limit_admits_24_12_and_refuses_25_12(capsys, half):
-    # the README promises the default admits --n 24 --r 12 (work 94846)
+    # the README promises the default admits --n 24 --r 12 (work 99454)
     code, out, _ = run(capsys, 'dims', '--n', '24', '--r', '12', *half)
     assert code == EX_OK and out
     code, out, err = run(capsys, 'dims', '--n', '25', '--r', '12', *half)
     assert code == EX_LIMIT and not out
-    assert 'dims work 101074 exceeds limit 100000' in err
+    assert 'dims work 105874 exceeds limit 100000' in err
 
 
 # sha256 of the stdout of `dims --format json`, recorded while every
@@ -376,7 +376,20 @@ def test_dims_work_closed_form():
     for n in range(1, 25):
         for r in range(1, 25):
             rows = sum(comb(min(m, r) + 1, 2) ** 2 for m in range(1, n + 1))
-            assert _dims_work(n, r) == rows
+            assert _dims_work(n, r) == rows + DIMS_ROW * n * r
+
+
+@pytest.mark.parametrize('n,r,code', [(24, 12, EX_OK), (16, 8, EX_OK), (5555, 1, EX_OK),
+                                      (5556, 1, EX_LIMIT), (49999, 1, EX_LIMIT)])
+def test_dims_bound_charges_each_row(n, r, code):
+    # a long thin table pays for its rows: the default limit admits
+    # --n 24 --r 12 and refuses --n 49999 --r 1, which once took 1.2 s
+    proc = subprocess.run([sys.executable, '-m', 'qpartition.cli', 'dims', '--n', str(n),
+                           '--r', str(r), '--format', 'csv'],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code == EX_LIMIT:
+        assert not proc.stdout and 'exceeds limit 100000' in proc.stderr
 
 
 # ---------------------------------------------------------------------------
