@@ -71,20 +71,15 @@ consulted; it only predicts the outcome, as C is cyclic on its root
 vector and induced from the generators that fix it (Frobenius
 reciprocity for q-permutation modules, Dipper and James 1986).
 
-A basis is materialised on integers, fraction-free in the manner of
-Bareiss.  With q = a/b in lowest terms, b A'_k has integer entries (a on
-the diagonal in case 1, b in case 2, a and a - b in case 3).  All d
-roots of a pair are propagated together, packed by Kronecker
-substitution (Schonhage 1982; Harvey 2009): entry rl of column c is the
-one int sum of u_c^(k)[rl] 2^(kW) over k, with balanced fields of a
-width W proved a priori to hold every value (see _width).  Field k is
-x_c s_c, the scale s_c = a^ea b^eb the product of the factors along the
-tree path of c (b on a case 2 edge, a on case 3), and unpacking gives
-the Fractions of the basis.  Over Q(q) the roots are the same, and the
-propagation runs one level of Kronecker substitution down, at a = 2^K
-and b = 1, K proved a priori to exceed every coefficient of a column, so
-a basis entry, a Laurent polynomial over Z[q, q^-1], is read off the
-balanced base-2^K digits of its field (see _PairSolver._basis).
+A basis is materialised fraction-free, in the manner of Bareiss.  With
+q = a/b in lowest terms, b A'_k has integer entries (a on the diagonal
+in case 1, b in case 2, a and a - b in case 3).  Each class root is
+propagated on its own along the tree as a sparse integer column
+u_c = x_c s_c, the scale s_c = a^ea b^eb the product of the factors
+along the tree path of c (b on a case 2 edge, a on case 3), and a basis
+entry is u_c[rl] / s_c.  Over Q(q) the same steps run at a = q and
+b = 1: the columns lie in Z[q], and s_c = q^ea is a unit of
+Z[q, q^-1] (see _PairSolver._basis).
 
 Many pairs repeat one solve.  One breadth-first walk per component
 records its generator table (see _component_classes), and the pair
@@ -115,11 +110,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import and_, itemgetter
+from operator import and_, itemgetter, mul
 from typing import Sequence
 
 from ._record import Record
-from .coeff import ONE, Q, LaurentPoly, ZeroSpecialization, _exact, _normal
+from .coeff import ONE, Q, ZeroSpecialization, _exact
 from .hecke import act_by_words
 from .limits import DimensionLimitExceeded, _check_limit
 from .linalg import Echelon
@@ -252,46 +247,6 @@ def _shifted(op, d):
     return to, coef, shifted
 
 
-def _unpack(packed: int, width: int, d: int) -> list[int]:
-    """The d balanced fields f_k of packed = sum f_k 2^(k width), each in
-    [-2^(width-1), 2^(width-1)), lowest first; zero and negative fields
-    come back too:
-
-    >>> _unpack(3 - (1 << 4) - (4 << 12), 4, 4)
-    [3, -1, 0, -4]
-    >>> _unpack(sum(f << (4 * k) for k, f in enumerate([0, -8, 7, 0])), 4, 4)
-    [0, -8, 7, 0]
-    """
-    mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
-    fields = []
-    for _ in range(d):
-        f = packed & mask
-        if f >= half:
-            f -= full
-        fields.append(f)
-        packed = (packed - f) >> width
-    return fields
-
-
-def _width(reach: int) -> int:
-    """Field width W of packed 0/1 roots (_PairSolver._columns) when reach
-    bounds the growth of every column.
-
-    Proof that W suffices.  Packing, fields f_k to the one int sum of
-    f_k 2^(kW), is Z-linear, and so is every map, which multiplies
-    entries by integer coefficients and adds them.  So each packed entry
-    is exactly the pack of the d roots' own values.  A map with
-    kappa = the largest sum of |coefficient| over a row grows the largest
-    |entry| at most kappa-fold, so column c is within G_c, the product of
-    kappa along its tree path, and reach is the largest G_c.  Every field
-    is then below 2^(W-2), and _unpack recovers it: a sum of g_k 2^(kW)
-    with every |g_k| < 2^(W-1) fixes g_0 mod 2^W, so g_0, and so on
-    upwards.  An overflowing field would not be visible in the packed
-    int, which is why the bound is proved a priori rather than checked.
-    """
-    return reach.bit_length() + 2
-
-
 def _two_cycles(column, i: int, pair: tuple[int, int], what: str) -> list[tuple[int, int]]:
     """The 2-cycles (v, t) of generator position i on one table, column[v]
     its (case, target) at vertex v, v in case 2 and t in case 3.  Every
@@ -410,10 +365,10 @@ def _unit(c: int) -> bool:
 class _ColumnPlan:
     """The set-up of a pair solve that reads the column table alone, shared
     by every row table and q value: breadth-first order and tree, scales
-    exps and K (see _PairSolver._basis), the positions that move a
-    column, root-loop generators roots, the commuting positions (see
-    _commuting), the braid memo (see _braids), and per set of relations
-    on both tables the equations left (see _collect_events).  pair names
+    exps (see _PairSolver._basis), the positions that move a column,
+    root-loop generators roots, the commuting positions (see _commuting),
+    the braid memo (see _braids), and per set of relations on both
+    tables the equations left (see _collect_events).  pair names
     the pair that builds it; rows, if given, is the _RowState of the same
     table, whose commuting positions and braid memo the plan shares."""
 
@@ -430,7 +385,6 @@ class _ColumnPlan:
             p, _, case = self.par[c]
             ea, eb = exps[p]
             exps[c] = (ea, eb + 1) if case == 2 else (ea + 1, eb)
-        self.K = (3 ** max(map(sum, exps))).bit_length() + 2
         self.moving = {k for entries in table for k, (case, _) in enumerate(entries) if case != 1}
         self.roots = tuple(k for k, entry in enumerate(table[0]) if entry == (1, 0))
         self.commuting, self.braids = (rows.commuting, rows.braids) if rows else (_commuting(table), {})
@@ -510,7 +464,7 @@ class _RowState:
     (see _commuting), the bitmask fixed of the positions that fix every
     row, the braid memo (see _braids), the 2-cycles per generator
     position, the root-loop classes per root-loop generators (all q), and
-    the two maps with their growth per (a, b, position) (see _columns)."""
+    the two maps per (a, b, position) (see _PairSolver._basis)."""
 
     def __init__(self, table_p):
         self.table_p = table_p
@@ -548,9 +502,9 @@ class _PairSolver:
                     braiding[l] |= 1 << k
         self.events = plan.events(both, tuple(braiding), rows.fixed)
         # a basis is built at q = a/b in lowest terms, b > 0; over Q(q) (qf
-        # is coeff.Q) at a = 2^K and b = 1, K proved in _basis
-        self.over_q, self.K = isinstance(qf, Fraction), plan.K
-        self.a, self.b = (qf.numerator, qf.denominator) if self.over_q else (1 << self.K, 1)
+        # is coeff.Q) at a = q and b = 1
+        self.over_q = isinstance(qf, Fraction)
+        self.a, self.b = (qf.numerator, qf.denominator) if self.over_q else (Q, ONE)
 
     def _cycles(self, i: int) -> list[tuple[int, int]]:
         """The 2-cycles (rl, t) of generator position i on the row component,
@@ -600,65 +554,42 @@ class _PairSolver:
         classes = self.rows.classes[roots] = [number[top(rl)] for rl in range(self.m)]
         return classes
 
-    def _columns(self, classes: list[int]) -> tuple[int, list[dict]]:
-        """(W, columns): the 0/1 roots of a partition of the rows, packed at
-        the integer point q = a/b and propagated to every column.
-        classes[rl] is the class of row rl, numbered from 0, and root k is
-        1 on class k and 0 elsewhere, so entry rl of the packed root is
-        the one field 2^(W classes[rl]).  A tree edge maps x_p to A' x_p
-        (case 2) or (A' - (q - 1)) x_p / q (case 3), that is u_c = the
-        integer image of u_p by b A' or b A' - (a - b), its factor (b or
-        a) going into s_c; the maps are built once per row table and q.
-        Columns are sparse {rl: packed int}, W from _width."""
+    def _basis(self, classes: list[int]) -> list[dict]:
+        """The basis blocks {(rl, c): x_c[rl]} of the 0/1 roots of a
+        partition of the rows: classes[rl] is the class of row rl, numbered
+        from 0, and root k is 1 on class k and 0 elsewhere.
+
+        Each root is propagated on its own as sparse columns u_c = x_c s_c
+        (see the module docstring).  A tree edge maps x_p to A' x_p (case
+        2) or (A' - (q - 1)) x_p / q (case 3), that is u_c = the image of
+        u_p by b A' or b A' - (a - b), its factor (b or a) going into s_c;
+        the maps are built once per row table and q.  Over Q, x_c is
+        u_c / s_c; over Q(q), u_c lies in Z[q] and x_c = q^-ea u_c in
+        Z[q, q^-1]."""
         a, b, maps = self.a, self.b, self.rows.maps
-        edges, gain = [None] * len(self.table), [1] * len(self.table)
+        edges = [None] * len(self.table)
         for c in self.order[1:]:
-            p, i, case = self.par[c]
+            _, i, case = self.par[c]
             if (a, b, i) not in maps:
                 op = _scaled_generator([entries[i] for entries in self.table_p], a, b)
-                maps[a, b, i] = [(m, max(abs(x) + abs(m[2].get(t, 0)) for t, x in zip(*m[:2])))
-                                 for m in (op, _shifted(op, a - b))]
-            edges[c], kappa = maps[a, b, i][case == 3]
-            gain[c] = gain[p] * kappa
-        W = _width(max(gain))
-        cols = [{rl: 1 << (W * k) for rl, k in enumerate(classes)}] + [None] * (len(self.table) - 1)
-        for c in self.order[1:]:
-            cols[c] = _apply(edges[c], cols[self.par[c][0]])
-        return W, cols
-
-    def _basis(self, classes: list[int]) -> list[dict]:
-        """The basis blocks {(rl, c): x_c[rl]} of the class roots, field k of
-        u_c being x_c s_c (see _columns).  Over Q(q), s_c = 2^(K ea) stands
-        for q^ea, and field k is P(2^K) for P = q^ea x_c.
-
-        Proof that K suffices.  Taking q to 2^K is a ring map Z[q] -> Z, so
-        every integer column is the value at 2^K of the polynomial column
-        that the same steps give over Z[q] with a = q and b = 1.  There
-        each row of the maps b A' and b A' - (a - b) has one entry q or 1
-        and at most one more, q - 1 or 1 - q, so its coefficient 1-norms
-        sum to at most 3, and a map grows the largest |coefficient| at most
-        3-fold.  The roots are 0/1, so with h the tree height (the largest
-        ea + eb) every column has its coefficients within 3^h < 2^(K-2),
-        for K = bit_length(3^h) + 2, and the balanced base-2^K digits of
-        a field (_unpack) are the coefficients of P: x_c[rl] is P shifted
-        down by ea, a Laurent polynomial with integer coefficients."""
-        W, cols = self._columns(classes)
-        d = max(classes) + 1
+                maps[a, b, i] = op, _shifted(op, a - b)
+            edges[c] = maps[a, b, i][case == 3]
+        # entry(u_c[rl], scales[c]) is x_c[rl]: u_c[rl] / s_c over Q, and
+        # u_c[rl] q^-ea over Q(q)
         if self.over_q:
-            s_of = [self.a ** ea * self.b ** eb for ea, eb in self.exps]
-            value = Fraction
+            one, entry, scales = 1, Fraction, [a ** ea * b ** eb for ea, eb in self.exps]
         else:
-            K = self.K
-            s_of = [ea for ea, _ in self.exps]
-
-            def value(v: int, ea: int) -> LaurentPoly:
-                return _normal(-ea, _unpack(v, K, v.bit_length() // K + 2), 1)
-        blocks = [{} for _ in range(d)]
-        for c, (u, s) in enumerate(zip(cols, s_of)):
-            for rl in sorted(u):
-                for X, v in zip(blocks, _unpack(u[rl], W, d)):
-                    if v:
-                        X[(rl, c)] = value(v, s)
+            one, entry, scales = ONE, mul, [Q ** -ea for ea, _ in self.exps]
+        roots = [{} for _ in range(max(classes) + 1)]
+        for rl, k in enumerate(classes):
+            roots[k][rl] = one
+        blocks = []
+        for root in roots:
+            cols = [root] + [None] * (len(self.table) - 1)
+            for c in self.order[1:]:
+                cols[c] = _apply(edges[c], cols[self.par[c][0]])
+            blocks.append({(rl, c): entry(u[rl], s) for c, (u, s) in enumerate(zip(cols, scales))
+                           for rl in sorted(u)})
         return blocks
 
     def _check(self, blocks: list[dict]) -> None:
@@ -668,8 +599,7 @@ class _PairSolver:
         block cut to columns c and c2.  A_l preserves their span and its
         complement, so the cut commutes exactly when E(l, c) and E(l, c2)
         hold, which the quadratic relation makes one equation."""
-        m = self.m
-        a, b = (self.a, self.b) if self.over_q else (Q, ONE)
+        m, a, b = self.m, self.a, self.b
         for l, c, c2, case in self.events:
             op = _scaled_generator([entries[l] for entries in self.table_p]
                                    + [(cs, t + m) for cs, t in (entries[l] for entries in self.table)],

@@ -595,9 +595,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+# a value that starts with '-' and a digit or '.', such as -3/2 or -1,2:
+# argparse takes it for an option flag unless it is a plain decimal
+_NEGATIVE_VALUE = re.compile(r'-[0-9.]')
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each '--q X' or '--at X' whose X is a negative value
+    joined into '--q=X' or '--at=X', which argparse reads as the value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ('--q', '--at') and _NEGATIVE_VALUE.match(arg):
+            out[-1] += '=' + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         code = ns.func(ns)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

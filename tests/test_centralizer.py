@@ -36,7 +36,6 @@ from qpartition.centralizer import (
     _scaled_generator,
     _shifted,
     _total_dim,
-    _unpack,
     commutant_basis,
     double_centralizer_check,
     half_commutant_basis,
@@ -860,7 +859,7 @@ def test_symbolic_matches_specialised_at_random_q(a, b, negative, cell):
 
 
 # ---------------------------------------------------------------------------
-# the solve's checks and packed propagation against the per-root path
+# the solve's checks and basis propagation against the per-root path
 
 class Reference:
     """The per-root path over Q: each root a column of its own, propagated
@@ -910,10 +909,6 @@ class Reference:
             u, s = cols[p]
             cols[c] = self.image(i, case, u), self.factor[case] * s
         return cols
-
-    def largest(self, cols):
-        """The largest |value| in any column."""
-        return max(max(map(abs, u.values()), default=0) for u, _ in cols.values())
 
     def residuals(self, solver, cols, events):
         """Per equation of events, its two sides on the columns, image s_c2 -
@@ -1002,30 +997,23 @@ def test_packed_check_matches_per_candidate_reference(n, r):
     assert failing or n <= 2
 
 
-def packed_fields(solver, classes):
-    """The packed columns of a partition's roots, unpacked: fields[c][rl]
-    lists the d roots' entries; and the width W."""
-    W, cols = solver._columns(classes)
-    d = max(classes) + 1
-    return [[_unpack(u.get(rl, 0), W, d) for rl in range(solver.m)] for u in cols], W
+def reference_blocks(ref, solver, classes, quotient):
+    """The blocks of a partition's roots on the reference path, each entry
+    quotient(u_c[rl], s_c)."""
+    return [{(rl, c): quotient(v, s) for c, (u, s) in ref.propagate(solver, ref.clear(y)).items()
+             for rl, v in u.items()}
+            for y in class_roots(classes)]
 
 
 @pytest.mark.parametrize('n,r', SMALL_GRID)
 def test_packed_width_covers_every_field(n, r):
+    # each root's basis block is its reference column divided by the scales
     for q0 in PACK_Q:
         for table, table_p in pair_classes(n, r):
             ref = Reference(table_p, q0)
             solver = _PairSolver(table, table_p, q0, (0, 0))
             for classes in (list(range(solver.m)), solver._classes()):
-                fields, W = packed_fields(solver, classes)
-                largest = 0
-                for k, y in enumerate(class_roots(classes)):
-                    ref_cols = ref.propagate(solver, ref.clear(y))
-                    for c, (u, _) in ref_cols.items():
-                        # the packed column holds root k's column as field k
-                        assert [f[k] for f in fields[c]] == [u.get(rl, 0) for rl in range(solver.m)]
-                    largest = max(largest, ref.largest(ref_cols))
-                assert largest < 2 ** (W - 1)
+                assert solver._basis(classes) == reference_blocks(ref, solver, classes, Fraction)
 
 
 class SymbolicReference(Reference):
@@ -1035,11 +1023,6 @@ class SymbolicReference(Reference):
 
     def __init__(self, table_p, q0=Q):
         super().__init__(table_p, q0)
-
-    def largest(self, cols):
-        """The largest |coefficient| in any column."""
-        return max((abs(x) for u, _ in cols.values() for v in u.values() for _, x in v.terms),
-                   default=0)
 
 
 @pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
@@ -1051,31 +1034,15 @@ def test_packed_check_over_q_of_q_matches_sparse_reference(n, r):
 
 @pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
 def test_packed_width_over_q_of_q_covers_every_coefficient(n, r):
+    # over Z[q], each root's block is its reference column shifted down by
+    # the unit s_c = q^ea, so every entry lies in Z[q, q^-1]
     for table, table_p in pair_classes(n, r):
         ref = SymbolicReference(table_p)
         solver = _PairSolver(table, table_p, Q, (0, 0))
-        K = solver.K
-        assert (solver.a, solver.b) == (1 << K, 1)
-        ref_int = Reference(table_p, Fraction(solver.a))
+        assert (solver.a, solver.b) == (Q, ONE)
         for classes in (list(range(solver.m)), solver._classes()):
-            fields, W = packed_fields(solver, classes)
-            largest = largest_int = 0
-            for k, y in enumerate(class_roots(classes)):
-                ref_cols = ref.propagate(solver, ref.clear(y))
-                for c, (u, _) in ref_cols.items():
-                    for rl in range(solver.m):
-                        # field k of the packed column is the polynomial
-                        # column's entry at q = 2^K, and its base-2^K digits
-                        # are that entry's coefficients
-                        f = fields[c][rl][k]
-                        digits = _unpack(f, K, f.bit_length() // K + 2)
-                        assert LaurentPoly(enumerate(digits)) == u.get(rl, ZERO)
-                largest = max(largest, ref.largest(ref_cols))
-                # and the integer fields stay within the width W at q = 2^K
-                ref_int_cols = ref_int.propagate(solver, ref_int.clear(y))
-                largest_int = max(largest_int, ref_int.largest(ref_int_cols))
-            assert largest < 2 ** (K - 1)
-            assert largest_int < 2 ** (W - 1)
+            assert solver._basis(classes) == reference_blocks(ref, solver, classes,
+                                                              lambda v, s: v * s ** -1)
 
 
 # ---------------------------------------------------------------------------
@@ -1220,7 +1187,9 @@ def reference_solve(solver, with_basis):
         for cols in all_cols] if with_basis else []
 
 
-@pytest.mark.parametrize('q0', [Fraction(7, 5), Fraction(-3, 2)])
+# q = 1, where b T_i has no diagonal part, and q = -1, the non-generic point
+@pytest.mark.parametrize('q0', [Fraction(7, 5), Fraction(-3, 2), Fraction(1), Fraction(-1),
+                                Fraction(2)])
 @pytest.mark.parametrize('n,r', [(3, 3), (4, 2), (2, 4)])
 def test_unpacked_basis_equals_reference_basis(n, r, q0, monkeypatch):
     packed = commutant_basis(n, r, (q0,), with_basis=True).basis
@@ -1234,8 +1203,8 @@ def test_unpacked_basis_equals_reference_basis(n, r, q0, monkeypatch):
 
 @pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
 def test_unpacked_symbolic_basis_equals_reference_basis(n, r, monkeypatch):
-    # the base-2^K unpacking against per-root propagation over Z[q],
-    # shifted by the unit q^-ea; every entry lies in Z[q, q^-1]
+    # the basis against per-root propagation over Z[q], shifted by the
+    # unit q^-ea; every entry lies in Z[q, q^-1]
     packed = commutant_basis(n, r, symbolic=True, with_basis=True).basis
     monkeypatch.setattr(_PairSolver, 'solve', reference_solve)
     reference = commutant_basis(n, r, symbolic=True, with_basis=True).basis
@@ -1581,9 +1550,9 @@ def test_kept_events_are_pinned(n, r):
 def test_counting_propagates_only_the_columns_a_check_reads(n, r, monkeypatch):
     # no equation is left for a check to read, so counting propagates no
     # column; with the basis every column is propagated
-    columns, calls = _PairSolver._columns, []
-    monkeypatch.setattr(_PairSolver, '_columns',
-                        lambda self, classes: calls.append(self.pair) or columns(self, classes))
+    basis, calls = _PairSolver._basis, []
+    monkeypatch.setattr(_PairSolver, '_basis',
+                        lambda self, classes: calls.append(self.pair) or basis(self, classes))
     for table, table_p in pair_classes(n, r):
         solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
         assert solver.events == []
@@ -1591,7 +1560,8 @@ def test_counting_propagates_only_the_columns_a_check_reads(n, r, monkeypatch):
         solver.solve(with_basis=True)
         assert calls == [(0, 0)]
         calls.clear()
-        assert None not in columns(solver, solver._classes())[1]
+        assert all({c for _, c in X} == set(range(len(table)))
+                   for X in basis(solver, solver._classes()))
 
 
 def unchecked_two_cycles(column, i, pair, what):
@@ -1773,12 +1743,12 @@ def test_a_skipped_leftover_check_is_caught(monkeypatch):
 
 def test_a_skipped_column_is_caught(monkeypatch):
     # a mutant propagation that leaves the last column of each pair empty
-    columns = _PairSolver._columns
+    basis = _PairSolver._basis
 
     def skipping(self, classes):
-        W, cols = columns(self, classes)
-        return W, cols[:-1] + [{}]
-    monkeypatch.setattr(_PairSolver, '_columns', skipping)
+        last = len(self.table) - 1
+        return [{key: v for key, v in X.items() if key[1] != last} for X in basis(self, classes)]
+    monkeypatch.setattr(_PairSolver, '_basis', skipping)
     assert wrong_outcomes()
 
 

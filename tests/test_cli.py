@@ -249,6 +249,36 @@ def test_symbolic_basis_json_is_pinned(capsys, n, r):
     assert hashlib.sha256(out.encode()).hexdigest() == SYMBOLIC_BASIS_JSON_SHA256[n, r]
 
 
+# sha256 of the stdout of commutant --n N --r R --with-basis --q=Q --format json
+SPECIALISED_BASIS_JSON_SHA256 = {
+    (3, 3, '7/5'): 'b8b65e7d334511d9074d11248c7ad3f8128f8526dc708c4ad4d2470b15b90a75',
+    (4, 2, '7/5'): '2b7b9bca7fde5a9bd3ff845da5a635fd55c8a0e30a408a3fb672abc87f57bf62',
+    (5, 2, '7/5'): 'd82612d6b43a67ef2245f107d496a5e1f969b65dbf1ef14c74a416de86ac9ada',
+    (3, 3, '-3/2'): '304e44213a12a2e844534f1deabcb15f4830dca7bf41f4498291a4b0c8f096ce',
+    (4, 2, '-3/2'): '42b1a5abd675a415256c87a41b4bdc1cc143d995ca180f4605659b6efc2e393b',
+}
+
+
+@pytest.mark.parametrize('n,r,q', sorted(SPECIALISED_BASIS_JSON_SHA256))
+def test_specialised_basis_json_is_pinned(capsys, n, r, q):
+    code, out, _ = run(capsys, 'commutant', '--n', str(n), '--r', str(r), '--with-basis',
+                       f'--q={q}', '--format', 'json')
+    assert code == EX_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECIALISED_BASIS_JSON_SHA256[n, r, q]
+
+
+@pytest.mark.parametrize('argv', [('commutant', '--n', '3', '--r', '2', '--q', '-3/2'),
+                                  ('commutant', '--n', '3', '--r', '2', '--q', '-1,2'),
+                                  ('glq-dims', '--n', '2', '--r', '2', '--at', '-1/2')],
+                         ids=['q', 'q-list', 'at'])
+def test_negative_rational_value_reads_as_its_equals_form(capsys, argv):
+    # a value such as -3/2 is not a plain decimal, which argparse would
+    # take for an option flag
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EX_OK, '')
+    assert run(capsys, *argv[:-2], f'{argv[-2]}={argv[-1]}') == (EX_OK, out, '')
+
+
 @pytest.mark.parametrize('n,r', sorted(SYMBOLIC_BASIS_JSON_SHA256))
 def test_symbolic_basis_text_matches_reference_field(n, r):
     # each entry's text is that of the same element in the reference Q(q)
