@@ -840,14 +840,22 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
     A_i X == X A_i exactly for each A_i = b T_i and each X.  Matrices
     commuting with every X are closed under products, and I is spanned
     by products of the A_i (the T_w are such products, the empty one
-    included), so this holds exactly when I is inside B.  Then dim I <=
-    dim B, and B is the nullspace of the rows of Y X - X Y over all X, so
-    dim B <= width - rank(any subset of those rows).  Hence once the rows
-    fed reach rank width - dim I, the sandwich dim I <= dim B <= dim I
-    closes and the remaining rows are all dependent: they are not fed
-    (see _bicommutant).  When containment fails, or that rank is never
-    reached, every row is fed and dim_bicommutant is the true width -
-    rank of the whole system.
+    included), so this holds exactly when I is inside B.  Then B = I + K,
+    a direct sum, for K the elements of B that vanish on P, the pivot
+    coordinates of the image echelon: restriction to P maps I onto R^P
+    bijectively (the reduced rows restrict to unit vectors), so each Y
+    in B agrees on P with one Z in I, and Y - Z lies in K.  The same
+    holds for the solutions of any set S of the rows of Y X - X Y, which
+    contain I too, so width - rank(S) = dim I + (width - dim I) -
+    rank(S without the P columns): S has the same rank without them.
+    Hence the rows are fed without the P columns (see _bicommutant), at
+    the same ranks, so the same rows, as when fed whole; once the rank
+    is full on the width - dim I unknowns off P, K is zero, B = I, and
+    the remaining rows are dependent and not fed.  Either way
+    dim_bicommutant is width - rank.  When containment fails nothing is
+    pinned and every row is fed whole.  That P has dim I coordinates,
+    each inside one representative block, is checked
+    (SolverInvariantError).
     """
     q0 = Fraction(_exact(q0, 'q values'))
     report, classes = _commutant(n, r, (q0,), False, True, limit, None, representatives=True)
@@ -868,11 +876,15 @@ def double_centralizer_check(n: int, r: int, q0: Fraction, limit: int = 4096) ->
         return {c0: _apply(gens[i], col) for c0, col in cols.items()}
 
     identity = {t: {t: 1} for C in reps for t in C}
+    pivots = []  # the image's pivot coordinates (row, column)
     for cols in act_by_words(all_permutations(n), identity, times_gen).values():
-        img.add({rg * N + c0: v for c0, col in cols.items() for rg, v in col.items()})
+        p = img.add({rg * N + c0: v for c0, col in cols.items() for rg, v in col.items()})
+        if p is not None:
+            pivots.append(divmod(p, N))
 
     basis = [_integral(X)[0] for X in report.basis]
-    dim_bicommutant, contained, _ = _bicommutant(reps, list(gens.values()), basis, img.rank)
+    dim_bicommutant, contained, _ = _bicommutant(reps, list(gens.values()), basis, img.rank,
+                                                 pivots)
     for Cs in classes.values():  # the premise of the relabellings
         if len(Cs) > 1 and {(g, g): 1 for g in Cs[0]} not in basis:
             raise SolverInvariantError('the identity is not a block of its class',
@@ -900,15 +912,23 @@ def _commutes(op, src: list[int], X: dict) -> bool:
 
 
 def _bicommutant(comps: list[list[int]], gens: list, basis: list[dict],
-                 dim_image: int) -> tuple[int, bool, int]:
+                 dim_image: int, pivots: list[tuple[int, int]]) -> tuple[int, bool, int]:
     """(dim_bicommutant, image_contained, rows fed) for the integral
     commutant basis, the components comps and the scaled generators gens
-    whose products span an image of dimension dim_image.
+    whose products span an image I of dimension dim_image, with pivot
+    coordinates pivots, each a (row, column).
 
-    See double_centralizer_check for why the early stop is exact.  The
-    elements are fed sparsest first (a stable sort by their number of
-    nonzeros), which reaches the full rank after far fewer rows than the
-    basis order; each element must lie inside one component pair.
+    Once I lies in B, B = I + K, a direct sum, K the elements of B that
+    vanish on the pivots, as I restricts to them bijectively; so the rows
+    are fed with the pivot columns deleted, which keeps the rank of every
+    prefix, and the early stop is full column rank on the other width -
+    dim_image unknowns (see double_centralizer_check).  A pivot count
+    other than dim_image (naming the first component with itself), or a
+    pivot outside one block (naming its pair), raises
+    SolverInvariantError.  The elements are fed sparsest first (a stable
+    sort by their number of nonzeros), which reaches the full rank after
+    far fewer rows than the basis order; each element must lie inside
+    one component pair.
     """
     comp_of = {g: blk for blk, C in enumerate(comps) for g in C}
     offsets, off = [], 0
@@ -933,6 +953,20 @@ def _bicommutant(comps: list[list[int]], gens: list, basis: list[dict],
         blocks.append((bp, bc))
     srcs = [sorted(range(len(op[0])), key=op[0].__getitem__) for op in gens]
     contained = all(_commutes(op, src, X) for X in basis for op, src in zip(gens, srcs))
+
+    pinned = set()  # the unknowns of the image's pivots, once I lies in B
+    if contained:
+        for rg, cg in pivots:
+            if rg not in comp_of or comp_of.get(cg) != comp_of[rg]:
+                raise SolverInvariantError(
+                    'pinned coordinate outside one representative block',
+                    tuple(comps[comp_of[g]][0] if g in comp_of else g for g in (rg, cg)),
+                    (rg, cg))
+            pinned.add(var(rg, cg))
+        if len(pinned) != dim_image:
+            raise SolverInvariantError(
+                f'{len(pinned)} pinned coordinates for an image of dimension {dim_image}',
+                (comps[0][0], comps[0][0]))
 
     # bicommutant: Y X = X Y for every commutant basis element X
     target = width - dim_image if contained else None
@@ -960,7 +994,7 @@ def _bicommutant(comps: list[list[int]], gens: list, basis: list[dict],
                         row.pop(key, None)
                 if row:
                     fed += 1
-                    ech.add(row)
+                    ech.add({k: v for k, v in row.items() if k not in pinned})
                     if ech.rank == target:
                         return width - ech.rank, True, fed
     return width - ech.rank, contained, fed

@@ -602,10 +602,12 @@ _NEGATIVE_VALUE = re.compile(r'-[0-9.]')
 
 def _join_negative_values(argv: list[str]) -> list[str]:
     """argv with each '--q X' or '--at X' whose X is a negative value
-    joined into '--q=X' or '--at=X', which argparse reads as the value."""
+    joined into '--q=X' or '--at=X', which argparse reads as the value;
+    '--a', the abbreviation of '--at' that argparse accepts, is joined
+    alike."""
     out = []
     for arg in argv:
-        if out and out[-1] in ('--q', '--at') and _NEGATIVE_VALUE.match(arg):
+        if out and out[-1] in ('--q', '--a', '--at') and _NEGATIVE_VALUE.match(arg):
             out[-1] += '=' + arg
         else:
             out.append(arg)

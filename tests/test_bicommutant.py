@@ -1,13 +1,15 @@
 """The double centralizer check against the full-feed reference.
 
 double_centralizer_check checks containment of the action image on the
-generators and stops feeding bicommutant rows once their rank reaches
+generators, then deletes the image's pivot coordinates from the
+bicommutant rows and stops feeding them once their rank reaches
 width - dim(image) (centralizer._bicommutant).  The reference here is
 the earlier full-feed check, kept as it was: every row of Y X - X Y
 for every commutant basis element X goes into one echelon, the
 bicommutant is its dense nullspace, and every T_w is reduced against a
 second echelon built from that nullspace.  It shares no shortcut with
-the check: no generator containment, no early stop, no row order.
+the check: no generator containment, no pinned coordinates, no early
+stop, no row order.
 """
 
 import os
@@ -116,23 +118,24 @@ def setup(n, r, q0):
 
 
 def reference_counts(comps, basis, images):
-    """(dim_image, dim_bicommutant, image_contained, rows fed) by full feed,
+    """(dim_image, dim_bicommutant, image_contained, rows fed, the pivot
+    coordinates (row, column) of the image echelon) by full feed,
     containment checked on every T_w."""
     var, _, width = _var_map(comps)
     img = Echelon(width, Fraction(1))
+    coords = {var(rg, cg): (rg, cg) for T in images for rg, cg in T}
     vectors = [{var(rg, cg): v for (rg, cg), v in T.items()} for T in images]
-    for vec in vectors:
-        img.add(vec)
+    pivots = [coords[p] for p in map(img.add, vectors) if p is not None]
     bic_ech, dim, fed = reference_bicommutant(comps, basis)
     contained = all(bic_ech.add(vec) is None for vec in vectors)  # stops at an outsider
-    return img.rank, dim, contained, fed
+    return img.rank, dim, contained, fed, pivots
 
 
 def reference_check(n, r, q0):
     report = commutant_basis(n, r, (q0,), with_basis=True)
     comps, _, images = setup(n, r, q0)
     basis = [_integral(X)[0] for X in report.basis]
-    dim_image, dim_bic, contained, _ = reference_counts(comps, basis, images)
+    dim_image, dim_bic, contained, _, _ = reference_counts(comps, basis, images)
     return DoubleCentralizerReport(n, r, q0, report.dim, dim_image, dim_bic, contained)
 
 
@@ -232,9 +235,23 @@ def test_cut_basis_feeds_every_row(cut, dim):
     # fewer commutant elements: the bicommutant is larger than the image,
     # so the target rank width - 23 is never reached
     comps, gens, basis, images = _inputs(4, 2, Fraction(7, 5))
-    dim_image, ref_dim, ref_contained, ref_fed = reference_counts(comps, basis[:cut], images)
+    dim_image, ref_dim, ref_contained, ref_fed, pivots = \
+        reference_counts(comps, basis[:cut], images)
     assert (dim_image, ref_dim, ref_contained) == (23, dim, True)
-    assert _bicommutant(comps, gens, basis[:cut], dim_image) == (dim, True, ref_fed)
+    assert _bicommutant(comps, gens, basis[:cut], dim_image, pivots) == (dim, True, ref_fed)
+
+
+@pytest.mark.parametrize('cut', [2, 5])
+@pytest.mark.parametrize('q0', [Fraction(1), Fraction(-1)], ids=str)
+def test_cut_basis_under_pinning_equals_full_feed(q0, cut):
+    # B is larger than I, so the pinned coordinates leave a nonzero K and
+    # every row is fed, at the two degenerate q values
+    comps, gens, basis, images = _inputs(4, 2, q0)
+    dim_image, ref_dim, ref_contained, ref_fed, pivots = \
+        reference_counts(comps, basis[:cut], images)
+    assert ref_contained and ref_dim > dim_image
+    assert _bicommutant(comps, gens, basis[:cut], dim_image, pivots) == \
+        (ref_dim, True, ref_fed)
 
 
 def test_corrupted_element_feeds_every_row():
@@ -242,19 +259,79 @@ def test_corrupted_element_feeds_every_row():
     t = next(t for t, X in enumerate(basis) if len(X) > 1)
     key = next(iter(basis[t]))
     basis[t] = {**basis[t], key: basis[t][key] + 1}
-    dim_image, ref_dim, ref_contained, ref_fed = reference_counts(comps, basis, images)
+    dim_image, ref_dim, ref_contained, ref_fed, pivots = reference_counts(comps, basis, images)
     assert dim_image == 23 and not ref_contained
-    assert _bicommutant(comps, gens, basis, dim_image) == (ref_dim, False, ref_fed)
+    assert _bicommutant(comps, gens, basis, dim_image, pivots) == (ref_dim, False, ref_fed)
 
 
 @pytest.mark.parametrize('n,r', [(3, 3), (4, 2)])
 def test_early_stop_fires(n, r):
     q0 = Fraction(7, 5)
     comps, gens, basis, images = _inputs(n, r, q0)
-    dim_image, ref_dim, _, ref_fed = reference_counts(comps, basis, images)
-    dim, contained, fed = _bicommutant(comps, gens, basis, dim_image)
+    dim_image, ref_dim, _, ref_fed, pivots = reference_counts(comps, basis, images)
+    dim, contained, fed = _bicommutant(comps, gens, basis, dim_image, pivots)
     assert (dim, contained) == (ref_dim, True) == (dim_image, True)
     assert 3 * fed < ref_fed
+
+
+def _pinning(replace):
+    """_bicommutant, except that its pivots are replace(comps, pivots)."""
+    bicommutant = centralizer._bicommutant
+
+    def pinning(comps, gens, basis, dim_image, pivots):
+        return bicommutant(comps, gens, basis, dim_image, replace(comps, pivots))
+    return pinning
+
+
+def _cross_block(comps, pivots):
+    # the last pivot moved to a coordinate between two blocks, where every
+    # image element vanishes
+    return pivots[:-1] + [(comps[0][0], comps[1][0])]
+
+
+def test_a_pin_where_the_image_vanishes_is_caught(monkeypatch):
+    q0 = Fraction(7, 5)
+    want = reference_check(4, 2, q0)
+    monkeypatch.setattr(centralizer, '_bicommutant', _pinning(_cross_block))
+    try:
+        got = double_centralizer_check(4, 2, q0)
+    except SolverInvariantError as exc:
+        assert 'outside one representative block' in str(exc)
+    else:
+        assert repr(got) != repr(want)
+
+
+def test_a_pin_off_the_pivots_is_caught(monkeypatch):
+    # the last pivot p of the reference image echelon replaced by an
+    # in-block coordinate z where the echelon row of p vanishes: that row
+    # then vanishes on every pinned coordinate, so it is a nonzero element
+    # of K, and the check reports B one larger than it is
+    q0 = Fraction(7, 5)
+    want = reference_check(4, 2, q0)
+    comps, _, images = setup(4, 2, q0)
+    var, _, width = _var_map(comps)
+    img = Echelon(width, Fraction(1))
+    for T in images:
+        img.add({var(rg, cg): v for (rg, cg), v in T.items()})
+    coords = {var(rg, cg): (rg, cg) for C in comps for rg in C for cg in C}
+    *kept, p = sorted(img.rows)
+    z = next(t for t in coords if t not in img.rows and t not in img.rows[p])
+    pinned = [coords[t] for t in kept + [z]]
+    monkeypatch.setattr(centralizer, '_bicommutant', _pinning(lambda comps, pivots: pinned))
+    got = double_centralizer_check(4, 2, q0)
+    assert got.dim_bicommutant == want.dim_bicommutant + 1 and not got.holds
+
+
+def test_a_pinning_premise_that_fails_raises():
+    comps, gens, basis, images = _inputs(4, 2, Fraction(7, 5))
+    dim_image, _, _, _, pivots = reference_counts(comps, basis, images)
+    with pytest.raises(SolverInvariantError) as info:
+        _bicommutant(comps, gens, basis, dim_image, pivots[:-1])
+    assert f'{dim_image - 1} pinned coordinates' in str(info.value)
+    with pytest.raises(SolverInvariantError) as info:
+        _bicommutant(comps, gens, basis, dim_image, _cross_block(comps, pivots))
+    assert 'outside one representative block' in str(info.value)
+    assert info.value.pair == (comps[0][0], comps[1][0])
 
 
 def _two_pair_element():
@@ -270,7 +347,7 @@ def _two_pair_element():
 def test_element_across_two_pairs_raises():
     comps, X = _two_pair_element()
     with pytest.raises(SolverInvariantError) as info:
-        _bicommutant(comps, [], [X], 1)
+        _bicommutant(comps, [], [X], 1, [(comps[0][0], comps[0][0])])
     assert 'outside one component pair' in str(info.value)
     assert info.value.pair == (comps[0][0], comps[0][0])
 
@@ -284,7 +361,7 @@ if __debug__:
     raise SystemExit('not running under python -O')
 comps, X = _two_pair_element()
 try:
-    _bicommutant(comps, [], [X], 1)
+    _bicommutant(comps, [], [X], 1, [(comps[0][0], comps[0][0])])
     print('accepted')
 except SolverInvariantError as exc:
     print('raised:', 'outside one component pair' in str(exc))
@@ -306,6 +383,20 @@ for mutant, words in ((_lossy_solve, 'basis blocks for dimension'),
             raise SystemExit('a mutant solve raised ' + str(exc))
     print('raised:', words)
     centralizer._PairSolver.solve = solve
+
+# the two premises of the pinning
+from test_bicommutant import _cross_block, _inputs, reference_counts
+comps, gens, basis, images = _inputs(4, 2, Fraction(7, 5))
+dim_image, _, _, _, pivots = reference_counts(comps, basis, images)
+for pins, words in ((pivots[:-1], 'pinned coordinates for'),
+                    (_cross_block(comps, pivots), 'outside one representative block')):
+    try:
+        _bicommutant(comps, gens, basis, dim_image, pins)
+        raise SystemExit('a failed pinning premise was accepted')
+    except SolverInvariantError as exc:
+        if words not in str(exc):
+            raise SystemExit('a failed pinning premise raised ' + str(exc))
+    print('raised:', words)
 """
 
 
@@ -317,4 +408,5 @@ def test_element_across_two_pairs_raises_under_python_O():
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ['raised: True', 'raised: basis blocks for dimension',
-                                        'raised: identity']
+                                        'raised: identity', 'raised: pinned coordinates for',
+                                        'raised: outside one representative block']

@@ -267,16 +267,18 @@ def test_specialised_basis_json_is_pinned(capsys, n, r, q):
     assert hashlib.sha256(out.encode()).hexdigest() == SPECIALISED_BASIS_JSON_SHA256[n, r, q]
 
 
-@pytest.mark.parametrize('argv', [('commutant', '--n', '3', '--r', '2', '--q', '-3/2'),
-                                  ('commutant', '--n', '3', '--r', '2', '--q', '-1,2'),
-                                  ('glq-dims', '--n', '2', '--r', '2', '--at', '-1/2')],
-                         ids=['q', 'q-list', 'at'])
-def test_negative_rational_value_reads_as_its_equals_form(capsys, argv):
+@pytest.mark.parametrize('argv,option',
+                         [(('commutant', '--n', '3', '--r', '2', '--q', '-3/2'), '--q'),
+                          (('commutant', '--n', '3', '--r', '2', '--q', '-1,2'), '--q'),
+                          (('glq-dims', '--n', '2', '--r', '2', '--at', '-1/2'), '--at'),
+                          (('glq-dims', '--n', '2', '--r', '2', '--a', '-1/2'), '--at')],
+                         ids=['q', 'q-list', 'at', 'at-abbreviated'])
+def test_negative_rational_value_reads_as_its_equals_form(capsys, argv, option):
     # a value such as -3/2 is not a plain decimal, which argparse would
-    # take for an option flag
+    # take for an option flag; '--a' is an abbreviation argparse accepts
     code, out, err = run(capsys, *argv)
     assert (code, err) == (EX_OK, '')
-    assert run(capsys, *argv[:-2], f'{argv[-2]}={argv[-1]}') == (EX_OK, out, '')
+    assert run(capsys, *argv[:-2], f'{option}={argv[-1]}') == (EX_OK, out, '')
 
 
 @pytest.mark.parametrize('n,r', sorted(SYMBOLIC_BASIS_JSON_SHA256))
