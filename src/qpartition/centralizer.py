@@ -36,8 +36,8 @@ x_c2 = A x_c and the one at c2 is (A - (q - 1)) x_c2 = q x_c.  The first
 gives A x_c2 = A^2 x_c = (q - 1) x_c2 + q x_c, the second; applying A to
 the second gives q x_c2 = A^2 x_c2 - (q - 1) A x_c2 = q A x_c, the first
 once divided by the unit q.  This needs the 2-cycle shape of both
-tables, checked from the raw tables: a column or row that a generator
-neither fixes nor moves in a 2-cycle raises SolverInvariantError (see
+tables, checked from the raw tables: a vertex that a generator neither
+fixes nor moves in a 2-cycle raises SolverInvariantError (see
 _two_cycles).
 
 The other equations follow from the relations of the Hecke algebra, by
@@ -85,16 +85,15 @@ Many pairs repeat one solve.  One breadth-first walk per component
 records its generator table (see _component_classes), and the pair
 solver reads nothing but the two tables, so pairs with equal tables
 (compared exactly, as tuples) have the same solution up to relabelling:
-each such class is solved once per q value and its basis is carried to
-the other pairs through their relabellings.  The set-up is split by
-what it reads and built once per commutant_basis call: per column
-table a _ColumnPlan (tree, scales, and per set of relations on both
-tables the equations left), per row table a _RowState (relations,
-2-cycles, root-loop classes), holding the maps per (row table, q).  The
-module theory predicts which orbits are isomorphic (hook compositions,
-one per number of blocks) but is not consulted: classes come from the
-matrices alone, and two isomorphic orbits whose tables differ are simply
-solved twice.
+each such class is certified once, solved at every q value, and its
+basis carried to the other pairs through their relabellings.  Each
+table serves as columns and as rows, and all its set-up (tree, scales,
+2-cycles, relations, root-loop classes, maps) is one _Table, built once
+per commutant_basis call; only the basis and the check of the
+equations left depend on q (see _PairSolver.solve).  The module theory
+predicts which orbits are isomorphic (hook compositions, one per number
+of blocks) but is not consulted: classes come from the matrices alone,
+and two isomorphic orbits whose tables differ are simply solved twice.
 
 Default arithmetic specializes q at several generic rational points and
 cross-checks the dimensions; a fully symbolic mode, exact over Q(q), is
@@ -247,7 +246,7 @@ def _shifted(op, d):
     return to, coef, shifted
 
 
-def _two_cycles(column, i: int, pair: tuple[int, int], what: str) -> list[tuple[int, int]]:
+def _two_cycles(column, i: int, pair: tuple[int, int]) -> list[tuple[int, int]]:
     """The 2-cycles (v, t) of generator position i on one table, column[v]
     its (case, target) at vertex v, v in case 2 and t in case 3.  Every
     vertex must be fixed (case 1, its target itself) or have a partner
@@ -257,12 +256,12 @@ def _two_cycles(column, i: int, pair: tuple[int, int], what: str) -> list[tuple[
     for v, (case, t) in enumerate(column):
         if not (t == v if case == 1 else case in (2, 3) and column[t] == (5 - case, v)):
             raise SolverInvariantError(
-                f'generator position {i} neither fixes {what} {v} nor moves it '
-                f'in a 2-cycle', pair, (i, v, (case, t)))
+                f'generator position {i} neither fixes vertex {v} nor moves it in a 2-cycle',
+                pair, (i, v, (case, t)))
     return [(v, t) for v, (case, t) in enumerate(column) if case == 2]
 
 
-def _commuting(table) -> tuple[int, ...]:
+def _commuting(table, cycles) -> tuple[int, ...]:
     """Per generator position l of a table, the bitmask of the positions
     k != l whose matrices commute with that of l on it, by a sufficient
     criterion read from the raw table: s_k s_l v == s_l s_k v for every
@@ -273,15 +272,19 @@ def _commuting(table) -> tuple[int, ...]:
     e_(s_l s_k v) + alpha_k beta_l e_(s_k v) + beta_k alpha_l e_(s_l v)
     + beta_k beta_l e_v, all read at v, which the criterion makes
     symmetric in k and l.  Two equal positions that move a vertex fail
-    it, as each swaps the other's cases 2 and 3."""
+    it, as each swaps the other's cases 2 and 3.  Two positions whose
+    2-cycles (cycles, per position) share no vertex meet it unread, as
+    each fixes every vertex that the other moves."""
     targets = [tuple(t for _, t in column) for column in zip(*table)]
     cases = [tuple(case for case, _ in column) for column in zip(*table)]
     gathers = [itemgetter(*t) if len(t) > 1 else tuple for t in targets]
+    moved = [frozenset(v for cycle in position for v in cycle) for position in cycles]
     masks = [0] * len(targets)
     for l, (tl, cl, gl) in enumerate(zip(targets, cases, gathers)):
         for k in range(l):
             gk = gathers[k]
-            if gk(tl) == gl(targets[k]) and gl(cases[k]) == cases[k] and gk(cl) == cl:
+            if (moved[k].isdisjoint(moved[l])
+                    or gk(tl) == gl(targets[k]) and gl(cases[k]) == cases[k] and gk(cl) == cl):
                 masks[k] |= 1 << l
                 masks[l] |= 1 << k
     return tuple(masks)
@@ -362,33 +365,37 @@ def _unit(c: int) -> bool:
     return c & (c - 1) == 0 and (c.bit_length() - 1) % 8 == 0
 
 
-class _ColumnPlan:
-    """The set-up of a pair solve that reads the column table alone, shared
-    by every row table and q value: breadth-first order and tree, scales
-    exps (see _PairSolver._basis), the positions that move a column,
-    root-loop generators roots, the commuting positions (see _commuting),
-    the braid memo (see _braids), and per set of relations on both
-    tables the equations left (see _collect_events).  pair names
-    the pair that builds it; rows, if given, is the _RowState of the same
-    table, whose commuting positions and braid memo the plan shares."""
+def _numden(qf) -> tuple:
+    """(a, b) with q = a/b in lowest terms and b > 0, qf a Fraction; over
+    Q(q) (qf is coeff.Q), a = q and b = 1."""
+    return (qf.numerator, qf.denominator) if isinstance(qf, Fraction) else (Q, ONE)
 
-    def __init__(self, table, pair: tuple[int, int], rows: _RowState | None = None):
-        self.table, self.pair = table, pair
+
+class _Table:
+    """Everything a pair solve reads off one table, as its columns or its
+    rows, built once per commutant_basis call: breadth-first order and
+    tree, scales exps (see _PairSolver._basis), the 2-cycles per position
+    (see _two_cycles), the bitmask fixed of the positions with none, the
+    root-loop generators roots and the commuting positions (see
+    _commuting); filled on use, the braid memo (see _braids), the
+    equations left per set of relations (see events), the classes per
+    root-loop generators (see root_classes) and the two maps per (a, b,
+    position) (see _PairSolver._basis).  pair names the table in errors."""
+
+    def __init__(self, table, pair: tuple[int, int]):
+        self.table = table
         self.order, self.par = _bfs(table)
-        if len(self.order) != len(table):
-            raise SolverInvariantError('component not connected by its own edges', pair)
-        for k, column in enumerate(zip(*table)):
-            _two_cycles(column, k, pair, 'column')
         # s_c = a^ea b^eb, exps[c] = (ea, eb), the factors along c's tree path
         self.exps = exps = [(0, 0)] * len(table)
         for c in self.order[1:]:
             p, _, case = self.par[c]
             ea, eb = exps[p]
             exps[c] = (ea, eb + 1) if case == 2 else (ea + 1, eb)
-        self.moving = {k for entries in table for k, (case, _) in enumerate(entries) if case != 1}
+        self.cycles = [_two_cycles(column, k, pair) for k, column in enumerate(zip(*table))]
+        self.fixed = sum(1 << k for k, cycles in enumerate(self.cycles) if not cycles)
         self.roots = tuple(k for k, entry in enumerate(table[0]) if entry == (1, 0))
-        self.commuting, self.braids = (rows.commuting, rows.braids) if rows else (_commuting(table), {})
-        self.closures = {}
+        self.commuting = _commuting(table, self.cycles)
+        self.braids, self.closures, self.classes, self.maps = {}, {}, {}, {}
 
     def events(self, commuting: tuple[int, ...], braiding: tuple[int, ...], fixed: int) -> list:
         """_collect_events, built on first use per set of relations and kept."""
@@ -457,107 +464,82 @@ class _ColumnPlan:
                     return True
         return False
 
+    def root_classes(self, roots: tuple[int, ...]) -> list[int]:
+        """The class of each vertex, the vertices joined by the 2-cycles of
+        the positions roots, classes numbered by their largest vertex;
+        built on first use per roots and kept.  A union-find keeps each
+        class under its largest vertex: a 2-cycle hangs the smaller of its
+        two classes' tops under the larger."""
+        if roots in self.classes:
+            return self.classes[roots]
+        up = list(range(len(self.table)))
 
-class _RowState:
-    """The set-up of pair solves that reads one row table alone, filled on
-    first use and shared by every column table: the commuting positions
-    (see _commuting), the bitmask fixed of the positions that fix every
-    row, the braid memo (see _braids), the 2-cycles per generator
-    position, the root-loop classes per root-loop generators (all q), and
-    the two maps per (a, b, position) (see _PairSolver._basis)."""
+        def top(v: int) -> int:
+            while up[v] != v:
+                up[v] = up[up[v]]
+                v = up[v]
+            return v
 
-    def __init__(self, table_p):
-        self.table_p = table_p
-        self.commuting = _commuting(table_p)
-        self.fixed = sum(1 << k for k, column in enumerate(zip(*table_p))
-                         if all(entry == (1, v) for v, entry in enumerate(column)))
-        self.braids, self.cycles, self.classes, self.maps = {}, {}, {}, {}
+        for i in roots:
+            for v, t in self.cycles[i]:
+                r1, r2 = top(v), top(t)
+                up[min(r1, r2)] = max(r1, r2)
+        number = {v: k for k, v in enumerate(v for v in range(len(up)) if up[v] == v)}
+        classes = self.classes[roots] = [number[top(v)] for v in range(len(up))]
+        return classes
 
 
 class _PairSolver:
     """Solve X A_i = A_i X restricted to one ordered component pair.
 
-    The input is the tables of the column component C and of the row
+    The input is the _Table of the column component C and that of the row
     component C' (see _component_classes), and nothing else; every index
-    is local, and the root column is vertex 0 of C.  Basis blocks come
-    back as {(position in C', position in C): value}.  pair names the
-    pair in errors.  The _ColumnPlan of C and _RowState of C' are built
-    here unless given as plan and rows, shared with other pairs.
+    is local, and the root column is vertex 0 of C.  The events and the
+    root-loop classes are read here, at every q; solve builds the basis
+    blocks at one q, as {(position in C', position in C): value}.  pair
+    names the pair in errors.
     """
 
-    def __init__(self, table, table_p, qf, pair: tuple[int, int], plan=None, rows=None):
-        self.plan = plan = plan or _ColumnPlan(table, pair)
-        self.rows = rows = rows or _RowState(table_p)
-        self.table, self.table_p, self.pair, self.m = table, table_p, pair, len(table_p)
-        self.order, self.par, self.exps = plan.order, plan.par, plan.exps
-        for k in plan.moving:
-            self._cycles(k)
+    def __init__(self, col: _Table, row: _Table, pair: tuple[int, int]):
+        if len(col.order) != len(col.table):
+            raise SolverInvariantError('component not connected by its own edges', pair)
+        self.col, self.row, self.pair, self.m = col, row, pair, len(row.table)
         # the positions that braid on both tables, of those that do not commute
-        both = tuple(map(and_, plan.commuting, rows.commuting))
+        both = tuple(map(and_, col.commuting, row.commuting))
         braiding = [0] * len(both)
         for l in range(len(both)):
             for k in range(l):
                 if not both[l] >> k & 1 and self._braids(k, l):
                     braiding[k] |= 1 << l
                     braiding[l] |= 1 << k
-        self.events = plan.events(both, tuple(braiding), rows.fixed)
-        # a basis is built at q = a/b in lowest terms, b > 0; over Q(q) (qf
-        # is coeff.Q) at a = q and b = 1
-        self.over_q = isinstance(qf, Fraction)
-        self.a, self.b = (qf.numerator, qf.denominator) if self.over_q else (Q, ONE)
-
-    def _cycles(self, i: int) -> list[tuple[int, int]]:
-        """The 2-cycles (rl, t) of generator position i on the row component,
-        rl in case 2 and t in case 3 (see _two_cycles), built on first use
-        and kept."""
-        if i not in self.rows.cycles:
-            self.rows.cycles[i] = _two_cycles([entries[i] for entries in self.table_p], i,
-                                              self.pair, 'row')
-        return self.rows.cycles[i]
+        self.events = col.events(both, tuple(braiding), row.fixed)
+        self.classes = self._classes()
 
     def _braids(self, k: int, l: int) -> bool:
-        """Whether positions k < l braid on both tables (see _braids); the
-        row table's 2-cycle shape at both is checked first, as the hexagon
-        inverts A'_k and A'_l."""
-        self._cycles(k)
-        self._cycles(l)
-        return (_braids(self.table_p, self.rows.braids, k, l)
-                and _braids(self.table, self.plan.braids, k, l))
+        """Whether positions k < l braid on both tables (see _braids)."""
+        return (_braids(self.row.table, self.row.braids, k, l)
+                and _braids(self.col.table, self.col.braids, k, l))
 
     def _classes(self) -> list[int]:
         """The class of each row of C', the rows joined by the 2-cycles of
-        every loop at the root, classes numbered by their largest row;
-        built on first use per root-loop generators and kept.
+        every loop at the root (see _Table.root_classes).
 
         The loops at the root hold exactly when the root column is
         constant on each class (see the module docstring), so the 0/1
-        roots of the classes span their solutions.  A union-find keeps
-        each class under its largest row: a 2-cycle hangs the smaller of
-        its two classes' tops under the larger.
+        roots of the classes span their solutions.  A 2-cycle of a loop
+        at the root that the classes split raises SolverInvariantError.
         """
-        roots = self.plan.roots
-        if roots in self.rows.classes:
-            return self.rows.classes[roots]
-        up = list(range(self.m))
-
-        def top(rl: int) -> int:
-            while up[rl] != rl:
-                up[rl] = up[up[rl]]
-                rl = up[rl]
-            return rl
-
-        for i in roots:
-            for rl, t in self._cycles(i):
-                r1, r2 = top(rl), top(t)
-                up[min(r1, r2)] = max(r1, r2)
-        number = {rl: k for k, rl in enumerate(rl for rl in range(self.m) if up[rl] == rl)}
-        classes = self.rows.classes[roots] = [number[top(rl)] for rl in range(self.m)]
+        classes = self.row.root_classes(self.col.roots)
+        for i in self.col.roots:
+            if any(classes[rl] != classes[t] for rl, t in self.row.cycles[i]):
+                raise SolverInvariantError('the root-loop classes break an equation',
+                                           self.pair, (i, 0, 0, 1))
         return classes
 
-    def _basis(self, classes: list[int]) -> list[dict]:
-        """The basis blocks {(rl, c): x_c[rl]} of the 0/1 roots of a
-        partition of the rows: classes[rl] is the class of row rl, numbered
-        from 0, and root k is 1 on class k and 0 elsewhere.
+    def _basis(self, qf, classes: list[int]) -> list[dict]:
+        """The basis blocks {(rl, c): x_c[rl]} at q = qf of the 0/1 roots of
+        a partition of the rows: classes[rl] is the class of row rl,
+        numbered from 0, and root k is 1 on class k and 0 elsewhere.
 
         Each root is propagated on its own as sparse columns u_c = x_c s_c
         (see the module docstring).  A tree edge maps x_p to A' x_p (case
@@ -566,43 +548,43 @@ class _PairSolver:
         the maps are built once per row table and q.  Over Q, x_c is
         u_c / s_c; over Q(q), u_c lies in Z[q] and x_c = q^-ea u_c in
         Z[q, q^-1]."""
-        a, b, maps = self.a, self.b, self.rows.maps
-        edges = [None] * len(self.table)
-        for c in self.order[1:]:
-            _, i, case = self.par[c]
+        (a, b), col, maps = _numden(qf), self.col, self.row.maps
+        edges = [None] * len(col.table)
+        for c in col.order[1:]:
+            _, i, case = col.par[c]
             if (a, b, i) not in maps:
-                op = _scaled_generator([entries[i] for entries in self.table_p], a, b)
+                op = _scaled_generator([entries[i] for entries in self.row.table], a, b)
                 maps[a, b, i] = op, _shifted(op, a - b)
             edges[c] = maps[a, b, i][case == 3]
         # entry(u_c[rl], scales[c]) is x_c[rl]: u_c[rl] / s_c over Q, and
         # u_c[rl] q^-ea over Q(q)
-        if self.over_q:
-            one, entry, scales = 1, Fraction, [a ** ea * b ** eb for ea, eb in self.exps]
+        if isinstance(qf, Fraction):
+            one, entry, scales = 1, Fraction, [a ** ea * b ** eb for ea, eb in col.exps]
         else:
-            one, entry, scales = ONE, mul, [Q ** -ea for ea, _ in self.exps]
+            one, entry, scales = ONE, mul, [Q ** -ea for ea, _ in col.exps]
         roots = [{} for _ in range(max(classes) + 1)]
         for rl, k in enumerate(classes):
             roots[k][rl] = one
         blocks = []
         for root in roots:
-            cols = [root] + [None] * (len(self.table) - 1)
-            for c in self.order[1:]:
-                cols[c] = _apply(edges[c], cols[self.par[c][0]])
+            cols = [root] + [None] * (len(col.table) - 1)
+            for c in col.order[1:]:
+                cols[c] = _apply(edges[c], cols[col.par[c][0]])
             blocks.append({(rl, c): entry(u[rl], s) for c, (u, s) in enumerate(zip(cols, scales))
                            for rl in sorted(u)})
         return blocks
 
-    def _check(self, blocks: list[dict]) -> None:
-        """Check every event left on every block, exactly in its own ring:
-        event (l, c, c2, case) is _commutes of the map of position l on the
-        rows and columns together (columns after the m rows) with each
-        block cut to columns c and c2.  A_l preserves their span and its
-        complement, so the cut commutes exactly when E(l, c) and E(l, c2)
-        hold, which the quadratic relation makes one equation."""
-        m, a, b = self.m, self.a, self.b
+    def _check(self, qf, blocks: list[dict]) -> None:
+        """Check every event left on every block at q = qf, exactly in its
+        own ring: event (l, c, c2, case) is _commutes of the map of position
+        l on the rows and columns together (columns after the m rows) with
+        each block cut to columns c and c2.  A_l preserves their span and
+        its complement, so the cut commutes exactly when E(l, c) and
+        E(l, c2) hold, which the quadratic relation makes one equation."""
+        m, (a, b) = self.m, _numden(qf)
         for l, c, c2, case in self.events:
-            op = _scaled_generator([entries[l] for entries in self.table_p]
-                                   + [(cs, t + m) for cs, t in (entries[l] for entries in self.table)],
+            op = _scaled_generator([entries[l] for entries in self.row.table]
+                                   + [(cs, t + m) for cs, t in (row[l] for row in self.col.table)],
                                    a, b)
             src = sorted(range(len(op[0])), key=op[0].__getitem__)
             for X in blocks:
@@ -610,22 +592,17 @@ class _PairSolver:
                     raise SolverInvariantError('the root-loop classes break an equation',
                                                self.pair, (l, c, c2, case))
 
-    def solve(self, with_basis: bool):
-        """(dimension, basis blocks) of the pair, the blocks only if
-        with_basis: the 0/1 roots of the root-loop classes (_classes).
-        Each 2-cycle of a loop at the root must join rows of one class,
-        and the events that the relations leave are checked on the blocks
-        (_check); either failure raises SolverInvariantError naming the
-        equation.  With no event left, counting propagates nothing."""
-        classes = self._classes()
-        for i in self.plan.roots:
-            if any(classes[rl] != classes[t] for rl, t in self._cycles(i)):
-                raise SolverInvariantError('the root-loop classes break an equation',
-                                           self.pair, (i, 0, 0, 1))
+    def solve(self, qf, with_basis: bool):
+        """(dimension, basis blocks) of the pair at q = qf, a Fraction or
+        coeff.Q for Q(q), the blocks only if with_basis: the 0/1 roots of
+        the root-loop classes (_classes), on which the events that the
+        relations leave are checked (_check), a broken one raising
+        SolverInvariantError.  With no event left, counting propagates
+        nothing."""
         if not (with_basis or self.events):
-            return max(classes) + 1, []
-        blocks = self._basis(classes)
-        self._check(blocks)
+            return max(self.classes) + 1, []
+        blocks = self._basis(qf, self.classes)
+        self._check(qf, blocks)
         return len(blocks), blocks if with_basis else []
 
 
@@ -636,9 +613,9 @@ class CommutantReport(Record):
     """Dimensions of End over the subalgebra generated by the given T_i.
 
     pairs counts the ordered component pairs, components ** 2, and
-    pair_classes the pairs with distinct tables, each solved once per q
-    value on set-up built once per call: per column table, per row table
-    and per (row table, q) (see _total_dim).
+    pair_classes the pairs with distinct tables, each certified once per
+    call on set-up built once per table, and solved at every q value
+    (see _total_dim).
     """
 
     __slots__ = ('n', 'r', 'mode', 'generators', 'q_values', 'dims', 'agree',
@@ -713,44 +690,38 @@ def _commutant(n: int, r: int, q_values: Sequence[Fraction], symbolic: bool, wit
     components = sum(map(len, classes.values()))
     counts = {'components': components, 'pairs': components ** 2,
               'pair_classes': len(classes) ** 2}
-    shared = [None] * len(classes), [None] * len(classes)  # see _total_dim
-    # one run over Q(q), or one per q value; the basis, if any, of the first
-    runs = [_total_dim(classes, qf, with_basis and not k, *shared, representatives)
-            for k, qf in enumerate((Q,) if symbolic else q_values)]
-    dims = tuple(dim for dim, _ in runs)
+    # the basis, if any, over Q(q) or at the first q value
+    dims, basis = _total_dim(classes, (Q,) if symbolic else q_values, with_basis, representatives)
     report = CommutantReport(n, r, 'symbolic' if symbolic else 'specialized', gens,
                              () if symbolic else q_values, dims, len(set(dims)) == 1,
-                             **counts, basis=runs[0][1])
+                             **counts, basis=basis)
     return report, classes
 
 
-def _total_dim(classes: dict[tuple, list[list[int]]], qf, materialize: bool,
-               plans: list, rows: list, representatives: bool = False):
-    """Dimension, and the basis if materialize, summed over all component pairs.
+def _total_dim(classes: dict[tuple, list[list[int]]], q_values: tuple, materialize: bool,
+               representatives: bool = False):
+    """The dimension per q value (coeff.Q for Q(q)), and the basis at the
+    first if materialize, summed over all component pairs.
 
-    Each pair of classes is solved once per call, that is per q value;
-    its dimension counts once per member pair, and its basis is carried
-    to every member pair through the two relabellings (with
-    representatives, to the pair of first members only).  plans[x] is the
-    _ColumnPlan of the x-th table of classes, built in the first pair
-    that needs it (None until then) and shared by every later pair and
-    call given the same list; rows[y], the _RowState of the y-th table,
-    likewise, but its maps are dropped at the end of the call.  A pair
-    whose solve returns fewer or more blocks than its dimension raises
-    SolverInvariantError.
+    Each table of classes gets one _Table, which names it by its first
+    component with itself in errors, and each pair of tables one
+    _PairSolver, solved at every q value; its dimension counts once per
+    member pair, and its basis is carried to every member pair through
+    the two relabellings (with representatives, to the pair of first
+    members only).  A pair whose solve returns fewer or more blocks than
+    its dimension raises SolverInvariantError.
     """
-    total = 0
+    tables = [_Table(table, (Cs[0][0], Cs[0][0])) for table, Cs in classes.items()]
+    totals = [0] * len(q_values)
     basis = [] if materialize else None
-    for x, (table, comps) in enumerate(classes.items()):
-        for y, (table_p, comps_p) in enumerate(classes.items()):
+    for col, comps in zip(tables, classes.values()):
+        for row, comps_p in zip(tables, classes.values()):
             pair = comps[0][0], comps_p[0][0]
-            rows[y] = rows[y] or _RowState(table_p)
-            # the first row of pairs builds every row state, so rows[x] exists
-            # and lends the plan the relations of their common table
-            plans[x] = plans[x] or _ColumnPlan(table, pair, rows[x])
-            solver = _PairSolver(table, table_p, qf, pair, plans[x], rows[y])
-            dim, blocks = solver.solve(with_basis=materialize)
-            total += dim * len(comps) * len(comps_p)
+            solver = _PairSolver(col, row, pair)
+            runs = [solver.solve(qf, materialize and not k) for k, qf in enumerate(q_values)]
+            for k, (dim, _) in enumerate(runs):
+                totals[k] += dim * len(comps) * len(comps_p)
+            dim, blocks = runs[0]
             if materialize:
                 if len(blocks) != dim:
                     raise SolverInvariantError(
@@ -759,9 +730,7 @@ def _total_dim(classes: dict[tuple, list[list[int]]], qf, materialize: bool,
                     for Cp in comps_p[:1] if representatives else comps_p:
                         basis.extend({(Cp[a], C[b]): v for (a, b), v in X.items()}
                                      for X in blocks)
-    for state in rows:  # the maps of one q are not used again
-        state.maps.clear()
-    return total, basis
+    return tuple(totals), basis
 
 
 def half_commutant_basis(n: int, r: int, q_values: Sequence[Fraction] = DEFAULT_Q_VALUES,

@@ -177,8 +177,8 @@ def _lossy_solve(pair):
     block holding its root entry (0, 0): the identity block."""
     solve = centralizer._PairSolver.solve
 
-    def lossy(self, with_basis):
-        dim, blocks = solve(self, with_basis)
+    def lossy(self, qf, with_basis):
+        dim, blocks = solve(self, qf, with_basis)
         if self.pair == pair:
             blocks = [X for X in blocks if (0, 0) not in X]
         return dim, blocks
@@ -192,8 +192,8 @@ def _shifted_identity_solve(pair):
     longer one of the blocks."""
     solve = centralizer._PairSolver.solve
 
-    def shifted(self, with_basis):
-        dim, blocks = solve(self, with_basis)
+    def shifted(self, qf, with_basis):
+        dim, blocks = solve(self, qf, with_basis)
         if self.pair == pair:
             t = next(t for t, X in enumerate(blocks) if (0, 0) in X)
             other = blocks[t - 1]

@@ -5,9 +5,11 @@ with qpartition_dim over a grid of (n, r) is therefore a genuine
 two-route check of the dimension formula.
 """
 
+import copy
 import functools
 import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -25,17 +27,18 @@ from qpartition.centralizer import (
     DimensionLimitExceeded,
     SYMBOLIC_LIMIT,
     SolverInvariantError,
-    _ColumnPlan,
     _PairSolver,
-    _RowState,
+    _Table,
     _apply,
     _bfs,
     _braids,
     _commuting,
     _component_classes,
+    _numden,
     _scaled_generator,
     _shifted,
     _total_dim,
+    _two_cycles,
     commutant_basis,
     double_centralizer_check,
     half_commutant_basis,
@@ -430,6 +433,12 @@ def _table(C, idxs, gid_map, gens):
         for g in C)
 
 
+def pair_solver(table, table_p, pair=(0, 0)):
+    """The _PairSolver of a column table and a row table, each read by a
+    _Table of its own."""
+    return _PairSolver(_Table(table, pair), _Table(table_p, pair), pair)
+
+
 def unmemoised(n, r, q0, gens=None, with_basis=False):
     """Sum over every ordered component pair, each solved in sorted-index
     labels by a solver of its own; q0 is a rational, or coeff.Q."""
@@ -442,8 +451,7 @@ def unmemoised(n, r, q0, gens=None, with_basis=False):
     total, basis = 0, []
     for C, table in zip(comps, tables):
         for Cp, table_p in zip(comps, tables):
-            solver = _PairSolver(table, table_p, q0, (C[0], Cp[0]))
-            dim, blocks = solver.solve(with_basis)
+            dim, blocks = pair_solver(table, table_p, (C[0], Cp[0])).solve(q0, with_basis)
             total += dim
             basis.extend({(Cp[a], C[b]): v for (a, b), v in X.items()} for X in blocks)
     return total, basis
@@ -493,41 +501,67 @@ def canonical(basis):
 
 @pytest.mark.parametrize('n,r', SMALL_GRID)
 def test_shared_plans_and_row_states_leak_nothing(n, r):
-    # one set of plans and row states across three q values, and Q(q), in
-    # that order: every basis equals that of fresh solvers, pair by pair
-    classes = _component_classes(n, r, tuple(range(1, n)))
-    shared = [None] * len(classes), [None] * len(classes)
+    # one _Table per table and one _PairSolver per pair class serve every q
+    # value, Q(q) among them: the dimension at each q, and the basis at
+    # whichever comes first, equal those of fresh solvers pair by pair; the
+    # repeated generator (1, 1) leaves equations to check at every q
     symbolic = (Q,) if n ** r <= SYMBOLIC_LIMIT else ()
-    for q0 in (Fraction(7, 5), Fraction(-1), Fraction(1)) + symbolic:
-        dim, basis = _total_dim(classes, q0, True, *shared)
-        want, reference = unmemoised(n, r, q0, with_basis=True)
-        assert dim == want == len(basis)
-        assert canonical(basis) == canonical(reference)
-    assert None not in shared[0] + shared[1]
+    q_values = (Fraction(7, 5), Fraction(-1), Fraction(1)) + symbolic
+    for gens in [tuple(range(1, n))] + [(1, 1)] * (n >= 2):
+        classes = _component_classes(n, r, gens)
+        fresh = [unmemoised(n, r, q0, gens, with_basis=True) for q0 in q_values]
+        for turn in range(len(q_values)):
+            dims, basis = _total_dim(classes, q_values[turn:] + q_values[:turn], True)
+            want, reference = fresh[turn]
+            assert dims == tuple(dim for dim, _ in fresh[turn:] + fresh[:turn])
+            assert want == len(basis) and canonical(basis) == canonical(reference)
 
 
 def count_built(monkeypatch):
-    """Patch _ColumnPlan and _RowState to record the table each is built on."""
-    built = {_ColumnPlan: [], _RowState: []}
-    for cls, tables in built.items():
-        def counted(self, table, *args, init=cls.__init__, tables=tables):
-            tables.append(table)
-            init(self, table, *args)
-        monkeypatch.setattr(cls, '__init__', counted)
+    """Patch _Table, _PairSolver and _two_cycles to record, in order, the
+    table of each _Table, the (column, row) tables of each _PairSolver,
+    the column each shape check reads, and each solve's tables and q."""
+    built = {_Table: [], _PairSolver: [], _two_cycles: [], 'solve': []}
+    table_init, solver_init, solve = _Table.__init__, _PairSolver.__init__, _PairSolver.solve
+
+    def table(self, tab, pair):
+        built[_Table].append(tab)
+        table_init(self, tab, pair)
+
+    def solver(self, col, row, pair):
+        built[_PairSolver].append((col.table, row.table))
+        solver_init(self, col, row, pair)
+
+    def solved(self, qf, with_basis):
+        built['solve'].append((self.col.table, self.row.table, qf))
+        return solve(self, qf, with_basis)
+
+    def cycles(column, i, pair, check=_two_cycles):
+        built[_two_cycles].append(column)
+        return check(column, i, pair)
+    monkeypatch.setattr(_Table, '__init__', table)
+    monkeypatch.setattr(_PairSolver, '__init__', solver)
+    monkeypatch.setattr(_PairSolver, 'solve', solved)
+    monkeypatch.setattr(centralizer, '_two_cycles', cycles)
     return built
 
 
 @pytest.mark.parametrize('n,r,members', [(5, 3, [1, 3, 1]), (3, 4, [1, 7, 6])])
-def test_one_plan_per_column_table_and_one_row_state_per_row_table(n, r, members,
-                                                                   monkeypatch):
-    # within one call, across all three q values: each table gets one plan
-    # and one row state, in the order of the classes
+def test_one_table_per_table_and_one_solver_per_pair_class(n, r, members, monkeypatch):
+    # within one call, across all three q values: each table gets one
+    # _Table, whose shape is checked once per generator position, and each
+    # pair of tables one _PairSolver, solved once per q value, all in the
+    # order of the classes
     classes = _component_classes(n, r, tuple(range(1, n)))
     assert [len(Cs) for Cs in classes.values()] == members
     built = count_built(monkeypatch)
     report = commutant_basis(n, r, DEFAULT_Q_VALUES)
     assert report.agree and report.dim == qpartition_dim(n, r)
-    assert built[_ColumnPlan] == built[_RowState] == list(classes)
+    pairs = [(table, table_p) for table in classes for table_p in classes]
+    assert built[_Table] == list(classes)
+    assert built[_two_cycles] == [column for table in classes for column in zip(*table)]
+    assert built[_PairSolver] == pairs
+    assert built['solve'] == [pair + (q0,) for pair in pairs for q0 in DEFAULT_Q_VALUES]
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +607,15 @@ def test_pair_counts_reported():
 # ---------------------------------------------------------------------------
 # solver invariants are raised errors, so they hold under python -O
 
-def drop_root_cycles(self, real_classes=_PairSolver._classes):
-    """A mutant _PairSolver._classes whose union misses the first 2-cycle of
+def drop_root_cycles(self, roots, real_classes=_Table.root_classes):
+    """A mutant _Table.root_classes whose union misses the first 2-cycle of
     each loop at the root; the checks still read every 2-cycle."""
-    real_cycles = _PairSolver._cycles
-    self._cycles = lambda i: real_cycles(self, i)[1:]  # seen by the union alone
+    cycles = self.cycles
+    self.cycles = [position[1:] for position in cycles]  # seen by the union alone
     try:
-        return real_classes(self)
+        return real_classes(self, roots)
     finally:
-        del self._cycles
+        self.cycles = cycles
 
 
 @pytest.mark.parametrize('symbolic', [False, True], ids=['7/5', 'Q(q)'])
@@ -589,21 +623,21 @@ def test_a_broken_event_raises_and_names_itself(symbolic, monkeypatch):
     # the first pair class of (3, 2), the orbit of e_11 with itself, has one
     # loop at the root, T_2, with one 2-cycle on the rows: without it the
     # classes split, and that loop breaks
-    solvers = []
+    tables = []
 
-    def mutant(self):
-        solvers.append(self)
-        return drop_root_cycles(self)
+    def mutant(self, roots):
+        tables.append(self)
+        return drop_root_cycles(self, roots)
 
-    monkeypatch.setattr(_PairSolver, '_classes', mutant)
+    monkeypatch.setattr(_Table, 'root_classes', mutant)
     with pytest.raises(SolverInvariantError) as info:
         if symbolic:
             commutant_basis(3, 2, symbolic=True)
         else:
             commutant_basis(3, 2, (Fraction(7, 5),))
-    (solver,) = solvers
-    assert info.value.pair == solver.pair == (0, 0)
-    assert info.value.event == (1, 0, 0, 1) and len(solver._cycles(1)) == 1
+    (table,) = tables
+    assert info.value.pair == (0, 0) and table.table == next(iter(_component_classes(3, 2, (1, 2))))
+    assert info.value.event == (1, 0, 0, 1) and len(table.cycles[1]) == 1
     assert 'root-loop classes break an equation' in str(info.value)
 
 
@@ -611,7 +645,7 @@ def test_disconnected_component_raises():
     # two vertices, one generator acting diagonally on both: no edge joins them
     table = (((1, 0),), ((1, 1),))
     with pytest.raises(SolverInvariantError) as info:
-        _PairSolver(table, table, Fraction(2), (0, 0))
+        pair_solver(table, table)
     assert info.value.pair == (0, 0)
 
 
@@ -626,10 +660,11 @@ MALFORMED_ROW_TABLES = [(((2, 1),), ((2, 0),)),
 @pytest.mark.parametrize('table_p', MALFORMED_ROW_TABLES)
 def test_malformed_two_cycle_raises(table_p):
     # a one-vertex column component fixed by T_1: its loop is the root loop
-    # whose 2-cycles on the row table the classes join
-    solver = _PairSolver((((1, 0),),), table_p, Fraction(2), (0, 3))
+    # whose 2-cycles on the row table the classes join; the row table's
+    # shape is checked as it is read
+    col = _Table((((1, 0),),), (0, 3))
     with pytest.raises(SolverInvariantError) as info:
-        solver.solve(with_basis=False)
+        _PairSolver(col, _Table(table_p, (0, 3)), (0, 3))
     assert info.value.pair == (0, 3)
     assert 'generator position 0' in str(info.value)
 
@@ -649,10 +684,11 @@ TWO_CYCLE = (((2, 1),), ((3, 0),))
 def test_malformed_column_two_cycle_raises(table):
     # the quadratic relation that lets one equation of a 2-cycle stand for
     # both needs the 2-cycle shape on the columns too
+    _Table(TWO_CYCLE, (0, 3))  # the row table passes, so the column table raises
     with pytest.raises(SolverInvariantError) as info:
-        _PairSolver(table, TWO_CYCLE, Fraction(2), (0, 3))
+        pair_solver(table, TWO_CYCLE, (0, 3))
     assert info.value.pair == (0, 3)
-    assert 'generator position 0 neither fixes column' in str(info.value)
+    assert 'generator position 0 neither fixes vertex' in str(info.value)
 
 
 # T_1 fixes both columns and both rows; T_2 swaps the columns in a 2-cycle
@@ -662,39 +698,49 @@ ROW_TABLE_MALFORMED_AT_MOVING = (((1, 0), (2, 1)), ((1, 1), (2, 0)))
 
 
 def test_malformed_row_table_of_a_moving_generator_raises():
-    # no loop reads the 2-cycles of T_2, but the partner it drops does
+    # no loop reads the 2-cycles of T_2, but the partner it drops does, so
+    # every position's shape is checked as its table is read
+    _Table(MOVING_COLUMN_TABLE, (0, 3))  # the column table passes, so the row table raises
     with pytest.raises(SolverInvariantError) as info:
-        _PairSolver(MOVING_COLUMN_TABLE, ROW_TABLE_MALFORMED_AT_MOVING, Fraction(2), (0, 3))
-    assert info.value.pair == (0, 3)
-    assert 'generator position 1 neither fixes row' in str(info.value)
+        pair_solver(MOVING_COLUMN_TABLE, ROW_TABLE_MALFORMED_AT_MOVING, (0, 3))
+    assert info.value.pair == (0, 3) and info.value.event == (1, 0, (2, 1))
+    assert 'generator position 1 neither fixes vertex' in str(info.value)
 
 
 OPTIMISED_CHECKS = """
 from fractions import Fraction
 import qpartition
-from qpartition.centralizer import (SolverInvariantError, _PairSolver, _component_classes,
-                                   commutant_basis)
+from qpartition.centralizer import (SolverInvariantError, _PairSolver, _Table,
+                                   _component_classes, commutant_basis)
 if __debug__:
     raise SystemExit('not running under python -O')
+
+
+def solver(table, table_p):
+    return _PairSolver(_Table(table, (0, 0)), _Table(table_p, (0, 0)), (0, 0))
+
+
 table = (((1, 0),), ((1, 1),))
 try:
-    _PairSolver(table, table, Fraction(2), (0, 0))
+    solver(table, table)
 except SolverInvariantError:
     print('disconnected table raised')
 moving_on = (((2, 1),), ((2, 0),))
 try:
-    _PairSolver((((1, 0),),), moving_on, Fraction(2), (0, 0)).solve(with_basis=False)
+    solver((((1, 0),),), moving_on)
 except SolverInvariantError as exc:
     print('malformed 2-cycle raised:', 'generator position 0' in str(exc))
+# the row tables of the next two pass, so the column table raises
 try:
-    _PairSolver((((2, 1),), ((2, 0),)), (((2, 1),), ((3, 0),)), Fraction(2), (0, 0))
+    solver((((2, 1),), ((2, 0),)), (((2, 1),), ((3, 0),)))
 except SolverInvariantError as exc:
-    print('malformed column raised:', 'neither fixes column' in str(exc))
+    print('malformed column raised:', 'neither fixes vertex' in str(exc), exc.event)
+# and here the column table passes, so the row table raises
 try:
-    _PairSolver((((1, 0), (2, 1)), ((1, 1), (3, 0))), (((1, 0), (2, 1)), ((1, 1), (2, 0))),
-                Fraction(2), (0, 0))
+    solver((((1, 0), (2, 1)), ((1, 1), (3, 0))), (((1, 0), (2, 1)), ((1, 1), (2, 0))))
 except SolverInvariantError as exc:
-    print('malformed moving row raised:', 'generator position 1 neither fixes row' in str(exc))
+    print('malformed moving row raised:', 'generator position 1 neither fixes vertex' in str(exc),
+          exc.event)
 # a loop off the root, which the relations drop, made a case 2 entry to itself
 big = max(_component_classes(4, 2, (1, 2, 3)), key=len)
 k, c = next((k, c) for c, entries in enumerate(big) for k, entry in enumerate(entries)
@@ -703,35 +749,35 @@ bad = tuple(tuple((2, c) if (w, i) == (c, k) else e for i, e in enumerate(entrie
             for w, entries in enumerate(big))
 for table, table_p in ((bad, big), (big, bad)):
     try:
-        _PairSolver(table, table_p, Fraction(2), (0, 0)).solve(with_basis=False)
+        solver(table, table_p).solve(Fraction(2), False)
     except SolverInvariantError as exc:
         print('malformed table under the relations raised:', 'neither fixes' in str(exc))
-# a row table malformed at a position that moves no column, read by the
-# braid reader as that position fails to commute with the other
+# a row table malformed at a position that moves no column, which only the
+# braid reader reads, as that position fails to commute with the other
 try:
-    _PairSolver((((2, 1), (1, 0)), ((3, 0), (1, 1))), (((2, 1), (2, 1)), ((3, 0), (2, 0))),
-                Fraction(2), (0, 0))
+    solver((((2, 1), (1, 0)), ((3, 0), (1, 1))), (((2, 1), (2, 1)), ((3, 0), (2, 0))))
 except SolverInvariantError as exc:
-    print('malformed table at the braid reader raised:', 'position 1 neither fixes row' in str(exc))
+    print('malformed table at the braid reader raised:', 'position 1 neither fixes vertex' in str(exc))
 # a column table of the generators 1, 2, 3 against a row table of 2, 1, 3:
 # the relations leave equations, and the classes break the first
 mismatched = [tuple(_component_classes(4, 2, gens))[0] for gens in ((1, 2, 3), (2, 1, 3))]
 try:
-    _PairSolver(*mismatched, Fraction(2), (0, 0)).solve(with_basis=False)
+    solver(*mismatched).solve(Fraction(2), False)
 except SolverInvariantError as exc:
     print('broken leftover raised:', exc.pair, exc.event)
-real_classes, real_cycles = _PairSolver._classes, _PairSolver._cycles
+real_classes = _Table.root_classes
 
 
-def drop_root_cycles(self):
-    self._cycles = lambda i: real_cycles(self, i)[1:]
+def drop_root_cycles(self, roots):
+    cycles = self.cycles
+    self.cycles = [position[1:] for position in cycles]
     try:
-        return real_classes(self)
+        return real_classes(self, roots)
     finally:
-        del self._cycles
+        self.cycles = cycles
 
 
-_PairSolver._classes = drop_root_cycles
+_Table.root_classes = drop_root_cycles
 try:
     commutant_basis(3, 2, (Fraction(2),))
 except SolverInvariantError as exc:
@@ -753,8 +799,8 @@ def test_solver_invariants_raise_under_python_O():
     # asserts vanish under -O; the invariants must not
     assert run_optimised(OPTIMISED_CHECKS) == ['disconnected table raised',
                                                'malformed 2-cycle raised: True',
-                                               'malformed column raised: True',
-                                               'malformed moving row raised: True',
+                                               'malformed column raised: True (0, 0, (2, 1))',
+                                               'malformed moving row raised: True (1, 0, (2, 1))',
                                                'malformed table under the relations raised: True',
                                                'malformed table under the relations raised: True',
                                                'malformed table at the braid reader raised: True',
@@ -870,7 +916,8 @@ class Reference:
     (see SymbolicReference)."""
 
     def __init__(self, table_p, q0):
-        if isinstance(q0, Fraction):
+        self.over_q = isinstance(q0, Fraction)
+        if self.over_q:
             a, b, self.one = q0.numerator, q0.denominator, 1
         else:
             a, b, self.one = q0, ONE, ONE
@@ -904,8 +951,8 @@ class Reference:
     def propagate(self, solver, root):
         """Columns c -> (u_c, s_c) from the root (u_0, s_0): x_c = u_c / s_c."""
         cols = {0: root}
-        for c in solver.order[1:]:
-            p, i, case = solver.par[c]
+        for c in solver.col.order[1:]:
+            p, i, case = solver.col.par[c]
             u, s = cols[p]
             cols[c] = self.image(i, case, u), self.factor[case] * s
         return cols
@@ -929,7 +976,7 @@ class Reference:
 
 def root_loops(solver):
     """The loops at the root, which the root-loop classes hold."""
-    return [(i, 0, 0, 1) for i in solver.plan.roots]
+    return [(i, 0, 0, 1) for i in solver.col.roots]
 
 
 def checked(solver):
@@ -955,22 +1002,22 @@ def broken_by_reference(ref, solver, roots):
             for pos in ref.violations(solver, ref.propagate(solver, ref.clear(y)), full)}
 
 
-def solve_on(solver, classes, with_basis=False):
-    """solve with its root-loop classes replaced by a partition of the rows:
-    the event it raises, or None with the blocks."""
-    solver._classes = lambda: classes
+def solve_on(solver, q0, classes, with_basis=False):
+    """solve at q0 with the root-loop classes replaced by a partition of the
+    rows, set as the classes of a copy of the row table and read by a new
+    _PairSolver: the event it raises, or None with the blocks."""
+    row = copy.copy(solver.row)
+    row.classes = {solver.col.roots: classes}
     try:
-        return None, solver.solve(with_basis)[1]
+        return None, _PairSolver(solver.col, row, solver.pair).solve(q0, with_basis)[1]
     except SolverInvariantError as exc:
         return exc.event, None
-    finally:
-        del solver._classes
 
 
-PACK_Q = DEFAULT_Q_VALUES + HARD_Q
+REFERENCE_Q = DEFAULT_Q_VALUES + HARD_Q
 
 
-def check_packed_against_reference(n, r, q0, ref_class):
+def check_solve_against_reference(n, r, q0, ref_class):
     """On the singleton partition, which spans every root, and on the
     root-loop classes, the solve's checks fail exactly when some root of
     the partition breaks an incidence on the reference path, and the
@@ -979,10 +1026,10 @@ def check_packed_against_reference(n, r, q0, ref_class):
     failing = 0
     for table, table_p in pair_classes(n, r):
         ref = ref_class(table_p, q0)
-        solver = _PairSolver(table, table_p, q0, (0, 0))
-        for classes in (list(range(solver.m)), solver._classes()):
+        solver = pair_solver(table, table_p)
+        for classes in (list(range(solver.m)), solver.classes):
             broken = broken_by_reference(ref, solver, class_roots(classes))
-            raised, _ = solve_on(solver, classes, with_basis=True)
+            raised, _ = solve_on(solver, q0, classes, with_basis=True)
             assert (raised is None) != bool(broken) and raised in broken | {None}
             failing += raised is not None
         assert not broken  # the root-loop classes, checked last
@@ -991,7 +1038,7 @@ def check_packed_against_reference(n, r, q0, ref_class):
 
 @pytest.mark.parametrize('n,r', SMALL_GRID)
 def test_packed_check_matches_per_candidate_reference(n, r):
-    failing = sum(check_packed_against_reference(n, r, q0, Reference) for q0 in PACK_Q)
+    failing = sum(check_solve_against_reference(n, r, q0, Reference) for q0 in REFERENCE_Q)
     # at n <= 2, T_1 moves every tensor: there is no loop, and even the
     # singletons pass
     assert failing or n <= 2
@@ -1008,18 +1055,18 @@ def reference_blocks(ref, solver, classes, quotient):
 @pytest.mark.parametrize('n,r', SMALL_GRID)
 def test_packed_width_covers_every_field(n, r):
     # each root's basis block is its reference column divided by the scales
-    for q0 in PACK_Q:
+    for q0 in REFERENCE_Q:
         for table, table_p in pair_classes(n, r):
             ref = Reference(table_p, q0)
-            solver = _PairSolver(table, table_p, q0, (0, 0))
-            for classes in (list(range(solver.m)), solver._classes()):
-                assert solver._basis(classes) == reference_blocks(ref, solver, classes, Fraction)
+            solver = pair_solver(table, table_p)
+            for classes in (list(range(solver.m)), solver.classes):
+                assert solver._basis(q0, classes) == reference_blocks(ref, solver, classes, Fraction)
 
 
 class SymbolicReference(Reference):
-    """The Q(q) path without packing: each root propagated on its own in
-    sparse columns of integer polynomials at a = q and b = 1, and every
-    equation checked over Z[q], which holds it exactly when Q(q) does."""
+    """The Q(q) path: each root propagated on its own in sparse columns
+    of integer polynomials at a = q and b = 1, and every equation checked
+    over Z[q], which holds it exactly when Q(q) does."""
 
     def __init__(self, table_p, q0=Q):
         super().__init__(table_p, q0)
@@ -1029,7 +1076,7 @@ class SymbolicReference(Reference):
 def test_packed_check_over_q_of_q_matches_sparse_reference(n, r):
     # the checks over Q(q) fail exactly when some root fails an incidence
     # there, made in Z[q]
-    assert check_packed_against_reference(n, r, Q, SymbolicReference) or n <= 2
+    assert check_solve_against_reference(n, r, Q, SymbolicReference) or n <= 2
 
 
 @pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
@@ -1038,11 +1085,11 @@ def test_packed_width_over_q_of_q_covers_every_coefficient(n, r):
     # the unit s_c = q^ea, so every entry lies in Z[q, q^-1]
     for table, table_p in pair_classes(n, r):
         ref = SymbolicReference(table_p)
-        solver = _PairSolver(table, table_p, Q, (0, 0))
-        assert (solver.a, solver.b) == (Q, ONE)
-        for classes in (list(range(solver.m)), solver._classes()):
-            assert solver._basis(classes) == reference_blocks(ref, solver, classes,
-                                                              lambda v, s: v * s ** -1)
+        solver = pair_solver(table, table_p)
+        assert _numden(Q) == (Q, ONE)
+        for classes in (list(range(solver.m)), solver.classes):
+            assert solver._basis(Q, classes) == reference_blocks(ref, solver, classes,
+                                                                 lambda v, s: v * s ** -1)
 
 
 # ---------------------------------------------------------------------------
@@ -1068,9 +1115,9 @@ def check_root_classes(table, table_p, q0):
     """The root-loop classes are the reduced echelon form of the root loops:
     a pivot row x_rl - x_top for each row rl below the top (largest row) of
     its class, and the class roots, in order, its nullspace."""
-    solver = _PairSolver(table, table_p, q0, (0, 0))
+    solver = pair_solver(table, table_p)
     ref = Reference(table_p, q0) if isinstance(q0, Fraction) else SymbolicReference(table_p, q0)
-    classes = solver._classes()
+    classes = solver.classes
     rows, null = root_loop_elimination(solver, ref)
     top = {k: rl for rl, k in enumerate(classes)}  # the last row of each class
     assert rows == {rl: {rl: 1, top[k]: -1} for rl, k in enumerate(classes) if rl != top[k]}
@@ -1124,19 +1171,19 @@ def test_verification_rejects_a_perturbed_root():
     C, Cp = _components(n, r, gens)
     table_p = _table(Cp, idxs, gid_map, gens)
     for q0 in (Fraction(-3, 2), Fraction(7, 5)):
-        solver = _PairSolver(_table(C, idxs, gid_map, gens), table_p, q0, (C[0], Cp[0]))
+        solver = pair_solver(_table(C, idxs, gid_map, gens), table_p, (C[0], Cp[0]))
         ref = Reference(table_p, q0)
-        classes = solver._classes()
+        classes = solver.classes
         d = max(classes) + 1
         assert 1 < d < solver.m
-        assert solve_on(solver, classes)[0] is None
-        assert solve_on(solver, [min(k, d - 2) for k in classes])[0] is None
+        assert solve_on(solver, q0, classes)[0] is None
+        assert solve_on(solver, q0, [min(k, d - 2) for k in classes])[0] is None
         split = 0
         for rl, k in enumerate(classes):
             if classes.count(k) > 1:
                 perturbed = classes[:rl] + [d] + classes[rl + 1:]
                 broken = broken_by_reference(ref, solver, class_roots(perturbed))
-                assert broken and solve_on(solver, perturbed)[0] in broken
+                assert broken and solve_on(solver, q0, perturbed)[0] in broken
                 split += 1
         assert split
 
@@ -1146,34 +1193,38 @@ def test_a_dropped_two_cycle_is_caught(monkeypatch):
     # loops on too few rows and joins too few rows into classes: the
     # checks pass roots that the reference finds breaking an incidence,
     # and the classes no longer give the root loops' nullspace
-    cycles = _PairSolver._cycles
-    monkeypatch.setattr(_PairSolver, '_cycles', lambda self, i: cycles(self, i)[1:])
+    init = _Table.__init__
+
+    def forgetful(self, table, pair):
+        init(self, table, pair)
+        self.cycles = [position[1:] for position in self.cycles]
+    monkeypatch.setattr(_Table, '__init__', forgetful)
     q0 = Fraction(7, 5)
     missed = widened = 0
     for table, table_p in pair_classes(4, 2):
         ref = Reference(table_p, q0)
-        solver = _PairSolver(table, table_p, q0, (0, 0))
-        for classes in (list(range(solver.m)), solver._classes()):
+        solver = pair_solver(table, table_p)
+        for classes in (list(range(solver.m)), solver.classes):
             broken = broken_by_reference(ref, solver, class_roots(classes))
-            missed += bool(broken) and solve_on(solver, classes)[0] is None
-        widened += class_roots(solver._classes()) != root_loop_elimination(solver, ref)[1]
+            missed += bool(broken) and solve_on(solver, q0, classes)[0] is None
+        widened += class_roots(solver.classes) != root_loop_elimination(solver, ref)[1]
     assert missed and widened
 
 
-def reference_solve(solver, with_basis):
+def reference_solve(solver, qf, with_basis):
     """A solve that shares no step with _PairSolver.solve: the nullspace of
     the root loops' full rows (root_loop_elimination), each vector
     propagated on its own on the reference path, which must break no
     incidence; over Z[q] in the symbolic mode, where the scale s, a power
     of q, is a unit of Z[q, q^-1] and is divided out as a shift."""
-    if solver.over_q:
-        ref = Reference(solver.table_p, Fraction(solver.a, solver.b))
+    if isinstance(qf, Fraction):
+        ref = Reference(solver.row.table, qf)
         roots = root_loop_elimination(solver, ref)[1]
 
         def quotient(v, s):
             return Fraction(v, s)
     else:
-        ref = SymbolicReference(solver.table_p)
+        ref = SymbolicReference(solver.row.table)
         null = root_loop_elimination(solver, ref)[1]
         assert all(v.den == REF_ONE.den for y in null for v in y)
         roots = [[LaurentPoly(enumerate(v.num)) for v in y] for y in null]
@@ -1192,11 +1243,11 @@ def reference_solve(solver, with_basis):
                                 Fraction(2)])
 @pytest.mark.parametrize('n,r', [(3, 3), (4, 2), (2, 4)])
 def test_unpacked_basis_equals_reference_basis(n, r, q0, monkeypatch):
-    packed = commutant_basis(n, r, (q0,), with_basis=True).basis
+    basis = commutant_basis(n, r, (q0,), with_basis=True).basis
     monkeypatch.setattr(_PairSolver, 'solve', reference_solve)
     reference = commutant_basis(n, r, (q0,), with_basis=True).basis
-    assert len(packed) == len(reference) == qpartition_dim(n, r)
-    for X, Y in zip(packed, reference):
+    assert len(basis) == len(reference) == qpartition_dim(n, r)
+    for X, Y in zip(basis, reference):
         assert X == Y
         assert all(type(v) is Fraction for v in X.values())
 
@@ -1205,12 +1256,12 @@ def test_unpacked_basis_equals_reference_basis(n, r, q0, monkeypatch):
 def test_unpacked_symbolic_basis_equals_reference_basis(n, r, monkeypatch):
     # the basis against per-root propagation over Z[q], shifted by the
     # unit q^-ea; every entry lies in Z[q, q^-1]
-    packed = commutant_basis(n, r, symbolic=True, with_basis=True).basis
+    basis = commutant_basis(n, r, symbolic=True, with_basis=True).basis
     monkeypatch.setattr(_PairSolver, 'solve', reference_solve)
     reference = commutant_basis(n, r, symbolic=True, with_basis=True).basis
-    assert len(packed) == len(reference) == qpartition_dim(n, r)
-    assert packed == reference
-    for X in packed:
+    assert len(basis) == len(reference) == qpartition_dim(n, r)
+    assert basis == reference
+    for X in basis:
         for v in X.values():
             assert type(v) is LaurentPoly and v.integer_form()[2] == 1
 
@@ -1222,9 +1273,9 @@ def test_unpacked_symbolic_basis_equals_reference_basis(n, r, monkeypatch):
 def incidences(solver):
     """Every incidence (i, c, c2, case) of the column table that is not a
     tree edge: the loops, both ends of each 2-cycle off the tree, and the
-    partner end of each tree edge.  solver may be a _ColumnPlan too."""
-    tree = {(k, p): c for c, (p, k, _) in solver.par.items()}
-    return [(k, c, c2, case) for c, entries in enumerate(solver.table)
+    partner end of each tree edge."""
+    tree = {(k, p): c for c, (p, k, _) in solver.col.par.items()}
+    return [(k, c, c2, case) for c, entries in enumerate(solver.col.table)
             for k, (case, c2) in enumerate(entries) if tree.get((k, c)) != c2]
 
 
@@ -1284,10 +1335,10 @@ def braid_holds(table, k, l):
 def braiding_pairs(solver):
     """The pairs {k, l} that do not commute on both tables (by the
     criterion) and braid on both (by the matrices)."""
-    both = commuting_pairs(solver.table) & commuting_pairs(solver.table_p)
-    return {frozenset(kl) for kl in itertools.combinations(range(len(solver.table[0])), 2)
-            if frozenset(kl) not in both and braid_holds(solver.table, *kl)
-            and braid_holds(solver.table_p, *kl)}
+    table, table_p = solver.col.table, solver.row.table
+    both = commuting_pairs(table) & commuting_pairs(table_p)
+    return {frozenset(kl) for kl in itertools.combinations(range(len(table[0])), 2)
+            if frozenset(kl) not in both and braid_holds(table, *kl) and braid_holds(table_p, *kl)}
 
 
 def hexagon_terms(table, k, l, p):
@@ -1329,7 +1380,7 @@ def relation_deduction(solver, square_premises=(0, 1, 2), hexagon_drops=lambda w
     square's premises asked for, by their place in that list;
     hexagon_drops(w) says whether hexagon terms of the word w count as
     known."""
-    table, table_p = solver.table, solver.table_p
+    table, table_p = solver.col.table, solver.row.table
     both = commuting_pairs(table) & commuting_pairs(table_p)
     braid = braiding_pairs(solver)
     known = set()
@@ -1337,7 +1388,7 @@ def relation_deduction(solver, square_premises=(0, 1, 2), hexagon_drops=lambda w
     def learn(k, c):
         known.update({(k, c), (k, table[c][k][1])})
 
-    for p, k, _ in solver.par.values():
+    for p, k, _ in solver.col.par.values():
         learn(k, p)
     for k in range(len(table[0])):
         if all(entries[k] == (1, v) for v, entries in enumerate(table_p)):
@@ -1372,7 +1423,7 @@ def relation_deduction(solver, square_premises=(0, 1, 2), hexagon_drops=lambda w
 
 
 def both_tables(solver):
-    return commuting_pairs(solver.table) & commuting_pairs(solver.table_p)
+    return commuting_pairs(solver.col.table) & commuting_pairs(solver.row.table)
 
 
 def unflagged_breaks(solver, ref, classes):
@@ -1420,11 +1471,11 @@ def kept_events_stand_for_all(solver, ref):
     equations breaks one either.  Returns the incidences each partition
     breaks."""
     found = []
-    for classes in (list(range(solver.m)), solver._classes()):
+    for classes in (list(range(solver.m)), solver.classes):
         broken, unflagged = unflagged_breaks(solver, ref, classes)
         assert unflagged == []
         found.append(broken)
-    if solver.over_q:
+    if ref.over_q:
         assert escaped_breaks(solver, ref) == set()
     return found
 
@@ -1436,14 +1487,14 @@ def test_one_equation_per_two_cycle_stands_for_both(n, r):
     # root-loop classes break nothing
     for q0 in ROOT_Q:
         for table, table_p in pair_classes(n, r):
-            solver = _PairSolver(table, table_p, q0, (0, 0))
+            solver = pair_solver(table, table_p)
             assert kept_events_stand_for_all(solver, Reference(table_p, q0))[1] == set()
 
 
 @pytest.mark.parametrize('n,r', SYMBOLIC_GRID)
 def test_one_equation_per_two_cycle_stands_for_both_over_q_of_q(n, r):
     for table, table_p in pair_classes(n, r):
-        solver = _PairSolver(table, table_p, Q, (0, 0))
+        solver = pair_solver(table, table_p)
         assert kept_events_stand_for_all(solver, SymbolicReference(table_p))[1] == set()
 
 
@@ -1455,7 +1506,7 @@ def test_one_equation_per_square_stands_for_all_on_generator_subsets(n):
         for r in itertools.takewhile(lambda r: n ** r <= 64, itertools.count(1)):
             for table, table_p in pair_classes(n, r, gens):
                 for q0 in (Fraction(7, 5), Fraction(-1)):
-                    solver = _PairSolver(table, table_p, q0, (0, 0))
+                    solver = pair_solver(table, table_p)
                     assert kept_events_stand_for_all(solver, Reference(table_p, q0))[1] == set()
 
 
@@ -1479,7 +1530,7 @@ def test_one_equation_per_two_cycle_stands_for_both_where_they_break(n, r):
     broken = unused = 0
     for q0 in ROOT_Q:
         for table, table_p in mismatched_pair_classes(n, r):
-            solver = _PairSolver(table, table_p, q0, (0, 0))
+            solver = pair_solver(table, table_p)
             found = kept_events_stand_for_all(solver, Reference(table_p, q0))
             broken += any(e[3] != 1 for e in found[0] | found[1])
             unused += frozenset((0, 2)) in commuting_pairs(table) - both_tables(solver)
@@ -1493,7 +1544,7 @@ def test_one_event_per_two_cycle_off_the_tree(n, r):
     # reference deduction keeps of them, none on these tables, and never
     # a loop at the root, which the classes hold
     for table, table_p in pair_classes(n, r):
-        solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
+        solver = pair_solver(table, table_p)
         cases = [case for entries in table for case, _ in entries]
         full = candidates(incidences(solver))
         moving = [e for e in full if e[3] != 1]
@@ -1507,7 +1558,7 @@ def test_one_event_per_two_cycle_off_the_tree(n, r):
 @pytest.mark.parametrize('n,r', MISMATCHED_GRID)
 def test_events_match_the_reference_deduction_where_the_tables_differ(n, r):
     for table, table_p in mismatched_pair_classes(n, r):
-        solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
+        solver = pair_solver(table, table_p)
         assert solver.events == relation_deduction(solver)
 
 
@@ -1516,7 +1567,7 @@ def test_events_match_the_reference_deduction_on_generator_subsets(n):
     for gens in generator_subsets(n):
         for r in itertools.takewhile(lambda r: n ** r <= 81, itertools.count(1)):
             for table, table_p in pair_classes(n, r, gens):
-                solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
+                solver = pair_solver(table, table_p)
                 assert solver.events == relation_deduction(solver)
                 # an ordered subset leaves no equation; the repeated (1, 1) may
                 assert not solver.events or gens == (1, 1)
@@ -1541,7 +1592,7 @@ KEPT_EVENTS = {
 def test_kept_events_are_pinned(n, r):
     got = []
     for table in _component_classes(n, r, tuple(range(1, n))):
-        solver = _PairSolver(table, table, Fraction(7, 5), (0, 0))
+        solver = pair_solver(table, table)
         got.append((len(table), len(candidates(incidences(solver))), len(solver.events)))
     assert got == KEPT_EVENTS[n, r]
 
@@ -1550,21 +1601,21 @@ def test_kept_events_are_pinned(n, r):
 def test_counting_propagates_only_the_columns_a_check_reads(n, r, monkeypatch):
     # no equation is left for a check to read, so counting propagates no
     # column; with the basis every column is propagated
-    basis, calls = _PairSolver._basis, []
+    basis, calls, q0 = _PairSolver._basis, [], Fraction(7, 5)
     monkeypatch.setattr(_PairSolver, '_basis',
-                        lambda self, classes: calls.append(self.pair) or basis(self, classes))
+                        lambda self, qf, classes: calls.append(self.pair) or basis(self, qf, classes))
     for table, table_p in pair_classes(n, r):
-        solver = _PairSolver(table, table_p, Fraction(7, 5), (0, 0))
+        solver = pair_solver(table, table_p)
         assert solver.events == []
-        assert solver.solve(with_basis=False) == (max(solver._classes()) + 1, []) and calls == []
-        solver.solve(with_basis=True)
+        assert solver.solve(q0, with_basis=False) == (max(solver.classes) + 1, []) and calls == []
+        solver.solve(q0, with_basis=True)
         assert calls == [(0, 0)]
         calls.clear()
         assert all({c for _, c in X} == set(range(len(table)))
-                   for X in basis(solver, solver._classes()))
+                   for X in basis(solver, q0, solver.classes))
 
 
-def unchecked_two_cycles(column, i, pair, what):
+def unchecked_two_cycles(column, i, pair):
     """A mutant _two_cycles: the case 2 entries, the shape unchecked."""
     return [(v, t) for v, (case, t) in enumerate(column) if case == 2]
 
@@ -1577,9 +1628,9 @@ def test_unchecked_shapes_certify_a_broken_equation(table, table_p, monkeypatch)
     # classes break an incidence whose partner the pruning dropped
     monkeypatch.setattr(centralizer, '_two_cycles', unchecked_two_cycles)
     q0 = Fraction(2)
-    solver = _PairSolver(table, table_p, q0, (0, 3))
-    assert solver.solve(with_basis=False)[0] == 2
-    broken = broken_by_reference(Reference(table_p, q0), solver, class_roots(solver._classes()))
+    solver = pair_solver(table, table_p, (0, 3))
+    assert solver.solve(q0, with_basis=False)[0] == 2
+    broken = broken_by_reference(Reference(table_p, q0), solver, class_roots(solver.classes))
     assert broken and not broken & set(checked(solver))
 
 
@@ -1594,15 +1645,15 @@ def test_malformed_tables_raise_with_the_squares_in_use():
     # equation that the relations drop, its entry made malformed on the
     # columns or on the rows, still raises
     table = max(_component_classes(4, 2, (1, 2, 3)), key=len)
-    solver = _PairSolver(table, table, Fraction(2), (0, 3))
+    solver = pair_solver(table, table, (0, 3))
     dropped = [e for e in candidates(incidences(solver)) if e not in solver.events]
-    assert solver.plan.commuting[0] == 1 << 2 and dropped
+    assert solver.col.commuting[0] == 1 << 2 and dropped
     for k, c, c2, case in dropped:
         bad = corrupted(table, c, k, (2, c2)) if case == 1 else corrupted(table, c2, k, (2, c))
-        with pytest.raises(SolverInvariantError, match='neither fixes column'):
-            _PairSolver(bad, table, Fraction(2), (0, 3))
-        with pytest.raises(SolverInvariantError, match='neither fixes row'):
-            _PairSolver(table, bad, Fraction(2), (0, 3)).solve(with_basis=False)
+        for tables in ((bad, table), (table, bad)):
+            with pytest.raises(SolverInvariantError, match='neither fixes vertex') as info:
+                pair_solver(*tables, (0, 3))
+            assert info.value.event[:2] == (k, min(c, c2))
 
 
 # small tables of the 2-cycle shape, far from any letter action: there the
@@ -1633,10 +1684,10 @@ def wrong_outcomes(q0=Fraction(7, 5)):
     give the reference basis of those roots."""
     wrong = 0
     for table, table_p in small_table_pairs():
-        solver = _PairSolver(table, table_p, q0, (0, 0))
-        ref, classes = Reference(table_p, q0), solver._classes()
+        solver = pair_solver(table, table_p)
+        ref, classes = Reference(table_p, q0), solver.classes
         broken = broken_by_reference(ref, solver, class_roots(classes))
-        raised, blocks = solve_on(solver, classes, with_basis=True)
+        raised, blocks = solve_on(solver, q0, classes, with_basis=True)
         if raised is None:
             want = [{(rl, c): Fraction(v, s) for c, (u, s) in
                      ref.propagate(solver, ref.clear(y)).items() for rl, v in u.items()}
@@ -1651,7 +1702,7 @@ def wrong_outcomes(q0=Fraction(7, 5)):
 def test_kept_events_cut_out_the_solutions_on_small_tables(q0):
     left = 0
     for table, table_p in small_table_pairs():
-        solver = _PairSolver(table, table_p, q0, (0, 0))
+        solver = pair_solver(table, table_p)
         assert solver.events == relation_deduction(solver)
         kept_events_stand_for_all(solver, Reference(table_p, q0))
         left += bool(solver.events)
@@ -1661,7 +1712,7 @@ def test_kept_events_cut_out_the_solutions_on_small_tables(q0):
 def count_escaped(q0=Fraction(7, 5)):
     """How many small table pairs have a root that satisfies every equation
     the solve checks and breaks some incidence."""
-    return sum(bool(escaped_breaks(_PairSolver(table, table_p, q0, (0, 0)),
+    return sum(bool(escaped_breaks(pair_solver(table, table_p),
                                    Reference(table_p, q0)))
                for table, table_p in small_table_pairs())
 
@@ -1670,20 +1721,20 @@ def count_escaped(q0=Fraction(7, 5)):
 
 def test_dropped_two_cycle_events_are_caught(monkeypatch):
     # a mutant that checks the loops alone lets roots through
-    collect = _ColumnPlan._collect_events
-    monkeypatch.setattr(_ColumnPlan, '_collect_events', lambda self, *relations: [
+    collect = _Table._collect_events
+    monkeypatch.setattr(_Table, '_collect_events', lambda self, *relations: [
         e for e in collect(self, *relations) if e[3] == 1])
     assert count_escaped()
 
 
 def test_ignoring_the_row_tables_squares_is_caught(monkeypatch):
     # a mutant that takes the squares of the column table alone
-    init = _RowState.__init__
+    init = _PairSolver.__init__
 
-    def all_commute(self, table_p):
-        init(self, table_p)
-        self.commuting = (-1,) * len(self.commuting)
-    monkeypatch.setattr(_RowState, '__init__', all_commute)
+    def all_commute(self, col, row, pair):
+        row.commuting = (-1,) * len(row.commuting)
+        init(self, col, row, pair)
+    monkeypatch.setattr(_PairSolver, '__init__', all_commute)
     assert count_escaped()
 
 
@@ -1691,7 +1742,7 @@ def test_ignoring_the_row_tables_braids_is_caught(monkeypatch):
     # a mutant that takes the hexagons of the column table alone, applied
     # where the rows do not braid
     monkeypatch.setattr(_PairSolver, '_braids',
-                        lambda self, k, l: centralizer._braids(self.table, {}, k, l))
+                        lambda self, k, l: centralizer._braids(self.col.table, {}, k, l))
     assert count_escaped()
 
 
@@ -1720,16 +1771,8 @@ def test_a_dropped_hexagon_premise_is_caught(monkeypatch):
 def test_a_dropped_root_loop_is_caught(monkeypatch):
     # a mutant whose classes leave out the first loop at the root: the
     # classes split a 2-cycle of that loop, and the solve names it
-    classes = _PairSolver._classes
-
-    def mutant(self):
-        roots = self.plan.roots
-        self.plan.roots = roots[1:]
-        try:
-            return classes(self)
-        finally:
-            self.plan.roots = roots
-    monkeypatch.setattr(_PairSolver, '_classes', mutant)
+    classes = _Table.root_classes
+    monkeypatch.setattr(_Table, 'root_classes', lambda self, roots: classes(self, roots[1:]))
     with pytest.raises(SolverInvariantError, match='root-loop classes') as info:
         commutant_basis(3, 2, (Fraction(7, 5),))
     assert info.value.event == (1, 0, 0, 1)
@@ -1737,7 +1780,7 @@ def test_a_dropped_root_loop_is_caught(monkeypatch):
 
 def test_a_skipped_leftover_check_is_caught(monkeypatch):
     # a mutant that never checks the events the relations leave
-    monkeypatch.setattr(_PairSolver, '_check', lambda self, blocks: None)
+    monkeypatch.setattr(_PairSolver, '_check', lambda self, qf, blocks: None)
     assert wrong_outcomes()
 
 
@@ -1745,9 +1788,9 @@ def test_a_skipped_column_is_caught(monkeypatch):
     # a mutant propagation that leaves the last column of each pair empty
     basis = _PairSolver._basis
 
-    def skipping(self, classes):
-        last = len(self.table) - 1
-        return [{key: v for key, v in X.items() if key[1] != last} for X in basis(self, classes)]
+    def skipping(self, qf, classes):
+        last = len(self.col.table) - 1
+        return [{key: v for key, v in X.items() if key[1] != last} for X in basis(self, qf, classes)]
     monkeypatch.setattr(_PairSolver, '_basis', skipping)
     assert wrong_outcomes()
 
@@ -1783,7 +1826,7 @@ def test_commuting_criterion_implies_commuting_matrices_on_every_small_table():
         columns = list(two_cycle_columns(m))
         for first, second in itertools.product(columns, repeat=2):
             table = tuple(zip(first, second))
-            masks = _commuting(table)
+            masks = _Table(table, (0, 0)).commuting
             assert as_pairs(masks) == commuting_pairs(table)
             if masks[0]:
                 found += 1
@@ -1819,7 +1862,7 @@ def test_commuting_criterion_against_generator_products(n, r):
     mats = [generator_matrix(n, r, i) for i in gens]
     for table, comps in _component_classes(n, r, gens).items():
         pairs = commuting_pairs(table)
-        assert as_pairs(_commuting(table)) == pairs
+        assert as_pairs(_Table(table, (0, 0)).commuting) == pairs
         C = [idxs[g] for g in comps[0]]
         for k, l in itertools.combinations(range(len(gens)), 2):
             if gens[l] - gens[k] >= 2:
@@ -1827,6 +1870,44 @@ def test_commuting_criterion_against_generator_products(n, r):
             if frozenset((k, l)) in pairs:
                 assert (_compose_columns(mats[k], {j: mats[l][j] for j in C})
                         == _compose_columns(mats[l], {j: mats[k][j] for j in C}))
+
+
+def full_gather_commuting(table):
+    """The criterion of _commuting with every position pair gathered in
+    full, none skipped for moving disjoint vertices."""
+    targets = [tuple(t for _, t in column) for column in zip(*table)]
+    cases = [tuple(case for case, _ in column) for column in zip(*table)]
+    gathers = [operator.itemgetter(*t) if len(t) > 1 else tuple for t in targets]
+    masks = [0] * len(targets)
+    for l, (tl, cl, gl) in enumerate(zip(targets, cases, gathers)):
+        for k in range(l):
+            gk = gathers[k]
+            if gk(tl) == gl(targets[k]) and gl(cases[k]) == cases[k] and gk(cl) == cl:
+                masks[k] |= 1 << l
+                masks[l] |= 1 << k
+    return tuple(masks)
+
+
+@pytest.mark.parametrize('cells', [
+    [(n, r) for n in range(1, 17) for r in range(1, 9) if n ** r <= 256],
+    [(n, 1) for n in range(17, 65)], [(128, 1)], [(256, 1)]], ids=['grid', 'r1', '128', '256'])
+def test_commuting_skips_no_pair_the_full_gather_rejects(cells):
+    # pairs that move disjoint vertices skip the gathers: the masks equal
+    # those of the full gather on every table, the generators in full, in
+    # half and reversed; such pairs are found at r = 1, and at r >= 2 on
+    # the orbit of the constant words alone
+    skipped = 0
+    for n, r in cells:
+        for gens in (tuple(range(1, n)), tuple(range(1, n - 1)), tuple(range(n - 1, 0, -1))):
+            for table, comps in _component_classes(n, r, gens).items():
+                cycles = [_two_cycles(column, k, (0, 0)) for k, column in enumerate(zip(*table))]
+                assert _commuting(table, cycles) == full_gather_commuting(table)
+                moved = [{v for cycle in position for v in cycle} for position in cycles]
+                disjoint = sum(bool(moved[k] and moved[l]) and moved[k].isdisjoint(moved[l])
+                               for k, l in itertools.combinations(range(len(moved)), 2))
+                assert r == 1 or not disjoint or comps[0][0] == 0
+                skipped += disjoint
+    assert skipped
 
 
 @pytest.mark.parametrize('n,r', [(n, r) for n in range(2, 6) for r in range(1, 4)
@@ -1855,9 +1936,9 @@ def solve_counts(monkeypatch):
     solve = _PairSolver.solve
     left = []
 
-    def counted(self, with_basis):
+    def counted(self, qf, with_basis):
         left.append(len(self.events))
-        return solve(self, with_basis)
+        return solve(self, qf, with_basis)
 
     monkeypatch.setattr(_PairSolver, 'solve', counted)
     return left
